@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -292,17 +291,12 @@ def _cmd_convergence(cfg: RunConfig) -> int:
     if ref_terminal is None:
         fine = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, max(cfg.m_range) + 2), u_const))
         ref_terminal = fine.terminal
-
-    def run_one(m: int):
-        traj = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, m), u_const))
-        return m, cost(traj), float(np.linalg.norm(traj.terminal - ref_terminal))
-
-    with ThreadPoolExecutor(max_workers=min(4, len(cfg.m_range))) as pool:
-        results = list(pool.map(run_one, cfg.m_range))
     header = f"{'m':>3} {'J_m':>18} {'endpoint_error':>18}"
     rows = [header]
     csv_lines = ["m,J_m,endpoint_error"]
-    for m, jm, err in results:
+    for m in cfg.m_range:
+        traj = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, m), u_const))
+        jm, err = cost(traj), float(np.linalg.norm(traj.terminal - ref_terminal))
         rows.append(f"{m:>3} {jm:>18.12g} {err:>18.12g}")
         csv_lines.append(f"{m},{jm:.12g},{err:.12g}")
     text = "\n".join(rows)

@@ -13,6 +13,7 @@ The pedestrian model lives in R^n where the two notions agree exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -229,29 +230,6 @@ class RobotScenario:
             dtype=int,
         )
 
-    def local_constraint_set(self, x) -> Polyhedron:
-        """Linearized noncollision set K(x): one row per pair i < j.
-
-        Row for the pair: D_ij(x) + <grad D_ij(x), y - x> >= 0 with the
-        Euclidean disk distance, written as <a, y> <= c.
-        """
-        x = np.asarray(x, dtype=float)
-        rows, offs = [], []
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                d = x[2 * i : 2 * i + 2] - x[2 * j : 2 * j + 2]
-                dist = float(np.hypot(d[0], d[1]))
-                if dist == 0.0:
-                    raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
-                nhat = d / dist
-                grad = np.zeros(2 * self.n)
-                grad[2 * i : 2 * i + 2] = nhat
-                grad[2 * j : 2 * j + 2] = -nhat
-                gap = dist - 2.0 * self.R
-                rows.append(-grad)
-                offs.append(gap - grad @ x)
-        return Polyhedron(np.array(rows), np.array(offs))
-
 
 @dataclass(frozen=True)
 class PedestrianScenario:
@@ -300,10 +278,6 @@ class PedestrianScenario:
         x = np.asarray(x, dtype=float)
         gaps = np.diff(x) - 2.0 * self.R
         return np.flatnonzero(np.abs(gaps) <= tol)
-
-    def local_constraint_set(self, x) -> Polyhedron:
-        # The separation constraints are already linear: K(x) == C for every x.
-        return self.sweeping_set()
 
 
 Scenario = RobotScenario | PedestrianScenario
@@ -390,17 +364,35 @@ def admissible_velocities_contains(
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    for i in range(scn.n):
-        for j in range(i + 1, scn.n):
-            d = x[2 * i : 2 * i + 2] - x[2 * j : 2 * j + 2]
-            dist = float(np.hypot(d[0], d[1]))
+    A, c = linearized_noncollision(x, scn.R)
+    return bool(np.max(A @ (x + h * v) - c) <= tol)
+
+
+def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
+    """K(x) as {y : A y <= c}: the disk-separation constraints linearized at x.
+
+    One row per pair i < j: D_ij(x) + <grad D_ij(x), y - x> >= 0 with the
+    Euclidean gap D_ij(x) = ||x^i - x^j|| - 2R.  As <grad D_ij(x), x> =
+    ||x^i - x^j||, the row is <n_ij, y^i - y^j> >= 2R for the unit vector
+    n_ij from x^j to x^i, so every offset is -2R.  Coincident centers
+    make the gradient undefined and raise.
+    """
+    xs = np.asarray(x, dtype=float).tolist()
+    n = len(xs) // 2
+    A = np.zeros((n * (n - 1) // 2, 2 * n))
+    k = 0
+    # A scalar loop: for the few pairs here it beats fancy indexing.
+    for i in range(n):
+        for j in range(i + 1, n):
+            dx, dy = xs[2 * i] - xs[2 * j], xs[2 * i + 1] - xs[2 * j + 1]
+            dist = math.hypot(dx, dy)
             if dist == 0.0:
                 raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
-            nhat = d / dist
-            rate = nhat @ (v[2 * i : 2 * i + 2] - v[2 * j : 2 * j + 2])
-            if dist - 2.0 * scn.R + h * rate < -tol:
-                return False
-    return True
+            nx, ny = dx / dist, dy / dist
+            A[k, 2 * i], A[k, 2 * i + 1] = -nx, -ny
+            A[k, 2 * j], A[k, 2 * j + 1] = nx, ny
+            k += 1
+    return A, np.full(k, -2.0 * R)
 
 
 @dataclass(frozen=True)
@@ -477,9 +469,12 @@ def verify_set_representation(
 
 def _parse_floats(key: str, raw: str) -> list[float]:
     try:
-        return [float(tok) for tok in raw.replace(",", " ").split()]
+        values = [float(tok) for tok in raw.replace(",", " ").split()]
     except ValueError as exc:
         raise ScenarioFormatError(f"key '{key}': expected numbers, got '{raw}'") from exc
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ScenarioFormatError(f"key '{key}': expected finite numbers, got '{raw}'")
+    return values
 
 
 def _take(entries: dict, key: str):

@@ -429,14 +429,17 @@ def certificate_to_dict(cert: DualCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> DualCertificate:
-    return DualCertificate(
-        lam=float(d["lambda"]),
-        eta=StepFunction(np.array(d["eta_times"]), np.array(d["eta_values"])),
-        eta_terminal=np.array(d["eta_terminal"]),
-        p=StepFunction(np.array(d["p_times"]), np.array(d["p_values"])),
-        q=StepFunction(np.array(d["q_times"]), np.array(d["q_values"])),
-        gamma_atoms=tuple((float(t), np.array(v)) for t, v in d["gamma_atoms"]),
-    )
+    try:
+        return DualCertificate(
+            lam=float(d["lambda"]),
+            eta=StepFunction(np.array(d["eta_times"]), np.array(d["eta_values"])),
+            eta_terminal=np.array(d["eta_terminal"]),
+            p=StepFunction(np.array(d["p_times"]), np.array(d["p_values"])),
+            q=StepFunction(np.array(d["q_times"]), np.array(d["q_values"])),
+            gamma_atoms=tuple((float(t), np.array(v)) for t, v in d["gamma_atoms"]),
+        )
+    except KeyError as exc:
+        raise ValueError(f"certificate is missing the field {exc}") from exc
 
 
 def save_certificate(cert: DualCertificate, path) -> None:

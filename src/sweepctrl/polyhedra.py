@@ -2,9 +2,9 @@
 
 A polyhedron is stored in halfspace form {x : <a_j, x> <= c_j, j = 1..s}.
 Everything downstream (sweeping dynamics, multiplier recovery, optimality
-checks) reduces to the five operations in this module, so the projection
-solver is written to be exact on small dense problems rather than fast on
-large sparse ones.
+checks) reduces to the five operations in this module.  Projection is a
+least-distance program solved by a single NNLS call (Lawson & Hanson),
+exact on the small dense problems met here.
 """
 
 from __future__ import annotations
@@ -15,14 +15,14 @@ import numpy as np
 from scipy.optimize import nnls
 
 # Default tolerances: membership/activity, LICQ rank test (relative to the
-# largest singular value), and the dual active-set solver internals.
+# largest singular value), and the emptiness margin of the projection.
 MEMBERSHIP_TOL = 1e-9
 LICQ_RTOL = 1e-10
-_MAX_QP_ITER = 500
+_EMPTY_RTOL = 1e-10
 
 
 class ProjectionError(RuntimeError):
-    """Projection QP failed: infeasible set or no convergence within the cap."""
+    """Projection failed: the polyhedron is empty, or NNLS hit its iteration cap."""
 
 
 @dataclass(frozen=True)
@@ -106,184 +106,64 @@ def project(
     return x
 
 
-def _project_dual(poly: Polyhedron, y: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Cold-start projection via the dual QP  min_{lam>=0} 1/2 lam^T AA^T lam - lam^T (Ay-c).
-
-    At x = y - A^T lam the dual gradient is -(Ax - c), so the stopping test
-    is literally primal feasibility plus complementarity; no feasible
-    starting point is required.  Lawson-Hanson style face solves, with an
-    exact minimizing coordinate step as fallback whenever a degenerate
-    face solve stalls (objective strictly decreases, so no cycling).
-    """
-    A, c = poly.normals, poly.offsets
-    G = A @ A.T
-    b = A @ y - c
-    s = poly.nrows
-    scale = max(1.0, float(np.max(np.abs(c))), float(np.linalg.norm(y)))
-    feas_tol = max(tol, 1e-12 * scale)
-    lam = np.zeros(s)
-    for _ in range(_MAX_QP_ITER):
-        grad = G @ lam - b
-        entering = int(np.argmin(grad))
-        if grad[entering] >= -feas_tol:
-            break
-        support = set(np.flatnonzero(lam > 0).tolist())
-        support.add(entering)
-        # Inner loop over the current face.
-        for _ in range(2 * s + 2):
-            F = np.array(sorted(support), dtype=int)
-            sol, ray = _face_solve(G[np.ix_(F, F)], b[F])
-            lam_f = lam[F]
-            if ray is not None:
-                # Inconsistent stationarity system: the dual decreases without
-                # bound along `ray` inside this face; walk until a multiplier
-                # hits zero and drop it (a smaller face must be optimal).
-                neg = ray < 0.0
-                if not np.any(neg):
-                    raise ProjectionError("dual unbounded: the polyhedron is empty")
-                steps = lam_f[neg] / (-ray[neg])
-                alpha = float(np.min(steps))
-                if alpha <= 0.0:
-                    # Entering row blocked immediately: fall back to the exact
-                    # 1-D minimizer along it (strict decrease, no cycling).
-                    lam[entering] += -grad[entering] / G[entering, entering]
-                    break
-                lam_f = np.maximum(lam_f + alpha * ray, 0.0)
-                blocked = np.zeros(F.size, dtype=bool)
-                blocked[neg] = steps <= alpha
-                lam_f[blocked] = 0.0
-                lam = np.zeros(s)
-                keep = lam_f > 0.0
-                lam[F[keep]] = lam_f[keep]
-                support = set(F[keep].tolist())
-                if entering not in support:
-                    break
-                continue
-            new_pos = sol[np.searchsorted(F, entering)] > 0.0
-            if not (np.all(np.isfinite(sol)) and new_pos):
-                lam[entering] += -grad[entering] / G[entering, entering]
-                break
-            if np.all(sol > 0.0):
-                lam = np.zeros(s)
-                lam[F] = sol
-                break
-            # Classic blocking line search toward the face minimizer.
-            mask = sol <= 0.0
-            denom = lam_f - sol
-            ratios = np.full(F.size, np.inf)
-            ok = mask & (denom > 0.0)
-            ratios[ok] = lam_f[ok] / denom[ok]
-            alpha = float(np.min(ratios))
-            lam_f = lam_f + alpha * (sol - lam_f)
-            lam_f[ratios <= alpha] = 0.0
-            lam = np.zeros(s)
-            keep = lam_f > 0.0
-            lam[F[keep]] = lam_f[keep]
-            support = set(F[keep].tolist())
-            if entering not in support:
-                break
-    else:
-        raise ProjectionError(f"projection did not converge in {_MAX_QP_ITER} iterations (empty set?)")
-    x = y - A.T @ lam
-    return x, np.flatnonzero(lam > 0)
-
-
-def _face_solve(GFF: np.ndarray, bF: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Stationary point of 1/2 t^T G t - b^T t on a face of the dual.
-
-    Returns (min-norm solution, None) when G t = b is consistent, else
-    (partial solution, ray) where the ray satisfies G ray ~ 0, b^T ray > 0,
-    i.e. an unbounded descent direction inside the face.
-    """
-    w, U = np.linalg.eigh(GFF)
-    wmax = float(w[-1]) if w.size else 0.0
-    rank_tol = 1e-12 * max(wmax, 1.0)
-    inv = np.zeros_like(w)
-    np.divide(1.0, w, out=inv, where=w > rank_tol)
-    coeff = U.T @ bF
-    sol = U @ (inv * coeff)
-    resid = bF - GFF @ sol
-    if np.linalg.norm(resid) > 1e-9 * max(1.0, float(np.linalg.norm(bF))):
-        return sol, resid
-    return sol, None
-
-
 def project_with_working_set(
     poly: Polyhedron,
     y: np.ndarray,
     tol: float = MEMBERSHIP_TOL,
     feasible_start: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projection plus the final working set of the active-set QP.
+    """Projection plus the rows that carry a positive multiplier.
 
-    Primal active-set method specialized to min ||x - y||^2 over {Ax <= c}:
-    on a working set W the subproblem minimizer is
-        x* = y - A_W^T lam,   (A_W A_W^T) lam = A_W y - c_W;
-    step toward x* up to the first blocking row (add it), and at a face
-    minimizer drop the most negative multiplier or stop when lam >= 0.
-    Finite for these small dense problems.  With no feasible start (the
-    catch-up loop always has one) the dual method solves from cold.
+    `feasible_start` is checked for shape but not needed: the
+    least-distance solve starts from nothing.
     """
     y = poly._check_point(y)
-    if feasible_start is None:
-        viol = poly.normals @ y - poly.offsets
-        if np.max(viol) <= tol:
-            return y.copy(), np.empty(0, dtype=int)
-        return _project_dual(poly, y, tol)
-    return project_raw(poly.normals, poly.offsets, y, poly._check_point(feasible_start), tol)
+    return project_raw(poly.normals, poly.offsets, y, feasible_start, tol)
 
 
 def project_raw(
-    A: np.ndarray, c: np.ndarray, y: np.ndarray, start: np.ndarray, tol: float = MEMBERSHIP_TOL
+    A: np.ndarray,
+    c: np.ndarray,
+    y: np.ndarray,
+    start: np.ndarray | None = None,
+    tol: float = MEMBERSHIP_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Primal active-set projection on raw arrays from a feasible start.
+    """Projection of y onto {x : A x <= c} on raw arrays, plus its support rows.
 
-    Internal hot path for the catch-up loop; `project_with_working_set`
-    wraps it with Polyhedron validation.
+    With z = x - y this is the least-distance program
+        min ||z||  s.t.  -A z >= A y - c,
+    which Lawson & Hanson (Solving Least Squares Problems, 1974, ch. 23)
+    reduce to one NNLS problem: min ||E u - e_{n+1}|| over u >= 0 with
+    E = [-A^T; (A y - c)^T].  With d = 1 - (A y - c) . u the multipliers are
+    lam = u / d and x = y - A^T lam; d = 0 exactly when the set is empty.
+    Here the last row of E is divided by the largest violation `top` (so
+    lam = top * u / d), which leaves x unchanged but keeps d from shrinking
+    with the squared distance to the set.  A y violating no row by more
+    than `tol` is returned as is.  `start` (a feasible point, if the caller
+    has one) is checked for shape only.
     """
+    if start is not None and np.shape(start) != np.shape(y):
+        raise ValueError(f"start has shape {np.shape(start)}, expected {np.shape(y)}")
     viol = A @ y - c
-    if np.max(viol) <= tol:
+    top = float(viol.max())
+    if top <= tol:
         return y.copy(), np.empty(0, dtype=int)
-
-    scale = max(1.0, float(np.max(np.abs(c))), float(np.linalg.norm(y)))
-    lam_tol = 1e-11 * scale
-    step_tol = 1e-13 * scale
-    x = np.array(start, dtype=float)
-    work: set[int] = set(np.flatnonzero(A @ x - c >= -max(tol, 1e-12 * scale)))
-    nrows = A.shape[0]
-
-    for _ in range(_MAX_QP_ITER):
-        W = np.array(sorted(work), dtype=int)
-        AW = A[W]
-        G = AW @ AW.T
-        rhs = AW @ y - c[W]
-        try:
-            lam = np.linalg.solve(G, rhs)
-        except np.linalg.LinAlgError:
-            lam = np.linalg.lstsq(G, rhs, rcond=None)[0]
-        x_star = y - AW.T @ lam if W.size else y.copy()
-        d = x_star - x
-        if np.linalg.norm(d) <= step_tol:
-            if W.size == 0 or np.min(lam) >= -lam_tol:
-                return x_star, W[lam > lam_tol] if W.size else W
-            work.discard(int(W[np.argmin(lam)]))
-            continue
-        # Longest feasible step along d against rows outside the working set.
-        Ad = A @ d
-        room = c - A @ x
-        alpha = 1.0
-        blocker = -1
-        for j in range(nrows):
-            if j in work or Ad[j] <= 1e-14 * scale:
-                continue
-            aj = room[j] / Ad[j]
-            if aj < alpha:
-                alpha = max(aj, 0.0)
-                blocker = j
-        x = x + alpha * d
-        if blocker >= 0:
-            work.add(blocker)
-    raise ProjectionError(f"projection did not converge in {_MAX_QP_ITER} iterations (empty set?)")
+    n = y.shape[0]
+    E = np.empty((n + 1, A.shape[0]))
+    E[:n] = -A.T
+    E[n] = h = viol / top
+    f = np.zeros(n + 1)
+    f[n] = 1.0
+    try:
+        u, _ = nnls(E, f)
+    except RuntimeError as exc:  # iteration cap of the NNLS solver
+        raise ProjectionError(f"projection failed: {exc}") from exc
+    hu = h * u
+    d = 1.0 - float(hu.sum())
+    # d is a difference of order-one terms: demand a margin over their rounding.
+    if not d > _EMPTY_RTOL * (1.0 + float(np.abs(hu).sum())):
+        raise ProjectionError("the polyhedron is empty")
+    return y - A.T @ ((top / d) * u), u.nonzero()[0]
 
 
 def decompose_normal(

@@ -14,10 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONTACT_TOL, PedestrianScenario, RobotScenario, Scenario
+from .models import CONTACT_TOL, PedestrianScenario, RobotScenario, Scenario, linearized_noncollision
 from .polyhedra import Polyhedron, decompose_on_rows, project_raw, project_with_working_set
 
 MESH_EXP_MAX = 24  # step underflow guard
+STEP_TOL = 1e-12  # a free step violating K(x) by no more than this is kept unprojected
 
 
 @dataclass(frozen=True)
@@ -116,32 +117,6 @@ class EtaProfile:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
 
-def _quick_project(A: np.ndarray, c: np.ndarray, y: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """One-shot projection guess: treat the violated rows as the active set.
-
-    Solves the equality KKT system on the violated rows and accepts the
-    result when its multipliers are nonnegative and it is feasible; this
-    covers essentially every catch-up step, with the full active-set
-    method as fallback.
-    """
-    viol = A @ y - c
-    V = np.flatnonzero(viol > 1e-12)
-    if V.size == 0:
-        return y
-    AV = A[V]
-    G = AV @ AV.T
-    try:
-        lam = np.linalg.solve(G, viol[V])
-    except np.linalg.LinAlgError:
-        lam = None
-    if lam is not None and np.all(lam >= 0.0):
-        xhat = y - AV.T @ lam
-        if np.max(A @ xhat - c) <= 1e-10 * max(1.0, float(np.max(np.abs(c)))):
-            return xhat
-    out, _ = project_raw(A, c, y, start)
-    return out
-
-
 def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
     """One explicit catch-up step: project x + h*g onto P (x must lie in P)."""
     if h <= 0:
@@ -176,8 +151,7 @@ def _simulate_pedestrian(scn: PedestrianScenario, u: ControlSignal) -> Trajector
     x = scn.x0.copy()
     nodes[0] = x
     for k in range(mesh.intervals):
-        y = x + h * drives[k]
-        x = _quick_project(A, c, y, x)
+        x, _ = project_raw(A, c, x + h * drives[k], tol=STEP_TOL)
         nodes[k + 1] = x
     return Trajectory(mesh=mesh, nodes=nodes)
 
@@ -187,8 +161,6 @@ def _simulate_robot(scn: RobotScenario, u: ControlSignal) -> Trajectory:
     h = mesh.h
     times = mesh.nodes
     n = scn.n
-    twoR = 2.0 * scn.R
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     su = u.values * scn.speeds  # (K, n) pushed speeds
     nodes = np.empty((mesh.intervals + 1, 2 * n))
     x = scn.x0.copy()
@@ -199,32 +171,8 @@ def _simulate_robot(scn: RobotScenario, u: ControlSignal) -> Trajectory:
         th = scn.theta(times[k], contact_time)
         g[0::2] = su[k] * np.cos(th)
         g[1::2] = su[k] * np.sin(th)
-        y = x + h * g
-        # Linearized noncollision values at x along the step; project only
-        # when the free step would exit the local constraint set.
-        X = x.reshape(n, 2)
-        D = (y - x).reshape(n, 2)
-        rows = []
-        offs = []
-        violated = False
-        for i, j in pairs:
-            d = X[i] - X[j]
-            dist = float(np.hypot(d[0], d[1]))
-            if dist == 0.0:
-                raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
-            nhat = d / dist
-            grad_step = float(nhat @ (D[i] - D[j]))
-            if dist - twoR + grad_step < -1e-14:
-                violated = True
-            grad = np.zeros(2 * n)
-            grad[2 * i : 2 * i + 2] = nhat
-            grad[2 * j : 2 * j + 2] = -nhat
-            rows.append(-grad)
-            offs.append(dist - twoR - float(grad @ x))
-        if violated:
-            x = _quick_project(np.array(rows), np.array(offs), y, x)
-        else:
-            x = y
+        A, c = linearized_noncollision(x, scn.R)
+        x, _ = project_raw(A, c, x + h * g, tol=STEP_TOL)
         nodes[k + 1] = x
         if contact_time is None and scn.contact_rows(x, CONTACT_TOL).size:
             contact_time = times[k + 1]
@@ -333,8 +281,12 @@ def trajectory_csv(
 def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
     """Inverse of trajectory_csv; returns times/states/controls/etas arrays."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
+    if len(lines) < 2:
+        raise ValueError("trajectory CSV needs a header line and at least one data row")
     header = lines[0].split(",")
     data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
+    if data.shape[1] != len(header):
+        raise ValueError(f"trajectory CSV rows have {data.shape[1]} cells, the header {len(header)}")
     groups: dict[str, list[int]] = {"t": [], "x": [], "u": [], "eta": []}
     for idx, name in enumerate(header):
         if name == "t":
@@ -345,6 +297,8 @@ def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
             groups["x"].append(idx)
         elif name.startswith("u"):
             groups["u"].append(idx)
+    if not groups["t"] or not groups["x"]:
+        raise ValueError("trajectory CSV header needs a 't' column and 'x' columns")
     out = {"times": data[:, groups["t"][0]], "states": data[:, groups["x"]]}
     if groups["u"]:
         out["controls"] = data[:, groups["u"]]

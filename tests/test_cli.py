@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
@@ -124,6 +125,35 @@ class TestVerify:
         )
         assert code == 1
         assert "FAIL" in capsys.readouterr().out
+
+    def _verify(self, tmp_path, cert_file, traj_file):
+        return main(["verify", PED2, "--certificate", str(cert_file), "--trajectory", str(traj_file),
+                     "--out", str(tmp_path)])
+
+    @pytest.mark.parametrize(
+        "text",
+        ["", "t,x1,x2,u1,u2,eta1\n", "a,b\n1,2\n", "t,x1\n1\n"],
+        ids=["empty", "header-only", "no-t-column", "short-row"],
+    )
+    def test_malformed_trajectory_exits_2(self, tmp_path, capsys, text):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        traj_file = tmp_path / "bad.csv"
+        traj_file.write_text(text)
+        capsys.readouterr()
+        assert self._verify(tmp_path, tmp_path / "certificate.json", traj_file) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_certificate_missing_field_exits_2(self, tmp_path, capsys):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        data = json.loads(cert_file.read_text())
+        del data["lambda"]
+        cert_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "lambda" in err
 
     def test_report_file_written(self, tmp_path):
         main(["solve-reduced", PED2, "--out", str(tmp_path)])

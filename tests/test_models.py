@@ -246,6 +246,13 @@ class TestScenarioFiles:
             parse_scenario_text("model = pedestrian\nn = 2\nR = abc\nT = 6\nx0 = -60 -48\n"
                                 "speeds = 8 2\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n")
 
+    @pytest.mark.parametrize("key, value", [("x0", "nan -48"), ("x0", "-60 inf"), ("R", "")])
+    def test_non_finite_or_empty_number_named(self, key, value):
+        fields = {"R": "3", "x0": "-60 -48", key: value}
+        with pytest.raises(ScenarioFormatError, match=f"'{key}'"):
+            parse_scenario_text(f"model = pedestrian\nn = 2\nR = {fields['R']}\nT = 6\nx0 = {fields['x0']}\n"
+                                "speeds = 8 2\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n")
+
     def test_unknown_key_named(self):
         with pytest.raises(ScenarioFormatError, match="'wobble'"):
             parse_scenario_text("model = pedestrian\nn = 2\nR = 3\nT = 6\nx0 = -60 -48\nspeeds = 8 2\n"

@@ -6,6 +6,7 @@ import pytest
 from sweepctrl.polyhedra import (
     ConeDecomposition,
     Polyhedron,
+    ProjectionError,
     active_set,
     check_licq,
     contains,
@@ -99,6 +100,33 @@ class TestProject:
         expected = halfspace_projection_oracle([1.0, -1.0], -6.0, y)
         assert np.allclose(expected, [-13.0, -7.0])
         assert np.allclose(project(C, y), expected, atol=1e-12)
+
+    def test_nearly_parallel_rows(self):
+        # Five nearly parallel rows around the origin (criterion-6 generator,
+        # seed 308, task 27, instance 134): nonempty, so it must not raise.
+        A = np.array([
+            [1.0753353226331999, -0.1139554043906128],
+            [-0.7545290347227608, 0.33257049651600673],
+            [2.0978087488639034, -0.22256898411234813],
+            [0.6107588156643422, -0.29772343698668335],
+            [0.5503409840538777, -0.17627661558369176],
+        ])
+        c = np.array([0.822837267880234, 1.4654760198918044, 2.7823667233558242,
+                      1.1647507335837952, 1.415544912992996])
+        y = np.array([6.288272027156568, 3.5235704363614975])
+        x = project(Polyhedron(A, c), y, 1e-9)
+        assert np.max(A @ x - c) <= 1e-9
+        rng = np.random.default_rng(308)
+        for _ in range(200):
+            d = rng.standard_normal(2)
+            Ad = A @ d
+            pos = Ad > 0.0
+            z = rng.uniform(0.0, 1.0) * np.min(c[pos] / Ad[pos]) * d if np.any(pos) else d
+            assert (y - x) @ (z - x) <= 1e-9 * max(1.0, np.linalg.norm(z - x))
+
+    def test_empty_set_raises(self):
+        with pytest.raises(ProjectionError):
+            project(Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])), np.array([0.0]))
 
 
 class TestDecomposeNormal:
