@@ -54,7 +54,6 @@ class RunConfig:
     trajectory: Path | None = None
     out: Path = Path(".")
     tol: float = 1e-6
-    seed: int = 0
     m_range: tuple[int, ...] = (6, 8, 10, 12, 14)
     budget: int = 2000
     piecewise: bool = False
@@ -225,7 +224,6 @@ def _cmd_solve_discrete(cfg: RunConfig) -> int:
         budget=cfg.budget,
         piecewise=cfg.piecewise,
         reference=reference,
-        seed=cfg.seed,
     )
     prof = recover_eta(scn, sol.trajectory, sol.control)
     csv_text = trajectory_csv(
@@ -322,7 +320,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--mesh-exp", type=int, default=12, help="dyadic mesh exponent m (3..16)")
         p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="search seed")
         if control:
             p.add_argument("--control", type=str, default=None, help="inline constant control, e.g. '1.8,1.8'")
             p.add_argument("--control-file", type=Path, default=None, help="per-interval control rows")
@@ -335,8 +332,8 @@ def _parser() -> argparse.ArgumentParser:
 
     p_dis = sub.add_parser("solve-discrete", help="direct search on the discrete problem")
     common(p_dis)
-    p_dis.add_argument("--budget", type=int, default=2000, help="simulator call budget")
-    p_dis.add_argument("--piecewise", action="store_true", help="refine per-interval controls")
+    p_dis.add_argument("--budget", type=int, default=2000, help="hard cap on search simulations")
+    p_dis.add_argument("--piecewise", action="store_true", help="refine the constant optimum per interval")
 
     p_ver = sub.add_parser("verify", help="check a certificate against a trajectory")
     common(p_ver, control=True)
@@ -360,7 +357,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         trajectory=getattr(args, "trajectory", None),
         out=args.out,
         tol=args.tol,
-        seed=args.seed,
         m_range=_parse_m_range(args.m_range) if getattr(args, "m_range", None) else (6, 8, 10, 12, 14),
         budget=getattr(args, "budget", 2000),
         piecewise=getattr(args, "piecewise", False),

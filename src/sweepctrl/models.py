@@ -513,16 +513,25 @@ def parse_scenario_text(text: str) -> Scenario:
     if kind == "box":
         lo = _parse_floats("control.lo", _take(entries, "control.lo"))
         hi = _parse_floats("control.hi", _take(entries, "control.hi"))
-        control = ControlSet.box(lo, hi)
+        try:
+            control = ControlSet.box(lo, hi)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"keys 'control.lo', 'control.hi': {exc}") from exc
     elif kind == "segment":
         link = _parse_floats("control.link", _take(entries, "control.link"))
         bounds = _parse_floats("control.bounds", _take(entries, "control.bounds"))
         if len(bounds) != 2:
             raise ScenarioFormatError("key 'control.bounds': expected two numbers")
-        bound_on = int(entries.pop("control.bound_on", "1")) - 1
+        try:
+            bound_on = int(entries.pop("control.bound_on", "1")) - 1
+        except ValueError as exc:
+            raise ScenarioFormatError("key 'control.bound_on': expected an integer") from exc
         if not 0 <= bound_on < len(link):
             raise ScenarioFormatError("key 'control.bound_on': component out of range")
-        control = ControlSet.segment(link, bounds, bound_on)
+        try:
+            control = ControlSet.segment(link, bounds, bound_on)
+        except ValueError as exc:
+            raise ScenarioFormatError(f"key 'control.link': {exc}") from exc
     else:
         raise ScenarioFormatError(f"key 'control.kind': expected box|segment, got '{kind}'")
 
@@ -541,7 +550,7 @@ def parse_scenario_text(text: str) -> Scenario:
             if "angles_deg_post" in entries:
                 angles_post = np.deg2rad(_parse_floats("angles_deg_post", entries.pop("angles_deg_post")))
                 raw = entries.pop("switch_at", "contact")
-                switch_at = "contact" if raw.strip().lower() == "contact" else float(raw)
+                switch_at = "contact" if raw.lower() == "contact" else _parse_floats("switch_at", raw)[0]
             scn = RobotScenario(
                 n=n,
                 R=R,

@@ -366,7 +366,7 @@ def _solve_robot_pair(scn: RobotScenario) -> ReducedSolution:
 
     sim_case = next((cs for cs in cases if cs.ordering_preserved), case_sel)
     u_opt = U.at_parameter(r_sel)
-    cert, report_vals = _robot_certificate(scn, case_sel, u_opt, r_sel, th_pre, th_c)
+    cert, report_vals = _robot_certificate(scn, case_sel, u_opt, th_pre)
     verification = verify_certificate(scn, case_sel.path, u_opt, cert, tol=0.05)
     eta_sf, eta_T = cert.eta, cert.eta_terminal
 
@@ -421,8 +421,32 @@ def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
     return np.where(at_hi | at_lo, u_opt, 0.0)
 
 
+def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -> DualCertificate:
+    """Certificate of a free phase on [0, t1) followed by a contact arc on [t1, T].
+
+    Contact at the start or at the horizon leaves one arc segment (eta1 on it,
+    or only at T) and a single measure atom at T.
+    """
+    if 1e-12 < t1 < T - 1e-12:
+        q = _step([0.0, t1, T], [q_pre, q_arc])
+        eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
+        atoms = ((t1, q_arc - q_pre), (T, pT - q_arc))
+    else:
+        q = _step([0.0, T], [q_arc])
+        eta = _step([0.0, T], [np.array([eta1 if t1 <= 1e-12 else 0.0])])
+        atoms = ((T, pT - q_arc),)
+    return DualCertificate(
+        lam=1.0,
+        eta=eta,
+        eta_terminal=np.array([eta1]),
+        p=_step([0.0, T], [pT]),
+        q=q,
+        gamma_atoms=atoms,
+    )
+
+
 def _robot_certificate(
-    scn: RobotScenario, case: RobotCase, u: np.ndarray, r: float, th_pre: float, th_c: float
+    scn: RobotScenario, case: RobotCase, u: np.ndarray, th_pre: float
 ) -> tuple[DualCertificate, dict]:
     s, k, T = scn.speeds, scn.control_set.link, scn.T
     t1, eta1 = case.t1, case.eta1
@@ -442,30 +466,7 @@ def _robot_certificate(
     row = scn.sweeping_set().normals[0]
     pT = -(xT + eta1 * row)
 
-    if t1 <= 1e-12:  # contact from the start: single arc segment
-        q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([eta1])])
-    elif t1 >= T - 1e-12:
-        # Contact exactly at the horizon: the multiplier lives only in the
-        # terminal value.  The arc q (surface-pinned and maximization-neutral)
-        # works on the whole interval, so the measure needs only the T atom.
-        q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([0.0])])
-    else:
-        q = _step([0.0, t1, T], [q_pre, q_arc])
-        eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
-    atoms = []
-    if 1e-12 < t1 < T - 1e-12:
-        atoms.append((t1, q_arc - q_pre))
-    atoms.append((T, pT - q_arc))
-    cert = DualCertificate(
-        lam=1.0,
-        eta=eta,
-        eta_terminal=np.array([eta1]),
-        p=_step([0.0, T], [pT]),
-        q=q,
-        gamma_atoms=tuple(atoms),
-    )
+    cert = _two_phase_certificate(T, t1, eta1, q_pre, q_arc, pT)
     q_head = cert.q.values[0]
     report = {
         "q": q_head.tolist(),
@@ -534,26 +535,7 @@ def _solve_ped_pair(scn: PedestrianScenario) -> ReducedSolution:
     q_arc = np.array([q1, -(s[0] * k[0] / (s[1] * k[1])) * q1])
     row = scn.sweeping_set().normals[0]
     pT = -(x_T + eta1 * row)
-    if t1 <= 1e-12:
-        q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([eta1])])
-        atoms = ((T, pT - q_arc),)
-    elif t1 >= T - 1e-12:
-        q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([0.0])])
-        atoms = ((T, pT - q_arc),)
-    else:
-        q = _step([0.0, t1, T], [q_pre, q_arc])
-        eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
-        atoms = ((t1, q_arc - q_pre), (T, pT - q_arc))
-    cert = DualCertificate(
-        lam=1.0,
-        eta=eta,
-        eta_terminal=np.array([eta1]),
-        p=_step([0.0, T], [pT]),
-        q=q,
-        gamma_atoms=atoms,
-    )
+    cert = _two_phase_certificate(T, t1, eta1, q_pre, q_arc, pT)
     verification = verify_certificate(scn, path, u_opt, cert, tol=1e-6)
     report = {
         "u": u_opt.tolist(),
@@ -570,7 +552,7 @@ def _solve_ped_pair(scn: PedestrianScenario) -> ReducedSolution:
         scenario=scn,
         control=u_opt,
         contact_schedule=((t1, 0),),
-        eta=eta,
+        eta=cert.eta,
         eta_terminal=np.array([eta1]),
         path=path,
         simulation_path=path,
@@ -717,101 +699,96 @@ def solve_discrete(
     seed: int = 0,
     extra_starts: int = 0,
 ) -> DiscreteSolution:
-    """Projected coordinate search over control parameters with the simulator
-    as the dynamics oracle.
+    """Projected coordinate (compass) search over control parameters with the
+    simulator as the dynamics oracle.
 
     Constant-in-time parametrization by default (one parameter for a
-    linked segment, n for a box); `piecewise` refines the best constant
-    solution interval by interval.  Multistarts run from the control-set
-    vertices and center.  When a reference pair is supplied the tracking
-    penalty terms (mesh approximations of the squared velocity and control
-    deviations) are reported alongside the cost; `localization_radius`
-    additionally restricts the search to a sup-norm ball around the
-    reference control.
+    linked segment, n for a box); `piecewise` then refines the best constant
+    solution with one parameter row per mesh interval.  Multistarts run from
+    the control-set vertices and center, plus `extra_starts` uniform draws
+    seeded by `seed`.  `budget` is a hard cap on the simulations the search
+    makes; the final re-simulation of the best control is not counted.
+    `converged` is False exactly when the search stopped because it needed
+    one more simulation than the budget allows.  When a reference pair is
+    supplied the tracking penalty terms (mesh approximations of the squared
+    velocity and control deviations) are reported alongside the cost;
+    `localization_radius` additionally restricts the search to a sup-norm
+    ball around the reference control.
     """
+    if budget < 1:
+        raise ValueError("budget must be at least 1")
     mesh = Mesh(scn.horizon, m)
     U = scn.control_set
     rng = np.random.default_rng(seed)
     evals = 0
 
-    if U.kind == "segment":
-        lo = np.array([U.rlo])
-        hi = np.array([U.rhi])
-
-        def to_control(params: np.ndarray) -> np.ndarray:
-            return U.at_parameter(float(params[0]))
-
-        starts = [np.array([U.rlo]), np.array([U.rhi]), np.array([0.5 * (U.rlo + U.rhi)])]
-    else:
-        lo = U.lo.copy()
-        hi = U.hi.copy()
-
-        def to_control(params: np.ndarray) -> np.ndarray:
-            return params
-
-        starts = [v.copy() for v in U.vertices()] + [U.center()]
-    for _ in range(extra_starts):
-        starts.append(lo + (hi - lo) * rng.random(lo.size))
+    # Parameter rows P of shape (rows, q) give the controls P @ M.
+    if U.kind == "segment":  # q = 1, u = r * link
+        lo, hi, M = np.array([U.rlo]), np.array([U.rhi]), U.link[None, :]
+        starts = [lo, hi, 0.5 * (lo + hi)]
+    else:  # q = n, u = p
+        lo, hi, M = U.lo, U.hi, np.eye(U.dim)
+        starts = [*U.vertices(), U.center()]
+    starts += [lo + (hi - lo) * rng.random(lo.size) for _ in range(extra_starts)]
 
     if reference is not None and localization_radius is not None:
-        u_ref = np.asarray(reference[1], dtype=float)
-        if U.kind == "segment":
-            r_ref = U.parameter_of(u_ref)
-            lo = np.maximum(lo, r_ref - localization_radius)
-            hi = np.minimum(hi, r_ref + localization_radius)
-        else:
-            lo = np.maximum(lo, u_ref - localization_radius)
-            hi = np.minimum(hi, u_ref + localization_radius)
-        starts = [np.clip(st, lo, hi) for st in starts]
-
+        # Least-squares parameter of the reference control (M M^T is diagonal).
+        center = M @ np.asarray(reference[1], dtype=float) / np.sum(M * M, axis=1)
+        lo = np.maximum(lo, center - localization_radius)
+        hi = np.minimum(hi, center + localization_radius)
     span = np.maximum(hi - lo, 1e-12)
 
-    def objective(params: np.ndarray) -> float:
+    def signal(P: np.ndarray) -> ControlSignal:
+        return ControlSignal(mesh, np.repeat(P @ M, mesh.intervals // len(P), axis=0))
+
+    def evaluate(P: np.ndarray) -> float | None:
+        """Cost of the control P, or None when the budget is spent."""
         nonlocal evals
-        evals += 1
-        u = ControlSignal.constant(mesh, to_control(params))
-        return trajectory_cost(simulate(scn, u))
-
-    best_params = None
-    best_val = np.inf
-    converged = True
-    for start in starts:
-        params = np.clip(start, lo, hi)
-        val = objective(params)
-        step = 0.25 * span.copy()
-        while np.max(step / span) > 1e-4:
-            improved = False
-            for i in range(params.size):
-                if evals >= budget:
-                    converged = False
-                    break
-                for sgn in (1.0, -1.0):
-                    cand = params.copy()
-                    cand[i] = min(max(cand[i] + sgn * step[i], lo[i]), hi[i])
-                    if cand[i] == params[i]:
-                        continue
-                    v = objective(cand)
-                    if v < val - 1e-14:
-                        params, val = cand, v
-                        improved = True
-                        break
-            if evals >= budget:
-                converged = False
-                break
-            if not improved:
-                step *= 0.5
-        if val < best_val:
-            best_val, best_params = val, params
         if evals >= budget:
+            return None
+        evals += 1
+        return trajectory_cost(simulate(scn, signal(P)))
+
+    def search(P: np.ndarray, val: float, min_step: float) -> tuple[np.ndarray, float, bool]:
+        """Compass search from P (cost val); False when the budget stopped it."""
+        rel = 0.25
+        while rel > min_step:
+            improved = False
+            for idx in np.ndindex(P.shape):
+                i = idx[1]
+                for sgn in (1.0, -1.0):
+                    cand = P.copy()
+                    cand[idx] = min(max(P[idx] + sgn * rel * span[i], lo[i]), hi[i])
+                    if cand[idx] == P[idx]:
+                        continue
+                    v = evaluate(cand)
+                    if v is None:
+                        return P, val, False
+                    if v < val - 1e-14:
+                        P, val, improved = cand, v, True
+                        break
+            if not improved:
+                rel *= 0.5
+        return P, val, True
+
+    best_P, best_val, converged = None, np.inf, True
+    for start in starts:
+        P = np.clip(start, lo, hi)[None, :]
+        val = evaluate(P)
+        if val is None:
+            converged = False
             break
-
-    u_best = ControlSignal.constant(mesh, to_control(best_params))
-
-    if piecewise and evals < budget:
-        u_best, best_val, evals, converged = _refine_piecewise(
-            scn, mesh, u_best, best_val, budget, evals
+        P, val, converged = search(P, val, 1e-4)
+        if val < best_val:
+            best_P, best_val = P, val
+        if not converged:
+            break
+    if piecewise and converged:
+        best_P, best_val, converged = search(
+            np.repeat(best_P, mesh.intervals, axis=0), best_val, 1e-3
         )
 
+    u_best = signal(best_P)
     traj = simulate(scn, u_best)
     localization = None
     if reference is not None:
@@ -825,52 +802,6 @@ def solve_discrete(
         converged=converged,
         localization=localization,
     )
-
-
-def _refine_piecewise(scn, mesh, u_sig, val, budget, evals):
-    """Coordinate sweeps over per-interval control values from the constant optimum."""
-    U = scn.control_set
-    values = u_sig.values.copy()
-    K = values.shape[0]
-    converged = True
-    if U.kind == "segment":
-        params = np.array([U.parameter_of(v) for v in values])
-        lo, hi, width = U.rlo, U.rhi, U.rhi - U.rlo
-    step = 0.25
-    while step > 1e-3 and evals < budget:
-        improved = False
-        for k in range(K):
-            if evals >= budget:
-                converged = False
-                break
-            if U.kind == "segment":
-                for sgn in (1.0, -1.0):
-                    cand = params.copy()
-                    cand[k] = min(max(cand[k] + sgn * step * width, lo), hi)
-                    vals = np.array([U.at_parameter(r) for r in cand])
-                    evals += 1
-                    v = trajectory_cost(simulate(scn, ControlSignal(mesh, vals)))
-                    if v < val - 1e-14:
-                        params, val = cand, v
-                        improved = True
-                        break
-            else:
-                for i in range(values.shape[1]):
-                    for sgn in (1.0, -1.0):
-                        cand = values.copy()
-                        width_i = U.hi[i] - U.lo[i]
-                        cand[k, i] = min(max(cand[k, i] + sgn * step * width_i, U.lo[i]), U.hi[i])
-                        evals += 1
-                        v = trajectory_cost(simulate(scn, ControlSignal(mesh, cand)))
-                        if v < val - 1e-14:
-                            values, val = cand, v
-                            improved = True
-                            break
-        if not improved:
-            step *= 0.5
-    if U.kind == "segment":
-        values = np.array([U.at_parameter(r) for r in params])
-    return ControlSignal(mesh, values), val, evals, converged
 
 
 def _tracking_penalty(reference, mesh: Mesh, traj: Trajectory, u: ControlSignal) -> dict:

@@ -253,6 +253,26 @@ class TestScenarioFiles:
             parse_scenario_text(f"model = pedestrian\nn = 2\nR = {fields['R']}\nT = 6\nx0 = {fields['x0']}\n"
                                 "speeds = 8 2\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n")
 
+    @pytest.mark.parametrize(
+        "key, control",
+        [
+            ("control.bound_on", "segment\ncontrol.link = 1 1\ncontrol.bounds = -1 1\ncontrol.bound_on = x"),
+            ("control.link", "segment\ncontrol.link = 0 1\ncontrol.bounds = -1 1\ncontrol.bound_on = 1"),
+            ("control.hi", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 -2"),
+            ("control.hi", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1 1"),
+            ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at = nan"),
+            ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at = inf"),
+            ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at ="),
+            ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at = abc"),
+        ],
+        ids=["bound-on-word", "zero-link", "hi-below-lo", "unequal-lengths",
+             "switch-nan", "switch-inf", "switch-empty", "switch-word"],
+    )
+    def test_control_block_and_switch_errors_named(self, key, control):
+        with pytest.raises(ScenarioFormatError, match=f"'{key}'"):
+            parse_scenario_text("model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 5 5\nspeeds = 1 1\n"
+                                f"angles_deg = 225 225\ncontrol.kind = {control}\n")
+
     def test_unknown_key_named(self):
         with pytest.raises(ScenarioFormatError, match="'wobble'"):
             parse_scenario_text("model = pedestrian\nn = 2\nR = 3\nT = 6\nx0 = -60 -48\nspeeds = 8 2\n"

@@ -452,6 +452,30 @@ class TestSolveDiscrete:
         assert pw.cost <= base.cost + 1e-9
         assert pw.control.values.shape == (16, 3)
 
+    @pytest.mark.parametrize(
+        "name, m, budget, piecewise",
+        [
+            ("pedestrian3.scn", 6, 13, False),
+            ("robot2.scn", 6, 12, False),
+            ("pedestrian2.scn", 3, 46, True),
+            ("pedestrian3.scn", 3, 21, True),
+        ],
+    )
+    def test_search_never_exceeds_its_budget(self, name, m, budget, piecewise):
+        sol = solve_discrete(bundled_scenario(name), m=m, budget=budget, piecewise=piecewise)
+        assert sol.evaluations <= budget
+        assert not sol.converged
+
+    @pytest.mark.parametrize("name, budget", [("pedestrian2.scn", 61), ("robot2.scn", 84)])
+    def test_budget_spent_mid_refinement_is_not_converged(self, name, budget):
+        sol = solve_discrete(bundled_scenario(name), m=3, budget=budget, piecewise=True)
+        assert sol.evaluations == budget
+        assert sol.converged is False
+
+    def test_budget_below_one_rejected(self):
+        with pytest.raises(ValueError, match="budget"):
+            solve_discrete(ped2(), m=3, budget=0)
+
 
 class TestSamplePath:
     def test_breakpoints_enter_the_grid(self):
