@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -374,9 +375,22 @@ def run(cfg: RunConfig) -> int:
     return handlers[cfg.command](cfg)
 
 
+def _attach_negative_controls(argv: list[str]) -> list[str]:
+    """Spell `--control -3.37,-1.685` as `--control=-3.37,-1.685`: argparse takes a
+    value like that (not one plain negative number) for an option, and stops."""
+    out: list[str] = []
+    for tok in argv:
+        if out and out[-1] == "--control" and re.match(r"-[\d.]", tok):
+            out[-1] = f"--control={tok}"
+        else:
+            out.append(tok)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _parser().parse_args(argv)
+        args = _parser().parse_args(_attach_negative_controls(argv))
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code else 0
     try:

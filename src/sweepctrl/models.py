@@ -146,8 +146,65 @@ class ControlSet:
 # ---------------------------------------------------------------------------
 
 
+class Scenario:
+    """The checks, g and contact test both families share, over four model hooks:
+
+    drive(u, t, contact_time)          g(x, u) for a u known to lie in U (g is independent of x)
+    drive_adjoint(q, t, contact_time)  (dg/du)^T q
+    constraint_rows(x)                 the step set K(x) = {y : A y <= c} as (A, c)
+    pair_gaps(x)                       separation margin of each adjacent pair, 0 at contact
+
+    Only a robot whose heading switches at the first contact reads
+    `contact_time` (`switches_at_contact`).
+    """
+
+    switches_at_contact = False
+
+    def _validate(self, make_sweeping_set, coords: int) -> None:
+        """Shared input checks (`coords` state coordinates per agent); errors name the file key."""
+        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
+        object.__setattr__(self, "speeds", np.asarray(self.speeds, dtype=float))
+        if self.n < 2:
+            raise ValueError(f"key 'n': need n >= 2 agents, got {self.n}")
+        if not 0.0 <= self.R < math.inf:
+            raise ValueError(f"key 'R': need a finite R >= 0, got {self.R}")
+        if not 0.0 < self.T < math.inf:
+            raise ValueError(f"key 'T': need a finite T > 0, got {self.T}")
+        if self.x0.shape != (coords * self.n,) or not np.all(np.isfinite(self.x0)):
+            raise ValueError(f"key 'x0': need {coords * self.n} finite numbers")
+        if self.speeds.shape != (self.n,) or not np.all(self.speeds >= 0.0):
+            raise ValueError(f"key 'speeds': need {self.n} nonnegative numbers")
+        if self.control_set.dim != self.n:
+            key = "control.lo" if self.control_set.kind == "box" else "control.link"
+            raise ValueError(f"key '{key}': control set dimension {self.control_set.dim} != n = {self.n}")
+        object.__setattr__(self, "_sweeping_set", make_sweeping_set(self.n, self.R))
+
+    @property
+    def state_dim(self) -> int:
+        return self.x0.size
+
+    @property
+    def horizon(self) -> float:
+        return self.T
+
+    def sweeping_set(self) -> Polyhedron:
+        return self._sweeping_set
+
+    def g(self, x, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
+        """Drive velocity g(x, u); raises naming the bound a control outside U breaks."""
+        u = np.asarray(u, dtype=float)
+        msg = self.control_set.violation_message(u)
+        if msg is not None:
+            raise ValueError(f"control outside the admissible set: {msg}")
+        return self.drive(u, t, contact_time)
+
+    def contact_rows(self, x, tol: float = CONTACT_TOL) -> np.ndarray:
+        """Adjacent-pair indices j with the agents j, j+1 in contact."""
+        return np.flatnonzero(np.abs(self.pair_gaps(x)) <= tol)
+
+
 @dataclass(frozen=True)
-class RobotScenario:
+class RobotScenario(Scenario):
     """n planar robots of safety radius R steered toward the origin.
 
     The per-agent drive is s_i * u^i along the fixed heading angle theta_i;
@@ -166,41 +223,23 @@ class RobotScenario:
     switch_at: float | str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "speeds", np.asarray(self.speeds, dtype=float))
+        self._validate(robot_sweeping_set, coords=2)
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
         if self.angles_post is not None:
             object.__setattr__(self, "angles_post", np.asarray(self.angles_post, dtype=float))
-        if self.n < 2:
-            raise ValueError("robot model needs n >= 2 agents")
-        if self.R < 0 or self.T <= 0:
-            raise ValueError("need R >= 0 and T > 0")
-        if self.x0.shape != (2 * self.n,):
-            raise ValueError(f"x0 must have length {2 * self.n}")
-        if self.speeds.shape != (self.n,) or np.any(self.speeds < 0):
-            raise ValueError("speeds must be n nonnegative reals")
-        if self.angles.shape != (self.n,):
-            raise ValueError("angles must have length n")
-        if self.control_set.dim != self.n:
-            raise ValueError("control set dimension must equal n")
+        for key, angles in (("angles_deg", self.angles), ("angles_deg_post", self.angles_post)):
+            if angles is not None and angles.shape != (self.n,):
+                raise ValueError(f"key '{key}': need {self.n} headings")
         # Ordering hypothesis: both coordinates strictly increase with the index.
         for j in range(self.n - 1):
             if not (self.x0[2 * j + 2] > self.x0[2 * j] and self.x0[2 * j + 3] > self.x0[2 * j + 1]):
-                raise ValueError(f"initial ordering violated between agents {j + 1} and {j + 2}")
-        slack = self.sweeping_set().slack(self.x0)
-        if np.min(slack) < -CONTROL_TOL:
-            raise ValueError("x0 violates the separation constraints (not projected)")
+                raise ValueError(f"key 'x0': initial ordering violated between agents {j + 1} and {j + 2}")
+        if np.min(self._sweeping_set.slack(self.x0)) < -CONTROL_TOL:
+            raise ValueError("key 'x0': violates the separation constraints (not projected)")
 
     @property
-    def state_dim(self) -> int:
-        return 2 * self.n
-
-    @property
-    def horizon(self) -> float:
-        return self.T
-
-    def sweeping_set(self) -> Polyhedron:
-        return robot_sweeping_set(self.n, self.R)
+    def switches_at_contact(self) -> bool:
+        return self.angles_post is not None and self.switch_at == "contact"
 
     def theta(self, t: float, contact_time: float | None = None) -> np.ndarray:
         """Heading angles effective at time t, given the first contact time if known."""
@@ -214,25 +253,33 @@ class RobotScenario:
             return self.angles
         return self.angles_post
 
-    def g(self, x, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        return robot_g(self, x, u, t, contact_time)
+    def drive(self, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
+        """(s_1 u^1 cos th_1, s_1 u^1 sin th_1, ...) along the headings effective at t."""
+        th = self.theta(t, contact_time)
+        su = self.speeds * u
+        out = np.empty(2 * self.n)
+        out[0::2] = su * np.cos(th)
+        out[1::2] = su * np.sin(th)
+        return out
+
+    def drive_adjoint(self, q, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
+        th = self.theta(t, contact_time)
+        return self.speeds * (np.cos(th) * q[0::2] + np.sin(th) * q[1::2])
+
+    def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return linearized_noncollision(x, self.R)
+
+    def pair_gaps(self, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float).tolist()  # scalars: faster than slicing for few pairs
+        return np.array([self.pair_gap_euclid(xs, j, j + 1) for j in range(self.n - 1)])
 
     def pair_gap_euclid(self, x, i: int, j: int) -> float:
         """Euclidean disk separation ||x^i - x^j|| - 2R (the collision geometry)."""
-        x = np.asarray(x, dtype=float)
-        d = x[2 * i : 2 * i + 2] - x[2 * j : 2 * j + 2]
-        return float(np.hypot(d[0], d[1]) - 2.0 * self.R)
-
-    def contact_rows(self, x, tol: float = CONTACT_TOL) -> np.ndarray:
-        """Adjacent-pair indices j with the disks j, j+1 in Euclidean contact."""
-        return np.array(
-            [j for j in range(self.n - 1) if abs(self.pair_gap_euclid(x, j, j + 1)) <= tol],
-            dtype=int,
-        )
+        return math.hypot(x[2 * i] - x[2 * j], x[2 * i + 1] - x[2 * j + 1]) - 2.0 * self.R
 
 
 @dataclass(frozen=True)
-class PedestrianScenario:
+class PedestrianScenario(Scenario):
     """n pedestrians on a line moving right toward a doorway at the origin."""
 
     n: int
@@ -243,44 +290,24 @@ class PedestrianScenario:
     control_set: ControlSet
 
     def __post_init__(self):
-        object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
-        object.__setattr__(self, "speeds", np.asarray(self.speeds, dtype=float))
-        if self.n < 2:
-            raise ValueError("pedestrian model needs n >= 2 participants")
-        if self.R < 0 or self.T <= 0:
-            raise ValueError("need R >= 0 and T > 0")
-        if self.x0.shape != (self.n,):
-            raise ValueError(f"x0 must have length {self.n}")
-        if self.speeds.shape != (self.n,) or np.any(self.speeds < 0):
-            raise ValueError("speeds must be n nonnegative reals")
-        if self.control_set.dim != self.n:
-            raise ValueError("control set dimension must equal n")
-        gaps = np.diff(self.x0)
-        if np.min(gaps - 2.0 * self.R) < -CONTROL_TOL:
+        self._validate(pedestrian_sweeping_set, coords=1)
+        gaps = self.pair_gaps(self.x0)
+        if np.min(gaps) < -CONTROL_TOL:
             j = int(np.argmin(gaps))
-            raise ValueError(f"x0 gap {j + 1}->{j + 2} below 2R (not projected)")
+            raise ValueError(f"key 'x0': gap {j + 1}->{j + 2} below 2R (not projected)")
 
-    @property
-    def state_dim(self) -> int:
-        return self.n
+    def drive(self, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
+        """(s_1 u^1, ..., s_n u^n)."""
+        return self.speeds * u
 
-    @property
-    def horizon(self) -> float:
-        return self.T
+    def drive_adjoint(self, q, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
+        return self.speeds * q
 
-    def sweeping_set(self) -> Polyhedron:
-        return pedestrian_sweeping_set(self.n, self.R)
+    def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
+        return self._sweeping_set.normals, self._sweeping_set.offsets
 
-    def g(self, x, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        return pedestrian_g(self, u)
-
-    def contact_rows(self, x, tol: float = CONTACT_TOL) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        gaps = np.diff(x) - 2.0 * self.R
-        return np.flatnonzero(np.abs(gaps) <= tol)
-
-
-Scenario = RobotScenario | PedestrianScenario
+    def pair_gaps(self, x) -> np.ndarray:
+        return np.diff(np.asarray(x, dtype=float)) - 2.0 * self.R
 
 
 # ---------------------------------------------------------------------------
@@ -314,24 +341,12 @@ def robot_g(
     scn: RobotScenario, x, u, t: float = 0.0, contact_time: float | None = None
 ) -> np.ndarray:
     """Drive velocity (s_1 u^1 cos th_1, s_1 u^1 sin th_1, ...); independent of x."""
-    u = np.asarray(u, dtype=float)
-    msg = scn.control_set.violation_message(u)
-    if msg is not None:
-        raise ValueError(f"control outside the admissible set: {msg}")
-    th = scn.theta(t, contact_time)
-    out = np.empty(2 * scn.n)
-    out[0::2] = scn.speeds * u * np.cos(th)
-    out[1::2] = scn.speeds * u * np.sin(th)
-    return out
+    return scn.g(x, u, t, contact_time)
 
 
 def pedestrian_g(scn: PedestrianScenario, u) -> np.ndarray:
     """Drive velocity (s_1 u^1, ..., s_n u^n)."""
-    u = np.asarray(u, dtype=float)
-    msg = scn.control_set.violation_message(u)
-    if msg is not None:
-        raise ValueError(f"control outside the admissible set: {msg}")
-    return scn.speeds * u
+    return scn.g(None, u)
 
 
 def distance_gap(scn: Scenario, x, i: int, j: int) -> float:
@@ -477,6 +492,13 @@ def _parse_floats(key: str, raw: str) -> list[float]:
     return values
 
 
+def _parse_float(key: str, raw: str) -> float:
+    values = _parse_floats(key, raw)
+    if len(values) != 1:
+        raise ScenarioFormatError(f"key '{key}': expected one number, got '{raw}'")
+    return values[0]
+
+
 def _take(entries: dict, key: str):
     if key not in entries:
         raise ScenarioFormatError(f"missing required key '{key}'")
@@ -504,8 +526,8 @@ def parse_scenario_text(text: str) -> Scenario:
         n = int(_take(entries, "n"))
     except ValueError as exc:
         raise ScenarioFormatError("key 'n': expected an integer") from exc
-    R = _parse_floats("R", _take(entries, "R"))[0]
-    T = _parse_floats("T", _take(entries, "T"))[0]
+    R = _parse_float("R", _take(entries, "R"))
+    T = _parse_float("T", _take(entries, "T"))
     x0 = _parse_floats("x0", _take(entries, "x0"))
     speeds = _parse_floats("speeds", _take(entries, "speeds"))
 
@@ -550,7 +572,7 @@ def parse_scenario_text(text: str) -> Scenario:
             if "angles_deg_post" in entries:
                 angles_post = np.deg2rad(_parse_floats("angles_deg_post", entries.pop("angles_deg_post")))
                 raw = entries.pop("switch_at", "contact")
-                switch_at = "contact" if raw.lower() == "contact" else _parse_floats("switch_at", raw)[0]
+                switch_at = "contact" if raw.lower() == "contact" else _parse_float("switch_at", raw)
             scn = RobotScenario(
                 n=n,
                 R=R,

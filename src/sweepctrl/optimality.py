@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CONTACT_TOL, Scenario
-from .sweeping import ControlSignal, Trajectory
+from .sweeping import ControlSignal, Trajectory, contact_switch_time
 
 ATOM_TIME_TOL = 1e-12
 
@@ -223,14 +223,6 @@ def _union_grid(path: PiecewisePath, cert: DualCertificate, u: StepFunction) -> 
     return grid[keep]
 
 
-def first_contact_time(scn: Scenario, path: PiecewisePath) -> float | None:
-    """Earliest breakpoint at which some pair is in contact (heading-switch hook)."""
-    for t, x in zip(path.times, path.states):
-        if scn.contact_rows(x, CONTACT_TOL).size:
-            return float(t)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Individual condition checks
 # ---------------------------------------------------------------------------
@@ -242,7 +234,7 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     path = as_path(traj)
     useries = as_step_series(u, path.horizon)
     C = scn.sweeping_set()
-    contact = first_contact_time(scn, path)
+    contact = contact_switch_time(scn, path.times, path.states)
     worst = 0.0
     grid = _union_grid(path, cert, useries)
     for a, b in zip(grid[:-1], grid[1:]):
@@ -255,27 +247,13 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     return worst
 
 
-def _separation_slack(scn: Scenario, x: np.ndarray) -> np.ndarray:
-    """Per-row separation margin: positive iff the adjacent pair is apart.
-
-    Uses the model's own contact geometry (Euclidean disk distance for the
-    planar robots, order gap for the pedestrians), which is the form of the
-    complementarity hypothesis "separated implies no normal force".
-    """
-    from .models import RobotScenario
-
-    if isinstance(scn, RobotScenario):
-        return np.array(
-            [scn.pair_gap_euclid(x, j, j + 1) for j in range(scn.n - 1)]
-        )
-    return np.diff(x) - 2.0 * scn.R
-
-
 def check_complementarity(scn: Scenario, traj, cert: DualCertificate, tol: float = 1e-9) -> tuple[float, float]:
     """Residuals of the two complementarity conditions.
 
-    First: eta_j weighted by the positive part of the pair-separation slack
-    (eta must vanish where the pair is strictly apart).  Second: eta_j
+    First: eta_j weighted by the positive part of the pair gap
+    `scn.pair_gaps` (the model's own contact geometry: Euclidean disk
+    distance for the robots, order gap for the pedestrians), so eta must
+    vanish where the pair is strictly apart.  Second: eta_j
     weighted by |<a_j, q> - c_j| (positive eta pins q to the constraint
     surface).  Both include t = T through the terminal eta.
     """
@@ -290,10 +268,10 @@ def check_complementarity(scn: Scenario, traj, cert: DualCertificate, tol: float
         eta = cert.eta.value(tm)
         q = cert.q.value(tm)
         for t_eval in (a, tm, b):
-            slack = _separation_slack(scn, path.value(t_eval))
+            slack = scn.pair_gaps(path.value(t_eval))
             r_slack = max(r_slack, float(np.max(eta * np.maximum(0.0, slack - tol))))
         r_dual = max(r_dual, float(np.max(eta * np.abs(C.normals @ q - C.offsets))))
-    slack_T = _separation_slack(scn, path.terminal)
+    slack_T = scn.pair_gaps(path.terminal)
     r_slack = max(r_slack, float(np.max(cert.eta_terminal * np.maximum(0.0, slack_T - tol))))
     r_dual = max(
         r_dual, float(np.max(cert.eta_terminal * np.abs(C.normals @ cert.q_at_T() - C.offsets)))
@@ -319,26 +297,17 @@ def check_measure_link(cert: DualCertificate) -> float:
     return worst
 
 
-def _psi(scn: Scenario, q: np.ndarray, t: float, contact: float | None) -> np.ndarray:
-    """Control-gradient transpose applied to q: psi = (d g / d u)^T q."""
-    from .models import RobotScenario
-
-    if isinstance(scn, RobotScenario):
-        th = scn.theta(t, contact)
-        return scn.speeds * (np.cos(th) * q[0::2] + np.sin(th) * q[1::2])
-    return scn.speeds * q
-
-
 def check_maximization(scn: Scenario, cert: DualCertificate, u, traj) -> float:
-    """Sup over intervals of max_U <psi, u> - <psi, u(t)> with vertex enumeration."""
+    """Sup over intervals of max_U <psi, u> - <psi, u(t)> with vertex enumeration,
+    where psi = (dg/du)^T q is the scenario's `drive_adjoint`."""
     path = as_path(traj)
     useries = as_step_series(u, path.horizon)
-    contact = first_contact_time(scn, path)
+    contact = contact_switch_time(scn, path.times, path.states)
     grid = _union_grid(path, cert, useries)
     worst = 0.0
     for a, b in zip(grid[:-1], grid[1:]):
         tm = 0.5 * (a + b)
-        psi = _psi(scn, cert.q.value(tm), tm, contact)
+        psi = scn.drive_adjoint(cert.q.value(tm), tm, contact)
         best, _ = scn.control_set.maximize_linear(psi)
         gap = best - float(psi @ useries.value(tm))
         worst = max(worst, max(gap, 0.0))

@@ -5,6 +5,10 @@ K(x_k) is the scenario's constraint set: the fixed polyhedron for the
 pedestrian model (whose separation constraints are already linear) and the
 per-step linearized noncollision set for the planar robot model.  States
 are piecewise linear between mesh nodes, controls piecewise constant.
+
+One loop serves both models through the `models.Scenario` interface:
+`drive` gives g, `constraint_rows` gives K(x), `pair_gaps` finds contacts
+and `drive_adjoint` serves the optimality checks.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONTACT_TOL, PedestrianScenario, RobotScenario, Scenario, linearized_noncollision
+from .models import Scenario
 from .polyhedra import Polyhedron, decompose_on_rows, project_raw, project_with_working_set
 
 MESH_EXP_MAX = 24  # step underflow guard
@@ -132,50 +136,26 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     mesh = u.mesh
     if abs(mesh.T - scn.horizon) > 1e-12 * max(1.0, scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
-    for k, uk in enumerate(u.values):
-        msg = scn.control_set.violation_message(uk)
+    # A run of equal controls needs one check, at the interval where it starts.
+    values = u.values
+    for k in np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)]):
+        msg = scn.control_set.violation_message(values[k])
         if msg is not None:
             raise ValueError(f"control value on interval {k} outside the admissible set: {msg}")
-    if isinstance(scn, PedestrianScenario):
-        return _simulate_pedestrian(scn, u)
-    return _simulate_robot(scn, u)
-
-
-def _simulate_pedestrian(scn: PedestrianScenario, u: ControlSignal) -> Trajectory:
-    mesh = u.mesh
-    h = mesh.h
-    C = scn.sweeping_set()
-    A, c = C.normals, C.offsets
-    drives = u.values * scn.speeds  # (K, n)
-    nodes = np.empty((mesh.intervals + 1, scn.n))
-    x = scn.x0.copy()
-    nodes[0] = x
-    for k in range(mesh.intervals):
-        x, _ = project_raw(A, c, x + h * drives[k], tol=STEP_TOL)
-        nodes[k + 1] = x
-    return Trajectory(mesh=mesh, nodes=nodes)
-
-
-def _simulate_robot(scn: RobotScenario, u: ControlSignal) -> Trajectory:
-    mesh = u.mesh
     h = mesh.h
     times = mesh.nodes
-    n = scn.n
-    su = u.values * scn.speeds  # (K, n) pushed speeds
-    nodes = np.empty((mesh.intervals + 1, 2 * n))
-    x = scn.x0.copy()
+    track = scn.switches_at_contact
+    contact: float | None = None
+    nodes = np.empty((mesh.intervals + 1, scn.state_dim))
+    x = scn.x0
     nodes[0] = x
-    contact_time: float | None = 0.0 if scn.contact_rows(x, CONTACT_TOL).size else None
-    g = np.empty(2 * n)
-    for k in range(mesh.intervals):
-        th = scn.theta(times[k], contact_time)
-        g[0::2] = su[k] * np.cos(th)
-        g[1::2] = su[k] * np.sin(th)
-        A, c = linearized_noncollision(x, scn.R)
-        x, _ = project_raw(A, c, x + h * g, tol=STEP_TOL)
+    drive, constraint_rows = scn.drive, scn.constraint_rows  # bound once: a step takes microseconds
+    for k, (uk, tk) in enumerate(zip(values, times)):
+        if track and contact is None and scn.contact_rows(x).size:
+            contact = tk
+        A, c = constraint_rows(x)
+        x, _ = project_raw(A, c, x + h * drive(uk, tk, contact), tol=STEP_TOL)
         nodes[k + 1] = x
-        if contact_time is None and scn.contact_rows(x, CONTACT_TOL).size:
-            contact_time = times[k + 1]
     return Trajectory(mesh=mesh, nodes=nodes)
 
 
@@ -204,6 +184,15 @@ def contact_times(traj: Trajectory, P: Polyhedron, tol: float) -> list[tuple[flo
     return out
 
 
+def contact_switch_time(scn: Scenario, times, states) -> float | None:
+    """Time of the first node in contact, for a scenario whose drive switches there; else None."""
+    if scn.switches_at_contact:
+        for t, x in zip(times, states):
+            if scn.contact_rows(x).size:
+                return float(t)
+    return None
+
+
 def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile:
     """Fit g(x, u) - x' on the active sweeping-set rows, interval by interval.
 
@@ -220,13 +209,10 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     K = traj.mesh.intervals
     values = np.zeros((K, C.nrows))
     residuals = np.zeros(K)
-    contact_time: float | None = None
+    contact = contact_switch_time(scn, times, traj.nodes)
     for k in range(K):
-        x_left = traj.nodes[k]
-        if contact_time is None and scn.contact_rows(x_left, CONTACT_TOL).size:
-            contact_time = times[k]
-        g = scn.g(x_left, u.values[k], times[k], contact_time)
-        rows = scn.contact_rows(traj.nodes[k + 1], CONTACT_TOL)
+        g = scn.g(traj.nodes[k], u.values[k], times[k], contact)
+        rows = scn.contact_rows(traj.nodes[k + 1])
         dec = decompose_on_rows(C, rows, g - vel[k])
         for j, val in dec.coefficients.items():
             values[k, j] = val

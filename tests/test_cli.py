@@ -7,6 +7,7 @@ import pytest
 
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
+from sweepctrl.sweeping import read_trajectory_csv, trajectory_csv
 
 PED2 = str(bundled_scenario_path("pedestrian2.scn"))
 PED3 = str(bundled_scenario_path("pedestrian3.scn"))
@@ -202,3 +203,27 @@ class TestConvergence:
             ["convergence", PED3, "--control", "2,2,2", "--m-range", "6,8", "--out", str(tmp_path)]
         )
         assert code == 0
+
+
+class TestNegativeControl:
+    """robot2's optimal control is negative; `--control -a,-b` must work like `--control=-a,-b`."""
+
+    R_OPT = -25.0 * 2.0**0.5 / 21.0  # segment parameter, u = (2r, r)
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "convergence"])
+    def test_both_spellings_accepted(self, tmp_path, capsys, command):
+        u = f"{2.0 * self.R_OPT!r},{self.R_OPT!r}"
+        extra = {"simulate": ["--mesh-exp", "6"], "convergence": ["--m-range", "6,8"]}.get(command, [])
+        if command == "verify":
+            # A trajectory without control columns, so that verify reads --control.
+            assert main(["solve-reduced", ROBOT, "--mesh-exp", "6", "--out", str(tmp_path)]) == 0
+            data = read_trajectory_csv((tmp_path / "trajectory.csv").read_text())
+            (tmp_path / "states.csv").write_text(trajectory_csv(data["times"], data["states"]))
+            extra = ["--certificate", str(tmp_path / "certificate.json"),
+                     "--trajectory", str(tmp_path / "states.csv"), "--tol", "0.05"]
+        outputs = []
+        for spelling in (["--control", u], [f"--control={u}"]):
+            capsys.readouterr()
+            assert main([command, ROBOT, *spelling, *extra, "--out", str(tmp_path / "out")]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]

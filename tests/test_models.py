@@ -298,3 +298,42 @@ class TestScenarioFiles:
         assert np.allclose(scn.theta(0.0, contact_time=None), np.deg2rad([225, 225]))
         assert np.allclose(scn.theta(2.0, contact_time=1.0), np.deg2rad([45, 45]))
         assert np.allclose(scn.theta(0.5, contact_time=1.0), np.deg2rad([225, 225]))
+
+
+ROBOT_TEXT = {
+    "model": "robot", "n": "2", "R": "1", "T": "6", "x0": "0 0 5 5", "speeds": "1 1",
+    "angles_deg": "225 225", "angles_deg_post": "45 45", "switch_at": "contact",
+    "control.kind": "box", "control.lo": "-1 -1", "control.hi": "1 1",
+}
+PEDESTRIAN_TEXT = {
+    "model": "pedestrian", "n": "2", "R": "3", "T": "6", "x0": "-60 -48", "speeds": "8 2",
+    "control.kind": "box", "control.lo": "-1 -1", "control.hi": "1 1",
+}
+
+
+def scenario_text(base: dict, **changes) -> str:
+    return "".join(f"{k} = {v}\n" for k, v in {**base, **changes}.items())
+
+
+class TestScenarioKeysNamed:
+    @pytest.mark.parametrize("key, value", [("R", "3 4"), ("T", "6 7"), ("switch_at", "1 2")])
+    def test_single_number_key_rejects_several(self, key, value):
+        with pytest.raises(ScenarioFormatError, match=f"'{key}'"):
+            parse_scenario_text(scenario_text(ROBOT_TEXT, **{key: value}))
+
+    @pytest.mark.parametrize(
+        "key, base, changes",
+        [
+            ("angles_deg", ROBOT_TEXT, {"angles_deg": "225"}),
+            ("angles_deg_post", ROBOT_TEXT, {"angles_deg_post": "45 45 45"}),
+            ("control.lo", PEDESTRIAN_TEXT, {"control.lo": "-1 -1 -1", "control.hi": "1 1 1"}),
+            ("R", PEDESTRIAN_TEXT, {"R": "-3"}),
+            ("x0", PEDESTRIAN_TEXT, {"x0": "-60 -48 -30"}),
+            ("speeds", PEDESTRIAN_TEXT, {"speeds": "8 -2"}),
+            ("n", PEDESTRIAN_TEXT, {"n": "1", "x0": "-60", "speeds": "8", "control.lo": "-1", "control.hi": "1"}),
+        ],
+        ids=["angles", "angles-post", "control-dim", "negative-R", "x0-length", "negative-speed", "one-agent"],
+    )
+    def test_constructor_error_names_file_key(self, key, base, changes):
+        with pytest.raises(ScenarioFormatError, match=f"'{key}'"):
+            parse_scenario_text(scenario_text(base, **changes))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sweepctrl.models import bundled_scenario
+from sweepctrl.models import ControlSet, PedestrianScenario, RobotScenario, bundled_scenario, parse_scenario_text
 from sweepctrl.polyhedra import Polyhedron, contains
 from sweepctrl.sweeping import (
     ControlSignal,
@@ -468,3 +470,81 @@ class TestCsv:
         assert lines[1].split(",")[1] == "1e-07"
         assert lines[2].split(",")[0] == "0.333333333333"
         assert lines[2].split(",")[1] == "123456.789012"
+
+
+class TestControlCheck:
+    def test_first_out_of_set_interval_named(self):
+        # A run of equal controls is checked once, at its first interval; the
+        # report still names the first interval outside U.
+        values = np.tile(PED2_U, (64, 1))
+        values[7:20] = [2.5, 2.5]
+        values[30] = [3.0, 3.0]
+        with pytest.raises(ValueError, match="interval 7 "):
+            simulate(ped2(), ControlSignal(Mesh(6.0, 6), values))
+        values[7:20] = PED2_U
+        with pytest.raises(ValueError, match="interval 30 "):
+            simulate(ped2(), ControlSignal(Mesh(6.0, 6), values))
+
+
+SWITCH_TEXT = (
+    "model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 5 5\nspeeds = 1 1\n"
+    "angles_deg = 45 45\n{switch}control.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+)
+
+
+class TestContactSwitch:
+    def test_switch_at_contact_equals_switch_at_first_contact_time(self):
+        u = ControlSignal.constant(Mesh(6.0, 8), [1.0, -0.5])
+        post = "angles_deg_post = 90 90\nswitch_at = {}\n"
+        scn = parse_scenario_text(SWITCH_TEXT.format(switch=post.format("contact")))
+        traj = simulate(scn, u)
+        first = next(k for k, x in enumerate(traj.nodes) if scn.contact_rows(x).size)
+        assert first == 145
+        t_first = float(traj.times[first])
+        assert t_first == 3.3984375
+        timed = simulate(parse_scenario_text(SWITCH_TEXT.format(switch=post.format(repr(t_first)))), u)
+        assert np.array_equal(traj.nodes, timed.nodes)
+        never = simulate(parse_scenario_text(SWITCH_TEXT.format(switch="")), u)
+        assert not np.allclose(traj.nodes, never.nodes)
+        assert np.allclose(traj.velocities()[-1], [0.0, 1.0, 0.0, -0.5], atol=1e-12)
+
+
+@st.composite
+def chain_runs(draw):
+    """A pedestrian or robot chain of 2-5 agents under a random piecewise box control."""
+    n = draw(st.integers(2, 5))
+    m = draw(st.integers(3, 8))
+    R = draw(st.floats(0.5, 2.0))
+    spare = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1, max_size=n - 1)))
+    speeds = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    U = ControlSet.box([-2.0] * n, [2.0] * n)
+    if draw(st.booleans()):
+        x0 = -20.0 + np.concatenate([[0.0], np.cumsum(2.0 * R + spare)])
+        scn = PedestrianScenario(n=n, R=R, T=6.0, x0=x0, speeds=speeds, control_set=U)
+    else:
+        # Ordered on the diagonal with Euclidean gaps 2R + spare.
+        a = -20.0 + np.concatenate([[0.0], np.cumsum((2.0 * R + spare) / np.sqrt(2.0))])
+        headings = np.deg2rad(draw(st.lists(st.floats(0.0, 360.0), min_size=n, max_size=n)))
+        scn = RobotScenario(n=n, R=R, T=6.0, x0=np.repeat(a, 2), speeds=speeds, angles=headings, control_set=U)
+    mesh = Mesh(6.0, m)
+    pieces = draw(st.integers(1, mesh.intervals))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, mesh.intervals), pieces - 1, replace=False))
+    values = rng.uniform(-2.0, 2.0, (pieces, n))[np.searchsorted(cuts, np.arange(mesh.intervals), side="right")]
+    return scn, ControlSignal(mesh, values)
+
+
+class TestCatchupInvariants:
+    @settings(max_examples=50, derandomize=True, deadline=None, database=None)
+    @given(chain_runs())
+    def test_every_node_keeps_the_separation(self, run):
+        scn, u = run
+        nodes = simulate(scn, u).nodes
+        if isinstance(scn, PedestrianScenario):
+            gaps = np.diff(nodes, axis=1)
+            assert np.all(gaps > 0.0)  # order kept
+        else:
+            P = nodes.reshape(nodes.shape[0], scn.n, 2)
+            i, j = np.triu_indices(scn.n, 1)
+            gaps = np.linalg.norm(P[:, i] - P[:, j], axis=2)
+        assert np.min(gaps) >= 2.0 * scn.R - 1e-9
