@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +29,19 @@ class ScenarioFormatError(ValueError):
     """Scenario file problem; the message names the offending key."""
 
 
+def _same_fields(a, b):
+    """Value equality of two dataclass instances of one type, arrays compared by np.array_equal."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
 # ---------------------------------------------------------------------------
 # Control sets
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSet:
     """Compact convex control set: a coordinate box or a linked segment.
 
@@ -71,13 +78,15 @@ class ControlSet:
         rlo, rhi = sorted((blo / k, bhi / k))
         return ControlSet(kind="segment", link=link, rlo=rlo, rhi=rhi)
 
+    __eq__ = _same_fields
+
     @property
     def dim(self) -> int:
         return len(self.lo) if self.kind == "box" else len(self.link)
 
     def contains(self, u, tol: float = CONTROL_TOL) -> bool:
         u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,):
+        if u.shape != (self.dim,) or not np.all(np.isfinite(u)):
             return False
         if self.kind == "box":
             return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
@@ -92,9 +101,11 @@ class ControlSet:
         u = np.asarray(u, dtype=float)
         if self.kind == "box":
             for i in range(self.dim):
-                if u[i] < self.lo[i] - CONTROL_TOL or u[i] > self.hi[i] + CONTROL_TOL:
+                if not self.lo[i] - CONTROL_TOL <= u[i] <= self.hi[i] + CONTROL_TOL:  # NaN fails too
                     return f"u{i + 1} = {u[i]:g} outside [{self.lo[i]:g}, {self.hi[i]:g}]"
             return None
+        for i in np.flatnonzero(~np.isfinite(u)):
+            return f"u{i + 1} = {u[i]:g} is not a finite number"
         r = self.parameter_of(u)
         if np.max(np.abs(u - r * self.link)) > CONTROL_TOL * max(1.0, abs(r)):
             return f"u = {u.tolist()} is not proportional to the link {self.link.tolist()}"
@@ -147,18 +158,24 @@ class ControlSet:
 
 
 class Scenario:
-    """The checks, g and contact test both families share, over four model hooks:
+    """The checks, g and contact test both families share, over five model hooks:
 
     drive(u, t, contact_time)          g(x, u) for a u known to lie in U (g is independent of x)
     drive_adjoint(q, t, contact_time)  (dg/du)^T q
     constraint_rows(x)                 the step set K(x) = {y : A y <= c} as (A, c)
     pair_gaps(x)                       separation margin of each adjacent pair, 0 at contact
+    free_run(x, d, support, cap)       how many further catch-up steps from x keep the increment d
 
     Only a robot whose heading switches at the first contact reads
-    `contact_time` (`switches_at_contact`).
+    `contact_time` (`switches_at_contact`); a robot whose heading switches
+    at a given time reports it as `switch_time`.  `fixed_constraints` says
+    that K(x) is one set for every x, so that a projected step repeats.
     """
 
     switches_at_contact = False
+    switch_time: float | None = None
+    fixed_constraints = False
+    __eq__ = _same_fields
 
     def _validate(self, make_sweeping_set, coords: int) -> None:
         """Shared input checks (`coords` state coordinates per agent); errors name the file key."""
@@ -203,7 +220,7 @@ class Scenario:
         return np.flatnonzero(np.abs(self.pair_gaps(x)) <= tol)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobotScenario(Scenario):
     """n planar robots of safety radius R steered toward the origin.
 
@@ -241,6 +258,10 @@ class RobotScenario(Scenario):
     def switches_at_contact(self) -> bool:
         return self.angles_post is not None and self.switch_at == "contact"
 
+    @property
+    def switch_time(self) -> float | None:
+        return None if self.angles_post is None or self.switch_at == "contact" else self.switch_at
+
     def theta(self, t: float, contact_time: float | None = None) -> np.ndarray:
         """Heading angles effective at time t, given the first contact time if known."""
         if self.angles_post is None:
@@ -273,12 +294,30 @@ class RobotScenario(Scenario):
         xs = np.asarray(x, dtype=float).tolist()  # scalars: faster than slicing for few pairs
         return np.array([self.pair_gap_euclid(xs, j, j + 1) for j in range(self.n - 1)])
 
+    def free_run(self, x, d, support, cap: int) -> int:
+        """Free flight only: while each pair keeps ||x^i - x^j|| >= 2R + ||d^i - d^j|| + CONTACT_TOL,
+        x + d lies in the linearized K(x) and out of contact (a quadratic in the step count)."""
+        i, j = np.triu_indices(self.n, 1)
+        P, V = np.reshape(x, (-1, 2)), np.reshape(d, (-1, 2))
+        D, dD = P[i] - P[j], V[i] - V[j]
+        a = np.sum(dD * dD, axis=1)
+        b = np.sum(D * dD, axis=1)
+        c = np.sum(D * D, axis=1) - (2.0 * self.R + np.sqrt(a) + CONTACT_TOL) ** 2  # a l^2 + 2 b l + c >= 0
+        if np.any(c < 0.0):
+            return 0
+        disc = b * b - a * c
+        hit = (b < 0.0) & (disc >= 0.0)
+        if not hit.any():
+            return cap
+        # The first root in its stable form; its floor drops one step that may still hold.
+        return int(min(cap, np.min(c[hit] / (np.sqrt(disc[hit]) - b[hit]))))
+
     def pair_gap_euclid(self, x, i: int, j: int) -> float:
         """Euclidean disk separation ||x^i - x^j|| - 2R (the collision geometry)."""
         return math.hypot(x[2 * i] - x[2 * j], x[2 * i + 1] - x[2 * j + 1]) - 2.0 * self.R
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PedestrianScenario(Scenario):
     """n pedestrians on a line moving right toward a doorway at the origin."""
 
@@ -288,6 +327,7 @@ class PedestrianScenario(Scenario):
     x0: np.ndarray  # (n,)
     speeds: np.ndarray  # (n,)
     control_set: ControlSet
+    fixed_constraints = True
 
     def __post_init__(self):
         self._validate(pedestrian_sweeping_set, coords=1)
@@ -305,6 +345,16 @@ class PedestrianScenario(Scenario):
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._sweeping_set.normals, self._sweeping_set.offsets
+
+    def free_run(self, x, d, support, cap: int) -> int:
+        """Steps until a row outside the support would bind: the least slack over rate."""
+        A, c = self.constraint_rows(x)
+        rate = A @ d
+        rate[support] = 0.0  # the support's rows move at rounding-level rates
+        hit = rate > 0.0
+        if not hit.any():
+            return cap
+        return int(min(cap, max(0.0, np.min((c - A @ x)[hit] / rate[hit]))))
 
     def pair_gaps(self, x) -> np.ndarray:
         return np.diff(np.asarray(x, dtype=float)) - 2.0 * self.R

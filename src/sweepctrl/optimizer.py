@@ -807,17 +807,15 @@ def solve_discrete(
 def _tracking_penalty(reference, mesh: Mesh, traj: Trajectory, u: ControlSignal) -> dict:
     """Mesh approximation of the squared deviations from a reference pair."""
     ref_path, ref_u = reference
-    ref_u = np.asarray(ref_u, dtype=float)
     h = mesh.h
     mids = mesh.nodes[:-1] + 0.5 * h
-    vel = traj.velocities()
-    v_pen = 0.0
-    u_pen = 0.0
-    for k, tm in enumerate(mids):
-        dv = vel[k] - ref_path.velocity(tm)
-        du = u.values[k] - ref_u
-        v_pen += 0.5 * h * float(dv @ dv)
-        u_pen += 0.5 * h * float(du @ du)
+    # The reference path's segment at each midpoint, as PiecewisePath.segment_of picks it.
+    k = np.clip(np.searchsorted(ref_path.times, mids, side="right") - 1, 0, ref_path.states.shape[0] - 2)
+    ref_vel = np.diff(ref_path.states, axis=0)[k] / np.diff(ref_path.times)[k, None]
+    dv = (traj.velocities() - ref_vel).ravel()
+    du = (u.values - np.asarray(ref_u, dtype=float)).ravel()
+    v_pen = 0.5 * h * float(dv @ dv)
+    u_pen = 0.5 * h * float(du @ du)
     return {"velocity_term": v_pen, "control_term": u_pen, "total": v_pen + u_pen}
 
 

@@ -132,30 +132,53 @@ def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> n
 
 
 def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
-    """Run the catch-up scheme from scn.x0 under the piecewise-constant control."""
+    """Run the catch-up scheme from scn.x0 under the piecewise-constant control.
+
+    Two steps in a row with one support W fix the step map while the drive
+    stays: the node keeps the last increment for as many steps as
+    `scn.free_run` allows, filled by one cumulative sum (the loop's additions).
+    """
     mesh = u.mesh
     if abs(mesh.T - scn.horizon) > 1e-12 * max(1.0, scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
     # A run of equal controls needs one check, at the interval where it starts.
     values = u.values
-    for k in np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)]):
+    starts = np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)])
+    for k in starts:
         msg = scn.control_set.violation_message(values[k])
         if msg is not None:
             raise ValueError(f"control value on interval {k} outside the admissible set: {msg}")
     h = mesh.h
     times = mesh.nodes
+    K = mesh.intervals
+    if scn.switch_time is not None:  # the drive also changes at the first node past the switch
+        starts = np.union1d(starts, np.searchsorted(times[:-1], scn.switch_time))
+    # ends[k]: the interval where the run of equal drives holding interval k ends.
+    ends = np.repeat(np.r_[starts[1:], K], np.diff(np.r_[starts, K])).tolist()
     track = scn.switches_at_contact
     contact: float | None = None
-    nodes = np.empty((mesh.intervals + 1, scn.state_dim))
-    x = scn.x0
-    nodes[0] = x
+    nodes = np.empty((K + 1, scn.state_dim))
+    x = nodes[0] = scn.x0
     drive, constraint_rows = scn.drive, scn.constraint_rows  # bound once: a step takes microseconds
-    for k, (uk, tk) in enumerate(zip(values, times)):
+    prev = None  # support of the step before, when it may start a run
+    k = 0
+    while k < K:
+        tk = times[k]
         if track and contact is None and scn.contact_rows(x).size:
             contact = tk
-        A, c = constraint_rows(x)
-        x, _ = project_raw(A, c, x + h * drive(uk, tk, contact), tol=STEP_TOL)
-        nodes[k + 1] = x
+        step = h * drive(values[k], tk, contact)
+        xn, W = project_raw(*constraint_rows(x), x + step, tol=STEP_TOL)
+        end, k = ends[k], k + 1
+        nodes[k], W = xn, W.tolist()
+        if k < end and W == prev and (not W or scn.fixed_constraints):
+            d = xn - x if W else step
+            run = scn.free_run(xn, d, W, end - k)
+            fill = nodes[k : k + run + 1]
+            fill[1:] = d
+            np.cumsum(fill, axis=0, out=fill)
+            k += run
+            W = None  # the next fill needs two fresh steps
+        prev, x = W, nodes[k]
     return Trajectory(mesh=mesh, nodes=nodes)
 
 

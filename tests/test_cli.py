@@ -36,6 +36,14 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert "1.8" in err  # the violated bound is named
 
+    def test_nan_control_exits_2_naming_component(self, tmp_path, capsys):
+        code = main(["simulate", PED3, "--control", "nan,nan,nan", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "u1 = nan outside [-2, 2]" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "trajectory.csv").exists()
+
     def test_missing_scenario_exits_2(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "nope.scn"), "--control", "1,1"]) == 2
 

@@ -10,6 +10,7 @@ from sweepctrl.models import (
     ScenarioFormatError,
     admissible_velocities_contains,
     bundled_scenario,
+    bundled_scenario_path,
     distance_gap,
     parse_scenario_text,
     pedestrian_g,
@@ -228,6 +229,45 @@ class TestControlSets:
         assert np.allclose(U.clamp(np.array([5.0, 5.0])), [1.8, 1.8])
         B = ControlSet.box([-2, -2], [2, 2])
         assert np.allclose(B.clamp(np.array([5.0, -7.0])), [2.0, -2.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_control_rejected_naming_component(self, bad):
+        B = ControlSet.box([-2, -2, -2], [2, 2, 2])
+        u = np.array([0.0, bad, 0.0])
+        assert not B.contains(u)
+        assert B.violation_message(u) == f"u2 = {bad:g} outside [-2, 2]"
+        S = ControlSet.segment([2.0, 1.0], (-3.37, 3.37), bound_on=1)
+        assert not S.contains(np.array([bad, 1.0]))
+        assert S.violation_message(np.array([bad, 1.0])) == f"u1 = {bad:g} is not a finite number"
+
+
+class TestValueEquality:
+    def test_two_parses_of_one_file_compare_equal(self):
+        for name in ("robot2.scn", "pedestrian2.scn", "pedestrian3.scn"):
+            assert bundled_scenario(name) == bundled_scenario(name)
+        assert not bundled_scenario("pedestrian2.scn") != bundled_scenario("pedestrian2.scn")
+
+    def test_different_values_or_families_compare_unequal(self):
+        text = bundled_scenario_path("pedestrian2.scn").read_text()
+        other_R = parse_scenario_text(text.replace("R = 3", "R = 2.5"))
+        assert other_R.R == 2.5
+        assert bundled_scenario("pedestrian2.scn") != other_R
+        assert bundled_scenario("pedestrian2.scn") != bundled_scenario("pedestrian3.scn")
+        assert bundled_scenario("robot2.scn") != bundled_scenario("pedestrian2.scn")
+        switched = (
+            "model = robot\nn = 2\nR = 1\nT = 4\nx0 = 0 0 20 20\nspeeds = 1 1\nangles_deg = 0 0\n"
+            "angles_deg_post = 90 90\nswitch_at = {}\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+        )
+        assert parse_scenario_text(switched.format("2")) == parse_scenario_text(switched.format("2.0"))
+        assert parse_scenario_text(switched.format("2")) != parse_scenario_text(switched.format("contact"))
+
+    def test_control_sets(self):
+        assert ControlSet.box([0, 0], [1, 1]) == ControlSet.box([0.0, 0.0], [1.0, 1.0])
+        assert ControlSet.box([0, 0], [1, 1]) != ControlSet.box([0, 0], [1, 2])
+        assert ControlSet.box([0, 0], [1, 1]) != ControlSet.box([0, 0, 0], [1, 1, 1])
+        seg = ControlSet.segment([2.0, 1.0], (-3.37, 3.37), bound_on=1)
+        assert seg == ControlSet.segment([2.0, 1.0], (-3.37, 3.37), bound_on=1)
+        assert seg != ControlSet.box([-1, -1], [1, 1])
 
 
 class TestScenarioFiles:

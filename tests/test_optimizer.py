@@ -441,6 +441,25 @@ class TestSolveDiscrete:
         assert sol.localization["velocity_term"] < 0.5  # contact-interval mismatch only
         assert sol.cost == pytest.approx(red.cost, rel=0.02)
 
+    @pytest.mark.parametrize("name", ["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"])
+    @pytest.mark.parametrize("m", [6, 10])
+    def test_localization_matches_a_loop_over_midpoints(self, name, m):
+        scn = bundled_scenario(name)
+        red = solve_reduced(scn)
+        sol = solve_discrete(scn, m=m, budget=3, reference=(red.path, red.control))
+        h = sol.mesh.h
+        vel = sol.trajectory.velocities()
+        v_pen = u_pen = 0.0
+        for k, tm in enumerate(sol.mesh.nodes[:-1] + 0.5 * h):
+            dv = vel[k] - red.path.velocity(tm)
+            du = sol.control.values[k] - np.asarray(red.control, dtype=float)
+            v_pen += 0.5 * h * float(dv @ dv)
+            u_pen += 0.5 * h * float(du @ du)
+        got = sol.localization
+        assert got["velocity_term"] == pytest.approx(v_pen, rel=1e-12, abs=1e-300)
+        assert got["control_term"] == pytest.approx(u_pen, rel=1e-12, abs=1e-300)
+        assert got["total"] == pytest.approx(v_pen + u_pen, rel=1e-12, abs=1e-300)
+
     def test_piecewise_refinement_does_not_regress(self):
         base = solve_discrete(ped2(), m=5, budget=300)
         pw = solve_discrete(ped2(), m=5, budget=2000, piecewise=True)

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sweepctrl.models import ControlSet, PedestrianScenario, RobotScenario, bundled_scenario, parse_scenario_text
-from sweepctrl.polyhedra import Polyhedron, contains
+from sweepctrl.polyhedra import Polyhedron, contains, project_raw
 from sweepctrl.sweeping import (
+    STEP_TOL,
     ControlSignal,
     Mesh,
     Trajectory,
@@ -548,3 +549,164 @@ class TestCatchupInvariants:
             i, j = np.triu_indices(scn.n, 1)
             gaps = np.linalg.norm(P[:, i] - P[:, j], axis=2)
         assert np.min(gaps) >= 2.0 * scn.R - 1e-9
+
+
+def stepwise(scn, u):
+    """The catch-up loop with one projection per interval: the reference for filled runs."""
+    h, contact, x = u.mesh.h, None, scn.x0
+    nodes = [x]
+    for uk, tk in zip(u.values, u.mesh.nodes):
+        if scn.switches_at_contact and contact is None and scn.contact_rows(x).size:
+            contact = tk
+        x, _ = project_raw(*scn.constraint_rows(x), x + h * scn.drive(uk, tk, contact), tol=STEP_TOL)
+        nodes.append(x)
+    return np.array(nodes)
+
+
+def assert_matches_stepwise(scn, u):
+    """Robot nodes bit for bit; pedestrian nodes to 1e-12 relative (contact arcs are summed, not projected)."""
+    got, ref = simulate(scn, u).nodes, stepwise(scn, u)
+    if isinstance(scn, RobotScenario):
+        assert np.array_equal(got, ref)
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+@st.composite
+def piecewise_chains(draw):
+    """A 2-5-agent pedestrian or robot chain under 1-8 constant control pieces, m = 3-10."""
+    n = draw(st.integers(2, 5))
+    R = draw(st.floats(0.5, 2.0))
+    spare = np.array(draw(st.lists(st.floats(0.0, 2.0), min_size=n - 1, max_size=n - 1)))
+    speeds = np.array(draw(st.lists(st.floats(0.0, 3.0), min_size=n, max_size=n)))
+    U = ControlSet.box([-2.0] * n, [2.0] * n)
+    family = draw(st.sampled_from(["pedestrian", "robot", "diagonal robot"]))
+    if family == "pedestrian":
+        x0 = -20.0 + np.concatenate([[0.0], np.cumsum(2.0 * R + spare)])
+        scn = PedestrianScenario(n=n, R=R, T=6.0, x0=x0, speeds=speeds, control_set=U)
+    else:
+        a = -20.0 + np.concatenate([[0.0], np.cumsum((2.0 * R + spare) / np.sqrt(2.0))])
+        if family == "robot":
+            headings = np.deg2rad(draw(st.lists(st.floats(0.0, 360.0), min_size=n, max_size=n)))
+        else:  # a train on its own diagonal: the rear agents push the front ones
+            headings = np.full(n, np.deg2rad(225.0))
+        scn = RobotScenario(n=n, R=R, T=6.0, x0=np.repeat(a, 2), speeds=speeds, angles=headings, control_set=U)
+    mesh = Mesh(6.0, draw(st.integers(3, 10)))
+    pieces = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, mesh.intervals), pieces - 1, replace=False))
+    values = rng.uniform(-2.0, 2.0, (pieces, n))[np.searchsorted(cuts, np.arange(mesh.intervals), side="right")]
+    return scn, ControlSignal(mesh, values)
+
+
+JOSTLE_ROBOTS = (
+    "model = robot\nn = 4\nR = 1.5\nT = 6\nx0 = -20 -20 -17 -17 -14 -14 -11 -11\nspeeds = 3 2 1.5 1\n"
+    "angles_deg = 225 225 225 225\ncontrol.kind = box\ncontrol.lo = -2 -2 -2 -2\ncontrol.hi = 2 2 2 2\n"
+)
+
+
+class TestRunFilling:
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(piecewise_chains())
+    def test_filled_runs_match_the_stepwise_loop(self, run):
+        assert_matches_stepwise(*run)
+
+    def test_control_changing_every_interval_is_bit_identical(self):
+        rng = np.random.default_rng(5)
+        mesh = Mesh(6.0, 9)
+        ped = PedestrianScenario(
+            n=5, R=1.0, T=6.0, x0=np.array([-20.0, -17.5, -15.0, -12.0, -9.5]),
+            speeds=np.array([3.0, 2.5, 2.0, 1.5, 1.0]), control_set=ControlSet.box([-2.0] * 5, [2.0] * 5),
+        )
+        for scn in (ped, parse_scenario_text(JOSTLE_ROBOTS)):
+            # Mostly forward draws, so the chain stays in contact much of the time.
+            u = ControlSignal(mesh, rng.uniform(-1.0, 2.0, (mesh.intervals, scn.n)))
+            assert np.all(np.any(np.diff(u.values, axis=0) != 0.0, axis=1))
+            assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u))
+
+    @pytest.mark.parametrize("switch", ["1.3", "2.0", "5.99"])
+    def test_timed_heading_switch_inside_a_run_matches_stepwise(self, switch):
+        scn = parse_scenario_text(
+            "model = robot\nn = 3\nR = 1\nT = 6\nx0 = 0 0 4 4 9 9\nspeeds = 1 2 1\n"
+            f"angles_deg = 0 45 90\nangles_deg_post = 90 225 180\nswitch_at = {switch}\n"
+            "control.kind = box\ncontrol.lo = -1 -1 -1\ncontrol.hi = 1 1 1\n"
+        )
+        for u in ([1.0, -0.5, 0.3], [0.2, 1.0, -1.0]):
+            assert_matches_stepwise(scn, ControlSignal.constant(Mesh(6.0, 10), u))
+
+    def test_contact_switch_found_by_a_slow_approach(self):
+        # The pair starts 1.5e-7 from contact and closes it at 2e-8 per unit time, far
+        # below one step's margin: the switch must still happen at the first node in contact.
+        a = float((2.0 + 1.5e-7) / np.sqrt(2.0))
+        scn = parse_scenario_text(
+            f"model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 {a!r} {a!r}\nspeeds = 1 1\nangles_deg = 45 45\n"
+            "angles_deg_post = 90 0\nswitch_at = contact\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+        )
+        u = ControlSignal.constant(Mesh(6.0, 10), [1.0, 1.0 - 2e-8])
+        nodes = simulate(scn, u).nodes
+        assert np.array_equal(nodes, stepwise(scn, u))
+        first = next(k for k, x in enumerate(nodes) if scn.contact_rows(x).size)
+        assert 0 < first < u.mesh.intervals
+
+    @pytest.mark.parametrize(
+        "x0,angles,m,u",
+        [
+            ("-10.41 -5.9", "347.7 248.87", 4, [1.25, 1.92]),
+            ("-2.65 -8.56", "284.19 72.15", 3, [-0.71, -1.09]),
+            ("-5.69 -2.5", "210.71 265.62", 6, [-0.84, 0.21]),
+        ],
+    )
+    def test_oblique_approach_matches_stepwise(self, x0, angles, m, u):
+        # Coarse steps at an angle: the step from the last filled node would leave the
+        # linearized set although the disks stay apart, so the fill must stop before it.
+        scn = parse_scenario_text(
+            f"model = robot\nn = 2\nR = 1\nT = 6\nx0 = {x0} 0 0\nspeeds = 2 2\nangles_deg = {angles}\n"
+            "control.kind = box\ncontrol.lo = -2 -2\ncontrol.hi = 2 2\n"
+        )
+        assert_matches_stepwise(scn, ControlSignal.constant(Mesh(6.0, m), u))
+
+    def test_robot_contact_arcs_are_stepped(self, monkeypatch):
+        supports = []
+        hook = RobotScenario.free_run
+
+        def spy(self, x, d, support, cap):
+            supports.append(len(support))
+            return hook(self, x, d, support, cap)
+
+        monkeypatch.setattr(RobotScenario, "free_run", spy)
+        for scn, u in ((robot2(), [2.0 * ROBOT_R, ROBOT_R]), (parse_scenario_text(JOSTLE_ROBOTS), [-2.0] * 4)):
+            simulate(scn, ControlSignal.constant(Mesh(6.0, 10), u))
+        assert supports and not any(supports)
+
+    def test_constant_runs_cost_a_few_projections(self, monkeypatch):
+        import sweepctrl.sweeping as sweeping
+
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return project_raw(*args, **kwargs)
+
+        monkeypatch.setattr(sweeping, "project_raw", counted)
+        for scn, u in ((ped2(), PED2_U), (ped3(), PED3_U), (robot2(), [0.1, 0.05])):
+            calls.clear()
+            simulate(scn, ControlSignal.constant(Mesh(6.0, 14), u))
+            assert len(calls) <= 16
+
+    def test_exact_event_endpoint_at_fine_mesh(self):
+        rng = np.random.default_rng(37)
+        mesh = Mesh(6.0, 14)
+        cases = [(ped2(), PED2_U), (ped3(), PED3_U)]
+        for _ in range(6):
+            n = int(rng.integers(2, 5))
+            R = float(rng.uniform(0.5, 3.0))
+            x0 = np.cumsum(np.concatenate([[rng.uniform(-80, -40)], rng.uniform(2 * R, 6 * R, n - 1)]))
+            scn = PedestrianScenario(
+                n=n, R=R, T=6.0, x0=x0, speeds=rng.uniform(0.5, 8.0, n),
+                control_set=ControlSet.box([-2.0] * n, [2.0] * n),
+            )
+            cases.append((scn, rng.uniform(-2.0, 2.0, n)))
+        for scn, u_const in cases:
+            traj = simulate(scn, ControlSignal.constant(mesh, u_const))
+            vmax = float(np.max(np.abs(scn.speeds * u_const)))
+            assert np.linalg.norm(traj.terminal - exact_pedestrian_endpoint(scn, u_const)) <= 5 * mesh.h * max(vmax, 1.0)
