@@ -159,7 +159,7 @@ def _solution_text(sol: ReducedSolution) -> str:
     if sol.contact_schedule:
         t_first = sol.contact_schedule[-1][0]
         lines.append(
-            f"gamma([t1, T])    = {np.round(sol.certificate.gamma_from(t_first), 12).tolist()}"
+            f"gamma([t1, T])    = {np.round(sol.certificate.gamma_tail(t_first), 12).tolist()}"
         )
     for key in ("post_contact_slopes", "p_T", "gamma", "consistency_note"):
         if key in sol.report:
@@ -181,8 +181,7 @@ def _solution_text(sol: ReducedSolution) -> str:
 def _solution_csv(sol: ReducedSolution, mesh: Mesh) -> str:
     times, states = sample_path(sol.path, mesh)
     controls = np.tile(sol.control, (len(times) - 1, 1))
-    mids = 0.5 * (times[:-1] + times[1:])
-    etas = np.array([sol.eta.value(t) for t in mids])
+    etas = sol.eta.value(0.5 * (times[:-1] + times[1:]))
     return trajectory_csv(times, states, controls, etas, sol.eta_terminal)
 
 

@@ -14,12 +14,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .polyhedra import Polyhedron
+from .polyhedra import Polyhedron, _same_fields
 
 CONTROL_TOL = 1e-9
 CONTACT_TOL = 1e-7
@@ -27,13 +27,6 @@ CONTACT_TOL = 1e-7
 
 class ScenarioFormatError(ValueError):
     """Scenario file problem; the message names the offending key."""
-
-
-def _same_fields(a, b):
-    """Value equality of two dataclass instances of one type, arrays compared by np.array_equal."""
-    if type(a) is not type(b):
-        return NotImplemented
-    return all(np.array_equal(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +106,17 @@ class ControlSet:
             return f"link parameter {r:g} outside [{self.rlo:g}, {self.rhi:g}]"
         return None
 
+    def check_rows(self, values) -> np.ndarray:
+        """Raise naming the first interval whose control row lies outside the set, checking
+        each run of equal rows once, at its start; returns those starts."""
+        values = np.atleast_2d(values)
+        starts = np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)])
+        for k in starts:
+            msg = self.violation_message(values[k])
+            if msg is not None:
+                raise ValueError(f"control value on interval {k} outside the admissible set: {msg}")
+        return starts
+
     def parameter_of(self, u) -> float:
         """Least-squares segment parameter of u (exact when u is on the segment)."""
         u = np.asarray(u, dtype=float)
@@ -140,16 +144,17 @@ class ControlSet:
         r = min(max(self.parameter_of(u), self.rlo), self.rhi)
         return r * self.link
 
-    def maximize_linear(self, psi) -> tuple[float, np.ndarray]:
-        """Max of <psi, u> over the set; attained at a vertex (endpoint for segments)."""
+    def maximize_linear(self, psi):
+        """Max of <psi, u> over the set and a maximizer, in closed form: the bound
+        each coordinate's sign picks (box) or the endpoint (segment, the lower one
+        on a tie).  `psi` is one vector, or one per row of an (N, n) array."""
         psi = np.asarray(psi, dtype=float)
         if self.kind == "box":
             u = np.where(psi >= 0.0, self.hi, self.lo)
-            return float(psi @ u), u
-        v = self.vertices()
-        vals = v @ psi
-        best = int(np.argmax(vals))
-        return float(vals[best]), v[best]
+        else:
+            u = np.where(psi @ self.link > 0.0, self.rhi, self.rlo)[..., None] * self.link
+        best = np.sum(psi * u, axis=-1)
+        return (float(best), u) if psi.ndim == 1 else (best, u)
 
 
 # ---------------------------------------------------------------------------
@@ -158,15 +163,16 @@ class ControlSet:
 
 
 class Scenario:
-    """The checks, g and contact test both families share, over five model hooks:
+    """The drive, checks and contact test both families share, over four model hooks:
 
-    drive(u, t, contact_time)          g(x, u) for a u known to lie in U (g is independent of x)
-    drive_adjoint(q, t, contact_time)  (dg/du)^T q
-    constraint_rows(x)                 the step set K(x) = {y : A y <= c} as (A, c)
-    pair_gaps(x)                       separation margin of each adjacent pair, 0 at contact
-    free_run(x, d, support, cap)       how many further catch-up steps from x keep the increment d
+    headings(t, contact_time)     unit drive direction per agent, (n, coords); (N, n, coords) at N times
+    constraint_rows(x)            the step set K(x) = {y : A y <= c} as (A, c)
+    pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
+    free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d
 
-    Only a robot whose heading switches at the first contact reads
+    Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
+    independent of x) and `drive_adjoint` are that one formula and its
+    transpose.  Only a robot whose heading switches at the first contact reads
     `contact_time` (`switches_at_contact`); a robot whose heading switches
     at a given time reports it as `switch_time`.  `fixed_constraints` says
     that K(x) is one set for every x, so that a projected step repeats.
@@ -206,6 +212,18 @@ class Scenario:
 
     def sweeping_set(self) -> Polyhedron:
         return self._sweeping_set
+
+    def drive(self, u, t=0.0, contact_time: float | None = None) -> np.ndarray:
+        """g(x, u) = (s_i u^i times agent i's heading) for a u known to lie in U: (state_dim,),
+        or (N, state_dim) for N control rows and/or N times."""
+        # (s u) h, not s (u h) or a precomputed s h: a pushed robot train amplifies rounding.
+        g = (self.speeds * u)[..., None] * self.headings(t, contact_time)
+        return g.reshape(*g.shape[:-2], -1)
+
+    def drive_adjoint(self, q, t=0.0, contact_time: float | None = None) -> np.ndarray:
+        """(dg/du)^T q, row by row for an (N, state_dim) q."""
+        H = self.headings(t, contact_time)
+        return self.speeds * np.sum(H * np.reshape(q, (*np.shape(q)[:-1], self.n, H.shape[-1])), axis=-1)
 
     def g(self, x, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
         """Drive velocity g(x, u); raises naming the bound a control outside U breaks."""
@@ -253,6 +271,10 @@ class RobotScenario(Scenario):
                 raise ValueError(f"key 'x0': initial ordering violated between agents {j + 1} and {j + 2}")
         if np.min(self._sweeping_set.slack(self.x0)) < -CONTROL_TOL:
             raise ValueError("key 'x0': violates the separation constraints (not projected)")
+        # Unit headings (cos th_i, sin th_i) before and after the switch, (2, n, 2).
+        post = self.angles if self.angles_post is None else self.angles_post
+        angles = np.array([self.angles, post])
+        object.__setattr__(self, "_headings", np.stack([np.cos(angles), np.sin(angles)], axis=-1))
 
     @property
     def switches_at_contact(self) -> bool:
@@ -262,37 +284,28 @@ class RobotScenario(Scenario):
     def switch_time(self) -> float | None:
         return None if self.angles_post is None or self.switch_at == "contact" else self.switch_at
 
+    def _phase(self, t, contact_time: float | None) -> np.ndarray:
+        """1 where the post-switch headings hold at t (given the first contact time if known), else 0."""
+        switch = contact_time if self.switch_at == "contact" else self.switch_at
+        if self.angles_post is None or switch is None:
+            return np.zeros(np.shape(t), dtype=int)
+        return (np.asarray(t) >= switch).astype(int)
+
     def theta(self, t: float, contact_time: float | None = None) -> np.ndarray:
         """Heading angles effective at time t, given the first contact time if known."""
-        if self.angles_post is None:
-            return self.angles
-        if self.switch_at == "contact":
-            switch = contact_time
-        else:
-            switch = self.switch_at
-        if switch is None or t < switch:
-            return self.angles
-        return self.angles_post
+        return self.angles_post if self._phase(t, contact_time) else self.angles
 
-    def drive(self, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        """(s_1 u^1 cos th_1, s_1 u^1 sin th_1, ...) along the headings effective at t."""
-        th = self.theta(t, contact_time)
-        su = self.speeds * u
-        out = np.empty(2 * self.n)
-        out[0::2] = su * np.cos(th)
-        out[1::2] = su * np.sin(th)
-        return out
-
-    def drive_adjoint(self, q, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        th = self.theta(t, contact_time)
-        return self.speeds * (np.cos(th) * q[0::2] + np.sin(th) * q[1::2])
+    def headings(self, t, contact_time: float | None = None) -> np.ndarray:
+        """(cos th_i, sin th_i) per agent along the headings effective at t."""
+        return self._headings[self._phase(t, contact_time)]
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         return linearized_noncollision(x, self.R)
 
     def pair_gaps(self, x) -> np.ndarray:
-        xs = np.asarray(x, dtype=float).tolist()  # scalars: faster than slicing for few pairs
-        return np.array([self.pair_gap_euclid(xs, j, j + 1) for j in range(self.n - 1)])
+        P = np.reshape(x, (*np.shape(x)[:-1], self.n, 2))
+        D = P[..., 1:, :] - P[..., :-1, :]
+        return np.hypot(D[..., 0], D[..., 1]) - 2.0 * self.R
 
     def free_run(self, x, d, support, cap: int) -> int:
         """Free flight only: while each pair keeps ||x^i - x^j|| >= 2R + ||d^i - d^j|| + CONTACT_TOL,
@@ -336,12 +349,9 @@ class PedestrianScenario(Scenario):
             j = int(np.argmin(gaps))
             raise ValueError(f"key 'x0': gap {j + 1}->{j + 2} below 2R (not projected)")
 
-    def drive(self, u, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        """(s_1 u^1, ..., s_n u^n)."""
-        return self.speeds * u
-
-    def drive_adjoint(self, q, t: float = 0.0, contact_time: float | None = None) -> np.ndarray:
-        return self.speeds * q
+    def headings(self, t, contact_time: float | None = None) -> np.ndarray:
+        """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n)."""
+        return np.ones((self.n, 1))
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._sweeping_set.normals, self._sweeping_set.offsets

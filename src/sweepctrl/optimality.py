@@ -6,7 +6,9 @@ eta (with a separate value carried at t = T), the adjoint arcs p and q
 atoms), and the vector measure gamma represented by finitely many atoms.
 All checks are evaluated on the union grid of the trajectory and
 certificate breakpoints, so piecewise-affine reference solutions verify
-exactly rather than through mesh-straddling artifacts.
+exactly rather than through mesh-straddling artifacts; each check takes
+every grid interval at once, through the array-valued paths below and the
+scenario's array-valued drive.
 
 Conditions checked, by report id: (1) primal velocity representation,
 (2)/(3) complementarity, (4) constant adjoint arc (the state gradient of
@@ -23,12 +25,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import CONTACT_TOL, Scenario
+from .polyhedra import _same_fields
 from .sweeping import ControlSignal, Trajectory, contact_switch_time
 
 ATOM_TIME_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+def _interval(times: np.ndarray, t, count: int):
+    """Index of the breakpoint interval holding t (per entry for an array), clipped to [0, count)."""
+    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, count - 1)
+
+
+@dataclass(frozen=True, eq=False)
 class StepFunction:
     """Right-continuous piecewise-constant vector path on [0, T]."""
 
@@ -45,6 +53,8 @@ class StepFunction:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
+    __eq__ = _same_fields
+
     @staticmethod
     def constant(T: float, value) -> "StepFunction":
         value = np.atleast_1d(np.asarray(value, dtype=float))
@@ -54,15 +64,12 @@ class StepFunction:
     def dim(self) -> int:
         return self.values.shape[1]
 
-    def segment_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(k, 0), self.values.shape[0] - 1)
-
-    def value(self, t: float) -> np.ndarray:
-        return self.values[self.segment_of(t)]
+    def value(self, t) -> np.ndarray:
+        """The value at t, or one row per time for an array of times."""
+        return self.values[_interval(self.times, t, self.values.shape[0])]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PiecewisePath:
     """Continuous piecewise-linear state path (possibly nonuniform breakpoints)."""
 
@@ -79,6 +86,8 @@ class PiecewisePath:
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "states", states)
 
+    __eq__ = _same_fields
+
     @staticmethod
     def from_trajectory(traj: Trajectory) -> "PiecewisePath":
         return PiecewisePath(traj.times, traj.nodes)
@@ -91,23 +100,24 @@ class PiecewisePath:
     def terminal(self) -> np.ndarray:
         return self.states[-1]
 
-    def segment_of(self, t: float) -> int:
-        k = int(np.searchsorted(self.times, t, side="right") - 1)
-        return min(max(k, 0), self.states.shape[0] - 2)
-
-    def value(self, t: float) -> np.ndarray:
-        k = self.segment_of(t)
-        w = (t - self.times[k]) / (self.times[k + 1] - self.times[k])
+    def value(self, t) -> np.ndarray:
+        """The state at t, or one row per time for an array of times."""
+        k = _interval(self.times, t, self.states.shape[0] - 1)
+        w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
         return (1.0 - w) * self.states[k] + w * self.states[k + 1]
 
-    def velocity(self, t: float) -> np.ndarray:
-        k = self.segment_of(t)
-        return (self.states[k + 1] - self.states[k]) / (self.times[k + 1] - self.times[k])
+    def velocity(self, t) -> np.ndarray:
+        """The slope of the segment holding t, or one row per time for an array of times."""
+        k = _interval(self.times, t, self.states.shape[0] - 1)
+        return (self.states[k + 1] - self.states[k]) / (self.times[k + 1] - self.times[k])[..., None]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Complete dual data: (lambda, eta, p, q, gamma atoms)."""
+    """Complete dual data: (lambda, eta, p, q, gamma atoms).
+
+    The atoms are also kept as arrays: `atom_times` (A,) and `atom_values` (A, dim).
+    """
 
     lam: float
     eta: StepFunction
@@ -126,37 +136,29 @@ class DualCertificate:
             raise ValueError("lambda must be nonnegative")
         if np.any(self.eta.values < -1e-15) or np.any(self.eta_terminal < -1e-15):
             raise ValueError("eta must be nonnegative")
-        T = self.p.times[-1]
-        for t, _ in atoms:
-            if not (0.0 <= t <= T + 1e-12):
-                raise ValueError("atom time outside the horizon")
+        times = np.array([t for t, _ in atoms])
+        object.__setattr__(self, "atom_times", times)
+        object.__setattr__(self, "atom_values", np.array([v for _, v in atoms]).reshape(times.size, self.p.dim))
+        if not np.all((times >= 0.0) & (times <= self.horizon + 1e-12)):
+            raise ValueError("atom time outside the horizon")
+
+    __eq__ = _same_fields  # gamma_atoms atom by atom
 
     @property
     def horizon(self) -> float:
         return float(self.p.times[-1])
 
-    def gamma_tail(self, t: float) -> np.ndarray:
-        """gamma([t, T]): sum of atoms at times >= t."""
-        out = np.zeros(self.p.dim)
-        for s, v in self.gamma_atoms:
-            if s >= t - ATOM_TIME_TOL:
-                out += v
-        return out
+    def gamma_tail(self, t) -> np.ndarray:
+        """gamma([t, T]): sum of atoms at times >= t; one row per time for an array of times."""
+        return (self.atom_times >= np.asarray(t)[..., None] - ATOM_TIME_TOL) @ self.atom_values
 
-    def is_atom_time(self, t: float) -> bool:
-        return any(abs(t - s) <= ATOM_TIME_TOL for s, _ in self.gamma_atoms)
+    def is_atom_time(self, t):
+        """Whether t is an atom time; per entry for an array of times."""
+        return np.any(np.abs(np.asarray(t)[..., None] - self.atom_times) <= ATOM_TIME_TOL, axis=-1)
 
     def q_at_T(self) -> np.ndarray:
         """q(T) = p(T) - gamma({T})."""
-        atom_T = np.zeros(self.p.dim)
-        for s, v in self.gamma_atoms:
-            if abs(s - self.horizon) <= ATOM_TIME_TOL:
-                atom_T += v
-        return self.p.values[-1] - atom_T
-
-    def gamma_from(self, t: float) -> np.ndarray:
-        """Reported headline value gamma([t, T])."""
-        return self.gamma_tail(t)
+        return self.p.values[-1] - (np.abs(self.atom_times - self.horizon) <= ATOM_TIME_TOL) @ self.atom_values
 
 
 @dataclass(frozen=True)
@@ -211,16 +213,20 @@ def as_path(traj) -> PiecewisePath:
     return PiecewisePath.from_trajectory(traj)
 
 
-def _union_grid(path: PiecewisePath, cert: DualCertificate, u: StepFunction) -> np.ndarray:
-    pieces = [path.times, cert.eta.times, cert.q.times, cert.p.times, u.times]
-    pieces.append(np.array([t for t, _ in cert.gamma_atoms]))
+def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) -> np.ndarray:
+    """Sorted breakpoints of the path, the certificate and any `extra` time arrays in [0, T]."""
+    pieces = [path.times, cert.eta.times, cert.q.times, cert.p.times, *extra, cert.atom_times]
     grid = np.unique(np.concatenate(pieces))
     grid = grid[(grid >= 0.0) & (grid <= path.horizon + 1e-12)]
-    # Merge near-duplicate breakpoints (e.g. a 12-digit serialized time next
-    # to its exact value) so no sliver segments straddle a jump.
+    # Merge near-duplicate breakpoints (e.g. a rounded time written by hand
+    # next to its exact value) so no sliver segments straddle a jump.
     merge_tol = 1e-11 * max(1.0, path.horizon)
     keep = np.concatenate([[True], np.diff(grid) > merge_tol])
     return grid[keep]
+
+
+def _midpoints(grid: np.ndarray) -> np.ndarray:
+    return 0.5 * (grid[:-1] + grid[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +239,12 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     i.e. ||x' + sum_j eta_j a_j - g(x, u)||."""
     path = as_path(traj)
     useries = as_step_series(u, path.horizon)
+    scn.control_set.check_rows(useries.values)
     C = scn.sweeping_set()
     contact = contact_switch_time(scn, path.times, path.states)
-    worst = 0.0
-    grid = _union_grid(path, cert, useries)
-    for a, b in zip(grid[:-1], grid[1:]):
-        tm = 0.5 * (a + b)
-        v = path.velocity(tm)
-        g = scn.g(path.value(tm), useries.value(tm), tm, contact)
-        eta = cert.eta.value(tm)
-        r = float(np.linalg.norm(v + C.normals.T @ eta - g))
-        worst = max(worst, r)
-    return worst
+    tm = _midpoints(_union_grid(path, cert, useries.times))
+    r = path.velocity(tm) + cert.eta.value(tm) @ C.normals - scn.drive(useries.value(tm), tm, contact)
+    return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
 
 def check_complementarity(scn: Scenario, traj, cert: DualCertificate, tol: float = 1e-9) -> tuple[float, float]:
@@ -252,31 +252,28 @@ def check_complementarity(scn: Scenario, traj, cert: DualCertificate, tol: float
 
     First: eta_j weighted by the positive part of the pair gap
     `scn.pair_gaps` (the model's own contact geometry: Euclidean disk
-    distance for the robots, order gap for the pedestrians), so eta must
-    vanish where the pair is strictly apart.  Second: eta_j
-    weighted by |<a_j, q> - c_j| (positive eta pins q to the constraint
-    surface).  Both include t = T through the terminal eta.
+    distance for the robots, order gap for the pedestrians) at both ends
+    and the midpoint of each interval, so eta must vanish where the pair is
+    strictly apart.  Second: eta_j weighted by |<a_j, q> - c_j| (positive
+    eta pins q to the constraint surface).  Both include t = T through the
+    terminal eta.
     """
     path = as_path(traj)
     C = scn.sweeping_set()
-    useries = StepFunction.constant(path.horizon, np.zeros(1))
-    grid = _union_grid(path, cert, useries)
-    r_slack = 0.0
-    r_dual = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        tm = 0.5 * (a + b)
-        eta = cert.eta.value(tm)
-        q = cert.q.value(tm)
-        for t_eval in (a, tm, b):
-            slack = scn.pair_gaps(path.value(t_eval))
-            r_slack = max(r_slack, float(np.max(eta * np.maximum(0.0, slack - tol))))
-        r_dual = max(r_dual, float(np.max(eta * np.abs(C.normals @ q - C.offsets))))
-    slack_T = scn.pair_gaps(path.terminal)
-    r_slack = max(r_slack, float(np.max(cert.eta_terminal * np.maximum(0.0, slack_T - tol))))
-    r_dual = max(
-        r_dual, float(np.max(cert.eta_terminal * np.abs(C.normals @ cert.q_at_T() - C.offsets)))
-    )
-    return r_slack, r_dual
+    grid = _union_grid(path, cert)
+    tm = _midpoints(grid)
+    eta = cert.eta.value(tm)
+    # Gaps at t_0, m_0, t_1, m_1, ..., t_N: interval k sees rows 2k, 2k + 1 and 2k + 2.
+    points = np.empty(2 * grid.size - 1)
+    points[0::2], points[1::2] = grid, tm
+    apart = np.maximum(0.0, scn.pair_gaps(path.value(points)) - tol)
+    apart = np.maximum(np.maximum(apart[:-2:2], apart[1::2]), apart[2::2])
+    apart_T = np.maximum(0.0, scn.pair_gaps(path.terminal) - tol)
+    r_slack = max(np.max(eta * apart, initial=0.0), np.max(cert.eta_terminal * apart_T))
+    off_surface = np.abs(cert.q.value(tm) @ C.normals.T - C.offsets)
+    off_surface_T = np.abs(C.normals @ cert.q_at_T() - C.offsets)
+    r_dual = max(np.max(eta * off_surface, initial=0.0), np.max(cert.eta_terminal * off_surface_T))
+    return float(r_slack), float(r_dual)
 
 
 def check_adjoint(scn: Scenario, cert: DualCertificate) -> float:
@@ -288,30 +285,21 @@ def check_adjoint(scn: Scenario, cert: DualCertificate) -> float:
 def check_measure_link(cert: DualCertificate) -> float:
     """Max over breakpoints (atom times excluded) of ||q(t) - p(t) + gamma([t, T])||."""
     times = np.unique(np.concatenate([cert.q.times, cert.p.times]))
-    worst = 0.0
-    for t in times:
-        if cert.is_atom_time(t):
-            continue
-        r = cert.q.value(t) - cert.p.value(t) + cert.gamma_tail(t)
-        worst = max(worst, float(np.linalg.norm(r)))
-    return worst
+    times = times[~cert.is_atom_time(times)]
+    r = cert.q.value(times) - cert.p.value(times) + cert.gamma_tail(times)
+    return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
 
 def check_maximization(scn: Scenario, cert: DualCertificate, u, traj) -> float:
-    """Sup over intervals of max_U <psi, u> - <psi, u(t)> with vertex enumeration,
-    where psi = (dg/du)^T q is the scenario's `drive_adjoint`."""
+    """Sup over intervals of max_U <psi, u> - <psi, u(t)>, where psi = (dg/du)^T q
+    is the scenario's `drive_adjoint`."""
     path = as_path(traj)
     useries = as_step_series(u, path.horizon)
     contact = contact_switch_time(scn, path.times, path.states)
-    grid = _union_grid(path, cert, useries)
-    worst = 0.0
-    for a, b in zip(grid[:-1], grid[1:]):
-        tm = 0.5 * (a + b)
-        psi = scn.drive_adjoint(cert.q.value(tm), tm, contact)
-        best, _ = scn.control_set.maximize_linear(psi)
-        gap = best - float(psi @ useries.value(tm))
-        worst = max(worst, max(gap, 0.0))
-    return worst
+    tm = _midpoints(_union_grid(path, cert, useries.times))
+    psi = scn.drive_adjoint(cert.q.value(tm), tm, contact)
+    best, _ = scn.control_set.maximize_linear(psi)
+    return float(np.max(best - np.sum(psi * useries.value(tm), axis=1), initial=0.0))
 
 
 def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
@@ -319,16 +307,11 @@ def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[fl
     terminal cone membership (nonnegative coefficients supported on contact rows)."""
     path = as_path(traj)
     C = scn.sweeping_set()
-    xT = path.terminal
-    active = scn.contact_rows(xT, CONTACT_TOL)
-    combo = C.normals.T @ cert.eta_terminal
-    r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + combo))
-    inactive = np.setdiff1d(np.arange(C.nrows), active)
-    r8 = 0.0
-    if inactive.size:
-        r8 = max(r8, float(np.max(cert.eta_terminal[inactive])))
-    r8 = max(r8, float(np.max(np.maximum(-cert.eta_terminal, 0.0), initial=0.0)))
-    return r7, r8
+    xT, eta_T = path.terminal, cert.eta_terminal
+    r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + C.normals.T @ eta_T))
+    inactive = np.abs(scn.pair_gaps(xT)) > CONTACT_TOL
+    r8 = max(np.max(eta_T[inactive], initial=0.0), np.max(-eta_T, initial=0.0))
+    return r7, float(r8)
 
 
 def check_nontriviality(cert: DualCertificate, tol: float = 1e-12) -> bool:
@@ -340,13 +323,8 @@ def check_nontriviality(cert: DualCertificate, tol: float = 1e-12) -> bool:
 def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     """Number of atoms at times t < T where no constraint is in contact."""
     path = as_path(traj)
-    bad = 0
-    for t, _ in cert.gamma_atoms:
-        if t >= path.horizon - ATOM_TIME_TOL:
-            continue
-        if scn.contact_rows(path.value(t), CONTACT_TOL).size == 0:
-            bad += 1
-    return bad
+    t = cert.atom_times[cert.atom_times < path.horizon - ATOM_TIME_TOL]
+    return int(np.sum(np.all(np.abs(scn.pair_gaps(path.value(t))) > CONTACT_TOL, axis=1)))
 
 
 def verify_certificate(

@@ -45,6 +45,11 @@ from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, 
 
 _ANGLE_TOL = 1e-9
 _TIE_TOL = 1e-9
+# How near (relative to max(1, |r|)) a control parameter r must be to its bound to count as
+# at that bound: exact data up to rounding, and the robot's published data, rounded to a few
+# digits (robot2's optimum r = -1.68359 stands for the bound -1.685).
+_BOUND_RTOL = 1e-9
+_PUBLISHED_BOUND_RTOL = 2e-3
 
 
 class UnsupportedScenarioError(ValueError):
@@ -400,25 +405,25 @@ def _step(times: list[float], values: list[np.ndarray]) -> StepFunction:
     return StepFunction(np.array(times), np.array(values))
 
 
-def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
+def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray, rtol: float) -> np.ndarray:
     """Control-gradient vector for the free phase of a generated certificate.
 
-    The source convention psi = u is kept whenever it (approximately)
-    maximizes at the optimal control -- exact at vertices and endpoints,
-    and within the rounded-data tolerance for near-boundary optima.  For a
-    genuinely interior optimum the maximization condition forces psi to be
-    neutral: zero link component on a segment, zero on off-bound box
-    coordinates.
+    The source convention psi = u maximizes at the optimal control exactly
+    when each coordinate (the link parameter r of a segment) sits at the
+    bound its sign points to, within `rtol` * max(1, |r|).  Those coordinates
+    keep psi = u.  Elsewhere the optimum is interior and the maximization
+    condition forces psi to be neutral: zero link component on a segment,
+    zero on a box coordinate.
     """
-    best, _ = U.maximize_linear(u_opt)
-    if best - float(u_opt @ u_opt) <= 0.04:
-        return u_opt
     if U.kind == "segment":
-        k = U.link
-        return u_opt - (float(u_opt @ k) / float(k @ k)) * k
-    at_hi = (u_opt >= U.hi - 1e-12) & (u_opt > 0)
-    at_lo = (u_opt <= U.lo + 1e-12) & (u_opt < 0)
-    return np.where(at_hi | at_lo, u_opt, 0.0)
+        r, lo, hi = U.parameter_of(u_opt), U.rlo, U.rhi
+    else:
+        r, lo, hi = u_opt, U.lo, U.hi
+    tol = rtol * np.maximum(1.0, np.abs(r))
+    at_bound = ((r > 0.0) & (r >= hi - tol)) | ((r < 0.0) & (r <= lo + tol))
+    if U.kind == "box":
+        return np.where(at_bound, u_opt, 0.0)
+    return u_opt if at_bound else u_opt - r * U.link
 
 
 def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -> DualCertificate:
@@ -452,7 +457,7 @@ def _robot_certificate(
     t1, eta1 = case.t1, case.eta1
     # Pre-contact q from the maximization condition: psi_i = s_i cos(th)
     # (q_i1 + q_i2), mass on the second slot.
-    psi = _pre_contact_psi(scn.control_set, u)
+    psi = _pre_contact_psi(scn.control_set, u, _PUBLISHED_BOUND_RTOL)
     q_pre = np.zeros(4)
     q_pre[1] = psi[0] / (s[0] * math.cos(th_pre))
     q_pre[3] = psi[1] / (s[1] * math.cos(th_pre))
@@ -529,7 +534,7 @@ def _solve_ped_pair(scn: PedestrianScenario) -> ReducedSolution:
 
     # Certificate: maximization-derived q before contact; on the arc q sits
     # on the constraint surface and is neutral for the segment direction.
-    q_pre = _pre_contact_psi(U, u_opt) / s
+    q_pre = _pre_contact_psi(U, u_opt, _BOUND_RTOL) / s
     denom = s[0] * k[0] + s[1] * k[1]
     q1 = -2.0 * scn.R * s[1] * k[1] / denom
     q_arc = np.array([q1, -(s[0] * k[0] / (s[1] * k[1])) * q1])
@@ -808,11 +813,7 @@ def _tracking_penalty(reference, mesh: Mesh, traj: Trajectory, u: ControlSignal)
     """Mesh approximation of the squared deviations from a reference pair."""
     ref_path, ref_u = reference
     h = mesh.h
-    mids = mesh.nodes[:-1] + 0.5 * h
-    # The reference path's segment at each midpoint, as PiecewisePath.segment_of picks it.
-    k = np.clip(np.searchsorted(ref_path.times, mids, side="right") - 1, 0, ref_path.states.shape[0] - 2)
-    ref_vel = np.diff(ref_path.states, axis=0)[k] / np.diff(ref_path.times)[k, None]
-    dv = (traj.velocities() - ref_vel).ravel()
+    dv = (traj.velocities() - ref_path.velocity(mesh.nodes[:-1] + 0.5 * h)).ravel()
     du = (u.values - np.asarray(ref_u, dtype=float)).ravel()
     v_pen = 0.5 * h * float(dv @ dv)
     u_pen = 0.5 * h * float(du @ du)
@@ -827,5 +828,4 @@ def _tracking_penalty(reference, mesh: Mesh, traj: Trajectory, u: ControlSignal)
 def sample_path(path: PiecewisePath, mesh: Mesh) -> tuple[np.ndarray, np.ndarray]:
     """Path values on the union of mesh nodes and path breakpoints."""
     times = np.unique(np.concatenate([mesh.nodes, path.times]))
-    states = np.array([path.value(t) for t in times])
-    return times, states
+    return times, path.value(times)

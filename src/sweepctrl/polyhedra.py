@@ -9,7 +9,7 @@ exact on the small dense problems met here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 from scipy.optimize import nnls
@@ -25,7 +25,21 @@ class ProjectionError(RuntimeError):
     """Projection failed: the polyhedron is empty, or NNLS hit its iteration cap."""
 
 
-@dataclass(frozen=True)
+def _same(a, b) -> bool:
+    if isinstance(a, tuple):
+        return isinstance(b, tuple) and len(a) == len(b) and all(map(_same, a, b))
+    return bool(np.array_equal(a, b))
+
+
+def _same_fields(a, b):
+    """Value equality of two dataclass instances of one type: arrays by np.array_equal,
+    tuples item by item, nested value objects by their own `==`."""
+    if type(a) is not type(b):
+        return NotImplemented
+    return all(_same(getattr(a, f.name), getattr(b, f.name)) for f in fields(a))
+
+
+@dataclass(frozen=True, eq=False)
 class Polyhedron:
     """The set {x in R^dim : normals @ x <= offsets} with s >= 1 rows."""
 
@@ -46,6 +60,8 @@ class Polyhedron:
             raise ValueError("zero normal vector in row %d" % int(np.argmin(row_norms)))
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
+
+    __eq__ = _same_fields
 
     @property
     def dim(self) -> int:

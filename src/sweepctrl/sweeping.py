@@ -7,19 +7,20 @@ per-step linearized noncollision set for the planar robot model.  States
 are piecewise linear between mesh nodes, controls piecewise constant.
 
 One loop serves both models through the `models.Scenario` interface:
-`drive` gives g, `constraint_rows` gives K(x), `pair_gaps` finds contacts
-and `drive_adjoint` serves the optimality checks.
+`drive` gives g for every interval at once (from the `headings` hook),
+`constraint_rows` gives K(x), `pair_gaps` finds contacts and `free_run`
+says how far a repeating step may be filled.  `recover_eta` reads the
+contact rows of every node from one `pair_gaps` call.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Scenario
-from .polyhedra import Polyhedron, decompose_on_rows, project_raw, project_with_working_set
+from .models import CONTACT_TOL, Scenario
+from .polyhedra import Polyhedron, _same_fields, decompose_on_rows, project_raw, project_with_working_set
 
 MESH_EXP_MAX = 24  # step underflow guard
 STEP_TOL = 1e-12  # a free step violating K(x) by no more than this is kept unprojected
@@ -51,7 +52,7 @@ class Mesh:
         return np.linspace(0.0, self.T, self.intervals + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ControlSignal:
     """One control value per mesh interval."""
 
@@ -66,13 +67,15 @@ class ControlSignal:
             )
         object.__setattr__(self, "values", values)
 
+    __eq__ = _same_fields
+
     @staticmethod
     def constant(mesh: Mesh, u) -> "ControlSignal":
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return ControlSignal(mesh, np.tile(u, (mesh.intervals, 1)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Piecewise-linear state path through the mesh nodes."""
 
@@ -84,6 +87,8 @@ class Trajectory:
         if nodes.shape[0] != self.mesh.intervals + 1:
             raise ValueError("node count must be 2^m + 1")
         object.__setattr__(self, "nodes", nodes)
+
+    __eq__ = _same_fields
 
     @property
     def times(self) -> np.ndarray:
@@ -98,7 +103,7 @@ class Trajectory:
         return np.diff(self.nodes, axis=0) / self.mesh.h
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EtaProfile:
     """Per-interval normal-cone coefficients recovered from a trajectory.
 
@@ -117,6 +122,8 @@ class EtaProfile:
         if np.any(self.values < 0) or np.any(self.terminal < 0):
             raise ValueError("coefficients must be nonnegative")
 
+    __eq__ = _same_fields
+
     def max_residual(self) -> float:
         return float(np.max(self.residuals)) if self.residuals.size else 0.0
 
@@ -134,23 +141,22 @@ def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> n
 def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     """Run the catch-up scheme from scn.x0 under the piecewise-constant control.
 
-    Two steps in a row with one support W fix the step map while the drive
-    stays: the node keeps the last increment for as many steps as
-    `scn.free_run` allows, filled by one cumulative sum (the loop's additions).
+    The free increments h*g of all intervals come from one `drive` call; a
+    robot whose heading switches at the first contact recomputes them from
+    its contact node on.  Two steps in a row with one support W fix the step
+    map while the drive stays: the node keeps the last increment for as many
+    steps as `scn.free_run` allows, filled by one cumulative sum (the loop's
+    additions).
     """
     mesh = u.mesh
     if abs(mesh.T - scn.horizon) > 1e-12 * max(1.0, scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
-    # A run of equal controls needs one check, at the interval where it starts.
     values = u.values
-    starts = np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)])
-    for k in starts:
-        msg = scn.control_set.violation_message(values[k])
-        if msg is not None:
-            raise ValueError(f"control value on interval {k} outside the admissible set: {msg}")
+    starts = scn.control_set.check_rows(values)
     h = mesh.h
     times = mesh.nodes
     K = mesh.intervals
+    steps = h * scn.drive(values, times[:-1])
     if scn.switch_time is not None:  # the drive also changes at the first node past the switch
         starts = np.union1d(starts, np.searchsorted(times[:-1], scn.switch_time))
     # ends[k]: the interval where the run of equal drives holding interval k ends.
@@ -159,14 +165,14 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
     x = nodes[0] = scn.x0
-    drive, constraint_rows = scn.drive, scn.constraint_rows  # bound once: a step takes microseconds
+    constraint_rows = scn.constraint_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
     k = 0
     while k < K:
-        tk = times[k]
         if track and contact is None and scn.contact_rows(x).size:
-            contact = tk
-        step = h * drive(values[k], tk, contact)
+            contact = times[k]
+            steps[k:] = h * scn.drive(values[k:], times[k:-1], contact)
+        step = steps[k]
         xn, W = project_raw(*constraint_rows(x), x + step, tol=STEP_TOL)
         end, k = ends[k], k + 1
         nodes[k], W = xn, W.tolist()
@@ -210,9 +216,9 @@ def contact_times(traj: Trajectory, P: Polyhedron, tol: float) -> list[tuple[flo
 def contact_switch_time(scn: Scenario, times, states) -> float | None:
     """Time of the first node in contact, for a scenario whose drive switches there; else None."""
     if scn.switches_at_contact:
-        for t, x in zip(times, states):
-            if scn.contact_rows(x).size:
-                return float(t)
+        hits = np.flatnonzero(np.any(np.abs(scn.pair_gaps(states)) <= CONTACT_TOL, axis=1))
+        if hits.size:
+            return float(times[hits[0]])
     return None
 
 
@@ -227,16 +233,16 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     C = scn.sweeping_set()
     if traj.mesh.intervals != u.mesh.intervals or abs(traj.mesh.T - u.mesh.T) > 1e-12:
         raise ValueError("trajectory and control live on different meshes")
+    scn.control_set.check_rows(u.values)
     times = traj.times
-    vel = traj.velocities()
     K = traj.mesh.intervals
     values = np.zeros((K, C.nrows))
     residuals = np.zeros(K)
     contact = contact_switch_time(scn, times, traj.nodes)
+    defects = scn.drive(u.values, times[:-1], contact) - traj.velocities()
+    in_contact = np.abs(scn.pair_gaps(traj.nodes[1:])) <= CONTACT_TOL
     for k in range(K):
-        g = scn.g(traj.nodes[k], u.values[k], times[k], contact)
-        rows = scn.contact_rows(traj.nodes[k + 1])
-        dec = decompose_on_rows(C, rows, g - vel[k])
+        dec = decompose_on_rows(C, np.flatnonzero(in_contact[k]), defects[k])
         for j, val in dec.coefficients.items():
             values[k, j] = val
         residuals[k] = dec.residual
@@ -244,12 +250,8 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
 
 
 # ---------------------------------------------------------------------------
-# Trajectory CSV (deterministic, 12 significant digits)
+# Trajectory CSV (deterministic, shortest digits that read back exactly)
 # ---------------------------------------------------------------------------
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.12g}"
 
 
 def trajectory_csv(
@@ -260,31 +262,24 @@ def trajectory_csv(
     eta_terminal: np.ndarray | None = None,
 ) -> str:
     """Rows of t, x1.., u1.., eta1..; controls and etas come from the interval
-    to the right of each node, with the final row repeating the terminal values."""
+    to the right of each node, with the final row repeating the terminal values.
+    Each number is the shortest text that reads back as the same float."""
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     rows = times.shape[0]
     cols = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
+    blocks = [times[:, None], states]
     if controls is not None:
         controls = np.atleast_2d(np.asarray(controls, dtype=float))
         cols += [f"u{i + 1}" for i in range(controls.shape[1])]
+        blocks.append(controls[np.minimum(np.arange(rows), controls.shape[0] - 1)])
     if etas is not None:
         etas = np.atleast_2d(np.asarray(etas, dtype=float))
         cols += [f"eta{i + 1}" for i in range(etas.shape[1])]
-    buf = io.StringIO()
-    buf.write(",".join(cols) + "\n")
-    for k in range(rows):
-        cells = [_fmt(times[k])] + [_fmt(v) for v in states[k]]
-        if controls is not None:
-            cells += [_fmt(v) for v in controls[min(k, controls.shape[0] - 1)]]
-        if etas is not None:
-            if k < etas.shape[0]:
-                row = etas[k]
-            else:
-                row = eta_terminal if eta_terminal is not None else etas[-1]
-            cells += [_fmt(v) for v in row]
-        buf.write(",".join(cells) + "\n")
-    return buf.getvalue()
+        last = etas[-1] if eta_terminal is None else np.asarray(eta_terminal, dtype=float)
+        blocks.append(np.vstack([etas[:rows], np.tile(last, (max(rows - etas.shape[0], 0), 1))]))
+    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in np.hstack(blocks).tolist()]
+    return "\n".join(lines) + "\n"
 
 
 def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:

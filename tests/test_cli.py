@@ -103,6 +103,30 @@ class TestSolveReduced:
         )
         assert code == 0
 
+    def test_round_trip_next_to_a_contact_time(self, tmp_path, capsys):
+        # The contact time falls a hair from a mesh node at m = 9: a rounded
+        # CSV turns the sliver interval into a velocity error above 1e-6.
+        text = bundled_scenario_path("pedestrian2.scn").read_text()
+        text = text.replace("R = 3", "R = 2.962869875173863")
+        text = text.replace("x0 = -60 -48", "x0 = -60.46337872690717 -48.46337872690717")
+        scn = tmp_path / "variant.scn"
+        scn.write_text(text)
+        assert main(["solve-reduced", str(scn), "--mesh-exp", "9", "--out", str(tmp_path)]) == 0
+        code = main(
+            [
+                "verify",
+                str(scn),
+                "--certificate",
+                str(tmp_path / "certificate.json"),
+                "--trajectory",
+                str(tmp_path / "trajectory.csv"),
+                "--tol=1e-6",
+                "--out",
+                str(tmp_path),
+            ]
+        )
+        assert code == 0, capsys.readouterr().out
+
     def test_solution_json_contents(self, tmp_path):
         main(["solve-reduced", PED3, "--out", str(tmp_path)])
         payload = json.loads((tmp_path / "solution.json").read_text())

@@ -105,6 +105,33 @@ class TestPerturbationMaps:
         scn = pedestrian_three()
         assert np.allclose(pedestrian_g(scn, np.array([2.0, 2.0, 2.0])), [16.0, 8.0, 4.0])
 
+    @pytest.mark.parametrize("switch_at", ["2.0", "contact"])
+    def test_headings_switch_at_the_switch_time_and_agree_with_theta(self, switch_at):
+        scn = parse_scenario_text(
+            "model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 5 5\nspeeds = 1 1\n"
+            f"angles_deg = 0 225\nangles_deg_post = 90 45\nswitch_at = {switch_at}\n"
+            "control.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+        )
+        contact = 2.0 if switch_at == "contact" else None
+        times = np.array([0.0, np.nextafter(2.0, 0.0), 2.0, 5.0])
+        H = scn.headings(times, contact)
+        for t, h, post in zip(times, H, (False, False, True, True)):
+            th = scn.theta(t, contact)
+            assert np.array_equal(th, scn.angles_post if post else scn.angles)
+            assert np.array_equal(h, np.stack([np.cos(th), np.sin(th)], axis=1))
+            assert np.array_equal(scn.headings(t, contact), h)
+
+    @pytest.mark.parametrize("name", ["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"])
+    def test_drive_over_arrays_is_the_per_row_drive_and_its_adjoint_the_transpose(self, name):
+        scn = bundled_scenario(name)
+        rng = np.random.default_rng(3)
+        U, Q, times = rng.standard_normal((6, scn.n)), rng.standard_normal((6, scn.state_dim)), np.linspace(0, 6, 6)
+        G, psi = scn.drive(U, times), scn.drive_adjoint(Q, times)
+        for u, q, t, g, p in zip(U, Q, times, G, psi):
+            assert np.array_equal(scn.drive(u, t), g)
+            assert np.array_equal(scn.drive_adjoint(q, t), p)
+            assert float(q @ g) == pytest.approx(float(p @ u), rel=1e-12, abs=1e-12)
+
     def test_control_outside_set_rejected(self):
         scn = pedestrian_two()
         with pytest.raises(ValueError, match="outside"):

@@ -1,11 +1,14 @@
 """Necessary-condition residual checks against hand-built worked certificates."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sweepctrl.models import bundled_scenario
+from sweepctrl.models import bundled_scenario, bundled_scenario_path, parse_scenario_text
 from sweepctrl.optimality import (
     DualCertificate,
     PiecewisePath,
@@ -21,7 +24,10 @@ from sweepctrl.optimality import (
     check_primal,
     check_transversality,
     verify_certificate,
+    _union_grid,
 )
+from sweepctrl.polyhedra import Polyhedron
+from sweepctrl.sweeping import ControlSignal, EtaProfile, Mesh, Trajectory, contact_switch_time, simulate
 
 T1_PED2 = 5.0 / 9.0
 
@@ -114,6 +120,15 @@ class TestPrimal:
         bad = dataclasses.replace(cert, eta=StepFunction(cert.eta.times, bad_vals))
         r = check_primal(ped2(), ped2_path(), np.array([1.8, 1.8]), bad)
         assert r == pytest.approx(np.sqrt(2.0), abs=1e-9)
+
+    def test_control_piece_inside_one_path_segment_is_checked(self):
+        # The path rests, so only the short burst of control on [2, 2.001) leaves a defect g.
+        path = PiecewisePath(np.array([0.0, 6.0]), np.array([[-60.0, -48.0], [-60.0, -48.0]]))
+        cert = dataclasses.replace(
+            ped2_certificate(), eta=StepFunction.constant(6.0, np.zeros(1)), eta_terminal=np.zeros(1)
+        )
+        u = StepFunction(np.array([0.0, 2.0, 2.001, 6.0]), np.array([[0.0, 0.0], [1.8, 1.8], [0.0, 0.0]]))
+        assert check_primal(ped2(), path, u, cert) == pytest.approx(np.hypot(14.4, 3.6), rel=1e-12)
 
 
 class TestComplementarity:
@@ -351,3 +366,154 @@ class TestSerialization:
         assert len(back.gamma_atoms) == 2
         rep = verify_certificate(ped2(), ped2_path(), np.array([1.8, 1.8]), back)
         assert rep.passed
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_json_round_trip_compares_equal(self, data):
+        finite = st.floats(-1e6, 1e6, allow_nan=False)
+        dim = data.draw(st.integers(1, 3))
+
+        def step():
+            k = data.draw(st.integers(1, 3))
+            gaps = data.draw(st.lists(st.floats(1e-3, 10.0), min_size=k, max_size=k))
+            values = data.draw(st.lists(finite, min_size=k * dim, max_size=k * dim))
+            return StepFunction(np.concatenate([[0.0], np.cumsum(gaps)]), np.reshape(values, (k, dim)))
+
+        p = step()
+        T = float(p.times[-1])
+        atoms = data.draw(st.lists(st.tuples(st.floats(0.0, T), st.lists(finite, min_size=dim, max_size=dim)), max_size=3))
+        cert = DualCertificate(
+            lam=data.draw(st.floats(0.0, 10.0)),
+            eta=StepFunction(p.times, np.abs(p.values)),
+            eta_terminal=np.abs(data.draw(st.lists(finite, min_size=dim, max_size=dim))),
+            p=p,
+            q=step(),
+            gamma_atoms=tuple((t, np.array(v)) for t, v in atoms),
+        )
+        back = certificate_from_dict(json.loads(json.dumps(certificate_to_dict(cert))))
+        assert back == cert
+
+
+def _builds():
+    """(build, changed build) pairs: equal builds compare equal, a changed field unequal."""
+    mesh = Mesh(6.0, 3)
+    times = np.array([0.0, 1.0, 6.0])
+    states = np.array([[0.0, 4.0], [1.0, 5.0], [2.0, 9.0]])
+    cert = ped2_certificate
+    return {
+        "Polyhedron": (lambda: Polyhedron(np.eye(2), np.ones(2)), lambda: Polyhedron(np.eye(2), np.array([1.0, 2.0]))),
+        "ControlSignal": (
+            lambda: ControlSignal.constant(mesh, [1.0, 1.0]),
+            lambda: ControlSignal.constant(mesh, [1.0, 0.5]),
+        ),
+        "Trajectory": (
+            lambda: Trajectory(mesh, np.zeros((9, 2))),
+            lambda: Trajectory(Mesh(6.0, 3), np.ones((9, 2))),
+        ),
+        "PiecewisePath": (lambda: PiecewisePath(times, states), lambda: PiecewisePath(times, states + 1.0)),
+        "StepFunction": (
+            lambda: StepFunction(times, states[:2]),
+            lambda: StepFunction(np.array([0.0, 2.0, 6.0]), states[:2]),
+        ),
+        "EtaProfile": (
+            lambda: EtaProfile(times, states[:2], states[1], np.zeros(2)),
+            lambda: EtaProfile(times, states[:2], states[1], np.array([0.0, 1e-3])),
+        ),
+        "DualCertificate": (
+            cert,
+            lambda: dataclasses.replace(
+                cert(), gamma_atoms=(cert().gamma_atoms[0], (6.0, cert().gamma_atoms[1][1] + 1.0))
+            ),
+        ),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_builds()))
+def test_value_equality(kind):
+    build, changed = _builds()[kind]
+    assert build() == build()
+    assert not build() != build()
+    assert build() != changed()
+    assert build() != object()
+
+
+def loop_residuals(scn, path, u, cert, tol=1e-9):
+    """Checks 1, 2/3, 5, 6, 8 and nonatomicity as per-interval loops: the reference
+    for the array-valued checks (one time per call, vertex enumeration for the max)."""
+    C = scn.sweeping_set()
+    contact = contact_switch_time(scn, path.times, path.states)
+    r1 = r2 = r3 = r5 = r6 = r8 = 0.0
+    grid = _union_grid(path, cert, u.times)
+    for a, b in zip(grid[:-1], grid[1:]):
+        tm = 0.5 * (a + b)
+        g = scn.drive(u.value(tm), tm, contact)
+        r1 = max(r1, float(np.linalg.norm(path.velocity(tm) + C.normals.T @ cert.eta.value(tm) - g)))
+        psi = scn.drive_adjoint(cert.q.value(tm), tm, contact)
+        r6 = max(r6, float(np.max(scn.control_set.vertices() @ psi)) - float(psi @ u.value(tm)))
+    grid = _union_grid(path, cert)
+    for a, b in zip(grid[:-1], grid[1:]):
+        eta = cert.eta.value(0.5 * (a + b))
+        for t in (a, 0.5 * (a + b), b):
+            r2 = max(r2, float(np.max(eta * np.maximum(0.0, scn.pair_gaps(path.value(t)) - tol))))
+        r3 = max(r3, float(np.max(eta * np.abs(C.normals @ cert.q.value(0.5 * (a + b)) - C.offsets))))
+    r2 = max(r2, float(np.max(cert.eta_terminal * np.maximum(0.0, scn.pair_gaps(path.terminal) - tol))))
+    r3 = max(r3, float(np.max(cert.eta_terminal * np.abs(C.normals @ cert.q_at_T() - C.offsets))))
+    for t in np.unique(np.concatenate([cert.q.times, cert.p.times])):
+        if not any(abs(t - s) <= 1e-12 for s, _ in cert.gamma_atoms):
+            tail = sum((v for s, v in cert.gamma_atoms if s >= t - 1e-12), np.zeros(cert.p.dim))
+            r5 = max(r5, float(np.linalg.norm(cert.q.value(t) - cert.p.value(t) + tail)))
+    active = scn.contact_rows(path.terminal)
+    for j, e in enumerate(cert.eta_terminal):
+        r8 = max(r8, -e, 0.0 if j in active else e)
+    bad = sum(1 for s, _ in cert.gamma_atoms if s < path.horizon - 1e-12 and not scn.contact_rows(path.value(s)).size)
+    return {"1-primal": r1, "2-complementarity": r2, "3-dual-surface": r3, "5-measure-link": r5,
+            "6-maximization": r6, "8-terminal-cone": r8, "nonatomicity": float(bad)}
+
+
+def random_certificate(rng, T, dim, rows):
+    """Dual data with random breakpoints, values and atoms: every residual is nonzero."""
+    def step(d, scale=1.0):
+        times = np.concatenate([[0.0], np.sort(rng.uniform(0.0, T, 3)), [T]])
+        return StepFunction(times, scale * rng.standard_normal((4, d)))
+
+    eta = step(rows)
+    atoms = tuple((float(t), rng.standard_normal(dim)) for t in (*rng.uniform(0.0, T, 2), T))
+    return DualCertificate(lam=1.0, eta=StepFunction(eta.times, np.abs(eta.values)),
+                           eta_terminal=np.abs(rng.standard_normal(rows)), p=step(dim), q=step(dim),
+                           gamma_atoms=atoms)
+
+
+SWITCHING_ROBOTS = (
+    "model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 5 5\nspeeds = 1 1\nangles_deg = 45 45\n"
+    "angles_deg_post = 90 90\nswitch_at = {}\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "text,control",
+    [(bundled_scenario_path(f).read_text(), None) for f in ("robot2.scn", "pedestrian2.scn", "pedestrian3.scn")]
+    + [(SWITCHING_ROBOTS.format(s), [1.0, -0.5]) for s in ("contact", "2.5")],  # in contact from t = 3.4
+)
+def test_array_checks_match_the_interval_loops(text, control):
+    scn = parse_scenario_text(text)
+    rng = np.random.default_rng(5)
+    U = scn.control_set
+    mesh = Mesh(scn.horizon, 6)
+    if control is not None:
+        values = np.tile(control, (8, 1))
+    elif U.kind == "box":
+        values = U.lo + (U.hi - U.lo) * rng.random((8, U.dim))
+    else:
+        values = (U.rlo + (U.rhi - U.rlo) * rng.random(8))[:, None] * U.link
+    u = ControlSignal(mesh, np.repeat(values, mesh.intervals // 8, axis=0))
+    path = PiecewisePath.from_trajectory(simulate(scn, u))
+    # Control breakpoints off the mesh, so the union grid has intervals of its own.
+    series = StepFunction(np.r_[0.0, np.sort(rng.uniform(0.0, scn.horizon, 4)), scn.horizon], values[:5])
+    for _ in range(3):
+        cert = random_certificate(rng, scn.horizon, scn.state_dim, scn.sweeping_set().nrows)
+        report = verify_certificate(scn, path, series, cert)
+        for name, want in loop_residuals(scn, path, series, cert).items():
+            assert report.entry(name).residual == pytest.approx(want, rel=1e-13, abs=1e-13), name
+        times = np.r_[cert.atom_times, cert.q.times]  # atom times included: gamma([t, T]) holds the atom at t
+        tails = [sum((v for s, v in cert.gamma_atoms if s >= t - 1e-12), np.zeros(cert.p.dim)) for t in times]
+        assert np.allclose(cert.gamma_tail(times), tails, rtol=1e-13, atol=1e-13)

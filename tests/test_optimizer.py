@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from sweepctrl.models import ControlSet, PedestrianScenario, RobotScenario, bundled_scenario, parse_scenario_text
+from sweepctrl.models import (
+    ControlSet,
+    PedestrianScenario,
+    RobotScenario,
+    bundled_scenario,
+    bundled_scenario_path,
+    parse_scenario_text,
+)
 from sweepctrl.optimality import verify_certificate
 from sweepctrl.optimizer import (
     DiscreteSolution,
@@ -277,6 +284,19 @@ class TestSolveReducedPedestrianPair:
         assert sol.verification.passed
         traj = simulate(scn, ControlSignal.constant(Mesh(6.0, 10), sol.control))
         assert np.allclose(traj.terminal, sol.path.terminal, atol=1e-9)
+
+
+    def test_interior_optimum_near_the_bound_gets_a_neutral_psi(self):
+        # u = 1.79828623 lies 1.7e-3 inside the bound 1.8: psi = u would not
+        # maximize there, so the free-phase psi must have no link component.
+        text = bundled_scenario_path("pedestrian2.scn").read_text()
+        text = text.replace("R = 3", "R = 0.9817003402013244")
+        text = text.replace("x0 = -60 -48", "x0 = -37.49912854852485 -32.56549130321504")
+        text = text.replace("speeds = 8 2", "speeds = 3.9912163647618644 2.5024309879776903")
+        sol = solve_reduced(parse_scenario_text(text))
+        assert sol.control[0] == pytest.approx(1.79828623, abs=1e-8)
+        assert sol.verification.entry("6-maximization").residual <= 1e-12
+        assert sol.verification.passed
 
 
 class TestSolveReducedPedestrianTriple:

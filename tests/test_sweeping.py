@@ -465,12 +465,30 @@ class TestCsv:
         header = text1.splitlines()[0]
         assert header == "t,x1,x2,u1,u2,eta1"
 
-    def test_twelve_significant_digits(self):
+    def test_shortest_exact_digits(self):
         text = trajectory_csv(np.array([0.0, 1.0 / 3.0]), np.array([[1e-7], [123456.789012345]]))
         lines = text.splitlines()
         assert lines[1].split(",")[1] == "1e-07"
-        assert lines[2].split(",")[0] == "0.333333333333"
-        assert lines[2].split(",")[1] == "123456.789012"
+        assert lines[2].split(",")[0] == "0.3333333333333333"
+        assert lines[2].split(",")[1] == "123456.789012345"
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(
+            lambda rows: st.tuples(
+                *(
+                    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=rows * w, max_size=rows * w)
+                    for w in (1, 2, 3, 1)
+                )
+            )
+        )
+    )
+    def test_round_trip_is_bit_exact(self, cols):
+        rows = len(cols[0])
+        times, states, controls, etas = (np.reshape(c, (rows, -1)) for c in cols)
+        back = read_trajectory_csv(trajectory_csv(times[:, 0], states, controls, etas[:-1], etas[-1]))
+        for key, want in (("times", times[:, 0]), ("states", states), ("controls", controls), ("etas", etas)):
+            assert back[key].tobytes() == want.tobytes(), key
 
 
 class TestControlCheck:
