@@ -65,10 +65,12 @@ class ControlSet:
         """Segment u = link * r where `bounds` constrains component `bound_on`."""
         link = np.asarray(link, dtype=float)
         blo, bhi = float(bounds[0]), float(bounds[1])
-        k = link[bound_on]
+        k = float(link[bound_on])
         if k == 0.0:
             raise ValueError("bound_on component has zero link coefficient")
-        rlo, rhi = sorted((blo / k, bhi / k))
+        rlo, rhi = sorted((blo / k, bhi / k))  # Python floats: an overflow gives inf, no warning
+        if not all(math.isfinite(r * c) for r in (rlo, rhi) for c in link.tolist()):
+            raise ValueError(f"segment end points {rlo:g} * link, {rhi:g} * link are not finite")
         return ControlSet(kind="segment", link=link, rlo=rlo, rhi=rhi)
 
     __eq__ = _same_fields

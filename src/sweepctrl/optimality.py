@@ -376,17 +376,30 @@ def certificate_to_dict(cert: DualCertificate) -> dict:
 
 
 def certificate_from_dict(d: dict) -> DualCertificate:
-    try:
-        return DualCertificate(
-            lam=float(d["lambda"]),
-            eta=StepFunction(np.array(d["eta_times"]), np.array(d["eta_values"])),
-            eta_terminal=np.array(d["eta_terminal"]),
-            p=StepFunction(np.array(d["p_times"]), np.array(d["p_values"])),
-            q=StepFunction(np.array(d["q_times"]), np.array(d["q_values"])),
-            gamma_atoms=tuple((float(t), np.array(v)) for t, v in d["gamma_atoms"]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"certificate is missing the field {exc}") from exc
+    """The certificate of a `certificate_to_dict` mapping; raises ValueError naming the
+    missing or malformed field."""
+    if not isinstance(d, dict):
+        raise ValueError(f"certificate must be a JSON object, got {type(d).__name__}")
+
+    def field(name: str, convert=lambda v: np.array(v, dtype=float)):
+        if name not in d:
+            raise ValueError(f"certificate is missing the field '{name}'")
+        try:
+            return convert(d[name])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"certificate field '{name}': {exc}") from exc
+
+    def step(name: str) -> StepFunction:
+        times, values = field(f"{name}_times"), field(f"{name}_values")
+        try:
+            return StepFunction(times, values)
+        except ValueError as exc:
+            raise ValueError(f"certificate fields '{name}_times', '{name}_values': {exc}") from exc
+
+    lam = field("lambda", float)
+    eta, eta_terminal, p, q = step("eta"), field("eta_terminal"), step("p"), step("q")
+    atoms = field("gamma_atoms", lambda v: tuple((float(t), np.array(a, dtype=float)) for t, a in v))
+    return DualCertificate(lam=lam, eta=eta, eta_terminal=eta_terminal, p=p, q=q, gamma_atoms=atoms)
 
 
 def save_certificate(cert: DualCertificate, path) -> None:

@@ -9,15 +9,22 @@ arc), and endpoint transversality.  The discrete path searches constant or
 piecewise-constant controls with the catch-up simulator as the dynamics
 oracle.
 
-Where the published robot analysis produces two algebraic branches with
-equal cost, both are kept: the presented branch (larger contact-time root,
-the one whose dual data the source analysis reports) carries the
-certificate, while the order-preserving branch is the one the simulator
-reproduces and is exposed for convergence comparisons.  For the
-three-pedestrian scenario the published arc trajectories carry the
-standing pre-contact multiplier alongside the refreshed one; the solution
-report reproduces those published values verbatim while the certified
-trajectory uses the internally consistent locked-train arc.
+Every two-agent scenario with a linked-segment control set goes through one
+pair template, written with the scenario's drive and sweeping row; the model
+family only supplies its contact roots y = t1 * eta1 (the robot's y
+quadratic, the pedestrians' half gap), the robot's heading checks and the
+tolerances of the robot's rounded published data.  A touching start (gap
+within CONTACT_TOL) has y = 0 and contact time exactly 0.  Each feasible
+root is one algebraic branch in `ReducedSolution.cases`.  Where the
+published robot analysis produces two branches with equal cost, both are
+kept: the presented branch (larger root, the one whose dual data the source
+analysis reports) carries the certificate, while the order-preserving branch
+is the one the simulator reproduces and is exposed for convergence
+comparisons.  For the three-pedestrian scenario the published arc
+trajectories carry the standing pre-contact multiplier alongside the
+refreshed one; the solution report reproduces those published values
+verbatim while the certified trajectory uses the internally consistent
+locked-train arc.
 """
 
 from __future__ import annotations
@@ -45,6 +52,8 @@ from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, 
 
 _ANGLE_TOL = 1e-9
 _TIE_TOL = 1e-9
+# How near a contact time must be to 0 or T to count as there.
+_TIME_TOL = 1e-12
 # How near (relative to max(1, |r|)) a control parameter r must be to its bound to count as
 # at that bound: exact data up to rounding, and the robot's published data, rounded to a few
 # digits (robot2's optimum r = -1.68359 stands for the bound -1.685).
@@ -104,7 +113,7 @@ def robot_contact_quadratic(scn: RobotScenario, u) -> list[float]:
         if disc < 0.0:
             return []
         roots = [(-b - math.sqrt(disc)) / (2 * a), (-b + math.sqrt(disc)) / (2 * a)]
-    return sorted(max(t, 0.0) for t in roots if -1e-12 <= t <= scn.T + 1e-12)
+    return sorted(max(t, 0.0) for t in roots if -_TIME_TOL <= t <= scn.T + _TIME_TOL)
 
 
 def robot_y_quadratic(scn: RobotScenario) -> list[float]:
@@ -151,7 +160,7 @@ def pedestrian_contact_time(
     if denom <= 0.0:
         return None
     t = numer / denom
-    return t if 0.0 < t <= scn.T + 1e-12 else None
+    return t if 0.0 < t <= scn.T + _TIME_TOL else None
 
 
 def pedestrian_velocity_match(scn: PedestrianScenario, u, row: int, eta_right=0.0, eta_left=0.0) -> float:
@@ -223,13 +232,10 @@ class ReducedSolution:
 
 def solve_reduced(scn: Scenario, q_free: float = 1.0) -> ReducedSolution:
     """Closed-form solution of a template scenario with its dual certificate."""
-    if isinstance(scn, RobotScenario):
-        return _solve_robot_pair(scn)
-    if isinstance(scn, PedestrianScenario):
-        if scn.n == 2:
-            return _solve_ped_pair(scn)
-        if scn.n == 3:
-            return _solve_ped_triple(scn, q_free)
+    if scn.n == 2:
+        return _solve_pair(scn)
+    if isinstance(scn, PedestrianScenario) and scn.n == 3:
+        return _solve_ped_triple(scn, q_free)
     raise UnsupportedScenarioError("no analytic template for this scenario; use solve_discrete")
 
 
@@ -250,151 +256,143 @@ def _quad_min_on_interval(a: float, b: float, lo: float, hi: float) -> float:
     return cands[int(np.argmin(vals))]
 
 
-def _ordering_preserved(states: np.ndarray) -> bool:
-    """Strict index ordering of both coordinates at every breakpoint (n = 2)."""
-    return bool(np.all(states[:, 2] > states[:, 0]) and np.all(states[:, 3] > states[:, 1]))
+def _ordering_preserved(n: int, states: np.ndarray) -> bool:
+    """Strict index ordering of every coordinate at every breakpoint."""
+    return bool(np.all(np.diff(states.reshape(len(states), n, -1), axis=1) > 0.0))
 
 
-def _solve_robot_pair(scn: RobotScenario) -> ReducedSolution:
-    if scn.n != 2:
-        raise UnsupportedScenarioError("analytic robot template needs n = 2")
-    U = scn.control_set
-    if U.kind != "segment":
-        raise UnsupportedScenarioError("analytic robot template needs a linked-segment control set")
-    if abs(scn.angles[0] - scn.angles[1]) > _ANGLE_TOL:
+def _pair_family(scn: Scenario) -> tuple[list[float], float, float, str]:
+    """What the pair template takes from the model family: the contact roots y = t1 * eta1
+    in increasing order, the bound tolerance of the free-phase psi, the verification
+    tolerance and the report key of eta1."""
+    if isinstance(scn, RobotScenario):
+        _check_robot_headings(scn)
+        return robot_y_quadratic(scn), _PUBLISHED_BOUND_RTOL, 0.05, "eta1"
+    return [0.5 * float(scn.pair_gaps(scn.x0)[0])], _BOUND_RTOL, 1e-6, "eta_t1"
+
+
+def _check_robot_headings(scn: RobotScenario) -> None:
+    """The robot contact quadratic identifies the pre-contact drift with the multiplier
+    through one diagonal direction, so both robots need it in both phases."""
+    post = scn.angles if scn.angles_post is None else scn.angles_post
+    if abs(scn.angles[0] - scn.angles[1]) > _ANGLE_TOL or abs(post[0] - post[1]) > _ANGLE_TOL:
         raise UnsupportedScenarioError("analytic robot template needs a common heading")
     th_pre = float(scn.angles[0])
     th_c = _contact_heading(scn)
-    if abs(math.cos(th_c) - math.sin(th_c)) > 1e-9:
+    if abs(math.cos(th_c) - math.sin(th_c)) > _ANGLE_TOL:
         raise UnsupportedScenarioError(
             "contact heading must satisfy cos = sin (diagonal push direction)"
         )
-    # The contact-geometry quadratic identifies the pre-contact drift with
-    # the multiplier through the same diagonal direction, so the analytic
-    # template needs matching headings in both phases.
-    if abs(math.cos(th_pre) - math.cos(th_c)) > 1e-9 or abs(math.sin(th_pre) - math.sin(th_c)) > 1e-9:
+    if abs(math.cos(th_pre) - math.cos(th_c)) > _ANGLE_TOL or abs(math.sin(th_pre) - math.sin(th_c)) > _ANGLE_TOL:
         raise UnsupportedScenarioError(
             "analytic robot template needs the same diagonal heading before and after contact"
         )
-    k = U.link
-    s = scn.speeds
-    T = scn.T
-    e1coef = 0.5 * (s[0] * k[0] - s[1] * k[1]) * math.cos(th_c)
-    if e1coef == 0.0:
+
+
+def _solve_pair(scn: Scenario) -> ReducedSolution:
+    """Two agents, one sweeping row a and a linked segment u = r * link.
+
+    The pair moves freely at r * v_pre until it touches at t1, then together at
+    r * v_arc - eta1 * a, where eta1 = e * r with e = <a, v_arc> / |a|^2 stops the row
+    from closing further.  Each contact root y = t1 * eta1 of the family pins
+    Z = y / e = t1 * r, so x(T; r) = A + B r with A = x0 + y a + Z (v_pre - v_arc) and
+    B = T (v_arc - e a), and the cost is a quadratic in r, minimized over the r with
+    eta1 > 0 and t1 <= T.  On (near) cost ties the larger root is kept: the branch whose
+    dual data the source analysis presents.
+    """
+    U = scn.control_set
+    if U.kind != "segment":
+        raise UnsupportedScenarioError("analytic pair template needs a linked-segment control set")
+    ys, bound_rtol, tol, eta_key = _pair_family(scn)
+    T, x0 = scn.T, scn.x0
+    if ys and abs(scn.pair_gaps(x0)[0]) <= CONTACT_TOL:
+        ys[0] = 0.0  # a touching start: contact from t = 0, whatever the rounding of its root
+    ys = [y for y in ys if y >= 0.0]
+    a = scn.sweeping_set().normals[0]
+    v_pre = scn.drive(U.link)
+    v_arc = scn.drive(U.link, T, 0.0)
+    e = float(a @ v_arc) / float(a @ a)
+    if e == 0.0:
         raise UnsupportedScenarioError("equal pushed speeds: no contact interaction to resolve")
 
-    dir_pre = np.array([math.cos(th_pre), math.sin(th_pre)])
-    dir_c = np.array([math.cos(th_c), math.sin(th_c)])
-    ones = np.array([1.0, 1.0])
-
-    def case_for(y: float) -> tuple[float, RobotCase, tuple] | None:
-        """Best control for one y-root; returns (cost, case, extras)."""
-        if y <= 0.0:
-            return None
-        Z = y / e1coef  # t1 * r is pinned by the root
-        # Terminal state is affine in r: x(T; r) = A + B r.
-        A = scn.x0.copy()
-        A[0:2] += y * ones
-        A[2:4] -= y * ones
-        w_rate = np.empty(4)  # post-contact velocity per unit r
-        w_rate[0:2] = s[0] * k[0] * dir_c - e1coef * ones
-        w_rate[2:4] = s[1] * k[1] * dir_c + e1coef * ones
-        # Heading change shifts the free-phase contribution into the constant part.
-        A[0:2] += s[0] * k[0] * Z * (dir_pre - dir_c)
-        A[2:4] += s[1] * k[1] * Z * (dir_pre - dir_c)
-        B = T * w_rate
-        a_c = 0.5 * float(B @ B)
-        b_c = float(A @ B)
-        c_c = 0.5 * float(A @ A)
-        # Feasibility: t1 = Z / r in (0, T].
-        if Z > 0:
-            lo, hi = max(Z / T, U.rlo), U.rhi
-        else:
-            lo, hi = U.rlo, min(Z / T, U.rhi)
+    B = T * (v_arc - e * a)
+    branches = []
+    for y in ys:
+        Z = y / e
+        A = x0 + y * a + Z * (v_pre - v_arc)
+        coeffs = (0.5 * float(B @ B), float(A @ B), 0.5 * float(A @ A))
+        lo, hi = (max(Z / T, U.rlo), U.rhi) if e > 0.0 else (U.rlo, min(Z / T, U.rhi))
         if lo > hi:
-            return None
-        r = _quad_min_on_interval(a_c, b_c, lo, hi)
-        t1 = Z / r
-        eta1 = e1coef * r
-        if eta1 <= 0.0 or not (0.0 < t1 <= T + 1e-12):
-            return None
-        v = np.empty(4)
-        v[0:2] = s[0] * k[0] * r * dir_pre
-        v[2:4] = s[1] * k[1] * r * dir_pre
-        x_t1 = scn.x0 + t1 * v
-        x_T = A + B * r
-        times = [0.0, t1, T] if t1 < T - 1e-12 else [0.0, T]
-        states = [scn.x0, x_t1, x_T] if t1 < T - 1e-12 else [scn.x0, x_T]
-        path = PiecewisePath(np.array(times), np.array(states))
-        case = RobotCase(
-            y=y,
-            t1=t1,
-            eta1=eta1,
-            cost=c_c + b_c * r + a_c * r * r,
-            path=path,
-            ordering_preserved=_ordering_preserved(path.states),
-        )
-        return case.cost, case, (r, (a_c, b_c, c_c))
-
-    candidates = []
-    for y in robot_y_quadratic(scn):
-        got = case_for(y)
-        if got is not None:
-            candidates.append(got)
-    if not candidates:
-        raise UnsupportedScenarioError("no feasible contact branch for this robot scenario")
-
-    best_cost = min(c for c, _, _ in candidates)
-    # Guard: if a contact-free control beats every contact branch, the
-    # two-phase template does not describe the optimum.
-    v_rate = np.empty(4)
-    v_rate[0:2] = s[0] * k[0] * dir_pre
-    v_rate[2:4] = s[1] * k[1] * dir_pre
-    Bf = T * v_rate
-    af, bf = 0.5 * float(Bf @ Bf), float(scn.x0 @ Bf)
-    free_cands = {U.rlo, U.rhi, 0.0}
-    if af > 0:
-        free_cands.add(min(max(-bf / (2 * af), U.rlo), U.rhi))
-    for rf in free_cands:
-        if robot_contact_quadratic(scn, U.at_parameter(rf)):
             continue
-        J_free = af * rf * rf + bf * rf + 0.5 * float(scn.x0 @ scn.x0)
-        if J_free < best_cost - _TIE_TOL * max(1.0, best_cost):
+        r = _quad_min_on_interval(coeffs[0], coeffs[1], lo, hi)
+        if e * r <= 0.0:  # the pair does not press
+            continue
+        t1 = Z / r
+        x_T = A + B * r
+        if _TIME_TOL < t1 < T - _TIME_TOL:
+            path = PiecewisePath(np.array([0.0, t1, T]), np.array([x0, x0 + Z * v_pre, x_T]))
+        else:
+            path = PiecewisePath(np.array([0.0, T]), np.array([x0, x_T]))
+        case = RobotCase(y, t1, e * r, 0.5 * float(x_T @ x_T), path, _ordering_preserved(scn.n, path.states))
+        branches.append((case, r, coeffs))
+    if not branches:
+        raise UnsupportedScenarioError("no feasible contact branch for this scenario")
+    best = min(case.cost for case, _, _ in branches)
+    tie = _TIE_TOL * max(1.0, best)
+
+    # Guard: if a contact-free control beats every contact branch, the template does not
+    # describe the optimum.  Contact needs a push, e * r > 0, even from a touching start.
+    r_first = ys[0] / e / T  # first contact exactly at T
+    lo, hi = (U.rlo, min(r_first, U.rhi)) if e > 0.0 else (max(r_first, U.rlo), U.rhi)
+    if lo <= hi:
+        B_free = T * v_pre
+        r_free = _quad_min_on_interval(0.5 * float(B_free @ B_free), float(x0 @ B_free), lo, hi)
+        x_free = x0 + r_free * B_free
+        if 0.5 * float(x_free @ x_free) < best - tie:
             raise UnsupportedScenarioError(
                 "optimal control avoids contact; the reduced template targets contact scenarios"
             )
-    # On (near) ties keep the larger root: the branch whose dual data the
-    # source analysis presents.
-    tied = [item for item in candidates if item[0] <= best_cost + _TIE_TOL * max(1.0, best_cost)]
-    cost_sel, case_sel, (r_sel, coeffs) = max(tied, key=lambda item: item[1].y)
-    cases = tuple(sorted((item[1] for item in candidates), key=lambda cs: -cs.y))
 
-    sim_case = next((cs for cs in cases if cs.ordering_preserved), case_sel)
-    u_opt = U.at_parameter(r_sel)
-    cert, report_vals = _robot_certificate(scn, case_sel, u_opt, th_pre)
-    verification = verify_certificate(scn, case_sel.path, u_opt, cert, tol=0.05)
-    eta_sf, eta_T = cert.eta, cert.eta_terminal
+    case, r, coeffs = max((b for b in branches if b[0].cost <= best + tie), key=lambda b: b[0].y)
+    cases = tuple(sorted((b[0] for b in branches), key=lambda cs: -cs.y))
+    u_opt = U.at_parameter(r)
 
+    # Free phase: psi from the maximization condition.  Arc: q on the constraint surface
+    # and neutral for the segment, sum_i link_i psi_i = 0.  Both sit on each agent's last
+    # coordinate, whose heading component is nonzero in both families.
+    last = np.arange(1, scn.n + 1) * (scn.state_dim // scn.n) - 1
+    q_pre = np.zeros(scn.state_dim)
+    q_pre[last] = _pre_contact_psi(U, u_opt, bound_rtol) / (scn.speeds * scn.headings(0.0)[:, -1])
+    neutral = np.array([v_arc[last[1]], -v_arc[last[0]]])
+    q_arc = np.zeros(scn.state_dim)
+    q_arc[last] = scn.sweeping_set().offsets[0] * neutral / (a[last] @ neutral)
+    x_T = case.path.terminal
+    pT = -(x_T + case.eta1 * a)
+    cert = _two_phase_certificate(T, case.t1, case.eta1, q_pre, q_arc, pT)
+    q_head = cert.q.values[0]
     report = {
         "u": u_opt.tolist(),
-        "t1": case_sel.t1,
-        "eta1": case_sel.eta1,
-        "cost": case_sel.cost,
+        "t1": case.t1,
+        eta_key: case.eta1,
+        "cost": case.cost,
         "reduced_cost_coefficients": list(coeffs),
-        **report_vals,
+        "q": q_head.tolist(),
+        "p_T": pT.tolist(),
+        "gamma_from_contact": (pT - q_head).tolist(),
+        "terminal_state": x_T.tolist(),
     }
     return ReducedSolution(
         scenario=scn,
         control=u_opt,
-        contact_schedule=((case_sel.t1, 0),),
-        eta=eta_sf,
-        eta_terminal=eta_T,
-        path=case_sel.path,
-        simulation_path=sim_case.path,
-        cost=case_sel.cost,
+        contact_schedule=((case.t1, 0),),
+        eta=cert.eta,
+        eta_terminal=cert.eta_terminal,
+        path=case.path,
+        simulation_path=next((cs for cs in cases if cs.ordering_preserved), case).path,
+        cost=case.cost,
         certificate=cert,
-        verification=verification,
-        recommended_tol=0.05,
+        verification=verify_certificate(scn, case.path, u_opt, cert, tol=tol),
+        recommended_tol=tol,
         report=report,
         reduced_cost=coeffs,
         cases=cases,
@@ -432,13 +430,13 @@ def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -
     Contact at the start or at the horizon leaves one arc segment (eta1 on it,
     or only at T) and a single measure atom at T.
     """
-    if 1e-12 < t1 < T - 1e-12:
+    if _TIME_TOL < t1 < T - _TIME_TOL:
         q = _step([0.0, t1, T], [q_pre, q_arc])
         eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
         atoms = ((t1, q_arc - q_pre), (T, pT - q_arc))
     else:
         q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([eta1 if t1 <= 1e-12 else 0.0])])
+        eta = _step([0.0, T], [np.array([eta1 if t1 <= _TIME_TOL else 0.0])])
         atoms = ((T, pT - q_arc),)
     return DualCertificate(
         lam=1.0,
@@ -447,126 +445,6 @@ def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -
         p=_step([0.0, T], [pT]),
         q=q,
         gamma_atoms=atoms,
-    )
-
-
-def _robot_certificate(
-    scn: RobotScenario, case: RobotCase, u: np.ndarray, th_pre: float
-) -> tuple[DualCertificate, dict]:
-    s, k, T = scn.speeds, scn.control_set.link, scn.T
-    t1, eta1 = case.t1, case.eta1
-    # Pre-contact q from the maximization condition: psi_i = s_i cos(th)
-    # (q_i1 + q_i2), mass on the second slot.
-    psi = _pre_contact_psi(scn.control_set, u, _PUBLISHED_BOUND_RTOL)
-    q_pre = np.zeros(4)
-    q_pre[1] = psi[0] / (s[0] * math.cos(th_pre))
-    q_pre[3] = psi[1] / (s[1] * math.cos(th_pre))
-    # Arc q: on the constraint surface (<a, q> = -2R) and neutral for the
-    # segment maximization (sum_i k_i s_i cos(th) q_i = 0 kills the objective).
-    denom = s[1] * k[1] + s[0] * k[0]
-    S1 = -2.0 * scn.R * s[1] * k[1] / denom
-    S2 = -(s[0] * k[0] / (s[1] * k[1])) * S1
-    q_arc = np.array([0.0, S1, 0.0, S2])
-    xT = case.path.terminal
-    row = scn.sweeping_set().normals[0]
-    pT = -(xT + eta1 * row)
-
-    cert = _two_phase_certificate(T, t1, eta1, q_pre, q_arc, pT)
-    q_head = cert.q.values[0]
-    report = {
-        "q": q_head.tolist(),
-        "p_T": pT.tolist(),
-        "gamma_from_contact": (pT - q_head).tolist(),
-    }
-    return cert, report
-
-
-def _solve_ped_pair(scn: PedestrianScenario) -> ReducedSolution:
-    U = scn.control_set
-    if U.kind != "segment":
-        raise UnsupportedScenarioError("analytic two-pedestrian template needs a linked segment")
-    k = U.link
-    s = scn.speeds
-    T = scn.T
-    G = scn.x0[1] - scn.x0[0] - 2.0 * scn.R  # initial slack
-    D = s[0] * k[0] - s[1] * k[1]  # closing rate per unit r
-    if D <= 0.0:
-        raise UnsupportedScenarioError("front runner faster than the chaser: no contact template")
-
-    # Contact branch: x(T; r) = A + B r with the locked pair moving together.
-    A = scn.x0 + 0.5 * G * np.array([1.0, -1.0])
-    B = T * 0.5 * (s[0] * k[0] + s[1] * k[1]) * np.ones(2)
-    a_c, b_c, c_c = 0.5 * float(B @ B), float(A @ B), 0.5 * float(A @ A)
-    r_min_contact = G / (D * T)  # t1 <= T
-    best = None
-    if r_min_contact <= U.rhi:
-        lo = max(r_min_contact, U.rlo)
-        r = _quad_min_on_interval(a_c, b_c, lo, U.rhi)
-        best = ("contact", r, a_c * r * r + b_c * r + c_c)
-    # Free branch: no contact before T.
-    Af = scn.x0.copy()
-    Bf = T * np.array([s[0] * k[0], s[1] * k[1]])
-    a_f, b_f, c_f = 0.5 * float(Bf @ Bf), float(Af @ Bf), 0.5 * float(Af @ Af)
-    hi_free = min(U.rhi, r_min_contact)
-    if U.rlo <= hi_free:
-        rf = _quad_min_on_interval(a_f, b_f, U.rlo, hi_free)
-        Jf = a_f * rf * rf + b_f * rf + c_f
-        if best is None or Jf < best[2] - _TIE_TOL:
-            best = ("free", rf, Jf)
-    if best is None:
-        raise UnsupportedScenarioError("empty feasible control range")
-    branch, r, J = best
-    u_opt = U.at_parameter(r)
-    if branch == "free":
-        raise UnsupportedScenarioError(
-            "optimal control avoids contact; the reduced template targets contact scenarios"
-        )
-
-    t1 = G / (D * r)
-    eta1 = 0.5 * D * r
-    v = np.array([s[0] * k[0], s[1] * k[1]]) * r
-    x_t1 = scn.x0 + t1 * v
-    x_T = A + B * r
-    if t1 < T - 1e-12 and t1 > 1e-12:
-        path = PiecewisePath(np.array([0.0, t1, T]), np.array([scn.x0, x_t1, x_T]))
-    else:
-        path = PiecewisePath(np.array([0.0, T]), np.array([scn.x0, x_T]))
-
-    # Certificate: maximization-derived q before contact; on the arc q sits
-    # on the constraint surface and is neutral for the segment direction.
-    q_pre = _pre_contact_psi(U, u_opt, _BOUND_RTOL) / s
-    denom = s[0] * k[0] + s[1] * k[1]
-    q1 = -2.0 * scn.R * s[1] * k[1] / denom
-    q_arc = np.array([q1, -(s[0] * k[0] / (s[1] * k[1])) * q1])
-    row = scn.sweeping_set().normals[0]
-    pT = -(x_T + eta1 * row)
-    cert = _two_phase_certificate(T, t1, eta1, q_pre, q_arc, pT)
-    verification = verify_certificate(scn, path, u_opt, cert, tol=1e-6)
-    report = {
-        "u": u_opt.tolist(),
-        "t1": t1,
-        "eta_t1": eta1,
-        "cost": J,
-        "q": q_pre.tolist(),
-        "p_T": pT.tolist(),
-        "gamma_from_contact": (pT - q_pre).tolist(),
-        "reduced_cost_coefficients": [a_c, b_c, c_c],
-        "terminal_state": x_T.tolist(),
-    }
-    return ReducedSolution(
-        scenario=scn,
-        control=u_opt,
-        contact_schedule=((t1, 0),),
-        eta=cert.eta,
-        eta_terminal=np.array([eta1]),
-        path=path,
-        simulation_path=path,
-        cost=J,
-        certificate=cert,
-        verification=verification,
-        recommended_tol=1e-6,
-        report=report,
-        reduced_cost=(a_c, b_c, c_c),
     )
 
 

@@ -1,9 +1,14 @@
 """Command-line behavior: artifacts, exit codes, determinism, round trips."""
 
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
@@ -188,6 +193,23 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "lambda" in err
 
+    @pytest.mark.parametrize(
+        "payload, field",
+        [([1, 2], "JSON object"), ("certificate", "JSON object"), ({"lambda": None}, "'lambda'"),
+         ({"gamma_atoms": 5}, "'gamma_atoms'")],
+        ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms"],
+    )
+    def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        if isinstance(payload, dict):
+            payload = {**json.loads(cert_file.read_text()), **payload}
+        cert_file.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and field in err and "Traceback" not in err
+
     def test_report_file_written(self, tmp_path):
         main(["solve-reduced", PED2, "--out", str(tmp_path)])
         main(
@@ -259,3 +281,51 @@ class TestNegativeControl:
             assert main([command, ROBOT, *spelling, *extra, "--out", str(tmp_path / "out")]) == 0
             outputs.append(capsys.readouterr().out)
         assert outputs[0] == outputs[1]
+
+
+# Any JSON value: nested lists and objects of null, booleans, integers, floats (NaN,
+# infinities, subnormals and huge values included) and short strings.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.fixture(scope="module")
+def reduced_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reduced")
+    assert main(["solve-reduced", PED2, "--mesh-exp", "5", "--out", str(out)]) == 0
+    return out, json.loads((out / "certificate.json").read_text())
+
+
+class TestCertificateFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_mutated_certificate_exits_with_a_documented_code(self, reduced_artifacts, data):
+        out, base = reduced_artifacts
+        cert = copy.deepcopy(base)
+        for _ in range(data.draw(st.integers(1, 3))):
+            key = data.draw(st.sampled_from(sorted(base)))
+            how = data.draw(st.sampled_from(["replace", "drop", "element"]))
+            target = cert.get(key)
+            if how == "drop":
+                cert.pop(key, None)
+            elif how == "element" and isinstance(target, list) and target:
+                i = data.draw(st.integers(0, len(target) - 1))
+                if isinstance(target[i], list) and target[i]:
+                    target = target[i]
+                    i = data.draw(st.integers(0, len(target) - 1))
+                target[i] = data.draw(JSON_VALUES)
+            else:
+                cert[key] = data.draw(JSON_VALUES)
+        if data.draw(st.integers(0, 19)) == 0:
+            cert = data.draw(JSON_VALUES)
+        cert_file = out / "fuzz.json"
+        cert_file.write_text(json.dumps(cert))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", PED2, "--certificate", str(cert_file), "--trajectory",
+                         str(out / "trajectory.csv"), "--out", str(out / "verify")])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()

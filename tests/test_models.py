@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sweepctrl.models import (
     ControlSet,
@@ -325,6 +327,7 @@ class TestScenarioFiles:
         [
             ("control.bound_on", "segment\ncontrol.link = 1 1\ncontrol.bounds = -1 1\ncontrol.bound_on = x"),
             ("control.link", "segment\ncontrol.link = 0 1\ncontrol.bounds = -1 1\ncontrol.bound_on = 1"),
+            ("control.link", "segment\ncontrol.link = 1e-320 1\ncontrol.bounds = -3.37 3.37\ncontrol.bound_on = 1"),
             ("control.hi", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 -2"),
             ("control.hi", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1 1"),
             ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at = nan"),
@@ -332,7 +335,7 @@ class TestScenarioFiles:
             ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at ="),
             ("switch_at", "box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\nangles_deg_post = 45 45\nswitch_at = abc"),
         ],
-        ids=["bound-on-word", "zero-link", "hi-below-lo", "unequal-lengths",
+        ids=["bound-on-word", "zero-link", "subnormal-link", "hi-below-lo", "unequal-lengths",
              "switch-nan", "switch-inf", "switch-empty", "switch-word"],
     )
     def test_control_block_and_switch_errors_named(self, key, control):
@@ -404,3 +407,31 @@ class TestScenarioKeysNamed:
     def test_constructor_error_names_file_key(self, key, base, changes):
         with pytest.raises(ScenarioFormatError, match=f"'{key}'"):
             parse_scenario_text(scenario_text(base, **changes))
+
+
+# Replacement values for the parser fuzz: empty, non-finite, extreme and subnormal
+# numbers, number lists and words.
+FUZZ_NUMBERS = ["0", "1", "-1", "2", "3.37", "-60", "nan", "inf", "1e308", "-1e308", "1e-320"]
+FUZZ_VALUES = st.sampled_from(["", "nan", "inf", "-inf", "1e308", "1e-320", "abc", "contact", "box", "segment"]) | (
+    st.lists(st.sampled_from(FUZZ_NUMBERS), min_size=1, max_size=5).map(" ".join)
+)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_mutated_file_raises_format_error_or_parses_finite(self, data):
+        name = data.draw(st.sampled_from(["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"]))
+        entries = dict(
+            (part.strip() for part in line.split("=", 1))
+            for line in bundled_scenario_path(name).read_text().splitlines()
+            if "=" in line and not line.startswith("#")
+        )
+        for key in data.draw(st.lists(st.sampled_from(sorted(entries)), min_size=1, max_size=3, unique=True)):
+            entries[key] = data.draw(FUZZ_VALUES)
+        try:
+            scn = parse_scenario_text("".join(f"{k} = {v}\n" for k, v in entries.items()))
+        except ScenarioFormatError:
+            return
+        for value in (scn.x0, scn.speeds, scn.R, scn.T, scn.control_set.vertices()):
+            assert np.all(np.isfinite(value))

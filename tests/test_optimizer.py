@@ -285,6 +285,16 @@ class TestSolveReducedPedestrianPair:
         traj = simulate(scn, ControlSignal.constant(Mesh(6.0, 10), sol.control))
         assert np.allclose(traj.terminal, sol.path.terminal, atol=1e-9)
 
+    def test_initial_contact_gap_rounding_below_2R_gives_contact_time_zero(self):
+        # x0[1] - x0[0] - 2R rounds to -1.8e-15: a touching start, not a contact before t = 0.
+        text = bundled_scenario_path("pedestrian2.scn").read_text()
+        text = text.replace("R = 3", "R = 0.5206151166111441")
+        text = text.replace("x0 = -60 -48", "x0 = -29.74084119416171 -28.699610960939424")
+        sol = solve_reduced(parse_scenario_text(text))
+        assert sol.report["t1"] == 0.0
+        assert sol.contact_schedule == ((0.0, 0),)
+        assert sol.verification.passed
+
 
     def test_interior_optimum_near_the_bound_gets_a_neutral_psi(self):
         # u = 1.79828623 lies 1.7e-3 inside the bound 1.8: psi = u would not
@@ -385,6 +395,17 @@ class TestRobotQuadrantVariant:
         with pytest.raises(UnsupportedScenarioError, match="heading"):
             solve_reduced(scn)
 
+    def test_unequal_post_contact_headings_rejected(self):
+        # The second robot would turn off the diagonal at contact; the template keeps one heading.
+        scn = parse_scenario_text(
+            "model = robot\nn = 2\nR = 6\nT = 6\nx0 = -30 -30 -20 -20\nspeeds = 3 1\n"
+            "angles_deg = 225 225\nangles_deg_post = 225 45\nswitch_at = contact\n"
+            "control.kind = segment\ncontrol.link = 2 1\n"
+            "control.bounds = -3.37 3.37\ncontrol.bound_on = 1\n"
+        )
+        with pytest.raises(UnsupportedScenarioError, match="common heading"):
+            solve_reduced(scn)
+
 
 class TestUnsupportedTemplates:
     def test_interleaved_contacts_rejected(self):
@@ -411,6 +432,45 @@ class TestUnsupportedTemplates:
         )
         with pytest.raises(UnsupportedScenarioError):
             solve_reduced(scn)
+
+
+TOUCHING_R = repr(float(3.0 / SQRT2))  # robots 3 apart on both axes touch
+
+
+class TestPairTemplateOutcomes:
+    """Both families take one rule: a branch needs the pair to press (eta1 = e r > 0), a
+    touching start is contact from t = 0, and the contact-free rival ranges over U only."""
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "model = pedestrian\nn = 2\nR = 2\nT = 4\nx0 = -30 -25\nspeeds = 4 6\ncontrol.kind = segment\n"
+            "control.link = 1 1\ncontrol.bounds = -2.9 -2.5\n",
+            "model = pedestrian\nn = 2\nR = 2\nT = 4\nx0 = -30 -26\nspeeds = 4 6\ncontrol.kind = segment\n"
+            "control.link = 1 1\ncontrol.bounds = -2.9 -2.5\n",
+            "model = robot\nn = 2\nR = 5.5\nT = 9\nx0 = 20 20 40 40\nspeeds = 3 4\nangles_deg = 45 45\n"
+            "control.kind = segment\ncontrol.link = 1 2\ncontrol.bounds = -3.7 -2.6\n",
+            f"model = robot\nn = 2\nR = {TOUCHING_R}\nT = 6\nx0 = -32 -32 -29 -29\nspeeds = 2 3\n"
+            "angles_deg = 225 225\ncontrol.kind = segment\ncontrol.link = 1 1\ncontrol.bounds = 0.5 2.5\n",
+        ],
+        ids=["ped-front-runner-faster", "ped-front-runner-faster-touching", "robot-zero-outside-U",
+             "robot-touching-pressed"],
+    )
+    def test_forced_contact_matches_the_direct_search(self, text):
+        scn = parse_scenario_text(text)
+        sol = solve_reduced(scn)
+        assert sol.verification.passed
+        assert sol.cost == pytest.approx(solve_discrete(scn, m=8, budget=300).cost, rel=1e-6)
+
+    def test_touching_start_free_to_separate_is_refused(self):
+        # Pressing moves the pair away from the origin; separating toward it is cheaper.
+        scn = parse_scenario_text(
+            f"model = robot\nn = 2\nR = {TOUCHING_R}\nT = 6\nx0 = 18 18 21 21\nspeeds = 1 1.5\n"
+            "angles_deg = 45 45\ncontrol.kind = segment\ncontrol.link = 2 1\ncontrol.bounds = -3 3\n"
+        )
+        with pytest.raises(UnsupportedScenarioError):
+            solve_reduced(scn)
+        assert solve_discrete(scn, m=8, budget=300).cost < 0.5 * float(scn.x0 @ scn.x0)
 
 
 class TestSolveDiscrete:
