@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import re
 import sys
 from dataclasses import dataclass
@@ -36,6 +37,7 @@ from .sweeping import (
     simulate,
     trajectory_csv,
 )
+from .tolerances import VERIFY_TOL
 
 MESH_EXP_RANGE = (3, 16)
 
@@ -54,7 +56,7 @@ class RunConfig:
     certificate: Path | None = None
     trajectory: Path | None = None
     out: Path = Path(".")
-    tol: float = 1e-6
+    tol: float = VERIFY_TOL
     m_range: tuple[int, ...] = (6, 8, 10, 12, 14)
     budget: int = 2000
     piecewise: bool = False
@@ -64,11 +66,13 @@ class RunConfig:
             raise UsageError(f"scenario file not found: {self.scenario}")
         if not MESH_EXP_RANGE[0] <= self.mesh_exp <= MESH_EXP_RANGE[1]:
             raise UsageError(f"--mesh-exp must be in [{MESH_EXP_RANGE[0]}, {MESH_EXP_RANGE[1]}]")
-        if self.tol <= 0:
-            raise UsageError("--tol must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise UsageError(f"--tol must be a finite positive number, got {self.tol}")
         for p in (self.control_file, self.certificate, self.trajectory):
             if p is not None and not p.exists():
                 raise UsageError(f"file not found: {p}")
+        if not self.m_range:
+            raise UsageError("--m-range is empty: give at least one mesh exponent")
         for m in self.m_range:
             if not MESH_EXP_RANGE[0] <= m <= MESH_EXP_RANGE[1]:
                 raise UsageError(f"--m-range entries must be in [{MESH_EXP_RANGE[0]}, {MESH_EXP_RANGE[1]}]")
@@ -318,7 +322,7 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, control=False):
         p.add_argument("scenario", type=Path, help="scenario file (key = value text)")
         p.add_argument("--mesh-exp", type=int, default=12, help="dyadic mesh exponent m (3..16)")
-        p.add_argument("--tol", type=float, default=1e-6, help="verification tolerance")
+        p.add_argument("--tol", type=float, default=VERIFY_TOL, help="verification tolerance")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         if control:
             p.add_argument("--control", type=str, default=None, help="inline constant control, e.g. '1.8,1.8'")

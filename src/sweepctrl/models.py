@@ -6,8 +6,9 @@ convex polyhedron C built from pairwise separation constraints with offsets
 the component-sum norm |a|+|b| as the separation device that makes C, the
 admissible-configuration set, and the linearized constraint sets coincide
 under the ordering hypotheses; the actual collision geometry of the disks
-(admissible velocities, per-step constraint linearization) is Euclidean.
-The pedestrian model lives in R^n where the two notions agree exactly.
+(start check, admissible velocities, per-step constraint linearization) is
+Euclidean.  The pedestrian model lives in R^n where the two notions agree
+exactly.
 """
 
 from __future__ import annotations
@@ -20,9 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .polyhedra import Polyhedron, _same_fields
-
-CONTROL_TOL = 1e-9
-CONTACT_TOL = 1e-7
+from .tolerances import CONTACT_TOL, CONTROL_TOL
 
 
 class ScenarioFormatError(ValueError):
@@ -271,8 +270,10 @@ class RobotScenario(Scenario):
         for j in range(self.n - 1):
             if not (self.x0[2 * j + 2] > self.x0[2 * j] and self.x0[2 * j + 3] > self.x0[2 * j + 1]):
                 raise ValueError(f"key 'x0': initial ordering violated between agents {j + 1} and {j + 2}")
-        if np.min(self._sweeping_set.slack(self.x0)) < -CONTROL_TOL:
-            raise ValueError("key 'x0': violates the separation constraints (not projected)")
+        gaps = self.pair_gaps(self.x0)
+        if np.min(gaps) < -CONTROL_TOL:
+            j = int(np.argmin(gaps))
+            raise ValueError(f"key 'x0': disks {j + 1} and {j + 2} overlap by {-gaps[j]:.3g} (not projected)")
         # Unit headings (cos th_i, sin th_i) before and after the switch, (2, n, 2).
         post = self.angles if self.angles_post is None else self.angles_post
         angles = np.array([self.angles, post])

@@ -24,11 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONTACT_TOL, Scenario
+from .models import Scenario
 from .polyhedra import _same_fields
 from .sweeping import ControlSignal, Trajectory, contact_switch_time
-
-ATOM_TIME_TOL = 1e-12
+from .tolerances import (
+    CONTACT_TOL,
+    ETA_SIGN_TOL,
+    GRID_MERGE_RTOL,
+    MEMBERSHIP_TOL,
+    NONTRIVIAL_TOL,
+    TIME_TOL,
+    VERIFY_TOL,
+)
 
 
 def _interval(times: np.ndarray, t, count: int):
@@ -134,12 +141,12 @@ class DualCertificate:
         object.__setattr__(self, "gamma_atoms", atoms)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
-        if np.any(self.eta.values < -1e-15) or np.any(self.eta_terminal < -1e-15):
+        if np.any(self.eta.values < -ETA_SIGN_TOL) or np.any(self.eta_terminal < -ETA_SIGN_TOL):
             raise ValueError("eta must be nonnegative")
         times = np.array([t for t, _ in atoms])
         object.__setattr__(self, "atom_times", times)
         object.__setattr__(self, "atom_values", np.array([v for _, v in atoms]).reshape(times.size, self.p.dim))
-        if not np.all((times >= 0.0) & (times <= self.horizon + 1e-12)):
+        if not np.all((times >= 0.0) & (times <= self.horizon + TIME_TOL)):
             raise ValueError("atom time outside the horizon")
 
     __eq__ = _same_fields  # gamma_atoms atom by atom
@@ -150,15 +157,15 @@ class DualCertificate:
 
     def gamma_tail(self, t) -> np.ndarray:
         """gamma([t, T]): sum of atoms at times >= t; one row per time for an array of times."""
-        return (self.atom_times >= np.asarray(t)[..., None] - ATOM_TIME_TOL) @ self.atom_values
+        return (self.atom_times >= np.asarray(t)[..., None] - TIME_TOL) @ self.atom_values
 
     def is_atom_time(self, t):
         """Whether t is an atom time; per entry for an array of times."""
-        return np.any(np.abs(np.asarray(t)[..., None] - self.atom_times) <= ATOM_TIME_TOL, axis=-1)
+        return np.any(np.abs(np.asarray(t)[..., None] - self.atom_times) <= TIME_TOL, axis=-1)
 
     def q_at_T(self) -> np.ndarray:
         """q(T) = p(T) - gamma({T})."""
-        return self.p.values[-1] - (np.abs(self.atom_times - self.horizon) <= ATOM_TIME_TOL) @ self.atom_values
+        return self.p.values[-1] - (np.abs(self.atom_times - self.horizon) <= TIME_TOL) @ self.atom_values
 
 
 @dataclass(frozen=True)
@@ -217,10 +224,10 @@ def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) 
     """Sorted breakpoints of the path, the certificate and any `extra` time arrays in [0, T]."""
     pieces = [path.times, cert.eta.times, cert.q.times, cert.p.times, *extra, cert.atom_times]
     grid = np.unique(np.concatenate(pieces))
-    grid = grid[(grid >= 0.0) & (grid <= path.horizon + 1e-12)]
+    grid = grid[(grid >= 0.0) & (grid <= path.horizon + TIME_TOL)]
     # Merge near-duplicate breakpoints (e.g. a rounded time written by hand
     # next to its exact value) so no sliver segments straddle a jump.
-    merge_tol = 1e-11 * max(1.0, path.horizon)
+    merge_tol = GRID_MERGE_RTOL * max(1.0, path.horizon)
     keep = np.concatenate([[True], np.diff(grid) > merge_tol])
     return grid[keep]
 
@@ -247,7 +254,9 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
 
-def check_complementarity(scn: Scenario, traj, cert: DualCertificate, tol: float = 1e-9) -> tuple[float, float]:
+def check_complementarity(
+    scn: Scenario, traj, cert: DualCertificate, tol: float = MEMBERSHIP_TOL
+) -> tuple[float, float]:
     """Residuals of the two complementarity conditions.
 
     First: eta_j weighted by the positive part of the pair gap
@@ -314,7 +323,7 @@ def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[fl
     return r7, float(r8)
 
 
-def check_nontriviality(cert: DualCertificate, tol: float = 1e-12) -> bool:
+def check_nontriviality(cert: DualCertificate, tol: float = NONTRIVIAL_TOL) -> bool:
     q0 = cert.q.values[0]
     pT = cert.p.values[-1]
     return bool(cert.lam + np.linalg.norm(q0) + np.linalg.norm(pT) > tol)
@@ -323,12 +332,12 @@ def check_nontriviality(cert: DualCertificate, tol: float = 1e-12) -> bool:
 def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     """Number of atoms at times t < T where no constraint is in contact."""
     path = as_path(traj)
-    t = cert.atom_times[cert.atom_times < path.horizon - ATOM_TIME_TOL]
+    t = cert.atom_times[cert.atom_times < path.horizon - TIME_TOL]
     return int(np.sum(np.all(np.abs(scn.pair_gaps(path.value(t))) > CONTACT_TOL, axis=1)))
 
 
 def verify_certificate(
-    scn: Scenario, traj, u, cert: DualCertificate, tol: float = 1e-6
+    scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL
 ) -> ResidualReport:
     """Run all conditions; the report passes iff every entry passes at `tol`."""
     path = as_path(traj)
@@ -375,9 +384,15 @@ def certificate_to_dict(cert: DualCertificate) -> dict:
     }
 
 
+def _finite(value) -> bool:
+    if isinstance(value, tuple):
+        return all(map(_finite, value))
+    return bool(np.all(np.isfinite(value)))
+
+
 def certificate_from_dict(d: dict) -> DualCertificate:
     """The certificate of a `certificate_to_dict` mapping; raises ValueError naming the
-    missing or malformed field."""
+    missing, malformed or non-finite field."""
     if not isinstance(d, dict):
         raise ValueError(f"certificate must be a JSON object, got {type(d).__name__}")
 
@@ -385,9 +400,12 @@ def certificate_from_dict(d: dict) -> DualCertificate:
         if name not in d:
             raise ValueError(f"certificate is missing the field '{name}'")
         try:
-            return convert(d[name])
+            value = convert(d[name])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"certificate field '{name}': {exc}") from exc
+        if not _finite(value):
+            raise ValueError(f"certificate field '{name}': not all finite numbers")
+        return value
 
     def step(name: str) -> StepFunction:
         times, values = field(f"{name}_times"), field(f"{name}_values")

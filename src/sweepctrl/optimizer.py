@@ -12,19 +12,20 @@ oracle.
 Every two-agent scenario with a linked-segment control set goes through one
 pair template, written with the scenario's drive and sweeping row; the model
 family only supplies its contact roots y = t1 * eta1 (the robot's y
-quadratic, the pedestrians' half gap), the robot's heading checks and the
-tolerances of the robot's rounded published data.  A touching start (gap
-within CONTACT_TOL) has y = 0 and contact time exactly 0.  Each feasible
-root is one algebraic branch in `ReducedSolution.cases`.  Where the
-published robot analysis produces two branches with equal cost, both are
-kept: the presented branch (larger root, the one whose dual data the source
-analysis reports) carries the certificate, while the order-preserving branch
-is the one the simulator reproduces and is exposed for convergence
-comparisons.  For the three-pedestrian scenario the published arc
-trajectories carry the standing pre-contact multiplier alongside the
-refreshed one; the solution report reproduces those published values
-verbatim while the certified trajectory uses the internally consistent
-locked-train arc.
+quadratic, the pedestrians' half gap) and the robot's heading checks.  A
+touching start (gap within CONTACT_TOL) has y = 0 and contact time exactly
+0.  Each feasible root is one algebraic branch in `ReducedSolution.cases`.
+Where the published robot analysis produces two branches with equal cost,
+both are kept: the presented branch (larger root, the one whose dual data
+the source analysis reports) carries the certificate, while the
+order-preserving branch is the one the simulator reproduces and is exposed
+for convergence comparisons.  Every template certifies its computed optimum
+at VERIFY_TOL, and each solution report carries the published values
+verbatim beside the certified ones: the pair's free-phase q in the source's
+convention psi = u, and, for the three-pedestrian scenario, the published
+arc trajectories, which carry the standing pre-contact multiplier alongside
+the refreshed one where the certified trajectory uses the internally
+consistent locked-train arc.
 """
 
 from __future__ import annotations
@@ -34,13 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import (
-    CONTACT_TOL,
-    ControlSet,
-    PedestrianScenario,
-    RobotScenario,
-    Scenario,
-)
+from .models import ControlSet, PedestrianScenario, RobotScenario, Scenario
 from .optimality import (
     DualCertificate,
     PiecewisePath,
@@ -49,16 +44,19 @@ from .optimality import (
     verify_certificate,
 )
 from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, simulate
-
-_ANGLE_TOL = 1e-9
-_TIE_TOL = 1e-9
-# How near a contact time must be to 0 or T to count as there.
-_TIME_TOL = 1e-12
-# How near (relative to max(1, |r|)) a control parameter r must be to its bound to count as
-# at that bound: exact data up to rounding, and the robot's published data, rounded to a few
-# digits (robot2's optimum r = -1.68359 stands for the bound -1.685).
-_BOUND_RTOL = 1e-9
-_PUBLISHED_BOUND_RTOL = 2e-3
+from .tolerances import (
+    ANGLE_TOL,
+    BOUND_RTOL,
+    CONTACT_TOL,
+    DRIVE_TOL,
+    PIECEWISE_MIN_STEP,
+    SEARCH_IMPROVE_TOL,
+    SEARCH_MIN_SPAN,
+    SEARCH_MIN_STEP,
+    TIE_TOL,
+    TIME_TOL,
+    VERIFY_TOL,
+)
 
 
 class UnsupportedScenarioError(ValueError):
@@ -80,10 +78,10 @@ def robot_eta_formula(scn: RobotScenario, u) -> float:
         raise UnsupportedScenarioError("eta formula applies to the two-robot model")
     u = np.asarray(u, dtype=float)
     th = _contact_heading(scn)
-    if abs(math.cos(th) - math.sin(th)) > _ANGLE_TOL:
+    if abs(math.cos(th) - math.sin(th)) > ANGLE_TOL:
         return 0.0
     pushed = scn.speeds * u
-    if abs(pushed[0] - pushed[1]) <= _ANGLE_TOL:
+    if abs(pushed[0] - pushed[1]) <= DRIVE_TOL:
         return 0.0
     return 0.5 * (pushed[0] - pushed[1]) * math.cos(th)
 
@@ -113,7 +111,7 @@ def robot_contact_quadratic(scn: RobotScenario, u) -> list[float]:
         if disc < 0.0:
             return []
         roots = [(-b - math.sqrt(disc)) / (2 * a), (-b + math.sqrt(disc)) / (2 * a)]
-    return sorted(max(t, 0.0) for t in roots if -_TIME_TOL <= t <= scn.T + _TIME_TOL)
+    return sorted(max(t, 0.0) for t in roots if -TIME_TOL <= t <= scn.T + TIME_TOL)
 
 
 def robot_y_quadratic(scn: RobotScenario) -> list[float]:
@@ -160,7 +158,7 @@ def pedestrian_contact_time(
     if denom <= 0.0:
         return None
     t = numer / denom
-    return t if 0.0 < t <= scn.T + _TIME_TOL else None
+    return t if 0.0 < t <= scn.T + TIME_TOL else None
 
 
 def pedestrian_velocity_match(scn: PedestrianScenario, u, row: int, eta_right=0.0, eta_left=0.0) -> float:
@@ -261,29 +259,28 @@ def _ordering_preserved(n: int, states: np.ndarray) -> bool:
     return bool(np.all(np.diff(states.reshape(len(states), n, -1), axis=1) > 0.0))
 
 
-def _pair_family(scn: Scenario) -> tuple[list[float], float, float, str]:
+def _pair_family(scn: Scenario) -> tuple[list[float], str]:
     """What the pair template takes from the model family: the contact roots y = t1 * eta1
-    in increasing order, the bound tolerance of the free-phase psi, the verification
-    tolerance and the report key of eta1."""
+    in increasing order and the report key of eta1."""
     if isinstance(scn, RobotScenario):
         _check_robot_headings(scn)
-        return robot_y_quadratic(scn), _PUBLISHED_BOUND_RTOL, 0.05, "eta1"
-    return [0.5 * float(scn.pair_gaps(scn.x0)[0])], _BOUND_RTOL, 1e-6, "eta_t1"
+        return robot_y_quadratic(scn), "eta1"
+    return [0.5 * float(scn.pair_gaps(scn.x0)[0])], "eta_t1"
 
 
 def _check_robot_headings(scn: RobotScenario) -> None:
     """The robot contact quadratic identifies the pre-contact drift with the multiplier
     through one diagonal direction, so both robots need it in both phases."""
     post = scn.angles if scn.angles_post is None else scn.angles_post
-    if abs(scn.angles[0] - scn.angles[1]) > _ANGLE_TOL or abs(post[0] - post[1]) > _ANGLE_TOL:
+    if abs(scn.angles[0] - scn.angles[1]) > ANGLE_TOL or abs(post[0] - post[1]) > ANGLE_TOL:
         raise UnsupportedScenarioError("analytic robot template needs a common heading")
     th_pre = float(scn.angles[0])
     th_c = _contact_heading(scn)
-    if abs(math.cos(th_c) - math.sin(th_c)) > _ANGLE_TOL:
+    if abs(math.cos(th_c) - math.sin(th_c)) > ANGLE_TOL:
         raise UnsupportedScenarioError(
             "contact heading must satisfy cos = sin (diagonal push direction)"
         )
-    if abs(math.cos(th_pre) - math.cos(th_c)) > _ANGLE_TOL or abs(math.sin(th_pre) - math.sin(th_c)) > _ANGLE_TOL:
+    if abs(math.cos(th_pre) - math.cos(th_c)) > ANGLE_TOL or abs(math.sin(th_pre) - math.sin(th_c)) > ANGLE_TOL:
         raise UnsupportedScenarioError(
             "analytic robot template needs the same diagonal heading before and after contact"
         )
@@ -303,7 +300,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
     U = scn.control_set
     if U.kind != "segment":
         raise UnsupportedScenarioError("analytic pair template needs a linked-segment control set")
-    ys, bound_rtol, tol, eta_key = _pair_family(scn)
+    ys, eta_key = _pair_family(scn)
     T, x0 = scn.T, scn.x0
     if ys and abs(scn.pair_gaps(x0)[0]) <= CONTACT_TOL:
         ys[0] = 0.0  # a touching start: contact from t = 0, whatever the rounding of its root
@@ -329,7 +326,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
             continue
         t1 = Z / r
         x_T = A + B * r
-        if _TIME_TOL < t1 < T - _TIME_TOL:
+        if TIME_TOL < t1 < T - TIME_TOL:
             path = PiecewisePath(np.array([0.0, t1, T]), np.array([x0, x0 + Z * v_pre, x_T]))
         else:
             path = PiecewisePath(np.array([0.0, T]), np.array([x0, x_T]))
@@ -338,7 +335,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
     if not branches:
         raise UnsupportedScenarioError("no feasible contact branch for this scenario")
     best = min(case.cost for case, _, _ in branches)
-    tie = _TIE_TOL * max(1.0, best)
+    tie = TIE_TOL * max(1.0, best)
 
     # Guard: if a contact-free control beats every contact branch, the template does not
     # describe the optimum.  Contact needs a push, e * r > 0, even from a touching start.
@@ -357,28 +354,33 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
     cases = tuple(sorted((b[0] for b in branches), key=lambda cs: -cs.y))
     u_opt = U.at_parameter(r)
 
-    # Free phase: psi from the maximization condition.  Arc: q on the constraint surface
-    # and neutral for the segment, sum_i link_i psi_i = 0.  Both sit on each agent's last
-    # coordinate, whose heading component is nonzero in both families.
+    # Free phase: psi from the maximization condition, and the published psi = u.  Arc: q on
+    # the constraint surface and neutral for the segment, sum_i link_i psi_i = 0.  All sit on
+    # each agent's last coordinate, whose heading component is nonzero in both families.
     last = np.arange(1, scn.n + 1) * (scn.state_dim // scn.n) - 1
-    q_pre = np.zeros(scn.state_dim)
-    q_pre[last] = _pre_contact_psi(U, u_opt, bound_rtol) / (scn.speeds * scn.headings(0.0)[:, -1])
+    scale = scn.speeds * scn.headings(0.0)[:, -1]
+    q_pre, q_published, q_arc = np.zeros((3, scn.state_dim))
+    q_pre[last] = _pre_contact_psi(U, u_opt) / scale
+    q_published[last] = u_opt / scale
     neutral = np.array([v_arc[last[1]], -v_arc[last[0]]])
-    q_arc = np.zeros(scn.state_dim)
     q_arc[last] = scn.sweeping_set().offsets[0] * neutral / (a[last] @ neutral)
     x_T = case.path.terminal
     pT = -(x_T + case.eta1 * a)
     cert = _two_phase_certificate(T, case.t1, case.eta1, q_pre, q_arc, pT)
     q_head = cert.q.values[0]
+    if cert.q.values.shape[0] == 1:  # contact from t = 0 or only at T: no free phase
+        q_published = q_head
     report = {
         "u": u_opt.tolist(),
         "t1": case.t1,
         eta_key: case.eta1,
         "cost": case.cost,
         "reduced_cost_coefficients": list(coeffs),
-        "q": q_head.tolist(),
+        "q": q_published.tolist(),
         "p_T": pT.tolist(),
-        "gamma_from_contact": (pT - q_head).tolist(),
+        "gamma_from_contact": (pT - q_published).tolist(),
+        "certified_q": q_head.tolist(),
+        "certified_gamma_from_contact": (pT - q_head).tolist(),
         "terminal_state": x_T.tolist(),
     }
     return ReducedSolution(
@@ -391,8 +393,8 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
         simulation_path=next((cs for cs in cases if cs.ordering_preserved), case).path,
         cost=case.cost,
         certificate=cert,
-        verification=verify_certificate(scn, case.path, u_opt, cert, tol=tol),
-        recommended_tol=tol,
+        verification=verify_certificate(scn, case.path, u_opt, cert),
+        recommended_tol=VERIFY_TOL,
         report=report,
         reduced_cost=coeffs,
         cases=cases,
@@ -403,12 +405,12 @@ def _step(times: list[float], values: list[np.ndarray]) -> StepFunction:
     return StepFunction(np.array(times), np.array(values))
 
 
-def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray, rtol: float) -> np.ndarray:
+def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
     """Control-gradient vector for the free phase of a generated certificate.
 
     The source convention psi = u maximizes at the optimal control exactly
     when each coordinate (the link parameter r of a segment) sits at the
-    bound its sign points to, within `rtol` * max(1, |r|).  Those coordinates
+    bound its sign points to, within BOUND_RTOL * max(1, |r|).  Those coordinates
     keep psi = u.  Elsewhere the optimum is interior and the maximization
     condition forces psi to be neutral: zero link component on a segment,
     zero on a box coordinate.
@@ -417,7 +419,7 @@ def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray, rtol: float) -> np.ndarra
         r, lo, hi = U.parameter_of(u_opt), U.rlo, U.rhi
     else:
         r, lo, hi = u_opt, U.lo, U.hi
-    tol = rtol * np.maximum(1.0, np.abs(r))
+    tol = BOUND_RTOL * np.maximum(1.0, np.abs(r))
     at_bound = ((r > 0.0) & (r >= hi - tol)) | ((r < 0.0) & (r <= lo + tol))
     if U.kind == "box":
         return np.where(at_bound, u_opt, 0.0)
@@ -430,13 +432,13 @@ def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -
     Contact at the start or at the horizon leaves one arc segment (eta1 on it,
     or only at T) and a single measure atom at T.
     """
-    if _TIME_TOL < t1 < T - _TIME_TOL:
+    if TIME_TOL < t1 < T - TIME_TOL:
         q = _step([0.0, t1, T], [q_pre, q_arc])
         eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
         atoms = ((t1, q_arc - q_pre), (T, pT - q_arc))
     else:
         q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([eta1 if t1 <= _TIME_TOL else 0.0])])
+        eta = _step([0.0, T], [np.array([eta1 if t1 <= TIME_TOL else 0.0])])
         atoms = ((T, pT - q_arc),)
     return DualCertificate(
         lam=1.0,
@@ -469,7 +471,7 @@ def _solve_ped_triple(scn: PedestrianScenario, q_free: float) -> ReducedSolution
     # Branch with the initial pair exerting no force: it pins the drive
     # ratio of the rear pair, which the maximization then contradicts.
     u_case2 = u_opt
-    if abs(s[1] * u_case2[1] - s[2] * u_case2[2]) > 1e-12:
+    if abs(s[1] * u_case2[1] - s[2] * u_case2[2]) > DRIVE_TOL:
         rejected.append(
             "eta2(0) = 0 requires s2*u2 = s3*u3, but the maximization gives "
             f"u = {np.round(u_case2, 12).tolist()} with s2*u2 = {s[1] * u_case2[1]:g} "
@@ -505,7 +507,7 @@ def _solve_ped_triple(scn: PedestrianScenario, q_free: float) -> ReducedSolution
         q=_step([0.0, T], [q]),
         gamma_atoms=((T, pT - q),),
     )
-    verification = verify_certificate(scn, path, u_opt, cert, tol=1e-6)
+    verification = verify_certificate(scn, path, u_opt, cert)
 
     # Published-procedure values: the printed arc formulas keep the standing
     # pre-contact multiplier term alongside the refreshed pair multipliers,
@@ -550,7 +552,7 @@ def _solve_ped_triple(scn: PedestrianScenario, q_free: float) -> ReducedSolution
         cost=0.5 * float(x_T @ x_T),
         certificate=cert,
         verification=verification,
-        recommended_tol=1e-6,
+        recommended_tol=VERIFY_TOL,
         report=report,
         rejected_cases=tuple(rejected),
     )
@@ -619,7 +621,7 @@ def solve_discrete(
         center = M @ np.asarray(reference[1], dtype=float) / np.sum(M * M, axis=1)
         lo = np.maximum(lo, center - localization_radius)
         hi = np.minimum(hi, center + localization_radius)
-    span = np.maximum(hi - lo, 1e-12)
+    span = np.maximum(hi - lo, SEARCH_MIN_SPAN)
 
     def signal(P: np.ndarray) -> ControlSignal:
         return ControlSignal(mesh, np.repeat(P @ M, mesh.intervals // len(P), axis=0))
@@ -647,7 +649,7 @@ def solve_discrete(
                     v = evaluate(cand)
                     if v is None:
                         return P, val, False
-                    if v < val - 1e-14:
+                    if v < val - SEARCH_IMPROVE_TOL:
                         P, val, improved = cand, v, True
                         break
             if not improved:
@@ -661,14 +663,14 @@ def solve_discrete(
         if val is None:
             converged = False
             break
-        P, val, converged = search(P, val, 1e-4)
+        P, val, converged = search(P, val, SEARCH_MIN_STEP)
         if val < best_val:
             best_P, best_val = P, val
         if not converged:
             break
     if piecewise and converged:
         best_P, best_val, converged = search(
-            np.repeat(best_P, mesh.intervals, axis=0), best_val, 1e-3
+            np.repeat(best_P, mesh.intervals, axis=0), best_val, PIECEWISE_MIN_STEP
         )
 
     u_best = signal(best_P)

@@ -14,11 +14,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 from scipy.optimize import nnls
 
-# Default tolerances: membership/activity, LICQ rank test (relative to the
-# largest singular value), and the emptiness margin of the projection.
-MEMBERSHIP_TOL = 1e-9
-LICQ_RTOL = 1e-10
-_EMPTY_RTOL = 1e-10
+from .tolerances import EMPTY_RTOL, LICQ_RTOL, MEMBERSHIP_TOL
 
 
 class ProjectionError(RuntimeError):
@@ -177,7 +173,7 @@ def project_raw(
     hu = h * u
     d = 1.0 - float(hu.sum())
     # d is a difference of order-one terms: demand a margin over their rounding.
-    if not d > _EMPTY_RTOL * (1.0 + float(np.abs(hu).sum())):
+    if not d > EMPTY_RTOL * (1.0 + float(np.abs(hu).sum())):
         raise ProjectionError("the polyhedron is empty")
     return y - A.T @ ((top / d) * u), u.nonzero()[0]
 

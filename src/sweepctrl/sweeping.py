@@ -19,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import CONTACT_TOL, Scenario
+from .models import Scenario
 from .polyhedra import Polyhedron, _same_fields, decompose_on_rows, project_raw, project_with_working_set
+from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
-STEP_TOL = 1e-12  # a free step violating K(x) by no more than this is kept unprojected
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,10 @@ class Mesh:
     @property
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.intervals + 1)
+
+    def spans(self, T: float) -> bool:
+        """Whether the mesh covers the horizon T, up to TIME_TOL * max(1, T)."""
+        return abs(self.T - T) <= TIME_TOL * max(1.0, T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -149,7 +153,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     additions).
     """
     mesh = u.mesh
-    if abs(mesh.T - scn.horizon) > 1e-12 * max(1.0, scn.horizon):
+    if not mesh.spans(scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
     values = u.values
     starts = scn.control_set.check_rows(values)
@@ -231,7 +235,7 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     the residual reports whatever those rows cannot explain.
     """
     C = scn.sweeping_set()
-    if traj.mesh.intervals != u.mesh.intervals or abs(traj.mesh.T - u.mesh.T) > 1e-12:
+    if traj.mesh.intervals != u.mesh.intervals or not traj.mesh.spans(u.mesh.T):
         raise ValueError("trajectory and control live on different meshes")
     scn.control_set.check_rows(u.values)
     times = traj.times
@@ -291,6 +295,10 @@ def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
     data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
     if data.shape[1] != len(header):
         raise ValueError(f"trajectory CSV rows have {data.shape[1]} cells, the header {len(header)}")
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
     groups: dict[str, list[int]] = {"t": [], "x": [], "u": [], "eta": []}
     for idx, name in enumerate(header):
         if name == "t":

@@ -170,8 +170,10 @@ class TestVerify:
 
     @pytest.mark.parametrize(
         "text",
-        ["", "t,x1,x2,u1,u2,eta1\n", "a,b\n1,2\n", "t,x1\n1\n"],
-        ids=["empty", "header-only", "no-t-column", "short-row"],
+        ["", "t,x1,x2,u1,u2,eta1\n", "a,b\n1,2\n", "t,x1\n1\n",
+         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,nan,3,1.8,1.8,5.4\n",
+         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,nan\n"],
+        ids=["empty", "header-only", "no-t-column", "short-row", "nan-state", "nan-eta"],
     )
     def test_malformed_trajectory_exits_2(self, tmp_path, capsys, text):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -196,8 +198,10 @@ class TestVerify:
     @pytest.mark.parametrize(
         "payload, field",
         [([1, 2], "JSON object"), ("certificate", "JSON object"), ({"lambda": None}, "'lambda'"),
-         ({"gamma_atoms": 5}, "'gamma_atoms'")],
-        ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms"],
+         ({"gamma_atoms": 5}, "'gamma_atoms'"), ({"p_values": [[float("nan"), 2.4]]}, "'p_values'"),
+         ({"lambda": float("inf")}, "'lambda'")],
+        ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms", "nan-p-values",
+             "infinite-lambda"],
     )
     def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -209,6 +213,15 @@ class TestVerify:
         assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
+    def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        code = main(["verify", PED2, "--certificate", str(tmp_path / "certificate.json"),
+                     "--trajectory", str(tmp_path / "trajectory.csv"), f"--tol={tol}", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--tol" in capsys.readouterr().err
 
     def test_report_file_written(self, tmp_path):
         main(["solve-reduced", PED2, "--out", str(tmp_path)])
@@ -251,6 +264,12 @@ class TestConvergence:
         csv_lines = (tmp_path / "convergence.csv").read_text().splitlines()
         assert csv_lines[0] == "m,J_m,endpoint_error"
         assert len(csv_lines) == 4
+
+    @pytest.mark.parametrize("control", [[], ["--control=1,1"]], ids=["reduced", "explicit"])
+    def test_empty_m_range_exits_2(self, tmp_path, capsys, control):
+        code = main(["convergence", PED2, "--m-range=14:6", *control, "--out", str(tmp_path)])
+        assert code == 2
+        assert "--m-range" in capsys.readouterr().err
 
     def test_explicit_control(self, tmp_path):
         code = main(

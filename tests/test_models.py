@@ -401,8 +401,10 @@ class TestScenarioKeysNamed:
             ("x0", PEDESTRIAN_TEXT, {"x0": "-60 -48 -30"}),
             ("speeds", PEDESTRIAN_TEXT, {"speeds": "8 -2"}),
             ("n", PEDESTRIAN_TEXT, {"n": "1", "x0": "-60", "speeds": "8", "control.lo": "-1", "control.hi": "1"}),
+            ("x0", ROBOT_TEXT, {"x0": "0 0 1.9 0.2"}),
         ],
-        ids=["angles", "angles-post", "control-dim", "negative-R", "x0-length", "negative-speed", "one-agent"],
+        ids=["angles", "angles-post", "control-dim", "negative-R", "x0-length", "negative-speed", "one-agent",
+             "overlapping-disks"],
     )
     def test_constructor_error_names_file_key(self, key, base, changes):
         with pytest.raises(ScenarioFormatError, match=f"'{key}'"):

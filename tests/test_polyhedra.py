@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sweepctrl.polyhedra import (
     ConeDecomposition,
@@ -230,3 +233,40 @@ class TestProjectionProperties:
             assert np.linalg.norm(got - eta) < 1e-8
             assert dec.residual < 1e-8
             hits += 1
+
+
+COORD = st.floats(-3.0, 3.0, allow_subnormal=False)
+
+
+@st.composite
+def polyhedron_and_points(draw):
+    """A polyhedron {A x <= c} with n <= 6, s <= 7 and c > 0 (the origin inside), two points
+    to project, and a feasible point on the ray from the origin along a drawn direction."""
+    n, s = draw(st.integers(1, 6)), draw(st.integers(1, 7))
+    A = draw(hnp.arrays(float, (s, n), elements=COORD))
+    assume(np.all(np.linalg.norm(A, axis=1) > 0.1))
+    c = draw(hnp.arrays(float, s, elements=st.floats(0.1, 3.0)))
+    y1, y2 = (5.0 * draw(hnp.arrays(float, n, elements=COORD)) for _ in range(2))
+    d = draw(hnp.arrays(float, n, elements=COORD))
+    Ad = A @ d
+    reach = np.min(c[Ad > 0.0] / Ad[Ad > 0.0], initial=10.0)
+    z = draw(st.floats(0.0, 1.0)) * min(reach, 10.0) * d
+    return Polyhedron(A, c), y1, y2, z
+
+
+class TestProjectionHypothesis:
+    """The projection's defining properties over random small polyhedra, each to
+    1e-9 max(1, |y|)."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(polyhedron_and_points())
+    def test_projection_properties(self, inst):
+        poly, y, y2, z = inst
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
+        x = project(poly, y)
+        assert np.max(poly.normals @ x - poly.offsets) <= tol  # feasible
+        assert np.linalg.norm(project(poly, x) - x) <= tol  # idempotent
+        gap = np.linalg.norm(y - y2)
+        assert np.linalg.norm(x - project(poly, y2)) <= gap + tol * max(1.0, gap)  # nonexpansive
+        assert (y - x) @ (z - x) <= tol * max(1.0, float(np.linalg.norm(z - x)))  # variational inequality
+        assert decompose_normal(poly, x, y - x).residual <= tol  # y - P(y) in the normal cone at P(y)
