@@ -322,7 +322,6 @@ def _parser() -> argparse.ArgumentParser:
     def common(p, control=False):
         p.add_argument("scenario", type=Path, help="scenario file (key = value text)")
         p.add_argument("--mesh-exp", type=int, default=12, help="dyadic mesh exponent m (3..16)")
-        p.add_argument("--tol", type=float, default=VERIFY_TOL, help="verification tolerance")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
         if control:
             p.add_argument("--control", type=str, default=None, help="inline constant control, e.g. '1.8,1.8'")
@@ -343,6 +342,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p_ver, control=True)
     p_ver.add_argument("--certificate", type=Path, required=True)
     p_ver.add_argument("--trajectory", type=Path, required=True)
+    p_ver.add_argument("--tol", type=float, default=VERIFY_TOL, help="verification tolerance")
 
     p_con = sub.add_parser("convergence", help="mesh-refinement table at a fixed control")
     common(p_con, control=True)
@@ -360,7 +360,7 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         certificate=getattr(args, "certificate", None),
         trajectory=getattr(args, "trajectory", None),
         out=args.out,
-        tol=args.tol,
+        tol=getattr(args, "tol", VERIFY_TOL),
         m_range=_parse_m_range(args.m_range) if getattr(args, "m_range", None) else (6, 8, 10, 12, 14),
         budget=getattr(args, "budget", 2000),
         piecewise=getattr(args, "piecewise", False),

@@ -3,18 +3,31 @@
 A polyhedron is stored in halfspace form {x : <a_j, x> <= c_j, j = 1..s}.
 Everything downstream (sweeping dynamics, multiplier recovery, optimality
 checks) reduces to the five operations in this module.  Projection is a
-least-distance program solved by a single NNLS call (Lawson & Hanson),
-exact on the small dense problems met here.
+least-distance program.  Onto one halfspace (a two-agent K(x)) it is the
+closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a single NNLS call
+(Lawson & Hanson) solves it, exact on the small dense problems met here.
+scipy is imported on the first NNLS call, so a run that never needs one
+(parsing, `verify`, a two-agent simulation) never loads `scipy.optimize`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .tolerances import EMPTY_RTOL, LICQ_RTOL, MEMBERSHIP_TOL
+
+
+@functools.cache
+def _nnls():
+    """scipy's NNLS solver, imported on the first call, so that importing the package does not load
+    scipy.optimize (the largest part of the package's import time)."""
+    from scipy.optimize import nnls
+
+    return nnls
 
 
 class ProjectionError(RuntimeError):
@@ -52,6 +65,11 @@ class Polyhedron:
         if normals.shape[0] < 1:
             raise ValueError("a polyhedron needs at least one row")
         row_norms = np.linalg.norm(normals, axis=1)
+        # The rows (a_j, c_j) have a finite total norm unless one holds a NaN or an inf (or it overflows).
+        if not math.isfinite(np.hypot(row_norms, offsets).sum()):
+            for name, bad in (("normal", ~np.isfinite(normals).all(axis=1)), ("offset", ~np.isfinite(offsets))):
+                if bad.any():
+                    raise ValueError("non-finite %s in row %d" % (name, int(np.argmax(bad))))
         if np.any(row_norms == 0.0):
             raise ValueError("zero normal vector in row %d" % int(np.argmin(row_norms)))
         object.__setattr__(self, "normals", normals)
@@ -153,6 +171,10 @@ def project_raw(
     with the squared distance to the set.  A y violating no row by more
     than `tol` is returned as is.  `start` (a feasible point, if the caller
     has one) is checked for shape only.
+
+    With one row, u = 1/(1 + |a|^2) and d = |a|^2/(1 + |a|^2), so
+    lam = top/|a|^2 in closed form, under the same emptiness rule; a
+    non-finite input raises ValueError there as in the NNLS path.
     """
     if start is not None and np.shape(start) != np.shape(y):
         raise ValueError(f"start has shape {np.shape(start)}, expected {np.shape(y)}")
@@ -160,6 +182,14 @@ def project_raw(
     top = float(viol.max())
     if top <= tol:
         return y.copy(), np.empty(0, dtype=int)
+    if A.shape[0] == 1:
+        if not math.isfinite(top):
+            raise ValueError("projection input must not contain infs or NaNs")
+        a = A[0]
+        aa = float(a @ a)
+        if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule below, d > EMPTY_RTOL (1 + u)
+            raise ProjectionError("the polyhedron is empty")
+        return y - (top / aa) * a, np.zeros(1, dtype=int)
     n = y.shape[0]
     E = np.empty((n + 1, A.shape[0]))
     E[:n] = -A.T
@@ -167,7 +197,7 @@ def project_raw(
     f = np.zeros(n + 1)
     f[n] = 1.0
     try:
-        u, _ = nnls(E, f)
+        u, _ = _nnls()(E, f)
     except RuntimeError as exc:  # iteration cap of the NNLS solver
         raise ProjectionError(f"projection failed: {exc}") from exc
     hu = h * u
@@ -199,7 +229,7 @@ def decompose_on_rows(poly: Polyhedron, rows: np.ndarray, v: np.ndarray) -> Cone
     if rows.size == 0:
         return ConeDecomposition(coefficients={}, residual=float(np.linalg.norm(v)))
     basis = poly.normals[rows].T  # (dim, k)
-    coef, rnorm = nnls(basis, v)
+    coef, rnorm = _nnls()(basis, v)
     coefficients = {int(j): float(c) for j, c in zip(rows, coef)}
     return ConeDecomposition(coefficients=coefficients, residual=float(rnorm))
 

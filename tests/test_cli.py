@@ -4,6 +4,10 @@ import contextlib
 import copy
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +243,35 @@ class TestVerify:
         )
         text = (tmp_path / "report.txt").read_text()
         assert "1-primal" in text and "overall" in text
+
+
+@pytest.mark.parametrize("command", ["simulate", "solve-reduced", "solve-discrete", "convergence"])
+def test_tol_is_a_verify_option_only(tmp_path, capsys, command):
+    control = ["--control=1.8,1.8"] if command == "simulate" else []
+    assert main([command, PED2, *control, "--tol=0.5", "--out", str(tmp_path)]) == 2
+    assert "--tol" in capsys.readouterr().err
+    assert not (tmp_path / "solution.txt").exists()
+
+
+def test_scipy_optimize_is_loaded_only_by_a_projection(tmp_path):
+    assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+    import sweepctrl
+
+    script = f"""
+import sys
+loaded = lambda: "scipy.optimize" in sys.modules
+import sweepctrl
+after_package = loaded()
+import sweepctrl.cli
+after_cli = loaded()
+code = sweepctrl.cli.main(["verify", {PED2!r}, "--certificate", {str(tmp_path / "certificate.json")!r},
+                           "--trajectory", {str(tmp_path / "trajectory.csv")!r}, "--out", {str(tmp_path)!r}])
+print(after_package, after_cli, code, loaded())
+"""
+    src = str(Path(sweepctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split()[-4:] == ["False", "False", "0", "False"]
 
 
 class TestSolveDiscrete:

@@ -15,6 +15,7 @@ from sweepctrl.polyhedra import (
     contains,
     decompose_normal,
     project,
+    project_raw,
 )
 
 
@@ -130,6 +131,37 @@ class TestProject:
     def test_empty_set_raises(self):
         with pytest.raises(ProjectionError):
             project(Polyhedron(np.array([[1.0], [-1.0]]), np.array([-1.0, -1.0])), np.array([0.0]))
+
+    @pytest.mark.parametrize(
+        "A, y",
+        [([[1.0, -1.0]], [np.nan, 0.0]), ([[np.nan, -1.0]], [0.0, 0.0]), ([[0.0, 1.0]], [np.inf, 0.0])],
+        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient"],
+    )
+    def test_one_row_non_finite_input_raises_value_error(self, A, y):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            project_raw(np.array(A), np.array([-6.0]), np.array(y))
+
+    def test_one_zero_row_below_zero_is_empty(self):
+        with pytest.raises(ProjectionError, match="empty"):
+            project_raw(np.zeros((1, 2)), np.array([-1.0]), np.zeros(2))
+
+    def test_one_row_support_is_a_fresh_array(self):
+        A, c = np.array([[1.0, -1.0]]), np.array([-6.0])
+        _, W = project_raw(A, c, np.zeros(2))
+        W[0] = 5
+        assert project_raw(A, c, np.zeros(2))[1].tolist() == [0]
+
+
+class TestPolyhedronGuards:
+    @pytest.mark.parametrize(
+        "normals, offsets, message",
+        [([[np.nan, 1.0]], [0.0], "normal in row 0"), ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0], "normal in row 1"),
+         ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.nan], "offset in row 1")],
+        ids=["nan-normal", "infinite-normal", "nan-offset"],
+    )
+    def test_non_finite_rows_rejected_naming_the_row(self, normals, offsets, message):
+        with pytest.raises(ValueError, match=message):
+            Polyhedron(np.array(normals), np.array(offsets))
 
 
 class TestDecomposeNormal:
@@ -254,6 +286,16 @@ def polyhedron_and_points(draw):
     return Polyhedron(A, c), y1, y2, z
 
 
+@st.composite
+def one_row_and_point(draw):
+    """A row a (|a| > 0.1), a point y, and an offset c that y violates by 0.01 to 10."""
+    n = draw(st.integers(1, 6))
+    a = draw(hnp.arrays(float, n, elements=COORD))
+    assume(np.linalg.norm(a) > 0.1)
+    y = 5.0 * draw(hnp.arrays(float, n, elements=COORD))
+    return a, float(a @ y) - draw(st.floats(0.01, 10.0)), y
+
+
 class TestProjectionHypothesis:
     """The projection's defining properties over random small polyhedra, each to
     1e-9 max(1, |y|)."""
@@ -270,3 +312,14 @@ class TestProjectionHypothesis:
         assert np.linalg.norm(x - project(poly, y2)) <= gap + tol * max(1.0, gap)  # nonexpansive
         assert (y - x) @ (z - x) <= tol * max(1.0, float(np.linalg.norm(z - x)))  # variational inequality
         assert decompose_normal(poly, x, y - x).residual <= tol  # y - P(y) in the normal cone at P(y)
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(one_row_and_point())
+    def test_one_row_closed_form_agrees_with_nnls(self, inst):
+        a, c, y = inst
+        x1, W1 = project_raw(a[None], np.array([c]), y)
+        # The far row {-a x <= 10 - c} holds with slack 10 at the projection, but makes
+        # the problem two rows, so the NNLS path solves it.
+        x2, W2 = project_raw(np.stack([a, -a]), np.array([c, 10.0 - c]), y)
+        assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
+        assert W1.tolist() == W2.tolist() == [0]

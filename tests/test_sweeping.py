@@ -728,3 +728,23 @@ class TestRunFilling:
             traj = simulate(scn, ControlSignal.constant(mesh, u_const))
             vmax = float(np.max(np.abs(scn.speeds * u_const)))
             assert np.linalg.norm(traj.terminal - exact_pedestrian_endpoint(scn, u_const)) <= 5 * mesh.h * max(vmax, 1.0)
+
+
+class TestProjectionPath:
+    def test_two_agent_steps_make_no_nnls_call(self, monkeypatch):
+        import sweepctrl.polyhedra as polyhedra
+
+        calls = []
+        nnls = polyhedra._nnls()
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(polyhedra, "_nnls", lambda: counted)
+        scn = robot2()
+        traj = simulate(scn, ControlSignal.constant(Mesh(6.0, 10), [2.0 * ROBOT_R, ROBOT_R]))
+        assert np.min(scn.pair_gaps(traj.nodes)) <= 1e-9  # the run has its contact arc
+        assert not calls
+        simulate(ped3(), ControlSignal.constant(Mesh(6.0, 10), PED3_U))  # two rows: the spy sees NNLS
+        assert calls
