@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import ScenarioFormatError, load_scenario
+from .models import load_scenario
 from .optimality import (
     PiecewisePath,
     StepFunction,
@@ -110,6 +111,9 @@ def _load_control(cfg: RunConfig, scn, mesh: Mesh) -> ControlSignal:
                 rows.append([float(tok) for tok in stripped.replace(",", " ").split()])
             except ValueError as exc:
                 raise UsageError(f"{cfg.control_file}: line {lineno}: expected numbers") from exc
+            if len(rows[-1]) != scn.control_set.dim:
+                width = f"row of width {len(rows[-1])}, the control set width {scn.control_set.dim}"
+                raise UsageError(f"{cfg.control_file}: line {lineno}: {width}")
         return ControlSignal(mesh, np.array(rows))
     raise UsageError("this command needs --control or --control-file")
 
@@ -312,7 +316,9 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The argument tree, built on the first call; parsing leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="sweepctrl",
         description="Controlled sweeping processes: simulate, solve, verify.",
@@ -398,15 +404,12 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return run(config_from_args(args))
-    except (UsageError, ScenarioFormatError, UnsupportedScenarioError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ProjectionError, np.linalg.LinAlgError) as exc:
+    except (ProjectionError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # usage, scenario-file and input errors subclass ValueError
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

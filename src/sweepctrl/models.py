@@ -35,19 +35,19 @@ class ScenarioFormatError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ControlSet:
-    """Compact convex control set: a coordinate box or a linked segment.
+    """Compact convex control set: a box of parameters p in [lo, hi] mapped by u = p @ basis.
 
-    A linked segment ties all coordinates to one scalar parameter r through
-    u = link * r with r in [rlo, rhi] (e.g. u1 = 2*u2 with a bound quoted on
-    u1).  Vertices are enumerable: 2^d for a box, 2 for a segment.
+    The rows of `basis` (q, d) are orthogonal.  A coordinate box has basis = I,
+    so p = u.  A linked segment has one row, the link: u = link * r with r in
+    [rlo, rhi] (e.g. u1 = 2*u2 with a bound quoted on u1).  Every operation is
+    one formula in p; `kind` only picks the wording of a violation message.
+    Vertices are the images of the 2^q corners of the parameter box.
     """
 
     kind: str  # "box" | "segment"
-    lo: np.ndarray | None = None  # box bounds
-    hi: np.ndarray | None = None
-    link: np.ndarray | None = None  # segment direction coefficients
-    rlo: float = 0.0
-    rhi: float = 0.0
+    basis: np.ndarray  # (q, d)
+    lo: np.ndarray  # (q,) parameter bounds
+    hi: np.ndarray
 
     @staticmethod
     def box(lo, hi) -> "ControlSet":
@@ -55,9 +55,11 @@ class ControlSet:
         hi = np.asarray(hi, dtype=float)
         if lo.shape != hi.shape or lo.ndim != 1:
             raise ValueError("box bounds must be two equal-length vectors")
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):  # corner @ basis would meet inf * 0
+            raise ValueError("box bounds must be finite numbers")
         if np.any(hi < lo):
             raise ValueError("box upper bound below lower bound")
-        return ControlSet(kind="box", lo=lo, hi=hi)
+        return ControlSet(kind="box", basis=np.eye(lo.size), lo=lo, hi=hi)
 
     @staticmethod
     def segment(link, bounds, bound_on: int = 0) -> "ControlSet":
@@ -70,90 +72,97 @@ class ControlSet:
         rlo, rhi = sorted((blo / k, bhi / k))  # Python floats: an overflow gives inf, no warning
         if not all(math.isfinite(r * c) for r in (rlo, rhi) for c in link.tolist()):
             raise ValueError(f"segment end points {rlo:g} * link, {rhi:g} * link are not finite")
-        return ControlSet(kind="segment", link=link, rlo=rlo, rhi=rhi)
+        return ControlSet(kind="segment", basis=link[None, :], lo=np.array([rlo]), hi=np.array([rhi]))
 
     __eq__ = _same_fields
 
     @property
     def dim(self) -> int:
-        return len(self.lo) if self.kind == "box" else len(self.link)
+        return self.basis.shape[1]
+
+    @property
+    def link(self) -> np.ndarray:
+        """A segment's direction: u = link * r with r in [rlo, rhi]."""
+        return self.basis[0]
+
+    @property
+    def rlo(self) -> float:
+        return float(self.lo[0])
+
+    @property
+    def rhi(self) -> float:
+        return float(self.hi[0])
+
+    def parameters(self, u) -> np.ndarray:
+        """Least-squares parameters p of u (of each row of an (N, d) array); exact on the set.
+        `einsum`, not a BLAS product, so that a row gets the same p in a batch of any size."""
+        B = self.basis
+        return np.einsum("...d,qd->...q", np.asarray(u, dtype=float), B) / np.einsum("qd,qd->q", B, B)
+
+    def _first_violation(self, values, tol: float) -> tuple[int, str] | None:
+        """(row, message) for the first control row of the wrong width, off the span of the basis
+        by more than tol * max(1, |p|) (so any non-finite row) or with p outside [lo - tol, hi + tol]."""
+        U = np.atleast_2d(np.asarray(values, dtype=float))
+        if U.shape[1] != self.dim:
+            return 0, f"u has width {U.shape[1]}, the control set width {self.dim}"
+        finite = np.isfinite(U)
+        P = self.parameters(np.where(finite, U, 0.0))  # 0 * NaN would reach every parameter of a box
+        off = np.abs(U - P @ self.basis)
+        within = (self.lo - tol <= P) & (P <= self.hi + tol)  # a NaN parameter is not
+        if (off <= tol).all() and within.all():  # all in: no row-wise reductions, which cost more
+            return None
+        on = off.max(1) <= tol * np.maximum(1.0, np.abs(P).max(1))
+        good = on & within.all(1)
+        if good.all():
+            return None
+        k = int(good.argmin())
+        u, p = U[k], P[k]
+        if self.kind == "box":  # p = u, coordinate by coordinate
+            i = int(np.argmin(finite[k] & within[k]))
+            return k, f"u{i + 1} = {u[i]:g} outside [{self.lo[i]:g}, {self.hi[i]:g}]"
+        if not finite[k].all():
+            i = int(np.argmin(finite[k]))
+            return k, f"u{i + 1} = {u[i]:g} is not a finite number"
+        if not on[k]:
+            return k, f"u = {u.tolist()} is not proportional to the link {self.link.tolist()}"
+        return k, f"link parameter {p[0]:g} outside [{self.rlo:g}, {self.rhi:g}]"
 
     def contains(self, u, tol: float = CONTROL_TOL) -> bool:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.dim,) or not np.all(np.isfinite(u)):
-            return False
-        if self.kind == "box":
-            return bool(np.all(u >= self.lo - tol) and np.all(u <= self.hi + tol))
-        r = self.parameter_of(u)
-        return bool(
-            self.rlo - tol <= r <= self.rhi + tol
-            and np.max(np.abs(u - r * self.link)) <= tol * max(1.0, abs(r))
-        )
+        return self._first_violation(u, tol) is None
 
     def violation_message(self, u) -> str | None:
         """Human-readable description of the first violated bound, or None."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "box":
-            for i in range(self.dim):
-                if not self.lo[i] - CONTROL_TOL <= u[i] <= self.hi[i] + CONTROL_TOL:  # NaN fails too
-                    return f"u{i + 1} = {u[i]:g} outside [{self.lo[i]:g}, {self.hi[i]:g}]"
-            return None
-        for i in np.flatnonzero(~np.isfinite(u)):
-            return f"u{i + 1} = {u[i]:g} is not a finite number"
-        r = self.parameter_of(u)
-        if np.max(np.abs(u - r * self.link)) > CONTROL_TOL * max(1.0, abs(r)):
-            return f"u = {u.tolist()} is not proportional to the link {self.link.tolist()}"
-        if not (self.rlo - CONTROL_TOL <= r <= self.rhi + CONTROL_TOL):
-            return f"link parameter {r:g} outside [{self.rlo:g}, {self.rhi:g}]"
-        return None
+        hit = self._first_violation(u, CONTROL_TOL)
+        return None if hit is None else hit[1]
 
     def check_rows(self, values) -> np.ndarray:
         """Raise naming the first interval whose control row lies outside the set, checking
         each run of equal rows once, at its start; returns those starts."""
         values = np.atleast_2d(values)
-        starts = np.flatnonzero(np.r_[True, np.any(values[1:] != values[:-1], axis=1)])
-        for k in starts:
-            msg = self.violation_message(values[k])
-            if msg is not None:
-                raise ValueError(f"control value on interval {k} outside the admissible set: {msg}")
+        head = np.ones(len(values), dtype=bool)
+        (values[1:] != values[:-1]).any(1, out=head[1:])
+        starts = head.nonzero()[0]
+        hit = self._first_violation(values[starts], CONTROL_TOL)
+        if hit is not None:
+            raise ValueError(f"control value on interval {starts[hit[0]]} outside the admissible set: {hit[1]}")
         return starts
 
-    def parameter_of(self, u) -> float:
-        """Least-squares segment parameter of u (exact when u is on the segment)."""
-        u = np.asarray(u, dtype=float)
-        return float(self.link @ u / (self.link @ self.link))
-
-    def at_parameter(self, r: float) -> np.ndarray:
-        return float(r) * self.link
+    def at_parameter(self, p) -> np.ndarray:
+        return np.atleast_1d(np.asarray(p, dtype=float)) @ self.basis
 
     def vertices(self) -> np.ndarray:
-        if self.kind == "segment":
-            return np.vstack([self.rlo * self.link, self.rhi * self.link])
-        cols = [(lo, hi) for lo, hi in zip(self.lo, self.hi)]
-        return np.array(list(itertools.product(*cols)), dtype=float)
-
-    def center(self) -> np.ndarray:
-        if self.kind == "segment":
-            return 0.5 * (self.rlo + self.rhi) * self.link
-        return 0.5 * (self.lo + self.hi)
+        return self.at_parameter(list(itertools.product(*zip(self.lo, self.hi))))
 
     def clamp(self, u) -> np.ndarray:
-        """Euclidean projection onto the set (componentwise clip / segment clip)."""
-        u = np.asarray(u, dtype=float)
-        if self.kind == "box":
-            return np.clip(u, self.lo, self.hi)
-        r = min(max(self.parameter_of(u), self.rlo), self.rhi)
-        return r * self.link
+        """Euclidean projection onto the set: the clipped parameters."""
+        return self.at_parameter(np.clip(self.parameters(u), self.lo, self.hi))
 
     def maximize_linear(self, psi):
-        """Max of <psi, u> over the set and a maximizer, in closed form: the bound
-        each coordinate's sign picks (box) or the endpoint (segment, the lower one
-        on a tie).  `psi` is one vector, or one per row of an (N, n) array."""
+        """Max of <psi, u> over the set and a maximizer, in closed form: each parameter at
+        the bound the sign of its gradient psi @ basis^T picks (the upper one on a tie).
+        `psi` is one vector, or one per row of an (N, n) array."""
         psi = np.asarray(psi, dtype=float)
-        if self.kind == "box":
-            u = np.where(psi >= 0.0, self.hi, self.lo)
-        else:
-            u = np.where(psi @ self.link > 0.0, self.rhi, self.rlo)[..., None] * self.link
+        u = self.at_parameter(np.where(psi @ self.basis.T >= 0.0, self.hi, self.lo))
         best = np.sum(psi * u, axis=-1)
         return (float(best), u) if psi.ndim == 1 else (best, u)
 

@@ -30,6 +30,7 @@ consistent locked-train arc.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -409,21 +410,16 @@ def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
     """Control-gradient vector for the free phase of a generated certificate.
 
     The source convention psi = u maximizes at the optimal control exactly
-    when each coordinate (the link parameter r of a segment) sits at the
-    bound its sign points to, within BOUND_RTOL * max(1, |r|).  Those coordinates
-    keep psi = u.  Elsewhere the optimum is interior and the maximization
-    condition forces psi to be neutral: zero link component on a segment,
-    zero on a box coordinate.
+    when each parameter p of u (a box coordinate, the link parameter r of a
+    segment) sits at the bound its sign points to, within
+    BOUND_RTOL * max(1, |p|).  Those parameters keep psi = u.  Elsewhere the
+    optimum is interior and the maximization condition forces psi to be
+    neutral: its component along that basis row is removed.
     """
-    if U.kind == "segment":
-        r, lo, hi = U.parameter_of(u_opt), U.rlo, U.rhi
-    else:
-        r, lo, hi = u_opt, U.lo, U.hi
-    tol = BOUND_RTOL * np.maximum(1.0, np.abs(r))
-    at_bound = ((r > 0.0) & (r >= hi - tol)) | ((r < 0.0) & (r <= lo + tol))
-    if U.kind == "box":
-        return np.where(at_bound, u_opt, 0.0)
-    return u_opt if at_bound else u_opt - r * U.link
+    p = U.parameters(u_opt)
+    tol = BOUND_RTOL * np.maximum(1.0, np.abs(p))
+    at_bound = ((p > 0.0) & (p >= U.hi - tol)) | ((p < 0.0) & (p <= U.lo + tol))
+    return u_opt - U.at_parameter(np.where(at_bound, 0.0, p))
 
 
 def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -> DualCertificate:
@@ -607,18 +603,14 @@ def solve_discrete(
     rng = np.random.default_rng(seed)
     evals = 0
 
-    # Parameter rows P of shape (rows, q) give the controls P @ M.
-    if U.kind == "segment":  # q = 1, u = r * link
-        lo, hi, M = np.array([U.rlo]), np.array([U.rhi]), U.link[None, :]
-        starts = [lo, hi, 0.5 * (lo + hi)]
-    else:  # q = n, u = p
-        lo, hi, M = U.lo, U.hi, np.eye(U.dim)
-        starts = [*U.vertices(), U.center()]
+    # Parameter rows P of shape (rows, q) give the controls P @ M; the search starts at the
+    # corners of the parameter box, then at its center.
+    lo, hi, M = U.lo, U.hi, U.basis
+    starts = [*itertools.product(*zip(lo, hi)), 0.5 * (lo + hi)]
     starts += [lo + (hi - lo) * rng.random(lo.size) for _ in range(extra_starts)]
 
     if reference is not None and localization_radius is not None:
-        # Least-squares parameter of the reference control (M M^T is diagonal).
-        center = M @ np.asarray(reference[1], dtype=float) / np.sum(M * M, axis=1)
+        center = U.parameters(reference[1])
         lo = np.maximum(lo, center - localization_radius)
         hi = np.minimum(hi, center + localization_radius)
     span = np.maximum(hi - lo, SEARCH_MIN_SPAN)

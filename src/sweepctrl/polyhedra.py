@@ -65,11 +65,16 @@ class Polyhedron:
         if normals.shape[0] < 1:
             raise ValueError("a polyhedron needs at least one row")
         row_norms = np.linalg.norm(normals, axis=1)
-        # The rows (a_j, c_j) have a finite total norm unless one holds a NaN or an inf (or it overflows).
+        # The rows (a_j, c_j) have a finite total norm unless one holds a NaN or an inf, or the norm
+        # of a normal overflows (|a_j|^2 then does too, and no projection onto it can be formed).
         if not math.isfinite(np.hypot(row_norms, offsets).sum()):
-            for name, bad in (("normal", ~np.isfinite(normals).all(axis=1)), ("offset", ~np.isfinite(offsets))):
+            for what, bad in (
+                ("non-finite normal", ~np.isfinite(normals).all(axis=1)),
+                ("non-finite offset", ~np.isfinite(offsets)),
+                ("normal norm overflows", ~np.isfinite(row_norms)),
+            ):
                 if bad.any():
-                    raise ValueError("non-finite %s in row %d" % (name, int(np.argmax(bad))))
+                    raise ValueError("%s in row %d" % (what, int(np.argmax(bad))))
         if np.any(row_norms == 0.0):
             raise ValueError("zero normal vector in row %d" % int(np.argmin(row_norms)))
         object.__setattr__(self, "normals", normals)
@@ -174,7 +179,8 @@ def project_raw(
 
     With one row, u = 1/(1 + |a|^2) and d = |a|^2/(1 + |a|^2), so
     lam = top/|a|^2 in closed form, under the same emptiness rule; a
-    non-finite input raises ValueError there as in the NNLS path.
+    non-finite input raises ValueError there as in the NNLS path, and so
+    does a row whose |a|^2 overflows.
     """
     if start is not None and np.shape(start) != np.shape(y):
         raise ValueError(f"start has shape {np.shape(start)}, expected {np.shape(y)}")
@@ -188,6 +194,8 @@ def project_raw(
         a = A[0]
         aa = float(a @ a)
         if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule below, d > EMPTY_RTOL (1 + u)
+            if not math.isfinite(aa):
+                raise ValueError("projection row norm overflows")
             raise ProjectionError("the polyhedron is empty")
         return y - (top / aa) * a, np.zeros(1, dtype=int)
     n = y.shape[0]

@@ -67,6 +67,54 @@ class TestSimulate:
         assert code == 0
 
 
+class TestControlWidth:
+    """A control row of the wrong width is an input error (exit 2) naming both widths."""
+
+    def _expect_width_error(self, code, capsys, got, want):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"width {got}" in err and f"width {want}" in err
+
+    @pytest.mark.parametrize(
+        "name, control, got, want",
+        [("pedestrian3.scn", "1,1", 2, 3), ("pedestrian2.scn", "1", 1, 2), ("pedestrian2.scn", "1,1,1", 3, 2)],
+    )
+    def test_inline_control(self, tmp_path, capsys, name, control, got, want):
+        scn = str(bundled_scenario_path(name))
+        code = main(["simulate", scn, f"--control={control}", "--mesh-exp", "4", "--out", str(tmp_path)])
+        self._expect_width_error(code, capsys, got, want)
+        assert not (tmp_path / "trajectory.csv").exists()
+
+    @pytest.mark.parametrize("rows", [["1 1"] * 16, ["1 1 1"] * 8 + ["1 1"] * 8], ids=["narrow", "ragged"])
+    def test_control_file(self, tmp_path, capsys, rows):
+        f = tmp_path / "u.txt"
+        f.write_text("\n".join(rows) + "\n")
+        code = main(["simulate", PED3, "--control-file", str(f), "--mesh-exp", "4", "--out", str(tmp_path)])
+        self._expect_width_error(code, capsys, 2, 3)
+
+    def test_trajectory_csv_without_a_control_column(self, tmp_path, capsys):
+        assert main(["solve-reduced", PED3, "--mesh-exp", "4", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "trajectory.csv").read_text().splitlines()
+        drop = lines[0].split(",").index("u3")
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(",".join(c for j, c in enumerate(ln.split(",")) if j != drop) for ln in lines))
+        capsys.readouterr()
+        code = main(["verify", PED3, "--certificate", str(tmp_path / "certificate.json"),
+                     "--trajectory", str(cut), "--out", str(tmp_path)])
+        self._expect_width_error(code, capsys, 2, 3)
+
+
+def test_each_call_in_one_process_returns_its_own_exit_code(tmp_path, capsys):
+    """The argument parser is built once per process; a parse leaves nothing behind for the next."""
+    assert main(["simulate", PED2, "--control", "1,1", "--no-such-option"]) == 2
+    assert main(["simulate", PED2, "--control", "1,1", "--mesh-exp", "4", "--out", str(tmp_path)]) == 0
+    assert main(["simulate", PED2, "--mesh-exp", "4", "--out", str(tmp_path)]) == 2  # no control carried over
+    assert "needs --control" in capsys.readouterr().err
+    assert main(["nonsense"]) == 2
+    assert main(["solve-reduced", PED2, "--mesh-exp", "4", "--out", str(tmp_path)]) == 0
+
+
 class TestSolveReduced:
     def test_prints_published_headline(self, tmp_path, capsys):
         code = main(["solve-reduced", PED2, "--out", str(tmp_path)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from sweepctrl.models import (
     ControlSet,
@@ -260,6 +261,13 @@ class TestControlSets:
         assert np.allclose(B.clamp(np.array([5.0, -7.0])), [2.0, -2.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_box_bound_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ControlSet.box([bad, 0.0], [1.0, 1.0])
+        with pytest.raises(ValueError, match="finite"):
+            ControlSet.box([0.0, 0.0], [1.0, bad])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_control_rejected_naming_component(self, bad):
         B = ControlSet.box([-2, -2, -2], [2, 2, 2])
         u = np.array([0.0, bad, 0.0])
@@ -268,6 +276,52 @@ class TestControlSets:
         S = ControlSet.segment([2.0, 1.0], (-3.37, 3.37), bound_on=1)
         assert not S.contains(np.array([bad, 1.0]))
         assert S.violation_message(np.array([bad, 1.0])) == f"u1 = {bad:g} is not a finite number"
+
+
+@st.composite
+def control_set_and_row(draw):
+    """A box or a segment in R^d and a row: on the set, or with NaN, +-inf, a point off the
+    link, a point out of range, or the wrong width."""
+    d = draw(st.integers(1, 4))
+    small = st.floats(-5.0, 5.0)
+    if draw(st.booleans()):
+        lo = draw(hnp.arrays(float, d, elements=small))
+        U = ControlSet.box(lo, lo + draw(hnp.arrays(float, d, elements=st.floats(0.0, 5.0))))
+    else:
+        link = draw(hnp.arrays(float, d, elements=st.floats(0.1, 3.0) | st.floats(-3.0, -0.1)))
+        U = ControlSet.segment(link, (draw(small), draw(small)), draw(st.integers(0, d - 1)))
+    p = U.lo + (U.hi - U.lo) * draw(hnp.arrays(float, U.lo.size, elements=st.floats(0.0, 1.0)))
+    u = U.at_parameter(p)
+    entry = st.floats(-10.0, 10.0) | st.sampled_from([np.nan, np.inf, -np.inf])
+    change = draw(st.sampled_from(["none", "entry", "row", "width"]))
+    if change == "entry":
+        u[draw(st.integers(0, d - 1))] = draw(entry)
+    elif change == "row":
+        u = draw(hnp.arrays(float, d, elements=entry))
+    elif change == "width":
+        u = draw(hnp.arrays(float, draw(st.integers(1, 5).filter(lambda w: w != d)), elements=entry))
+    return U, u, change
+
+
+class TestControlSetAgreement:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(control_set_and_row())
+    def test_contains_message_and_check_rows_agree(self, case):
+        U, u, change = case
+        inside = U.contains(u)
+        msg = U.violation_message(u)
+        try:
+            U.check_rows([u])
+            raised = None
+        except ValueError as exc:
+            raised = str(exc)
+        assert inside == (msg is None) == (raised is None)
+        if raised is not None:
+            assert raised == f"control value on interval 0 outside the admissible set: {msg}"
+        if change == "none":
+            assert inside
+        if change == "width":
+            assert f"width {u.size}" in msg and f"width {U.dim}" in msg
 
 
 class TestValueEquality:

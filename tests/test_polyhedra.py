@@ -145,6 +145,10 @@ class TestProject:
         with pytest.raises(ProjectionError, match="empty"):
             project_raw(np.zeros((1, 2)), np.array([-1.0]), np.zeros(2))
 
+    def test_one_row_whose_norm_overflows_raises_value_error(self):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="overflows"):
+            project_raw(np.array([[1e200, 0.0]]), np.array([0.0]), np.array([1.0, 0.0]))
+
     def test_one_row_support_is_a_fresh_array(self):
         A, c = np.array([[1.0, -1.0]]), np.array([-6.0])
         _, W = project_raw(A, c, np.zeros(2))
@@ -162,6 +166,15 @@ class TestPolyhedronGuards:
     def test_non_finite_rows_rejected_naming_the_row(self, normals, offsets, message):
         with pytest.raises(ValueError, match=message):
             Polyhedron(np.array(normals), np.array(offsets))
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_row_whose_norm_overflows_rejected_naming_the_row(self, row):
+        # Every entry is finite, but |a|^2 is not: projecting onto such a row returned a point
+        # that violates it, (1, 0) for y = (1, 0) with row 0 = (1e200, 0), offset 0.
+        normals = np.eye(2)
+        normals[row] = [1e200, 0.0]
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"norm overflows in row {row}"):
+            Polyhedron(normals, np.zeros(2))
 
 
 class TestDecomposeNormal:
