@@ -173,12 +173,14 @@ class ControlSet:
 
 
 class Scenario:
-    """The drive, checks and contact test both families share, over four model hooks:
+    """The drive, checks and contact test both families share, over five model hooks:
 
     headings(t, contact_time)     unit drive direction per agent, (n, coords); (N, n, coords) at N times
     constraint_rows(x)            the step set K(x) = {y : A y <= c} as (A, c)
     pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
     free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d
+    step_rows(X, Y)               the adjacent-pair rows of K(x) at each node of X, in the sweeping
+                                  set's units, and their linearized gaps at the matching nodes of Y
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -319,6 +321,26 @@ class RobotScenario(Scenario):
         D = P[..., 1:, :] - P[..., :-1, :]
         return np.hypot(D[..., 0], D[..., 1]) - 2.0 * self.R
 
+    def step_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        """sqrt(2) times the adjacent-pair rows of `linearized_noncollision` at each node of X,
+        (N, n-1, 2n), and each row's linearized gap <n_j, y^j - y^{j+1}> - 2R at the node of Y,
+        (N, n-1).  The factor makes a row equal the sweeping set's sum-norm row on the diagonal,
+        so multipliers on these rows keep the published units (robot2's eta = 125/42)."""
+        N, n = len(X), self.n
+        P, Q = np.reshape(X, (N, n, 2)), np.reshape(Y, (N, n, 2))
+        D = P[:, :-1] - P[:, 1:]
+        dist = np.hypot(D[..., 0], D[..., 1])
+        if not dist.all():
+            k, j = np.argwhere(dist == 0.0)[0]
+            raise ValueError(f"coincident centers {j + 1}, {j + 2} at node {k}: gradient undefined")
+        unit = D / dist[..., None]  # n_j, from x^{j+1} to x^j
+        gaps = np.sum(unit * (Q[:, :-1] - Q[:, 1:]), axis=-1) - 2.0 * self.R
+        B = np.zeros((N, n - 1, n, 2))
+        j = np.arange(n - 1)
+        B[:, j, j + 1] = math.sqrt(2.0) * unit
+        B[:, j, j] = -B[:, j, j + 1]
+        return B.reshape(N, n - 1, 2 * n), gaps
+
     def free_run(self, x, d, support, cap: int) -> int:
         """Free flight only: while each pair keeps ||x^i - x^j|| >= 2R + ||d^i - d^j|| + CONTACT_TOL,
         x + d lies in the linearized K(x) and out of contact (a quadratic in the step count)."""
@@ -380,6 +402,12 @@ class PedestrianScenario(Scenario):
 
     def pair_gaps(self, x) -> np.ndarray:
         return np.diff(np.asarray(x, dtype=float)) - 2.0 * self.R
+
+    def step_rows(self, X, Y) -> tuple[np.ndarray, np.ndarray]:
+        """The fixed sweeping-set rows for each node of X (a broadcast view, (N, n-1, n)) and
+        their gaps at the nodes of Y, (N, n-1)."""
+        A = self._sweeping_set.normals
+        return np.broadcast_to(A, (len(X), *A.shape)), self.pair_gaps(Y)
 
 
 # ---------------------------------------------------------------------------

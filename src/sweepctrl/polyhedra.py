@@ -1,13 +1,14 @@
 """Convex polyhedral sets: membership, active sets, Euclidean projection, normal cones.
 
 A polyhedron is stored in halfspace form {x : <a_j, x> <= c_j, j = 1..s}.
-Everything downstream (sweeping dynamics, multiplier recovery, optimality
-checks) reduces to the five operations in this module.  Projection is a
-least-distance program.  Onto one halfspace (a two-agent K(x)) it is the
-closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a single NNLS call
-(Lawson & Hanson) solves it, exact on the small dense problems met here.
-scipy is imported on the first NNLS call, so a run that never needs one
-(parsing, `verify`, a two-agent simulation) never loads `scipy.optimize`.
+The sweeping dynamics and the optimality checks reduce to the five
+operations in this module (`recover_eta` solves its batched fit itself).
+Projection is a least-distance program.  Onto one halfspace (a two-agent
+K(x)) it is the closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a
+single NNLS call (Lawson & Hanson) solves it, exact on the small dense
+problems met here.  scipy is imported on the first NNLS call, so a run
+that never needs one (parsing, `verify`, a two-agent simulation and its
+multipliers) never loads `scipy.optimize`.
 """
 
 from __future__ import annotations

@@ -9,21 +9,28 @@ are piecewise linear between mesh nodes, controls piecewise constant.
 One loop serves both models through the `models.Scenario` interface:
 `drive` gives g for every interval at once (from the `headings` hook),
 `constraint_rows` gives K(x), `pair_gaps` finds contacts and `free_run`
-says how far a repeating step may be filled.  `recover_eta` reads the
-contact rows of every node from one `pair_gaps` call.
+says how far a repeating step may be filled.  `recover_eta` expresses the
+normal-cone multiplier eta_k of interval k on the rows of the step's own
+set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
+sweeping-set rows for pedestrians and sqrt(2) times the tangent rows of
+K(x_k) for robots (the sum-norm rows on the diagonal), fitted for every
+interval in one batched solve.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .models import Scenario
-from .polyhedra import Polyhedron, _same_fields, decompose_on_rows, project_raw, project_with_working_set
+from .polyhedra import Polyhedron, _same_fields, project_raw, project_with_working_set
 from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
+ETA_BLOCK = 4096  # intervals per batched multiplier solve in `recover_eta`
 
 
 @dataclass(frozen=True)
@@ -34,10 +41,10 @@ class Mesh:
     m: int
 
     def __post_init__(self):
-        if not (1 <= self.m <= MESH_EXP_MAX):
-            raise ValueError(f"mesh exponent must be in [1, {MESH_EXP_MAX}]")
-        if self.T <= 0:
-            raise ValueError("horizon must be positive")
+        if not (isinstance(self.m, numbers.Integral) and 1 <= self.m <= MESH_EXP_MAX):
+            raise ValueError(f"mesh exponent must be an integer in [1, {MESH_EXP_MAX}], got {self.m!r}")
+        if not 0.0 < self.T < math.inf:  # NaN fails too
+            raise ValueError(f"horizon must be a finite positive number, got {self.T!r}")
 
     @property
     def intervals(self) -> int:
@@ -111,10 +118,13 @@ class Trajectory:
 class EtaProfile:
     """Per-interval normal-cone coefficients recovered from a trajectory.
 
-    `values[k, j]` multiplies row j of the sweeping set on interval k;
-    `terminal` is the value carried at t = T (taken from the last
-    interval); `residuals[k]` is the part of g - x' not explained by the
-    active rows on interval k.
+    `values[k, j]` multiplies the row of adjacent pair j in the step's set
+    on interval k: row j of the sweeping set for pedestrians, sqrt(2) times
+    the pair's tangent row of K(x_k) for robots (equal to the sum-norm row
+    of the sweeping set on the diagonal, so the published values keep
+    their units); `terminal` is the value carried at t = T (taken from the
+    last interval); `residuals[k]` is the part of g - x' not explained by
+    the active rows on interval k.
     """
 
     times: np.ndarray  # (K+1,) interval breakpoints
@@ -227,29 +237,45 @@ def contact_switch_time(scn: Scenario, times, states) -> float | None:
 
 
 def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile:
-    """Fit g(x, u) - x' on the active sweeping-set rows, interval by interval.
+    """Fit g(x, u) - x' on each step's active rows, for every interval at once.
 
-    Activity on an interval is read off the post-projection right node
-    (the node the step produced); coefficients are a nonnegative
-    least-squares fit on the corresponding rows of the sweeping set, and
-    the residual reports whatever those rows cannot explain.
+    Interval k uses the adjacent-pair rows of the step's own set K(x_k)
+    (`scn.step_rows`: the sweeping-set rows for pedestrians, sqrt(2) times
+    the tangent rows for robots); a row is active when its linearized gap
+    at the node the step produced, x_{k+1}, is at most CONTACT_TOL.  The
+    coefficients solve the normal equations B B^T eta = B v on the active
+    rows B (identity on the inactive ones) in one batched solve, clipped at
+    0; adjacent-pair rows form a path, so they are linearly independent.
+    The residual reports whatever those rows cannot explain, a push
+    between non-adjacent robots included.  Intervals go in blocks of
+    ETA_BLOCK, so the (block, s, dim) temporaries stay small.
     """
-    C = scn.sweeping_set()
     if traj.mesh.intervals != u.mesh.intervals or not traj.mesh.spans(u.mesh.T):
         raise ValueError("trajectory and control live on different meshes")
+    X = traj.nodes
+    if X.shape[1:] != (scn.state_dim,):
+        width = X.shape[1] if X.ndim == 2 else X.shape[1:]
+        raise ValueError(f"trajectory state width {width} != scenario state width {scn.state_dim}")
     scn.control_set.check_rows(u.values)
     times = traj.times
     K = traj.mesh.intervals
-    values = np.zeros((K, C.nrows))
-    residuals = np.zeros(K)
-    contact = contact_switch_time(scn, times, traj.nodes)
+    s = scn.sweeping_set().nrows
+    values = np.empty((K, s))
+    residuals = np.empty(K)
+    contact = contact_switch_time(scn, times, X)
     defects = scn.drive(u.values, times[:-1], contact) - traj.velocities()
-    in_contact = np.abs(scn.pair_gaps(traj.nodes[1:])) <= CONTACT_TOL
-    for k in range(K):
-        dec = decompose_on_rows(C, np.flatnonzero(in_contact[k]), defects[k])
-        for j, val in dec.coefficients.items():
-            values[k, j] = val
-        residuals[k] = dec.residual
+    diag = np.eye(s, dtype=bool)
+    for lo in range(0, K, ETA_BLOCK):
+        hi = min(lo + ETA_BLOCK, K)
+        B, gaps = scn.step_rows(X[lo:hi], X[lo + 1 : hi + 1])
+        active = gaps <= CONTACT_TOL
+        B = B * active[..., None]
+        v = defects[lo:hi]
+        G = np.einsum("kid,kjd->kij", B, B)
+        G[:, diag] += ~active
+        eta = np.linalg.solve(G, np.einsum("kid,kd->ki", B, v)[..., None])[..., 0]
+        eta = values[lo:hi] = np.where(eta > 0.0, eta, 0.0)
+        residuals[lo:hi] = np.linalg.norm(v - np.einsum("ki,kid->kd", eta, B), axis=1)
     return EtaProfile(times=times, values=values, terminal=values[-1].copy(), residuals=residuals)
 
 

@@ -322,6 +322,25 @@ print(after_package, after_cli, code, loaded())
     assert out.stdout.split()[-4:] == ["False", "False", "0", "False"]
 
 
+def test_two_agent_simulate_and_solve_discrete_leave_scipy_unloaded(tmp_path):
+    import sweepctrl
+
+    script = f"""
+import sys
+import sweepctrl.cli
+codes = [
+    sweepctrl.cli.main(["simulate", {ROBOT!r}, "--control=-3.37,-1.685", "--mesh-exp", "8", "--out", {str(tmp_path)!r}]),
+    sweepctrl.cli.main(["solve-discrete", {PED2!r}, "--mesh-exp", "6", "--budget", "40", "--out", {str(tmp_path)!r}]),
+]
+print(*codes, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(sweepctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split()[-3:] == ["0", "0", "False"]
+    assert "eta1" in (tmp_path / "trajectory.csv").read_text().splitlines()[0]
+
+
 class TestSolveDiscrete:
     def test_finds_reduced_optimum(self, tmp_path, capsys):
         code = main(

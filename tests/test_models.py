@@ -15,6 +15,7 @@ from sweepctrl.models import (
     bundled_scenario,
     bundled_scenario_path,
     distance_gap,
+    linearized_noncollision,
     parse_scenario_text,
     pedestrian_g,
     pedestrian_sweeping_set,
@@ -200,6 +201,45 @@ class TestAdmissibleVelocities:
         scn = robot_example()
         with pytest.raises(ValueError, match="coincident"):
             admissible_velocities_contains(scn, np.array([0.0, 0.0, 0.0, 0.0]), np.zeros(4), 0.01)
+
+
+class TestStepRows:
+    def test_robot_rows_are_sqrt2_times_the_adjacent_tangent_rows(self):
+        rng = np.random.default_rng(11)
+        for n in (2, 3, 4):
+            scn = parse_scenario_text(
+                f"model = robot\nn = {n}\nR = 1\nT = 6\nx0 = {' '.join(str(4 * i) for i in range(2 * n))}\n"
+                f"speeds = {' '.join(['1'] * n)}\nangles_deg = {' '.join(['225'] * n)}\n"
+                f"control.kind = box\ncontrol.lo = {' '.join(['-1'] * n)}\ncontrol.hi = {' '.join(['1'] * n)}\n"
+            )
+            X = rng.uniform(-30.0, 30.0, (7, 2 * n))
+            Y = X + rng.normal(0.0, 1.0, X.shape)
+            B, gaps = scn.step_rows(X, Y)
+            assert B.shape == (7, n - 1, 2 * n) and gaps.shape == (7, n - 1)
+            pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            adjacent = [pairs.index((j, j + 1)) for j in range(n - 1)]
+            for x, y, b, gap in zip(X, Y, B, gaps):
+                A, c = linearized_noncollision(x, scn.R)
+                np.testing.assert_allclose(b, np.sqrt(2.0) * A[adjacent], rtol=0, atol=1e-15)
+                np.testing.assert_allclose(gap, (c - A @ y)[adjacent], rtol=0, atol=1e-12)
+
+    def test_robot_rows_equal_the_sum_norm_rows_on_the_diagonal(self):
+        scn = robot_example()
+        B, gaps = scn.step_rows(scn.x0[None, :], scn.x0[None, :])
+        np.testing.assert_allclose(B[0], scn.sweeping_set().normals, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(gaps, scn.pair_gaps(scn.x0)[None, :], rtol=0, atol=1e-12)
+
+    def test_robot_coincident_centers_raise(self):
+        scn = robot_example()
+        with pytest.raises(ValueError, match="coincident centers 1, 2 at node 1"):
+            scn.step_rows(np.array([[0.0, 0.0, 12.0, 12.0], [1.0, 1.0, 1.0, 1.0]]), np.zeros((2, 4)))
+
+    def test_pedestrian_rows_are_the_sweeping_set(self):
+        scn = pedestrian_three()
+        Y = np.array([[-60.0, -48.0, -42.0], [-10.0, -4.0, 3.0]])
+        B, gaps = scn.step_rows(Y, Y)
+        assert np.array_equal(B, np.broadcast_to(scn.sweeping_set().normals, (2, 2, 3)))
+        assert np.array_equal(gaps, scn.pair_gaps(Y))
 
 
 class TestSetRepresentation:

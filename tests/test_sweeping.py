@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepctrl.models import ControlSet, PedestrianScenario, RobotScenario, bundled_scenario, parse_scenario_text
-from sweepctrl.polyhedra import Polyhedron, contains, project_raw
+from sweepctrl.models import (
+    ControlSet,
+    PedestrianScenario,
+    RobotScenario,
+    bundled_scenario,
+    bundled_scenario_path,
+    linearized_noncollision,
+    parse_scenario_text,
+)
+from sweepctrl.polyhedra import Polyhedron, contains, decompose_on_rows, project_raw
 from sweepctrl.sweeping import (
     STEP_TOL,
     ControlSignal,
     Mesh,
     Trajectory,
     catchup_step,
+    contact_switch_time,
     contact_times,
     cost,
     read_trajectory_csv,
@@ -20,6 +29,7 @@ from sweepctrl.sweeping import (
     simulate,
     trajectory_csv,
 )
+from sweepctrl.tolerances import CONTACT_TOL
 
 SQRT2 = np.sqrt(2.0)
 
@@ -748,3 +758,159 @@ class TestProjectionPath:
         assert not calls
         simulate(ped3(), ControlSignal.constant(Mesh(6.0, 10), PED3_U))  # two rows: the spy sees NNLS
         assert calls
+
+
+def robot_text(n, R, x0, speeds, lo, hi):
+    return (
+        f"model = robot\nn = {n}\nR = {R}\nT = 6\nx0 = {x0}\nspeeds = {speeds}\n"
+        f"angles_deg = {' '.join(['225'] * n)}\ncontrol.kind = box\n"
+        f"control.lo = {' '.join([str(lo)] * n)}\ncontrol.hi = {' '.join([str(hi)] * n)}\n"
+    )
+
+
+def walk_controls(rng, mesh, target, lo, hi):
+    """A bounded random walk around `target`, one control row per interval."""
+    u, out = target.copy(), np.empty((mesh.intervals, target.size))
+    for k in range(mesh.intervals):
+        u = out[k] = np.clip(u + 0.05 * (target - u) + rng.normal(0.0, 0.15 * (hi - lo), target.size), lo, hi)
+    return ControlSignal(mesh, out)
+
+
+def jostling_chains():
+    """Chains of 5 and 8 pedestrians and of 3 and 4 robots on the diagonal, each under a
+    control that changes every interval and closes the gaps."""
+    rng = np.random.default_rng(23)
+    mesh = Mesh(6.0, 9)
+    out = []
+    for n in (5, 8):
+        x0 = -40.0 + np.concatenate([[0.0], np.cumsum(2.0 + rng.uniform(0.0, 1.0, n - 1))])
+        scn = PedestrianScenario(
+            n=n, R=1.0, T=6.0, x0=x0, speeds=rng.uniform(1.5, 2.5, n), control_set=ControlSet.box([-1.0] * n, [2.0] * n)
+        )
+        out.append((scn, walk_controls(rng, mesh, 2.0 - 2.4 * np.arange(n) / (n - 1), -1.0, 2.0)))
+    for n in (3, 4):
+        a = -30.0 + np.concatenate([[0.0], np.cumsum(1.5 * np.sqrt(2.0) * (1.0 + rng.uniform(0.0, 0.6, n - 1)))])
+        speeds = " ".join(map(repr, rng.uniform(1.0, 2.0, n).tolist()))
+        scn = parse_scenario_text(robot_text(n, 0.75, " ".join(map(repr, np.repeat(a, 2).tolist())), speeds, -3, 1))
+        out.append((scn, walk_controls(rng, mesh, -3.0 + 3.2 * np.arange(n) / (n - 1), -3.0, 1.0)))
+    return out
+
+
+def nnls_eta(scn, traj, u):
+    """The multipliers fitted interval by interval: one NNLS `decompose_on_rows` call on the
+    step's adjacent rows (sqrt(2) times those of `linearized_noncollision` for robots) whose
+    linearized gap at the right node is at most CONTACT_TOL."""
+    X, n = traj.nodes, scn.n
+    contact = contact_switch_time(scn, traj.times, X)
+    defects = scn.drive(u.values, traj.times[:-1], contact) - traj.velocities()
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    adjacent = [pairs.index((j, j + 1)) for j in range(n - 1)]
+    values = np.zeros((len(defects), n - 1))
+    for k, v in enumerate(defects):
+        if isinstance(scn, RobotScenario):
+            A, c = linearized_noncollision(X[k], scn.R)
+            P = Polyhedron(np.sqrt(2.0) * A[adjacent], np.sqrt(2.0) * c[adjacent])
+            gaps = (c - A @ X[k + 1])[adjacent]
+        else:
+            P, gaps = scn.sweeping_set(), scn.pair_gaps(X[k + 1])
+        for j, val in decompose_on_rows(P, np.flatnonzero(gaps <= CONTACT_TOL), v).coefficients.items():
+            values[k, j] = val
+    return values
+
+
+OFF_DIAGONAL_ROBOT2 = ("-32 -26 -20 -20", "-36 -24 -20 -20")
+
+
+class TestRecoverEtaOnStepRows:
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    @pytest.mark.parametrize("x0", OFF_DIAGONAL_ROBOT2)
+    def test_robot2_off_the_diagonal_is_explained(self, x0, m):
+        # The pair slides along its contact tangent, ending each step O(h^2) outside the
+        # circle: only the step's own rows see the contact.
+        text = bundled_scenario_path("robot2.scn").read_text().replace("x0 = -30 -30 -20 -20", f"x0 = {x0}")
+        scn = parse_scenario_text(text)
+        u = ControlSignal.constant(Mesh(6.0, m), [-3.37, -1.685])
+        prof = recover_eta(scn, simulate(scn, u), u)
+        assert np.any(prof.values > 0.0)
+        assert prof.max_residual() < 1e-9
+
+    @pytest.mark.parametrize("m", [8, 10, 12])
+    def test_three_robots_off_the_diagonal_are_explained(self, m):
+        scn = parse_scenario_text(robot_text(3, 5, "-36 -30 -24 -21 -10 -10", "3 2 1", -2, 2))
+        u = ControlSignal.constant(Mesh(6.0, m), [-2.0, -2.0, -2.0])
+        prof = recover_eta(scn, simulate(scn, u), u)
+        assert np.all(np.any(prof.values > 0.0, axis=0))  # both pairs push
+        assert prof.max_residual() < 1e-9
+
+    def test_a_push_between_non_adjacent_robots_shows_in_the_residual(self):
+        # Robots 1 and 3 touch past robot 2: their row is no column of the profile.
+        scn = parse_scenario_text(robot_text(3, 2, "-30 -27 -24 -20 -17 -15", "3 2 1", -2, 2))
+        u = ControlSignal.constant(Mesh(6.0, 8), [-2.0, -2.0, -2.0])
+        traj = simulate(scn, u)
+        A, c = linearized_noncollision(traj.nodes[175], scn.R)
+        assert abs(c[1] - A[1] @ traj.nodes[176]) <= CONTACT_TOL  # pair (1, 3) in contact
+        assert recover_eta(scn, traj, u).residuals[175] > 1.0
+
+    def test_matches_the_nnls_fit_interval_by_interval(self):
+        cases = [(ped2(), PED2_U), (ped3(), PED3_U), (robot2(), [2.0 * ROBOT_R, ROBOT_R])]
+        runs = [(scn, ControlSignal.constant(Mesh(6.0, m), u)) for scn, u in cases for m in (8, 10)]
+        for scn, u in runs + jostling_chains():
+            traj = simulate(scn, u)
+            prof = recover_eta(scn, traj, u)
+            want = nnls_eta(scn, traj, u)
+            assert np.any(want > 0.0)
+            assert np.max(np.abs(prof.values - want)) <= 1e-12 * max(1.0, np.max(want))
+            assert np.array_equal(prof.values > 0.0, want > 0.0)
+            assert prof.max_residual() < 1e-11
+
+    def test_makes_no_nnls_call(self, monkeypatch):
+        import sweepctrl.polyhedra as polyhedra
+
+        scn, u = jostling_chains()[1]
+        assert scn.n == 8
+        traj = simulate(scn, u)
+        calls = []
+        nnls = polyhedra._nnls()
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return nnls(*args, **kwargs)
+
+        monkeypatch.setattr(polyhedra, "_nnls", lambda: counted)
+        prof = recover_eta(scn, traj, u)
+        assert np.any(prof.values > 0.0) and not calls
+
+    def test_blocks_give_the_unblocked_result(self, monkeypatch):
+        import sweepctrl.sweeping as sweeping
+
+        for scn, u in jostling_chains()[1:3]:
+            traj = simulate(scn, u)
+            whole = recover_eta(scn, traj, u)
+            monkeypatch.setattr(sweeping, "ETA_BLOCK", 100)
+            parts = recover_eta(scn, traj, u)
+            monkeypatch.undo()
+            np.testing.assert_allclose(parts.values, whole.values, rtol=1e-13, atol=1e-13)
+            np.testing.assert_allclose(parts.residuals, whole.residuals, rtol=0, atol=1e-13)
+
+    def test_wrong_state_width_is_named(self):
+        scn = robot2()
+        mesh = Mesh(6.0, 4)
+        u = ControlSignal.constant(mesh, [2.0 * ROBOT_R, ROBOT_R])
+        traj = Trajectory(mesh, np.zeros((mesh.intervals + 1, 8)))
+        with pytest.raises(ValueError, match="trajectory state width 8 != scenario state width 4"):
+            recover_eta(scn, traj, u)
+
+
+class TestMeshInput:
+    @pytest.mark.parametrize("T", [float("nan"), float("inf"), -float("inf"), 0.0])
+    def test_horizon_must_be_finite_and_positive(self, T):
+        with pytest.raises(ValueError, match="horizon"):
+            Mesh(T, 3)
+
+    @pytest.mark.parametrize("m", [2.5, 3.0, "3", None])
+    def test_exponent_must_be_an_integer(self, m):
+        with pytest.raises(ValueError, match="exponent"):
+            Mesh(6.0, m)
+
+    def test_numpy_integer_exponent_is_accepted(self):
+        assert Mesh(6.0, np.int64(3)).intervals == 8
