@@ -244,6 +244,7 @@ def _cmd_solve_discrete(cfg: RunConfig) -> int:
         f"mesh exponent = {cfg.mesh_exp} (h = {sol.mesh.h:.6g})",
         f"cost J_m      = {sol.cost:.12g}",
         f"evaluations   = {sol.evaluations}",
+        f"simulations   = {sol.simulations}",
         f"converged     = {sol.converged}",
         f"control(t=0)  = {np.round(sol.control.values[0], 12).tolist()}",
     ]
@@ -341,7 +342,12 @@ def _parser() -> argparse.ArgumentParser:
 
     p_dis = sub.add_parser("solve-discrete", help="direct search on the discrete problem")
     common(p_dis)
-    p_dis.add_argument("--budget", type=int, default=2000, help="hard cap on search simulations")
+    p_dis.add_argument(
+        "--budget",
+        type=int,
+        default=2000,
+        help="hard cap on the search's cost evaluations; a repeated control is looked up, not simulated",
+    )
     p_dis.add_argument("--piecewise", action="store_true", help="refine the constant optimum per interval")
 
     p_ver = sub.add_parser("verify", help="check a certificate against a trajectory")

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -566,6 +567,7 @@ class DiscreteSolution:
     trajectory: Trajectory
     cost: float
     evaluations: int
+    simulations: int
     converged: bool
     localization: dict | None = None
 
@@ -587,21 +589,34 @@ def solve_discrete(
     linked segment, n for a box); `piecewise` then refines the best constant
     solution with one parameter row per mesh interval.  Multistarts run from
     the control-set vertices and center, plus `extra_starts` uniform draws
-    seeded by `seed`.  `budget` is a hard cap on the simulations the search
-    makes; the final re-simulation of the best control is not counted.
-    `converged` is False exactly when the search stopped because it needed
-    one more simulation than the budget allows.  When a reference pair is
-    supplied the tracking penalty terms (mesh approximations of the squared
-    velocity and control deviations) are reported alongside the cost;
+    seeded by `seed`.  `budget` is a hard cap on the cost evaluations the
+    search makes.  Each distinct control is simulated once: a repeat is
+    looked up, not simulated, but still counts against the budget, so the
+    search takes the same path either way.  `simulations` counts the
+    `simulate` calls.  The lowest-cost trajectory simulated so far is kept
+    and returned when it belongs to the best control; otherwise the best
+    control is simulated once more, outside the budget.  `converged` is
+    False exactly when the search stopped because it needed one more
+    evaluation than the budget allows.  When a reference pair is supplied
+    the tracking penalty terms (mesh approximations of the squared velocity
+    and control deviations) are reported alongside the cost;
     `localization_radius` additionally restricts the search to a sup-norm
     ball around the reference control.
     """
-    if budget < 1:
-        raise ValueError("budget must be at least 1")
+    import hashlib  # only here, so that importing the package does not pay for it
+
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer of at least 1, got {budget!r}")
+    if not (isinstance(extra_starts, numbers.Integral) and extra_starts >= 0):
+        raise ValueError(f"extra_starts must be a nonnegative integer, got {extra_starts!r}")
+    if localization_radius is not None and not 0.0 <= localization_radius < math.inf:
+        raise ValueError(
+            f"localization_radius must be a finite nonnegative number, got {localization_radius!r}"
+        )
     mesh = Mesh(scn.horizon, m)
     U = scn.control_set
     rng = np.random.default_rng(seed)
-    evals = 0
+    evals = sims = 0
 
     # Parameter rows P of shape (rows, q) give the controls P @ M; the search starts at the
     # corners of the parameter box, then at its center.
@@ -618,13 +633,33 @@ def solve_discrete(
     def signal(P: np.ndarray) -> ControlSignal:
         return ControlSignal(mesh, np.repeat(P @ M, mesh.intervals // len(P), axis=0))
 
+    def key(P: np.ndarray) -> bytes:
+        """Fixed-size digest of the control P (a piecewise P has 2^m * q entries)."""
+        raw = P.tobytes()
+        row = raw[: P.itemsize * P.shape[1]]
+        if raw == row * len(P):  # equal rows: the constant control P[:1], as when refining starts
+            raw = row
+        return hashlib.blake2b(raw, digest_size=16).digest()
+
+    # simulate is deterministic, so a stored cost is the one a new simulation would give.
+    costs: dict[bytes, float] = {}
+    low_key, low_traj = None, None  # the lowest-cost control simulated so far
+
     def evaluate(P: np.ndarray) -> float | None:
         """Cost of the control P, or None when the budget is spent."""
-        nonlocal evals
+        nonlocal evals, sims, low_key, low_traj
         if evals >= budget:
             return None
         evals += 1
-        return trajectory_cost(simulate(scn, signal(P)))
+        k = key(P)
+        val = costs.get(k)
+        if val is None:
+            traj = simulate(scn, signal(P))
+            sims += 1
+            val = costs[k] = trajectory_cost(traj)
+            if low_key is None or val < costs[low_key]:
+                low_key, low_traj = k, traj
+        return val
 
     def search(P: np.ndarray, val: float, min_step: float) -> tuple[np.ndarray, float, bool]:
         """Compass search from P (cost val); False when the budget stopped it."""
@@ -666,7 +701,11 @@ def solve_discrete(
         )
 
     u_best = signal(best_P)
-    traj = simulate(scn, u_best)
+    if key(best_P) == low_key:
+        traj = low_traj
+    else:
+        traj = simulate(scn, u_best)
+        sims += 1
     localization = None
     if reference is not None:
         localization = _tracking_penalty(reference, mesh, traj, u_best)
@@ -676,6 +715,7 @@ def solve_discrete(
         trajectory=traj,
         cost=best_val,
         evaluations=evals,
+        simulations=sims,
         converged=converged,
         localization=localization,
     )

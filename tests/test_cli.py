@@ -353,6 +353,14 @@ class TestSolveDiscrete:
         payload = (tmp_path / "solution.txt").read_text()
         assert "localization penalty" in payload
 
+    def test_reports_simulations_under_evaluations(self, tmp_path):
+        assert main(["solve-discrete", ROBOT, "--mesh-exp", "6", "--budget", "50", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "solution.txt").read_text().splitlines()
+        i = next(k for k, ln in enumerate(lines) if ln.startswith("evaluations   = "))
+        assert lines[i] == "evaluations   = 50"
+        label, sims = lines[i + 1].split(" = ")
+        assert label == "simulations  " and 0 < int(sims) < 50
+
 
 class TestConvergence:
     def test_table_and_csv(self, tmp_path, capsys):

@@ -25,7 +25,7 @@ from sweepctrl.optimizer import (
     solve_discrete,
     solve_reduced,
 )
-from sweepctrl.sweeping import ControlSignal, Mesh, simulate
+from sweepctrl.sweeping import ControlSignal, Mesh, cost as trajectory_cost, simulate
 
 SQRT2 = np.sqrt(2.0)
 R_OPT = -25.0 * SQRT2 / 21.0  # optimal segment parameter of the robot scenario
@@ -574,6 +574,76 @@ class TestSolveDiscrete:
     def test_budget_below_one_rejected(self):
         with pytest.raises(ValueError, match="budget"):
             solve_discrete(ped2(), m=3, budget=0)
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"budget": 2.5}, "budget"),
+            ({"budget": "50"}, "budget"),
+            ({"extra_starts": -1}, "extra_starts"),
+            ({"extra_starts": 1.5}, "extra_starts"),
+            ({"localization_radius": -1.0}, "localization_radius"),
+            ({"localization_radius": float("nan")}, "localization_radius"),
+            ({"localization_radius": float("inf")}, "localization_radius"),
+        ],
+    )
+    def test_bad_search_arguments_rejected(self, kwargs, name):
+        red = solve_reduced(ped2())
+        with pytest.raises(ValueError, match=name):
+            solve_discrete(ped2(), m=3, reference=(red.path, red.control), **kwargs)
+
+    def test_numpy_integer_budget_accepted(self):
+        sol = solve_discrete(ped2(), m=3, budget=np.int64(5))
+        assert sol.evaluations == 5
+
+
+class TestDiscreteSearchCache:
+    """Each distinct control is simulated once per search; a repeat is looked up, counts
+    against the budget and gives the stored cost."""
+
+    @staticmethod
+    def spy(monkeypatch):
+        import sweepctrl.optimizer as optimizer
+
+        seen = []
+        real = optimizer.simulate
+
+        def recording(scn, u):
+            seen.append(u.values.tobytes())
+            return real(scn, u)
+
+        monkeypatch.setattr(optimizer, "simulate", recording)
+        return seen
+
+    @pytest.mark.parametrize(
+        "name, m, budget, piecewise",
+        [
+            ("robot2.scn", 6, 2000, False),
+            ("pedestrian2.scn", 6, 2000, False),
+            ("pedestrian3.scn", 6, 2000, False),
+            ("robot2.scn", 3, 84, True),
+        ],
+    )
+    def test_no_control_is_simulated_twice(self, monkeypatch, name, m, budget, piecewise):
+        seen = self.spy(monkeypatch)
+        sol = solve_discrete(bundled_scenario(name), m=m, budget=budget, piecewise=piecewise)
+        assert len(seen) == len(set(seen)) == sol.simulations
+        assert sol.simulations <= sol.evaluations
+
+    @pytest.mark.parametrize("name", ["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"])
+    def test_final_trajectory_is_the_best_controls(self, name):
+        scn = bundled_scenario(name)
+        sol = solve_discrete(scn, m=6, budget=50)
+        assert np.array_equal(sol.trajectory.nodes, simulate(scn, sol.control).nodes)
+        assert sol.cost == trajectory_cost(sol.trajectory)
+
+    @pytest.mark.parametrize("name, m, piecewise", [("robot2.scn", 6, False), ("pedestrian2.scn", 3, True)])
+    def test_exhausted_budget_counts_lookups(self, monkeypatch, name, m, piecewise):
+        seen = self.spy(monkeypatch)
+        sol = solve_discrete(bundled_scenario(name), m=m, budget=50, piecewise=piecewise)
+        assert sol.evaluations == 50
+        assert sol.converged is False
+        assert len(seen) == sol.simulations < 50
 
 
 class TestSamplePath:
