@@ -494,9 +494,9 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     """
     xs = np.asarray(x, dtype=float).tolist()
     n = len(xs) // 2
-    A = np.zeros((n * (n - 1) // 2, 2 * n))
-    k = 0
-    # A scalar loop: for the few pairs here it beats fancy indexing.
+    rows = []
+    # A scalar loop over Python lists, one array at the end: for the few pairs here it beats
+    # fancy indexing and per-entry stores alike.
     for i in range(n):
         for j in range(i + 1, n):
             dx, dy = xs[2 * i] - xs[2 * j], xs[2 * i + 1] - xs[2 * j + 1]
@@ -504,10 +504,11 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
             if dist == 0.0:
                 raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
             nx, ny = dx / dist, dy / dist
-            A[k, 2 * i], A[k, 2 * i + 1] = -nx, -ny
-            A[k, 2 * j], A[k, 2 * j + 1] = nx, ny
-            k += 1
-    return A, np.full(k, -2.0 * R)
+            row = [0.0] * (2 * n)
+            row[2 * i], row[2 * i + 1], row[2 * j], row[2 * j + 1] = -nx, -ny, nx, ny
+            rows.append(row)
+    A = np.array(rows) if rows else np.zeros((0, 2 * n))
+    return A, np.array([-2.0 * R] * len(rows))
 
 
 @dataclass(frozen=True)

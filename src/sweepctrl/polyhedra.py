@@ -8,7 +8,9 @@ K(x)) it is the closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a
 single NNLS call (Lawson & Hanson) solves it, exact on the small dense
 problems met here.  scipy is imported on the first NNLS call, so a run
 that never needs one (parsing, `verify`, a two-agent simulation and its
-multipliers) never loads `scipy.optimize`.
+multipliers) never loads `scipy.optimize`.  The public entry points take a
+finite `tol >= 0`; `project_raw`, the catch-up loop's kernel, trusts its
+caller's.
 """
 
 from __future__ import annotations
@@ -24,11 +26,42 @@ from .tolerances import EMPTY_RTOL, LICQ_RTOL, MEMBERSHIP_TOL
 
 @functools.cache
 def _nnls():
-    """scipy's NNLS solver, imported on the first call, so that importing the package does not load
-    scipy.optimize (the largest part of the package's import time)."""
+    """An NNLS solver `(E, f) -> (u, ||E u - f||)`, built on the first call, so that importing the
+    package does not load scipy.optimize (the largest part of the package's import time).
+
+    It is scipy's compiled Lawson & Hanson kernel `_slsqplib.nnls(E, f, maxiter)` with the public
+    `nnls`'s iteration cap (3 times the columns) and its RuntimeError on the cap (info == 3), but
+    without that wrapper's argument checks, which take about three quarters of a public call on
+    the problems met here.  So the callers pass C-contiguous float64 arrays and reject non-finite
+    input themselves.  The kernel is private: when it is missing, or fails a probe solve (its
+    signature or its result changed), this is the public `nnls`.
+    """
     from scipy.optimize import nnls
 
-    return nnls
+    try:
+        from scipy.optimize._slsqplib import nnls as kernel
+    except ImportError:
+        return nnls
+    try:
+        u, rnorm, info = kernel(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0]), 6)
+    except Exception:  # another signature: whatever a changed private kernel raises, the public one stands in
+        return nnls
+    if info == 3 or not (np.allclose(u, [1.5, 1.0]) and math.isclose(rnorm, math.sqrt(0.5))):
+        return nnls
+
+    def solve(E, f):
+        u, rnorm, info = kernel(E, f, 3 * E.shape[1])
+        if info == 3:
+            raise RuntimeError("Maximum number of iterations reached.")
+        return u, rnorm
+
+    return solve
+
+
+def _check_tol(tol) -> None:
+    """The membership tolerance of the public entry points: a finite number >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be a finite number >= 0, got {tol!r}")
 
 
 class ProjectionError(RuntimeError):
@@ -113,8 +146,7 @@ class ConeDecomposition:
 
 def contains(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff <a_j, x> <= c_j + tol for every row j."""
-    if tol < 0:
-        raise ValueError("tol must be nonnegative")
+    _check_tol(tol)
     return bool(np.all(poly.slack(x) >= -tol))
 
 
@@ -124,6 +156,7 @@ def active_set(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> 
     The point must lie in the polyhedron (within tol); being outside beyond
     tol is an error, not an active constraint.
     """
+    _check_tol(tol)
     slack = poly.slack(x)
     if np.any(slack < -tol):
         worst = int(np.argmin(slack))
@@ -153,6 +186,7 @@ def project_with_working_set(
     `feasible_start` is checked for shape but not needed: the
     least-distance solve starts from nothing.
     """
+    _check_tol(tol)
     y = poly._check_point(y)
     return project_raw(poly.normals, poly.offsets, y, feasible_start, tol)
 
@@ -179,30 +213,40 @@ def project_raw(
     has one) is checked for shape only.
 
     With one row, u = 1/(1 + |a|^2) and d = |a|^2/(1 + |a|^2), so
-    lam = top/|a|^2 in closed form, under the same emptiness rule; a
-    non-finite input raises ValueError there as in the NNLS path, and so
-    does a row whose |a|^2 overflows.
+    lam = top/|a|^2 in closed form, under the same emptiness rule; that
+    branch runs on Python floats, since numpy's per-call overhead is most
+    of the cost of a 1 x 4 row.  A non-finite input raises ValueError on
+    both paths (the NNLS kernel no longer checks it), and so does a single
+    row whose |a|^2 overflows.
     """
     if start is not None and np.shape(start) != np.shape(y):
         raise ValueError(f"start has shape {np.shape(start)}, expected {np.shape(y)}")
-    viol = A @ y - c
-    top = float(viol.max())
-    if top <= tol:
-        return y.copy(), np.empty(0, dtype=int)
     if A.shape[0] == 1:
+        a, ys = A[0].tolist(), y.tolist()
+        top = sum([ai * yi for ai, yi in zip(a, ys, strict=True)]) - c.item()
+        if top <= tol:
+            return y.copy(), np.empty(0, dtype=int)
         if not math.isfinite(top):
             raise ValueError("projection input must not contain infs or NaNs")
-        a = A[0]
-        aa = float(a @ a)
+        aa = sum([ai * ai for ai in a])
         if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule below, d > EMPTY_RTOL (1 + u)
             if not math.isfinite(aa):
                 raise ValueError("projection row norm overflows")
             raise ProjectionError("the polyhedron is empty")
-        return y - (top / aa) * a, np.zeros(1, dtype=int)
+        lam = top / aa
+        return np.array([yi - lam * ai for ai, yi in zip(a, ys)]), np.zeros(1, dtype=int)
+    viol = A @ y - c
+    top = float(viol.max())
+    if top <= tol:
+        return y.copy(), np.empty(0, dtype=int)
     n = y.shape[0]
     E = np.empty((n + 1, A.shape[0]))
     E[:n] = -A.T
     E[n] = h = viol / top
+    # One sum finds a NaN or inf; only a sum that is not finite pays for the entrywise test,
+    # which tells a non-finite entry from a sum of huge finite ones overflowing.
+    if not math.isfinite(E.sum()) and not np.isfinite(E).all():
+        raise ValueError("projection input must not contain infs or NaNs")
     f = np.zeros(n + 1)
     f[n] = 1.0
     try:
@@ -237,8 +281,13 @@ def decompose_on_rows(poly: Polyhedron, rows: np.ndarray, v: np.ndarray) -> Cone
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
         return ConeDecomposition(coefficients={}, residual=float(np.linalg.norm(v)))
-    basis = poly.normals[rows].T  # (dim, k)
-    coef, rnorm = _nnls()(basis, v)
+    # What the NNLS kernel does not check (the rows are finite: Polyhedron checks them).
+    if v.shape != (poly.dim,):
+        raise ValueError(f"vector has shape {v.shape}, expected ({poly.dim},)")
+    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
+        raise ValueError("the vector to decompose must not contain infs or NaNs")
+    basis = np.ascontiguousarray(poly.normals[rows].T)  # (dim, k)
+    coef, rnorm = _nnls()(basis, np.ascontiguousarray(v))
     coefficients = {int(j): float(c) for j, c in zip(rows, coef)}
     return ConeDecomposition(coefficients=coefficients, residual=float(rnorm))
 

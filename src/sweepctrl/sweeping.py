@@ -19,6 +19,7 @@ interval in one batched solve.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -54,9 +55,12 @@ class Mesh:
     def h(self) -> float:
         return self.T / self.intervals
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.intervals + 1)
+        """The 2^m + 1 node times, computed once per mesh and read-only, as every caller shares them."""
+        nodes = np.linspace(0.0, self.T, self.intervals + 1)
+        nodes.flags.writeable = False
+        return nodes
 
     def spans(self, T: float) -> bool:
         """Whether the mesh covers the horizon T, up to TIME_TOL * max(1, T)."""
@@ -173,8 +177,9 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     steps = h * scn.drive(values, times[:-1])
     if scn.switch_time is not None:  # the drive also changes at the first node past the switch
         starts = np.union1d(starts, np.searchsorted(times[:-1], scn.switch_time))
-    # ends[k]: the interval where the run of equal drives holding interval k ends.
-    ends = np.repeat(np.r_[starts[1:], K], np.diff(np.r_[starts, K])).tolist()
+    # The intervals where the runs of equal drives end, in order; `end` is that of interval k's run.
+    run_ends = iter(starts[1:].tolist() + [K])
+    end = 0
     track = scn.switches_at_contact
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
@@ -188,7 +193,9 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             steps[k:] = h * scn.drive(values[k:], times[k:-1], contact)
         step = steps[k]
         xn, W = project_raw(*constraint_rows(x), x + step, tol=STEP_TOL)
-        end, k = ends[k], k + 1
+        if k == end:
+            end = next(run_ends)
+        k += 1
         nodes[k], W = xn, W.tolist()
         if k < end and W == prev and (not W or scn.fixed_constraints):
             d = xn - x if W else step

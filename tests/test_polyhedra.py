@@ -1,11 +1,14 @@
 """Geometry engine tests: membership, active sets, projection, cone decomposition."""
 
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from sweepctrl import polyhedra
 from sweepctrl.polyhedra import (
     ConeDecomposition,
     Polyhedron,
@@ -14,8 +17,10 @@ from sweepctrl.polyhedra import (
     check_licq,
     contains,
     decompose_normal,
+    decompose_on_rows,
     project,
     project_raw,
+    project_with_working_set,
 )
 
 
@@ -336,3 +341,117 @@ class TestProjectionHypothesis:
         x2, W2 = project_raw(np.stack([a, -a]), np.array([c, 10.0 - c]), y)
         assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
         assert W1.tolist() == W2.tolist() == [0]
+
+
+class TestToleranceArgument:
+    """Every public entry point takes a finite tol >= 0: an infinite one would call any point
+    inside, a NaN one would make every comparison false."""
+
+    P = Polyhedron(np.eye(2), [1.0, 1.0])
+    CALLS = {
+        "contains": lambda P, tol: contains(P, np.array([5.0, 5.0]), tol=tol),
+        "active_set": lambda P, tol: active_set(P, np.array([1.0, 0.5]), tol=tol),
+        "project": lambda P, tol: project(P, np.array([5.0, 5.0]), tol=tol),
+        "project_with_working_set": lambda P, tol: project_with_working_set(P, np.array([5.0, 5.0]), tol=tol),
+        "decompose_normal": lambda P, tol: decompose_normal(P, np.array([1.0, 0.5]), np.ones(2), tol=tol),
+        "check_licq": lambda P, tol: check_licq(P, np.array([1.0, 0.5]), tol=tol),
+    }
+
+    @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_bad_tol_raises_naming_it(self, name, tol):
+        with pytest.raises(ValueError, match="tol"):
+            self.CALLS[name](self.P, tol)
+
+    @pytest.mark.parametrize("name", list(CALLS))
+    def test_zero_tol_is_accepted(self, name):
+        self.CALLS[name](self.P, 0.0)
+
+
+class TestNonFiniteInputOnTheNnlsPath:
+    """Two rows take the NNLS path, whose kernel does not check its input: the callers do."""
+
+    @pytest.mark.parametrize(
+        "A, c, y",
+        [
+            ([[1.0, -1.0], [-1.0, 0.0]], [-6.0, 1.0], [np.nan, 0.0]),
+            ([[np.nan, -1.0], [0.0, 1.0]], [-6.0, 1.0], [0.0, 0.0]),
+            ([[0.0, 1.0], [1.0, -1.0]], [-6.0, 1.0], [np.inf, 0.0]),
+            ([[0.0, 1.0], [1.0, 0.0]], [0.0, np.inf], [0.0, 1.0]),
+        ],
+        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient", "minus-inf-violation-on-a-lower-row"],
+    )
+    def test_raises_value_error(self, A, c, y):
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError):
+            project_raw(np.array(A), np.array(c), np.array(y))
+
+    def test_decompose_on_rows_rejects_a_nan_vector(self):
+        with pytest.raises(ValueError):
+            decompose_on_rows(pedestrian_set(3), np.array([0, 1]), np.array([np.nan, 0.0, 0.0]))
+
+
+class TestNnlsLoader:
+    """`_nnls()` calls scipy's compiled kernel directly, and falls back to the public `nnls`."""
+
+    @staticmethod
+    def load():
+        return polyhedra._nnls.__wrapped__()  # the loader itself, past its cache
+
+    def test_falls_back_when_the_kernel_is_missing(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.setitem(sys.modules, "scipy.optimize._slsqplib", None)
+        assert self.load() is scipy.optimize.nnls
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [
+            lambda A, b: (np.zeros(A.shape[1]), 0.0, 1),
+            lambda A, b, maxiter: (np.zeros(A.shape[1]), 0.0),
+            lambda A, b, maxiter: (np.ones(A.shape[1]), 0.0, 1),
+        ],
+        ids=["two-arguments", "two-results", "wrong-solution"],
+    )
+    def test_falls_back_when_the_probe_fails(self, monkeypatch, kernel):
+        import scipy.optimize
+
+        slsqplib = pytest.importorskip("scipy.optimize._slsqplib")
+        monkeypatch.setattr(slsqplib, "nnls", kernel, raising=False)
+        assert self.load() is scipy.optimize.nnls
+
+    def test_both_loaders_give_identical_results(self, monkeypatch):
+        import scipy.optimize
+
+        kernel = self.load()
+        if kernel is scipy.optimize.nnls:
+            pytest.skip("this scipy has no compatible NNLS kernel")
+        results = []
+        for solver in (kernel, scipy.optimize.nnls):
+            monkeypatch.setattr(polyhedra, "_nnls", lambda solver=solver: solver)
+            rng = np.random.default_rng(2024)
+            out = []
+            for _ in range(200):
+                n, s = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+                poly = Polyhedron(rng.standard_normal((s, n)), np.abs(rng.standard_normal(s)) + 0.1)
+                y = rng.standard_normal(n) * 5.0
+                x, W = project_raw(poly.normals, poly.offsets, y)
+                out.append((x, W, decompose_on_rows(poly, W, y - x).residual))
+            results.append(out)
+        for (x1, W1, r1), (x2, W2, r2) in zip(*results):
+            assert np.array_equal(x1, x2) and np.array_equal(W1, W2) and r1 == r2
+
+    def test_iteration_cap_raises_projection_error(self, monkeypatch):
+        slsqplib = pytest.importorskip("scipy.optimize._slsqplib")
+        real, probed = slsqplib.nnls, []
+
+        def capped(E, f, maxiter):  # answers the probe, then hits the cap
+            if not probed:
+                probed.append(1)
+                return real(E, f, maxiter)
+            return np.zeros(E.shape[1]), 0.0, 3
+
+        monkeypatch.setattr(slsqplib, "nnls", capped)
+        solver = self.load()
+        monkeypatch.setattr(polyhedra, "_nnls", lambda: solver)
+        with pytest.raises(ProjectionError, match="projection failed"):
+            project_raw(np.array([[1.0, -1.0], [-1.0, 0.0]]), np.array([-6.0, 1.0]), np.zeros(2))

@@ -914,3 +914,15 @@ class TestMeshInput:
 
     def test_numpy_integer_exponent_is_accepted(self):
         assert Mesh(6.0, np.int64(3)).intervals == 8
+
+    def test_nodes_are_one_read_only_linspace_per_mesh(self):
+        mesh = Mesh(6.0, 10)
+        nodes = mesh.nodes
+        assert not nodes.flags.writeable
+        with pytest.raises(ValueError):
+            nodes[1] = 0.0
+        assert np.array_equal(nodes, np.linspace(0.0, 6.0, 2**10 + 1))
+        assert np.array_equal(mesh.nodes, nodes)
+        assert mesh == Mesh(6.0, 10) and hash(mesh) == hash(Mesh(6.0, 10))
+        traj = Trajectory(mesh, np.zeros((mesh.intervals + 1, 2)))
+        assert np.array_equal(traj.times, np.linspace(0.0, 6.0, 2**10 + 1))
