@@ -8,7 +8,6 @@ import json
 import math
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -47,73 +46,73 @@ class UsageError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
-    command: str
-    scenario: Path
-    mesh_exp: int = 12
-    control: np.ndarray | None = None
-    control_file: Path | None = None
-    certificate: Path | None = None
-    trajectory: Path | None = None
-    out: Path = Path(".")
-    tol: float = VERIFY_TOL
-    m_range: tuple[int, ...] = (6, 8, 10, 12, 14)
-    budget: int = 2000
-    piecewise: bool = False
-
-    def __post_init__(self):
-        if not self.scenario.exists():
-            raise UsageError(f"scenario file not found: {self.scenario}")
-        if not MESH_EXP_RANGE[0] <= self.mesh_exp <= MESH_EXP_RANGE[1]:
-            raise UsageError(f"--mesh-exp must be in [{MESH_EXP_RANGE[0]}, {MESH_EXP_RANGE[1]}]")
-        if not 0.0 < self.tol < math.inf:
-            raise UsageError(f"--tol must be a finite positive number, got {self.tol}")
-        for p in (self.control_file, self.certificate, self.trajectory):
-            if p is not None and not p.exists():
-                raise UsageError(f"file not found: {p}")
-        if not self.m_range:
-            raise UsageError("--m-range is empty: give at least one mesh exponent")
-        for m in self.m_range:
-            if not MESH_EXP_RANGE[0] <= m <= MESH_EXP_RANGE[1]:
-                raise UsageError(f"--m-range entries must be in [{MESH_EXP_RANGE[0]}, {MESH_EXP_RANGE[1]}]")
-
-
-def _parse_vector(text: str) -> np.ndarray:
+def _mesh_exp(text: str | int) -> int:
+    """A dyadic mesh exponent, an integer in MESH_EXP_RANGE."""
+    lo, hi = MESH_EXP_RANGE
     try:
-        return np.array([float(tok) for tok in text.replace(",", " ").split()])
-    except ValueError as exc:
-        raise UsageError(f"--control: expected numbers, got '{text}'") from exc
+        m = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got '{text}'") from None
+    if not lo <= m <= hi:
+        raise argparse.ArgumentTypeError(f"mesh exponents must be in [{lo}, {hi}], got {m}")
+    return m
 
 
-def _parse_m_range(text: str) -> tuple[int, ...]:
+def _m_range(text: str) -> tuple[int, ...]:
+    """'lo:hi[:step]' (step 2 by default) or a list of mesh exponents; at least one."""
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
+            if len(parts) > 3:
+                raise argparse.ArgumentTypeError(f"expected at most three fields 'lo:hi:step', got '{text}'")
             lo, hi = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 2
-            return tuple(range(lo, hi + 1, step))
-        return tuple(int(p) for p in text.replace(",", " ").split())
-    except ValueError as exc:
-        raise UsageError(f"--m-range: expected 'lo:hi[:step]' or a list, got '{text}'") from exc
+            ms = range(lo, hi + 1, step)
+        else:
+            ms = [int(p) for p in text.replace(",", " ").split()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected 'lo:hi[:step]' or a list, got '{text}'") from None
+    if not ms:
+        raise argparse.ArgumentTypeError(f"'{text}' is empty: give at least one mesh exponent")
+    return tuple(_mesh_exp(m) for m in ms)
 
 
-def _load_control(cfg: RunConfig, scn, mesh: Mesh) -> ControlSignal:
-    if cfg.control is not None:
-        return ControlSignal.constant(mesh, cfg.control)
-    if cfg.control_file is not None:
+def _tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got '{text}'") from None
+    if not 0.0 < tol < math.inf:  # NaN fails too
+        raise argparse.ArgumentTypeError(f"must be a finite positive number, got {tol}")
+    return tol
+
+
+def _control(text: str) -> np.ndarray:
+    try:
+        values = [float(tok) for tok in text.replace(",", " ").split()]
+    except ValueError:
+        values = []
+    if not values:
+        raise argparse.ArgumentTypeError(f"expected numbers, got '{text}'")
+    return np.array(values)
+
+
+def _load_control(args: argparse.Namespace, scn, mesh: Mesh) -> ControlSignal:
+    if args.control is not None:
+        return ControlSignal.constant(mesh, args.control)
+    if args.control_file is not None:
         rows = []
-        for lineno, line in enumerate(cfg.control_file.read_text().splitlines(), start=1):
+        for lineno, line in enumerate(args.control_file.read_text().splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
             try:
                 rows.append([float(tok) for tok in stripped.replace(",", " ").split()])
             except ValueError as exc:
-                raise UsageError(f"{cfg.control_file}: line {lineno}: expected numbers") from exc
+                raise UsageError(f"{args.control_file}: line {lineno}: expected numbers") from exc
             if len(rows[-1]) != scn.control_set.dim:
                 width = f"row of width {len(rows[-1])}, the control set width {scn.control_set.dim}"
-                raise UsageError(f"{cfg.control_file}: line {lineno}: {width}")
+                raise UsageError(f"{args.control_file}: line {lineno}: {width}")
         return ControlSignal(mesh, np.array(rows))
     raise UsageError("this command needs --control or --control-file")
 
@@ -128,16 +127,16 @@ def _write(path: Path, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
-    mesh = Mesh(scn.horizon, cfg.mesh_exp)
-    u = _load_control(cfg, scn, mesh)
+def _cmd_simulate(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.scenario)
+    mesh = Mesh(scn.horizon, args.mesh_exp)
+    u = _load_control(args, scn, mesh)
     traj = simulate(scn, u)
     prof = recover_eta(scn, traj, u)
     csv_text = trajectory_csv(traj.times, traj.nodes, u.values, prof.values, prof.terminal)
-    _write(cfg.out / "trajectory.csv", csv_text)
+    _write(args.out / "trajectory.csv", csv_text)
     print(f"cost = {cost(traj):.12g}")
-    print(f"trajectory written to {cfg.out / 'trajectory.csv'}")
+    print(f"trajectory written to {args.out / 'trajectory.csv'}")
     return 0
 
 
@@ -193,13 +192,13 @@ def _solution_csv(sol: ReducedSolution, mesh: Mesh) -> str:
     return trajectory_csv(times, states, controls, etas, sol.eta_terminal)
 
 
-def _cmd_solve_reduced(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
+def _cmd_solve_reduced(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.scenario)
     sol = solve_reduced(scn)
-    mesh = Mesh(scn.horizon, cfg.mesh_exp)
-    _write(cfg.out / "solution.txt", _solution_text(sol))
-    _write(cfg.out / "trajectory.csv", _solution_csv(sol, mesh))
-    save_certificate(sol.certificate, cfg.out / "certificate.json")
+    mesh = Mesh(scn.horizon, args.mesh_exp)
+    _write(args.out / "solution.txt", _solution_text(sol))
+    _write(args.out / "trajectory.csv", _solution_csv(sol, mesh))
+    save_certificate(sol.certificate, args.out / "certificate.json")
     payload = {
         "control": sol.control.tolist(),
         "contact_schedule": [[t, j] for t, j in sol.contact_schedule],
@@ -208,18 +207,18 @@ def _cmd_solve_reduced(cfg: RunConfig) -> int:
         "recommended_tol": sol.recommended_tol,
         "verification_passed": sol.verification.passed,
     }
-    _write(cfg.out / "solution.json", json.dumps(payload, indent=2) + "\n")
+    _write(args.out / "solution.json", json.dumps(payload, indent=2) + "\n")
     print(f"control = {np.round(sol.control, 6).tolist()}")
     for t, j in sol.contact_schedule:
         print(f"t{j + 1} = {t:.6g} (row {j + 1})")
     print(f"cost = {sol.cost:.12g}")
     print(f"verification: {'PASS' if sol.verification.passed else 'FAIL'}")
-    print(f"artifacts written to {cfg.out}")
+    print(f"artifacts written to {args.out}")
     return 0 if sol.verification.passed else 1
 
 
-def _cmd_solve_discrete(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
+def _cmd_solve_discrete(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.scenario)
     reference = None
     try:
         red = solve_reduced(scn)
@@ -228,20 +227,20 @@ def _cmd_solve_discrete(cfg: RunConfig) -> int:
         red = None
     sol = solve_discrete(
         scn,
-        cfg.mesh_exp,
-        budget=cfg.budget,
-        piecewise=cfg.piecewise,
+        args.mesh_exp,
+        budget=args.budget,
+        piecewise=args.piecewise,
         reference=reference,
     )
     prof = recover_eta(scn, sol.trajectory, sol.control)
     csv_text = trajectory_csv(
         sol.trajectory.times, sol.trajectory.nodes, sol.control.values, prof.values, prof.terminal
     )
-    _write(cfg.out / "trajectory.csv", csv_text)
+    _write(args.out / "trajectory.csv", csv_text)
     lines = [
         "discrete solution",
         "=================",
-        f"mesh exponent = {cfg.mesh_exp} (h = {sol.mesh.h:.6g})",
+        f"mesh exponent = {args.mesh_exp} (h = {sol.mesh.h:.6g})",
         f"cost J_m      = {sol.cost:.12g}",
         f"evaluations   = {sol.evaluations}",
         f"simulations   = {sol.simulations}",
@@ -256,39 +255,35 @@ def _cmd_solve_discrete(cfg: RunConfig) -> int:
         )
     if red is not None:
         lines.append(f"reduced optimum for comparison = {red.cost:.12g}")
-    _write(cfg.out / "solution.txt", "\n".join(lines) + "\n")
+    _write(args.out / "solution.txt", "\n".join(lines) + "\n")
     print("\n".join(lines))
     if not sol.converged:
         print("warning: search budget exhausted before convergence", file=sys.stderr)
     return 0
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
-    if cfg.certificate is None:
-        raise UsageError("verify needs --certificate")
-    if cfg.trajectory is None:
-        raise UsageError("verify needs --trajectory (CSV written by simulate/solve-reduced)")
-    cert = load_certificate(cfg.certificate)
-    data = read_trajectory_csv(cfg.trajectory.read_text())
+def _cmd_verify(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.scenario)
+    cert = load_certificate(args.certificate)
+    data = read_trajectory_csv(args.trajectory.read_text())
     path = PiecewisePath(data["times"], data["states"])
     if "controls" in data:
         u = StepFunction(data["times"], data["controls"][:-1])
-    elif cfg.control is not None:
-        u = StepFunction.constant(path.horizon, cfg.control)
+    elif args.control is not None:
+        u = StepFunction.constant(path.horizon, args.control)
     else:
         raise UsageError("verify needs control columns in the CSV or --control")
-    report = verify_certificate(scn, path, u, cert, tol=cfg.tol)
+    report = verify_certificate(scn, path, u, cert, tol=args.tol)
     text = report.to_text()
-    _write(cfg.out / "report.txt", text + "\n")
+    _write(args.out / "report.txt", text + "\n")
     print(text)
     return 0 if report.passed else 1
 
 
-def _cmd_convergence(cfg: RunConfig) -> int:
-    scn = load_scenario(cfg.scenario)
-    if cfg.control is not None:
-        u_const = cfg.control
+def _cmd_convergence(args: argparse.Namespace) -> int:
+    scn = load_scenario(args.scenario)
+    if args.control is not None:
+        u_const = args.control
         ref_terminal = None
         red = None
     else:
@@ -296,18 +291,18 @@ def _cmd_convergence(cfg: RunConfig) -> int:
         u_const = red.control
         ref_terminal = red.simulation_path.terminal
     if ref_terminal is None:
-        fine = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, max(cfg.m_range) + 2), u_const))
+        fine = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, max(args.m_range) + 2), u_const))
         ref_terminal = fine.terminal
     header = f"{'m':>3} {'J_m':>18} {'endpoint_error':>18}"
     rows = [header]
     csv_lines = ["m,J_m,endpoint_error"]
-    for m in cfg.m_range:
+    for m in args.m_range:
         traj = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, m), u_const))
         jm, err = cost(traj), float(np.linalg.norm(traj.terminal - ref_terminal))
         rows.append(f"{m:>3} {jm:>18.12g} {err:>18.12g}")
         csv_lines.append(f"{m},{jm:.12g},{err:.12g}")
     text = "\n".join(rows)
-    _write(cfg.out / "convergence.csv", "\n".join(csv_lines) + "\n")
+    _write(args.out / "convergence.csv", "\n".join(csv_lines) + "\n")
     print(text)
     return 0
 
@@ -319,29 +314,42 @@ def _cmd_convergence(cfg: RunConfig) -> int:
 
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
-    """The argument tree, built on the first call; parsing leaves it unchanged."""
+    """The argument tree, built on the first call; parsing leaves it unchanged.
+
+    It is the only description of the command line: each subcommand declares
+    exactly the options its handler reads, with each default stated once, and
+    the `type=` converters reject a bad value (exit 2, naming the option).
+    """
     ap = argparse.ArgumentParser(
         prog="sweepctrl",
         description="Controlled sweeping processes: simulate, solve, verify.",
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, control=False):
+    def command(name, handler, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(handler=handler)
         p.add_argument("scenario", type=Path, help="scenario file (key = value text)")
-        p.add_argument("--mesh-exp", type=int, default=12, help="dyadic mesh exponent m (3..16)")
         p.add_argument("--out", type=Path, default=Path("."), help="output directory")
-        if control:
-            p.add_argument("--control", type=str, default=None, help="inline constant control, e.g. '1.8,1.8'")
-            p.add_argument("--control-file", type=Path, default=None, help="per-interval control rows")
+        return p
 
-    p_sim = sub.add_parser("simulate", help="catch-up simulation under a given control")
-    common(p_sim, control=True)
+    def mesh_exp(p):
+        lo, hi = MESH_EXP_RANGE
+        p.add_argument("--mesh-exp", type=_mesh_exp, default=12, help=f"dyadic mesh exponent m ({lo}..{hi})")
 
-    p_red = sub.add_parser("solve-reduced", help="closed-form template solution with certificate")
-    common(p_red)
+    def control(p):
+        p.add_argument("--control", type=_control, help="inline constant control, e.g. '1.8,1.8'")
 
-    p_dis = sub.add_parser("solve-discrete", help="direct search on the discrete problem")
-    common(p_dis)
+    p_sim = command("simulate", _cmd_simulate, "catch-up simulation under a given control")
+    mesh_exp(p_sim)
+    given = p_sim.add_mutually_exclusive_group()
+    control(given)
+    given.add_argument("--control-file", type=Path, help="per-interval control rows")
+
+    mesh_exp(command("solve-reduced", _cmd_solve_reduced, "closed-form template solution with certificate"))
+
+    p_dis = command("solve-discrete", _cmd_solve_discrete, "direct search on the discrete problem")
+    mesh_exp(p_dis)
     p_dis.add_argument(
         "--budget",
         type=int,
@@ -350,44 +358,16 @@ def _parser() -> argparse.ArgumentParser:
     )
     p_dis.add_argument("--piecewise", action="store_true", help="refine the constant optimum per interval")
 
-    p_ver = sub.add_parser("verify", help="check a certificate against a trajectory")
-    common(p_ver, control=True)
+    p_ver = command("verify", _cmd_verify, "check a certificate against a trajectory")
+    control(p_ver)
     p_ver.add_argument("--certificate", type=Path, required=True)
     p_ver.add_argument("--trajectory", type=Path, required=True)
-    p_ver.add_argument("--tol", type=float, default=VERIFY_TOL, help="verification tolerance")
+    p_ver.add_argument("--tol", type=_tol, default=VERIFY_TOL, help="verification tolerance")
 
-    p_con = sub.add_parser("convergence", help="mesh-refinement table at a fixed control")
-    common(p_con, control=True)
-    p_con.add_argument("--m-range", type=str, default="6:14:2", help="'lo:hi[:step]' or list")
+    p_con = command("convergence", _cmd_convergence, "mesh-refinement table at a fixed control")
+    control(p_con)
+    p_con.add_argument("--m-range", type=_m_range, default="6:14:2", help="'lo:hi[:step]' or list")
     return ap
-
-
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        scenario=args.scenario,
-        mesh_exp=args.mesh_exp,
-        control=_parse_vector(args.control) if getattr(args, "control", None) else None,
-        control_file=getattr(args, "control_file", None),
-        certificate=getattr(args, "certificate", None),
-        trajectory=getattr(args, "trajectory", None),
-        out=args.out,
-        tol=getattr(args, "tol", VERIFY_TOL),
-        m_range=_parse_m_range(args.m_range) if getattr(args, "m_range", None) else (6, 8, 10, 12, 14),
-        budget=getattr(args, "budget", 2000),
-        piecewise=getattr(args, "piecewise", False),
-    )
-
-
-def run(cfg: RunConfig) -> int:
-    handlers = {
-        "simulate": _cmd_simulate,
-        "solve-reduced": _cmd_solve_reduced,
-        "solve-discrete": _cmd_solve_discrete,
-        "verify": _cmd_verify,
-        "convergence": _cmd_convergence,
-    }
-    return handlers[cfg.command](cfg)
 
 
 def _attach_negative_controls(argv: list[str]) -> list[str]:
@@ -409,11 +389,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code else 0
     try:
-        return run(config_from_args(args))
+        return args.handler(args)
     except (ProjectionError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:  # usage, scenario-file and input errors subclass ValueError
+    except (ValueError, OSError) as exc:  # usage and input errors subclass ValueError; OSError is a bad path
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Scenario
-from .polyhedra import Polyhedron, _same_fields, project_raw, project_with_working_set
+from .polyhedra import Polyhedron, _same_fields, project_raw
 from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
@@ -147,12 +147,15 @@ class EtaProfile:
 
 
 def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """One explicit catch-up step: project x + h*g onto P (x must lie in P)."""
+    """One explicit catch-up step: project x + h*g onto P (x must lie in P).
+
+    This is the step `simulate` takes, at its tolerance STEP_TOL.
+    """
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
     g_val = np.asarray(g_val, dtype=float)
-    out, _ = project_with_working_set(P, x + h * g_val, feasible_start=x)
+    out, _ = project_raw(P.normals, P.offsets, P._check_point(x + h * g_val), tol=STEP_TOL)
     return out
 
 

@@ -456,3 +456,83 @@ class TestCertificateFuzz:
                          str(out / "trajectory.csv"), "--out", str(out / "verify")])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+class TestOptionsPerSubcommand:
+    """Each subcommand accepts only the options its handler reads: another one exits 2 naming it."""
+
+    @pytest.mark.parametrize(
+        "command, option, extra, artifact",
+        [("convergence", "--control-file", ["--m-range=6"], "convergence.csv"),
+         ("convergence", "--mesh-exp", ["--m-range=6"], "convergence.csv"),
+         ("verify", "--control-file", [], "report.txt"),
+         ("verify", "--mesh-exp", [], "report.txt"),
+         ("simulate", "--control-file", ["--control=1,1", "--mesh-exp=4"], "trajectory.csv")],
+        ids=["convergence-control-file", "convergence-mesh-exp", "verify-control-file", "verify-mesh-exp",
+             "simulate-control-and-control-file"],
+    )
+    def test_unread_option_exits_2(self, tmp_path, capsys, reduced_artifacts, command, option, extra, artifact):
+        rows = tmp_path / "u.txt"
+        rows.write_text("1 1\n" * 16)
+        value = str(rows) if option == "--control-file" else "8"
+        if command == "verify":
+            red, _ = reduced_artifacts
+            extra = ["--certificate", str(red / "certificate.json"), "--trajectory", str(red / "trajectory.csv")]
+        out = tmp_path / "out"
+        code = main([command, PED2, *extra, option, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert option in err and "Traceback" not in err
+        assert not (out / artifact).exists()
+
+    def test_m_range_with_extra_fields_exits_2(self, tmp_path, capsys):
+        code = main(["convergence", PED2, "--m-range", "6:10:2:99", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--m-range" in capsys.readouterr().err
+        assert not (tmp_path / "convergence.csv").exists()
+
+
+class TestPathErrors:
+    """A directory where a file belongs, or --out naming a file, is an input error: exit 2, no traceback."""
+
+    def _expect_path_error(self, code, capsys):
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("where", ["scenario", "--certificate", "--trajectory", "--control-file"])
+    def test_directory_exits_2(self, tmp_path, capsys, reduced_artifacts, where):
+        red, _ = reduced_artifacts
+        cert, traj, folder = str(red / "certificate.json"), str(red / "trajectory.csv"), str(tmp_path)
+        argv = {
+            "scenario": ["simulate", folder, "--control=1,1", "--mesh-exp=4"],
+            "--control-file": ["simulate", PED2, "--control-file", folder, "--mesh-exp=4"],
+            "--certificate": ["verify", PED2, "--certificate", folder, "--trajectory", traj],
+            "--trajectory": ["verify", PED2, "--certificate", cert, "--trajectory", folder],
+        }[where]
+        self._expect_path_error(main([*argv, "--out", str(tmp_path / "out")]), capsys)
+
+    @pytest.mark.parametrize("command", ["simulate", "solve-reduced", "solve-discrete", "verify", "convergence"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, reduced_artifacts, command):
+        red, _ = reduced_artifacts
+        extra = {
+            "simulate": ["--control=1,1", "--mesh-exp=4"],
+            "solve-reduced": ["--mesh-exp=4"],
+            "solve-discrete": ["--mesh-exp=4", "--budget=10"],
+            "verify": ["--certificate", str(red / "certificate.json"), "--trajectory", str(red / "trajectory.csv")],
+            "convergence": ["--m-range=6"],
+        }[command]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        self._expect_path_error(main([command, PED2, *extra, "--out", str(taken)]), capsys)
+        assert taken.read_text() == "keep\n"
+
+    def test_directory_scenario_exit_code_of_the_process(self, tmp_path):
+        import sweepctrl
+
+        src = str(Path(sweepctrl.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-m", "sweepctrl.cli", "simulate", str(tmp_path), "--control", "1,1"],
+                              capture_output=True, text=True, env=env, cwd=tmp_path)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr

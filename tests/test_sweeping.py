@@ -110,6 +110,17 @@ class TestCatchupStep:
         x = np.array([-3.0, 3.0])
         assert np.allclose(catchup_step(P, np.zeros(2), x, 0.5), x)
 
+    def test_takes_the_step_simulate_takes(self):
+        # A free step 5e-10 outside K(x0): inside MEMBERSHIP_TOL, outside STEP_TOL.
+        scn = PedestrianScenario(n=2, R=1.0, T=1.0, x0=np.array([0.0, 2.0]), speeds=np.ones(2),
+                                 control_set=ControlSet.box([-1.0, -1.0], [1.0, 1.0]))
+        u = np.array([1e-9, 0.0])
+        mesh = Mesh(1.0, 1)
+        got = catchup_step(scn.sweeping_set(), scn.g(scn.x0, u), scn.x0, mesh.h)
+        first = simulate(scn, ControlSignal.constant(mesh, u)).nodes[1]
+        assert got.tobytes() == first.tobytes()
+        assert scn.pair_gaps(got)[0] >= 0.0
+
 
 class TestSimulate:
     def test_free_motion_when_gap_never_closes(self):
