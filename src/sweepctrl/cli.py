@@ -117,6 +117,13 @@ def _load_control(args: argparse.Namespace, scn, mesh: Mesh) -> ControlSignal:
     raise UsageError("this command needs --control or --control-file")
 
 
+def _check_out(out: Path) -> None:
+    """Reject, before any work, an --out at or below an existing file; `_write` makes the directory."""
+    existing = out if out.exists() else next((path for path in out.parents if path.exists()), None)
+    if existing is not None and not existing.is_dir():
+        raise UsageError(f"--out {out}: {existing} exists and is not a directory")
+
+
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
@@ -268,6 +275,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     data = read_trajectory_csv(args.trajectory.read_text())
     path = PiecewisePath(data["times"], data["states"])
     if "controls" in data:
+        if args.control is not None:
+            raise UsageError(f"--control: the trajectory CSV {args.trajectory} already has control columns")
         u = StepFunction(data["times"], data["controls"][:-1])
     elif args.control is not None:
         u = StepFunction.constant(path.horizon, args.control)
@@ -389,6 +398,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:  # argparse already printed usage
         return int(exc.code) if exc.code else 0
     try:
+        _check_out(args.out)
         return args.handler(args)
     except (ProjectionError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         print(f"numerical failure: {exc}", file=sys.stderr)

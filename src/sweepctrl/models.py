@@ -127,8 +127,8 @@ class ControlSet:
             return k, f"u = {u.tolist()} is not proportional to the link {self.link.tolist()}"
         return k, f"link parameter {p[0]:g} outside [{self.rlo:g}, {self.rhi:g}]"
 
-    def contains(self, u, tol: float = CONTROL_TOL) -> bool:
-        return self._first_violation(u, tol) is None
+    def contains(self, u) -> bool:
+        return self._first_violation(u, CONTROL_TOL) is None
 
     def violation_message(self, u) -> str | None:
         """Human-readable description of the first violated bound, or None."""
@@ -245,9 +245,9 @@ class Scenario:
             raise ValueError(f"control outside the admissible set: {msg}")
         return self.drive(u, t, contact_time)
 
-    def contact_rows(self, x, tol: float = CONTACT_TOL) -> np.ndarray:
-        """Adjacent-pair indices j with the agents j, j+1 in contact."""
-        return np.flatnonzero(np.abs(self.pair_gaps(x)) <= tol)
+    def contact_rows(self, x) -> np.ndarray:
+        """Adjacent-pair indices j with the agents j, j+1 in contact (gap within CONTACT_TOL)."""
+        return np.flatnonzero(np.abs(self.pair_gaps(x)) <= CONTACT_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -511,6 +511,11 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     return A, np.array([-2.0 * R] * len(rows))
 
 
+def ordering_holds(n: int, x) -> bool:
+    """The ordering hypothesis: each coordinate strictly increases with the agent index, in x or each row of x."""
+    return bool(np.all(np.diff(np.reshape(x, (*np.shape(x)[:-1], n, -1)), axis=-2) > 0.0))
+
+
 @dataclass(frozen=True)
 class SetAgreementReport:
     samples: int
@@ -528,11 +533,17 @@ def verify_set_representation(
     the sum-norm separation constraints at an ordered reference point.
     Under the ordering hypotheses they coincide, so the expected
     disagreement count is zero.  Sampled points that violate the ordering
-    hypothesis are flagged and excluded rather than tested.
+    hypothesis are flagged and excluded rather than tested.  An x_ref that
+    is not 2n finite numbers in the ordered region raises ValueError.
     """
+    if x_ref is not None:
+        x_ref = np.asarray(x_ref, dtype=float)
+        if x_ref.shape != scn.x0.shape or not np.isfinite(x_ref).all():
+            raise ValueError(f"x_ref must be {scn.x0.size} finite numbers, got {x_ref.tolist()}")
+        if not ordering_holds(scn.n, x_ref):
+            raise ValueError(f"x_ref = {x_ref.tolist()} breaks the ordering hypothesis")
     rng = np.random.default_rng(seed)
     C = scn.sweeping_set()
-    x_ref = scn.x0 if x_ref is None else np.asarray(x_ref, dtype=float)
 
     # K(x_ref) rows: sum-norm D_ij is affine on the ordered region, so the
     # linearization at an ordered x_ref is the all-pairs sum constraint.
@@ -562,10 +573,7 @@ def verify_set_representation(
             # outside points occur; slightly negative ones violate ordering.
             incr = rng.uniform(-0.5 * scn.R, 3.0 * scn.R, size=2)
             x[2 * j : 2 * j + 2] = x[2 * j - 2 : 2 * j] + incr
-        ordered = all(
-            x[2 * j + 2] > x[2 * j] and x[2 * j + 3] > x[2 * j + 1] for j in range(scn.n - 1)
-        )
-        if not ordered:
+        if not ordering_holds(scn.n, x):
             flagged += 1
             continue
         members = {

@@ -254,14 +254,13 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
 
-def check_complementarity(
-    scn: Scenario, traj, cert: DualCertificate, tol: float = MEMBERSHIP_TOL
-) -> tuple[float, float]:
+def check_complementarity(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
     """Residuals of the two complementarity conditions.
 
     First: eta_j weighted by the positive part of the pair gap
     `scn.pair_gaps` (the model's own contact geometry: Euclidean disk
-    distance for the robots, order gap for the pedestrians) at both ends
+    distance for the robots, order gap for the pedestrians) less
+    MEMBERSHIP_TOL at both ends
     and the midpoint of each interval, so eta must vanish where the pair is
     strictly apart.  Second: eta_j weighted by |<a_j, q> - c_j| (positive
     eta pins q to the constraint surface).  Both include t = T through the
@@ -275,9 +274,9 @@ def check_complementarity(
     # Gaps at t_0, m_0, t_1, m_1, ..., t_N: interval k sees rows 2k, 2k + 1 and 2k + 2.
     points = np.empty(2 * grid.size - 1)
     points[0::2], points[1::2] = grid, tm
-    apart = np.maximum(0.0, scn.pair_gaps(path.value(points)) - tol)
+    apart = np.maximum(0.0, scn.pair_gaps(path.value(points)) - MEMBERSHIP_TOL)
     apart = np.maximum(np.maximum(apart[:-2:2], apart[1::2]), apart[2::2])
-    apart_T = np.maximum(0.0, scn.pair_gaps(path.terminal) - tol)
+    apart_T = np.maximum(0.0, scn.pair_gaps(path.terminal) - MEMBERSHIP_TOL)
     r_slack = max(np.max(eta * apart, initial=0.0), np.max(cert.eta_terminal * apart_T))
     off_surface = np.abs(cert.q.value(tm) @ C.normals.T - C.offsets)
     off_surface_T = np.abs(C.normals @ cert.q_at_T() - C.offsets)
@@ -323,10 +322,10 @@ def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[fl
     return r7, float(r8)
 
 
-def check_nontriviality(cert: DualCertificate, tol: float = NONTRIVIAL_TOL) -> bool:
+def check_nontriviality(cert: DualCertificate) -> bool:
     q0 = cert.q.values[0]
     pT = cert.p.values[-1]
-    return bool(cert.lam + np.linalg.norm(q0) + np.linalg.norm(pT) > tol)
+    return bool(cert.lam + np.linalg.norm(q0) + np.linalg.norm(pT) > NONTRIVIAL_TOL)
 
 
 def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ControlSet, PedestrianScenario, RobotScenario, Scenario
+from .models import ControlSet, PedestrianScenario, RobotScenario, Scenario, ordering_holds
 from .optimality import (
     DualCertificate,
     PiecewisePath,
@@ -45,6 +45,7 @@ from .optimality import (
     StepFunction,
     verify_certificate,
 )
+from .polyhedra import row_multipliers
 from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, simulate
 from .tolerances import (
     ANGLE_TOL,
@@ -131,22 +132,12 @@ def robot_y_quadratic(scn: RobotScenario) -> list[float]:
     return sorted(((-4.0 * ssum - sq) / 16.0, (-4.0 * ssum + sq) / 16.0))
 
 
-def pedestrian_contact_time(
-    scn: PedestrianScenario,
-    u,
-    row: int = 0,
-    neighbor_eta: float = 0.0,
-    theta_prev: float = 0.0,
-    neighbor_integral: float = 0.0,
-) -> float | None:
+def pedestrian_contact_time(scn: PedestrianScenario, u, row: int = 0, neighbor_eta: float = 0.0) -> float | None:
     """First contact time of the adjacent pair `row` under constant controls.
 
-    With the neighboring multipliers constant at `neighbor_eta` on
-    [theta_prev, t_row] and integrating to `neighbor_integral` on
-    [0, theta_prev]:
+    With the neighboring multiplier constant at `neighbor_eta` from t = 0:
 
-      t = (gap0 - 2R + theta_prev * neighbor_eta - neighbor_integral)
-          / (neighbor_eta - s_{row+1} u^{row+1} + s_row u^row).
+      t = (gap0 - 2R) / (neighbor_eta - s_{row+1} u^{row+1} + s_row u^row).
 
     An initial gap of exactly 2R gives t = 0; a nonpositive denominator
     with a positive numerator means no contact in the horizon (None).
@@ -155,43 +146,29 @@ def pedestrian_contact_time(
     gap0 = scn.x0[row + 1] - scn.x0[row] - 2.0 * scn.R
     if abs(gap0) <= CONTACT_TOL:
         return 0.0
-    numer = gap0 + theta_prev * neighbor_eta - neighbor_integral
     denom = neighbor_eta - scn.speeds[row + 1] * u[row + 1] + scn.speeds[row] * u[row]
     if denom <= 0.0:
         return None
-    t = numer / denom
+    t = gap0 / denom
     return t if 0.0 < t <= scn.T + TIME_TOL else None
 
 
-def pedestrian_velocity_match(scn: PedestrianScenario, u, row: int, eta_right=0.0, eta_left=0.0) -> float:
-    """Multiplier at the contact of pair `row` from velocity matching:
-    2 eta = eta_right + eta_left - s_{row+1} u^{row+1} + s_row u^row."""
-    u = np.asarray(u, dtype=float)
-    return 0.5 * (
-        eta_right + eta_left - scn.speeds[row + 1] * u[row + 1] + scn.speeds[row] * u[row]
-    )
+def pedestrian_velocity_match(scn: PedestrianScenario, u, row: int) -> float:
+    """Multiplier at the contact of pair `row` alone from velocity matching:
+    2 eta = s_row u^row - s_{row+1} u^{row+1}, the locked train of one pair."""
+    return locked_train_multipliers(scn, u, [row])[0]
 
 
 def locked_train_multipliers(scn: PedestrianScenario, u, rows) -> np.ndarray:
     """Multipliers of a set of simultaneously locked pairs.
 
-    Velocity matching across every locked pair couples the equations into
-    (2I - adjacency) eta = drive differences; this Gram system is exactly
-    the projection KKT system of the sweeping set on those rows.
+    Velocity matching across every locked pair is the normal-equation system
+    of the sweeping set's rows for those pairs under the drive g(u)
+    (`polyhedra.row_multipliers`); its Gram matrix is 2I - adjacency.
     """
-    u = np.asarray(u, dtype=float)
-    rows = sorted(int(r) for r in rows)
-    k = len(rows)
-    M = np.zeros((k, k))
-    rhs = np.zeros(k)
-    pos = {r: i for i, r in enumerate(rows)}
-    for i, r in enumerate(rows):
-        M[i, i] = 2.0
-        for nb in (r - 1, r + 1):
-            if nb in pos:
-                M[i, pos[nb]] = -1.0
-        rhs[i] = scn.speeds[r] * u[r] - scn.speeds[r + 1] * u[r + 1]
-    return np.linalg.solve(M, rhs)
+    B = scn.sweeping_set().normals[sorted(int(r) for r in rows)][None]
+    v = scn.drive(np.asarray(u, dtype=float))[None]
+    return row_multipliers(B, np.ones(B.shape[:2], dtype=bool), v)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -230,12 +207,12 @@ class ReducedSolution:
     rejected_cases: tuple[str, ...] = ()
 
 
-def solve_reduced(scn: Scenario, q_free: float = 1.0) -> ReducedSolution:
+def solve_reduced(scn: Scenario) -> ReducedSolution:
     """Closed-form solution of a template scenario with its dual certificate."""
     if scn.n == 2:
         return _solve_pair(scn)
     if isinstance(scn, PedestrianScenario) and scn.n == 3:
-        return _solve_ped_triple(scn, q_free)
+        return _solve_ped_triple(scn)
     raise UnsupportedScenarioError("no analytic template for this scenario; use solve_discrete")
 
 
@@ -254,11 +231,6 @@ def _quad_min_on_interval(a: float, b: float, lo: float, hi: float) -> float:
             cands.append(r)
     vals = [a * r * r + b * r for r in cands]
     return cands[int(np.argmin(vals))]
-
-
-def _ordering_preserved(n: int, states: np.ndarray) -> bool:
-    """Strict index ordering of every coordinate at every breakpoint."""
-    return bool(np.all(np.diff(states.reshape(len(states), n, -1), axis=1) > 0.0))
 
 
 def _pair_family(scn: Scenario) -> tuple[list[float], str]:
@@ -332,7 +304,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
             path = PiecewisePath(np.array([0.0, t1, T]), np.array([x0, x0 + Z * v_pre, x_T]))
         else:
             path = PiecewisePath(np.array([0.0, T]), np.array([x0, x_T]))
-        case = RobotCase(y, t1, e * r, 0.5 * float(x_T @ x_T), path, _ordering_preserved(scn.n, path.states))
+        case = RobotCase(y, t1, e * r, 0.5 * float(x_T @ x_T), path, ordering_holds(scn.n, path.states))
         branches.append((case, r, coeffs))
     if not branches:
         raise UnsupportedScenarioError("no feasible contact branch for this scenario")
@@ -447,7 +419,7 @@ def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -
     )
 
 
-def _solve_ped_triple(scn: PedestrianScenario, q_free: float) -> ReducedSolution:
+def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
     if scn.control_set.kind != "box":
         raise UnsupportedScenarioError("analytic three-pedestrian template needs a box control set")
     s, T, R = scn.speeds, scn.T, scn.R
@@ -459,20 +431,19 @@ def _solve_ped_triple(scn: PedestrianScenario, q_free: float) -> ReducedSolution
         )
 
     # Positive multipliers require q on both constraint surfaces; the one
-    # remaining dual degree of freedom is normalized like lambda.
-    q = np.array([q_free, q_free + 2.0 * R, q_free + 4.0 * R])
+    # remaining dual degree of freedom is normalized like lambda, q1 = 1.
+    q = np.array([1.0, 1.0 + 2.0 * R, 1.0 + 4.0 * R])
     psi = s * q
     _, u_opt = scn.control_set.maximize_linear(psi)
 
     rejected = []
     # Branch with the initial pair exerting no force: it pins the drive
     # ratio of the rear pair, which the maximization then contradicts.
-    u_case2 = u_opt
-    if abs(s[1] * u_case2[1] - s[2] * u_case2[2]) > DRIVE_TOL:
+    if abs(s[1] * u_opt[1] - s[2] * u_opt[2]) > DRIVE_TOL:
         rejected.append(
             "eta2(0) = 0 requires s2*u2 = s3*u3, but the maximization gives "
-            f"u = {np.round(u_case2, 12).tolist()} with s2*u2 = {s[1] * u_case2[1]:g} "
-            f"!= s3*u3 = {s[2] * u_case2[2]:g}; branch rejected"
+            f"u = {np.round(u_opt, 12).tolist()} with s2*u2 = {s[1] * u_opt[1]:g} "
+            f"!= s3*u3 = {s[2] * u_opt[2]:g}; branch rejected"
         )
 
     eta2_0 = pedestrian_velocity_match(scn, u_opt, 1)  # rear pair locks at t = 0

@@ -1,8 +1,8 @@
 """Convex polyhedral sets: membership, active sets, Euclidean projection, normal cones.
 
 A polyhedron is stored in halfspace form {x : <a_j, x> <= c_j, j = 1..s}.
-The sweeping dynamics and the optimality checks reduce to the five
-operations in this module (`recover_eta` solves its batched fit itself).
+The sweeping dynamics and the optimality checks reduce to the six
+operations in this module.
 Projection is a least-distance program.  Onto one halfspace (a two-agent
 K(x)) it is the closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a
 single NNLS call (Lawson & Hanson) solves it, exact on the small dense
@@ -290,6 +290,21 @@ def decompose_on_rows(poly: Polyhedron, rows: np.ndarray, v: np.ndarray) -> Cone
     coef, rnorm = _nnls()(basis, np.ascontiguousarray(v))
     coefficients = {int(j): float(c) for j, c in zip(rows, coef)}
     return ConeDecomposition(coefficients=coefficients, residual=float(rnorm))
+
+
+def row_multipliers(B: np.ndarray, active: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Multipliers eta of v on the active rows of each stacked row set, (N, s).
+
+    For each k, eta solves B_W B_W^T eta = B_W v on the active rows B_W of
+    B[k] (B is (N, s, dim), `active` (N, s) boolean, v (N, dim)), with the
+    identity on an inactive row's diagonal, so that its eta is 0.  Under a
+    fixed active set this is velocity matching: v - B_W^T eta is orthogonal
+    to B_W.  eta is not clipped; the active rows must be independent.
+    """
+    B = B * active[..., None]
+    G = np.einsum("kid,kjd->kij", B, B)
+    np.einsum("kii->ki", G)[...] += ~active  # through a writeable view of each diagonal
+    return np.linalg.solve(G, np.einsum("kid,kd->ki", B, v)[..., None])[..., 0]
 
 
 def check_licq(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:

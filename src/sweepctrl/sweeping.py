@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .models import Scenario
-from .polyhedra import Polyhedron, _same_fields, project_raw
+from .polyhedra import Polyhedron, _same_fields, project_raw, row_multipliers
 from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
@@ -253,9 +253,9 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     (`scn.step_rows`: the sweeping-set rows for pedestrians, sqrt(2) times
     the tangent rows for robots); a row is active when its linearized gap
     at the node the step produced, x_{k+1}, is at most CONTACT_TOL.  The
-    coefficients solve the normal equations B B^T eta = B v on the active
-    rows B (identity on the inactive ones) in one batched solve, clipped at
-    0; adjacent-pair rows form a path, so they are linearly independent.
+    coefficients solve B B^T eta = B v on the active rows B (0 on the
+    others) in one batched `polyhedra.row_multipliers` call, clipped at 0;
+    adjacent-pair rows form a path, so they are linearly independent.
     The residual reports whatever those rows cannot explain, a push
     between non-adjacent robots included.  Intervals go in blocks of
     ETA_BLOCK, so the (block, s, dim) temporaries stay small.
@@ -274,16 +274,11 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     residuals = np.empty(K)
     contact = contact_switch_time(scn, times, X)
     defects = scn.drive(u.values, times[:-1], contact) - traj.velocities()
-    diag = np.eye(s, dtype=bool)
     for lo in range(0, K, ETA_BLOCK):
         hi = min(lo + ETA_BLOCK, K)
         B, gaps = scn.step_rows(X[lo:hi], X[lo + 1 : hi + 1])
-        active = gaps <= CONTACT_TOL
-        B = B * active[..., None]
         v = defects[lo:hi]
-        G = np.einsum("kid,kjd->kij", B, B)
-        G[:, diag] += ~active
-        eta = np.linalg.solve(G, np.einsum("kid,kd->ki", B, v)[..., None])[..., 0]
+        eta = row_multipliers(B, gaps <= CONTACT_TOL, v)
         eta = values[lo:hi] = np.where(eta > 0.0, eta, 0.0)
         residuals[lo:hi] = np.linalg.norm(v - np.einsum("ki,kid->kd", eta, B), axis=1)
     return EtaProfile(times=times, values=values, terminal=values[-1].copy(), residuals=residuals)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepctrl import cli
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
 from sweepctrl.sweeping import read_trajectory_csv, trajectory_csv
@@ -275,6 +276,16 @@ class TestVerify:
         assert code == 2
         assert "--tol" in capsys.readouterr().err
 
+    def test_control_with_control_columns_exits_2(self, tmp_path, capsys, reduced_artifacts):
+        red, _ = reduced_artifacts
+        out = tmp_path / "out"
+        code = main(["verify", PED2, "--certificate", str(red / "certificate.json"),
+                     "--trajectory", str(red / "trajectory.csv"), "--control", "9,9", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--control" in err and "control columns" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_report_file_written(self, tmp_path):
         main(["solve-reduced", PED2, "--out", str(tmp_path)])
         main(
@@ -526,6 +537,27 @@ class TestPathErrors:
         taken.write_text("keep\n")
         self._expect_path_error(main([command, PED2, *extra, "--out", str(taken)]), capsys)
         assert taken.read_text() == "keep\n"
+
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    @pytest.mark.parametrize("command", ["simulate", "solve-reduced", "solve-discrete", "verify", "convergence"])
+    def test_out_is_checked_before_any_work(self, tmp_path, capsys, monkeypatch, reduced_artifacts, command, below):
+        red, _ = reduced_artifacts
+        calls = []
+        for name in ("simulate", "solve_discrete", "solve_reduced", "verify_certificate"):
+            monkeypatch.setattr(cli, name, lambda *a, _name=name, **k: calls.append(_name))
+        extra = {
+            "simulate": ["--control=1,1", "--mesh-exp=4"],
+            "solve-reduced": ["--mesh-exp=4"],
+            "solve-discrete": ["--mesh-exp=4", "--budget=10"],
+            "verify": ["--certificate", str(red / "certificate.json"), "--trajectory", str(red / "trajectory.csv")],
+            "convergence": ["--m-range=6", "--control=1,1"],
+        }[command]
+        taken = tmp_path / "taken"
+        taken.write_text("keep\n")
+        out = taken / "sub" / "dir" if below else taken
+        self._expect_path_error(main([command, PED2, *extra, "--out", str(out)]), capsys)
+        assert calls == []
+        assert [p.name for p in tmp_path.iterdir()] == ["taken"] and taken.read_text() == "keep\n"
 
     def test_directory_scenario_exit_code_of_the_process(self, tmp_path):
         import sweepctrl

@@ -255,6 +255,16 @@ class TestSetRepresentation:
         report = verify_set_representation(scn, samples=500, seed=11, x_ref=scn.x0)
         assert report.disagreements == 0
 
+    @pytest.mark.parametrize(
+        "x_ref, what",
+        [([5.0, 5.0, -20.0, -20.0], "ordering"), ([-30.0, -30.0, -20.0, -40.0], "ordering"),
+         ([1.0], "finite numbers"), ([np.nan, -30.0, -20.0, -20.0], "finite numbers")],
+        ids=["unordered", "one-coordinate-unordered", "wrong-shape", "not-finite"],
+    )
+    def test_bad_reference_point_raises_naming_it(self, x_ref, what):
+        with pytest.raises(ValueError, match=f"x_ref.*{what}"):
+            verify_set_representation(robot_example(), samples=10, seed=1, x_ref=np.array(x_ref))
+
 
 class TestControlSets:
     def test_segment_membership_and_vertices(self):

@@ -21,6 +21,7 @@ from sweepctrl.polyhedra import (
     project,
     project_raw,
     project_with_working_set,
+    row_multipliers,
 )
 
 
@@ -341,6 +342,43 @@ class TestProjectionHypothesis:
         x2, W2 = project_raw(np.stack([a, -a]), np.array([c, 10.0 - c]), y)
         assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
         assert W1.tolist() == W2.tolist() == [0]
+
+
+@st.composite
+def full_row_rank_and_point(draw):
+    """A (s, n) with s <= n rows whose least singular value is at least 0.1, c > 0 and a point y."""
+    n = draw(st.integers(1, 6))
+    s = draw(st.integers(1, n))
+    A = draw(hnp.arrays(float, (s, n), elements=COORD))
+    assume(np.linalg.svd(A, compute_uv=False)[-1] >= 0.1)
+    c = draw(hnp.arrays(float, s, elements=st.floats(0.1, 3.0)))
+    return A, c, 5.0 * draw(hnp.arrays(float, n, elements=COORD))
+
+
+class TestRowMultipliers:
+    """The velocity-matching kernel against the projection it inverts: y - P(y) lies in the
+    normal cone at P(y), on the support rows W of the projection."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(full_row_rank_and_point())
+    def test_explains_the_projection_step_on_its_support(self, inst):
+        A, c, y = inst
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(y)))
+        x, W = project_raw(A, c, y)
+        v = y - x
+        eta = row_multipliers(A[W][None], np.ones((1, W.size), dtype=bool), v[None])[0]
+        assert np.linalg.norm(v - A[W].T @ eta) <= tol
+        assert np.all(eta >= -tol)
+        dec = decompose_on_rows(Polyhedron(A, c), W, v)
+        assert np.abs(eta - [dec.coefficients[int(j)] for j in W]).max(initial=0.0) <= 1e-9
+
+    def test_inactive_rows_get_zero_and_do_not_enter(self):
+        B = np.array([[[1.0, -1.0, 0.0], [0.0, 1.0, -1.0]]] * 2)
+        active = np.array([[True, True], [False, True]])
+        v = np.array([[3.0, 1.0, 2.0], [3.0, 1.0, 2.0]])
+        eta = row_multipliers(B, active, v)
+        assert eta[0] == pytest.approx([1.0, 0.0], abs=1e-15)
+        assert eta[1].tolist() == [0.0, -0.5]
 
 
 class TestToleranceArgument:
