@@ -99,6 +99,11 @@ class ControlSet:
         B = self.basis
         return np.einsum("...d,qd->...q", np.asarray(u, dtype=float), B) / np.einsum("qd,qd->q", B, B)
 
+    def in_box(self, P) -> np.ndarray:
+        """Entrywise lo - CONTROL_TOL <= p <= hi + CONTROL_TOL for parameter rows P (a NaN
+        parameter is outside): the one parameter rule of the set."""
+        return (self.lo - CONTROL_TOL <= P) & (P <= self.hi + CONTROL_TOL)
+
     def _first_violation(self, values, tol: float) -> tuple[int, str] | None:
         """(row, message) for the first control row of the wrong width, off the span of the basis
         by more than tol * max(1, |p|) (so any non-finite row) or with p outside [lo - tol, hi + tol]."""
@@ -108,7 +113,7 @@ class ControlSet:
         finite = np.isfinite(U)
         P = self.parameters(np.where(finite, U, 0.0))  # 0 * NaN would reach every parameter of a box
         off = np.abs(U - P @ self.basis)
-        within = (self.lo - tol <= P) & (P <= self.hi + tol)  # a NaN parameter is not
+        within = self.in_box(P)
         if (off <= tol).all() and within.all():  # all in: no row-wise reductions, which cost more
             return None
         on = off.max(1) <= tol * np.maximum(1.0, np.abs(P).max(1))
@@ -139,9 +144,7 @@ class ControlSet:
         """Raise naming the first interval whose control row lies outside the set, checking
         each run of equal rows once, at its start; returns those starts."""
         values = np.atleast_2d(values)
-        head = np.ones(len(values), dtype=bool)
-        (values[1:] != values[:-1]).any(1, out=head[1:])
-        starts = head.nonzero()[0]
+        starts = run_starts(values)
         hit = self._first_violation(values[starts], CONTROL_TOL)
         if hit is not None:
             raise ValueError(f"control value on interval {starts[hit[0]]} outside the admissible set: {hit[1]}")
@@ -165,6 +168,13 @@ class ControlSet:
         u = self.at_parameter(np.where(psi @ self.basis.T >= 0.0, self.hi, self.lo))
         best = np.sum(psi * u, axis=-1)
         return (float(best), u) if psi.ndim == 1 else (best, u)
+
+
+def run_starts(values: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D array that start a run of equal rows: 0 and each row unlike the one before."""
+    head = np.ones(len(values), dtype=bool)
+    (values[1:] != values[:-1]).any(1, out=head[1:])
+    return head.nonzero()[0]
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +299,7 @@ class RobotScenario(Scenario):
         post = self.angles if self.angles_post is None else self.angles_post
         angles = np.array([self.angles, post])
         object.__setattr__(self, "_headings", np.stack([np.cos(angles), np.sin(angles)], axis=-1))
+        object.__setattr__(self, "_pairs", np.triu_indices(self.n, 1))  # every pair i < j, for `free_run`
 
     @property
     def switches_at_contact(self) -> bool:
@@ -344,7 +355,7 @@ class RobotScenario(Scenario):
     def free_run(self, x, d, support, cap: int) -> int:
         """Free flight only: while each pair keeps ||x^i - x^j|| >= 2R + ||d^i - d^j|| + CONTACT_TOL,
         x + d lies in the linearized K(x) and out of contact (a quadratic in the step count)."""
-        i, j = np.triu_indices(self.n, 1)
+        i, j = self._pairs
         P, V = np.reshape(x, (-1, 2)), np.reshape(d, (-1, 2))
         D, dD = P[i] - P[j], V[i] - V[j]
         a = np.sum(dD * dD, axis=1)

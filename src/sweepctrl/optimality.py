@@ -143,6 +143,9 @@ class DualCertificate:
             raise ValueError("lambda must be nonnegative")
         if np.any(self.eta.values < -ETA_SIGN_TOL) or np.any(self.eta_terminal < -ETA_SIGN_TOL):
             raise ValueError("eta must be nonnegative")
+        for t, v in atoms:
+            if v.shape != (self.p.dim,):
+                raise ValueError(f"gamma atom at t={t:g} has shape {v.shape}, p has width {self.p.dim}")
         times = np.array([t for t, _ in atoms])
         object.__setattr__(self, "atom_times", times)
         object.__setattr__(self, "atom_values", np.array([v for _, v in atoms]).reshape(times.size, self.p.dim))
@@ -335,11 +338,30 @@ def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     return int(np.sum(np.all(np.abs(scn.pair_gaps(path.value(t))) > CONTACT_TOL, axis=1)))
 
 
+def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
+    """Raise naming the field and both widths where the path or the certificate does not fit
+    the scenario: states, p and q have state_dim columns (the gamma atoms have p's width, which
+    `DualCertificate` checks), eta and eta_terminal one per sweeping row."""
+    d, s = scn.state_dim, scn.sweeping_set().nrows
+    for name, array, want in (
+        ("trajectory state", path.states, d),
+        ("certificate field 'eta_values'", cert.eta.values, s),
+        ("certificate field 'eta_terminal'", cert.eta_terminal[None], s),
+        ("certificate field 'p_values'", cert.p.values, d),
+        ("certificate field 'q_values'", cert.q.values, d),
+    ):
+        got = array.shape[1:]
+        if got != (want,):
+            raise ValueError(f"{name} has width {got[0] if len(got) == 1 else got}, the scenario needs {want}")
+
+
 def verify_certificate(
     scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL
 ) -> ResidualReport:
-    """Run all conditions; the report passes iff every entry passes at `tol`."""
+    """Run all conditions; the report passes iff every entry passes at `tol`.  Widths that do
+    not fit the scenario raise a ValueError naming the field before any residual."""
     path = as_path(traj)
+    _check_widths(scn, path, cert)
     r1 = check_primal(scn, path, u, cert)
     r2, r3 = check_complementarity(scn, path, cert)
     r4 = check_adjoint(scn, cert)

@@ -30,6 +30,7 @@ consistent locked-train arc.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import numbers
@@ -190,6 +191,13 @@ class RobotCase:
 
 @dataclass(frozen=True)
 class ReducedSolution:
+    """A template's closed-form optimum and its dual certificate.
+
+    `verification`, the nine-condition report of `certificate` on `path`
+    under `control`, is computed by `verify_certificate` when it is first
+    read and kept; a caller that never reads it never pays for it.
+    """
+
     scenario: Scenario
     control: np.ndarray
     contact_schedule: tuple[tuple[float, int], ...]
@@ -199,12 +207,15 @@ class ReducedSolution:
     simulation_path: PiecewisePath  # dynamics-consistent branch
     cost: float
     certificate: DualCertificate
-    verification: ResidualReport
     recommended_tol: float
     report: dict
     reduced_cost: tuple[float, float, float] | None = None  # J(r) = a r^2 + b r + c
     cases: tuple[RobotCase, ...] = ()
     rejected_cases: tuple[str, ...] = ()
+
+    @functools.cached_property
+    def verification(self) -> ResidualReport:
+        return verify_certificate(self.scenario, self.path, self.control, self.certificate)
 
 
 def solve_reduced(scn: Scenario) -> ReducedSolution:
@@ -367,7 +378,6 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
         simulation_path=next((cs for cs in cases if cs.ordering_preserved), case).path,
         cost=case.cost,
         certificate=cert,
-        verification=verify_certificate(scn, case.path, u_opt, cert),
         recommended_tol=VERIFY_TOL,
         report=report,
         reduced_cost=coeffs,
@@ -475,8 +485,6 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
         q=_step([0.0, T], [q]),
         gamma_atoms=((T, pT - q),),
     )
-    verification = verify_certificate(scn, path, u_opt, cert)
-
     # Published-procedure values: the printed arc formulas keep the standing
     # pre-contact multiplier term alongside the refreshed pair multipliers,
     # so the printed slopes, terminal state, p(T) and gamma tail all differ
@@ -519,7 +527,6 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
         simulation_path=path,
         cost=0.5 * float(x_T @ x_T),
         certificate=cert,
-        verification=verification,
         recommended_tol=VERIFY_TOL,
         report=report,
         rejected_cases=tuple(rejected),
@@ -563,10 +570,13 @@ def solve_discrete(
     seeded by `seed`.  `budget` is a hard cap on the cost evaluations the
     search makes.  Each distinct control is simulated once: a repeat is
     looked up, not simulated, but still counts against the budget, so the
-    search takes the same path either way.  `simulations` counts the
-    `simulate` calls.  The lowest-cost trajectory simulated so far is kept
-    and returned when it belongs to the best control; otherwise the best
-    control is simulated once more, outside the budget.  `converged` is
+    search takes the same path either way.  Every control is built by
+    `ControlSignal.from_parameters` from parameters clipped into the box,
+    which checks it against U once; `simulate` does not check it again.
+    `simulations` counts the `simulate` calls.  The lowest-cost trajectory
+    simulated so far is kept and returned when it belongs to the best
+    control; otherwise the best control is simulated once more, outside the
+    budget.  `converged` is
     False exactly when the search stopped because it needed one more
     evaluation than the budget allows.  When a reference pair is supplied
     the tracking penalty terms (mesh approximations of the squared velocity
@@ -589,9 +599,9 @@ def solve_discrete(
     rng = np.random.default_rng(seed)
     evals = sims = 0
 
-    # Parameter rows P of shape (rows, q) give the controls P @ M; the search starts at the
+    # Parameter rows P of shape (rows, q) give the controls P @ U.basis; the search starts at the
     # corners of the parameter box, then at its center.
-    lo, hi, M = U.lo, U.hi, U.basis
+    lo, hi = U.lo, U.hi
     starts = [*itertools.product(*zip(lo, hi)), 0.5 * (lo + hi)]
     starts += [lo + (hi - lo) * rng.random(lo.size) for _ in range(extra_starts)]
 
@@ -600,9 +610,6 @@ def solve_discrete(
         lo = np.maximum(lo, center - localization_radius)
         hi = np.minimum(hi, center + localization_radius)
     span = np.maximum(hi - lo, SEARCH_MIN_SPAN)
-
-    def signal(P: np.ndarray) -> ControlSignal:
-        return ControlSignal(mesh, np.repeat(P @ M, mesh.intervals // len(P), axis=0))
 
     def key(P: np.ndarray) -> bytes:
         """Fixed-size digest of the control P (a piecewise P has 2^m * q entries)."""
@@ -625,7 +632,7 @@ def solve_discrete(
         k = key(P)
         val = costs.get(k)
         if val is None:
-            traj = simulate(scn, signal(P))
+            traj = simulate(scn, ControlSignal.from_parameters(mesh, U, P))
             sims += 1
             val = costs[k] = trajectory_cost(traj)
             if low_key is None or val < costs[low_key]:
@@ -671,7 +678,7 @@ def solve_discrete(
             np.repeat(best_P, mesh.intervals, axis=0), best_val, PIECEWISE_MIN_STEP
         )
 
-    u_best = signal(best_P)
+    u_best = ControlSignal.from_parameters(mesh, U, best_P)
     if key(best_P) == low_key:
         traj = low_traj
     else:

@@ -22,11 +22,12 @@ from __future__ import annotations
 import functools
 import math
 import numbers
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Scenario
+from .models import ControlSet, Scenario, run_starts
 from .polyhedra import Polyhedron, _same_fields, project_raw, row_multipliers
 from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
@@ -69,10 +70,23 @@ class Mesh:
 
 @dataclass(frozen=True, eq=False)
 class ControlSignal:
-    """One control value per mesh interval."""
+    """One control value per mesh interval.
+
+    Where a control is checked against the control set U: `from_parameters`
+    checks its parameter rows against U's box when it builds the signal, and
+    records U and the starts of the runs of equal rows on it.  `simulate` and
+    `recover_eta` take those starts without a second check when the
+    scenario's control set is that same U object; every other signal (built
+    from values, or in another set) has its rows checked by
+    `ControlSet.check_rows` on each call.
+    """
 
     mesh: Mesh
     values: np.ndarray  # (2^m, d)
+
+    # Set only by `from_parameters`: the control set the values were built in, and their run starts.
+    _built_in = None
+    _starts = None
 
     def __post_init__(self):
         values = np.atleast_2d(np.asarray(self.values, dtype=float))
@@ -88,6 +102,39 @@ class ControlSignal:
     def constant(mesh: Mesh, u) -> "ControlSignal":
         u = np.atleast_1d(np.asarray(u, dtype=float))
         return ControlSignal(mesh, np.tile(u, (mesh.intervals, 1)))
+
+    @staticmethod
+    def from_parameters(mesh: Mesh, U: ControlSet, P) -> "ControlSignal":
+        """The control P @ U.basis from parameter rows P of U, (rows, q): one row is a constant
+        control, and each of r rows holds for 2^m / r intervals.
+
+        Raises naming the first parameter outside [lo - CONTROL_TOL, hi + CONTROL_TOL] (NaN
+        included), the rule of `ControlSet.in_box`.  The values are the signal's own and read-only.
+        """
+        P = np.atleast_2d(np.asarray(P, dtype=float))
+        if P.ndim != 2 or P.shape[1] != len(U.lo) or not len(P) or mesh.intervals % len(P):
+            raise ValueError(
+                f"parameter rows of shape {P.shape} do not fit {len(U.lo)} parameters on {mesh.intervals} intervals"
+            )
+        inside = U.in_box(P)
+        if not inside.all():
+            k, i = np.argwhere(~inside)[0]
+            raise ValueError(
+                f"parameter row {k}: p{i + 1} = {P[k, i]:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]"
+            )
+        values = np.repeat(P @ U.basis, mesh.intervals // len(P), axis=0)
+        values.flags.writeable = False
+        starts = np.zeros(1, dtype=np.intp) if len(P) == 1 else run_starts(values)
+        starts.flags.writeable = False
+        signal = ControlSignal(mesh, values)
+        object.__setattr__(signal, "_built_in", U)
+        object.__setattr__(signal, "_starts", starts)
+        return signal
+
+    def checked_starts(self, U: ControlSet) -> np.ndarray:
+        """The intervals that start a run of equal control rows; unless the signal was built in U
+        itself, `U.check_rows` computes them and raises naming an interval outside U."""
+        return self._starts if self._built_in is U else U.check_rows(self.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,7 +209,11 @@ def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> n
 def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     """Run the catch-up scheme from scn.x0 under the piecewise-constant control.
 
-    The free increments h*g of all intervals come from one `drive` call; a
+    A control built by `ControlSignal.from_parameters` in `scn.control_set`
+    itself was checked when it was built, and its recorded run starts are
+    used; any other control has its rows checked by `ControlSet.check_rows`
+    here, which raises naming the first interval outside the set.  The free
+    increments h*g of all intervals come from one `drive` call; a
     robot whose heading switches at the first contact recomputes them from
     its contact node on.  Two steps in a row with one support W fix the step
     map while the drive stays: the node keeps the last increment for as many
@@ -173,7 +224,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     if not mesh.spans(scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
     values = u.values
-    starts = scn.control_set.check_rows(values)
+    starts = u.checked_starts(scn.control_set)
     h = mesh.h
     times = mesh.nodes
     K = mesh.intervals
@@ -258,7 +309,8 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     adjacent-pair rows form a path, so they are linearly independent.
     The residual reports whatever those rows cannot explain, a push
     between non-adjacent robots included.  Intervals go in blocks of
-    ETA_BLOCK, so the (block, s, dim) temporaries stay small.
+    ETA_BLOCK, so the (block, s, dim) temporaries stay small.  The control
+    is checked against U as in `simulate`.
     """
     if traj.mesh.intervals != u.mesh.intervals or not traj.mesh.spans(u.mesh.T):
         raise ValueError("trajectory and control live on different meshes")
@@ -266,7 +318,7 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     if X.shape[1:] != (scn.state_dim,):
         width = X.shape[1] if X.ndim == 2 else X.shape[1:]
         raise ValueError(f"trajectory state width {width} != scenario state width {scn.state_dim}")
-    scn.control_set.check_rows(u.values)
+    u.checked_starts(scn.control_set)  # checks a signal not built in the scenario's set
     times = traj.times
     K = traj.mesh.intervals
     s = scn.sweeping_set().nrows
@@ -318,28 +370,32 @@ def trajectory_csv(
 
 
 def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
-    """Inverse of trajectory_csv; returns times/states/controls/etas arrays."""
+    """Inverse of trajectory_csv; returns times/states/controls/etas arrays.
+
+    Raises naming a header column other than t, x<i>, u<i> or eta<i>, the first data row
+    whose cell count differs from the header's, or the first cell that is not a finite number."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("trajectory CSV needs a header line and at least one data row")
     header = lines[0].split(",")
-    data = np.array([[float(tok) for tok in ln.split(",")] for ln in lines[1:]])
-    if data.shape[1] != len(header):
-        raise ValueError(f"trajectory CSV rows have {data.shape[1]} cells, the header {len(header)}")
+    groups: dict[str, list[int]] = {"t": [], "x": [], "u": [], "eta": []}
+    for idx, name in enumerate(header):
+        column = re.fullmatch(r"t|(x|u|eta)\d+", name)
+        if column is None:
+            raise ValueError(f"trajectory CSV header column '{name}' is not t, x<i>, u<i> or eta<i>")
+        groups[column[1] or "t"].append(idx)
+    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
+    try:
+        data = np.array(rows)
+    except ValueError:  # ragged rows: numpy rejects them, and only then is the bad row looked for
+        data = None
+    if data is None or data.shape[1] != len(header):
+        k = next(k for k, row in enumerate(rows) if len(row) != len(header))
+        raise ValueError(f"trajectory CSV data row {k + 1} has {len(rows[k])} cells, the header {len(header)}")
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
-    groups: dict[str, list[int]] = {"t": [], "x": [], "u": [], "eta": []}
-    for idx, name in enumerate(header):
-        if name == "t":
-            groups["t"].append(idx)
-        elif name.startswith("eta"):
-            groups["eta"].append(idx)
-        elif name.startswith("x"):
-            groups["x"].append(idx)
-        elif name.startswith("u"):
-            groups["u"].append(idx)
     if not groups["t"] or not groups["x"]:
         raise ValueError("trajectory CSV header needs a 't' column and 'x' columns")
     out = {"times": data[:, groups["t"][0]], "states": data[:, groups["x"]]}

@@ -225,8 +225,12 @@ class TestVerify:
         "text",
         ["", "t,x1,x2,u1,u2,eta1\n", "a,b\n1,2\n", "t,x1\n1\n",
          "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,nan,3,1.8,1.8,5.4\n",
-         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,nan\n"],
-        ids=["empty", "header-only", "no-t-column", "short-row", "nan-state", "nan-eta"],
+         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,nan\n",
+         "t,x1,u1,u2,eta1\n0,-60,1.8,1.8,0\n6,-3,1.8,1.8,5.4\n",
+         "t,x1,x2,y1,u1,u2,eta1\n0,-60,-48,0,1.8,1.8,0\n6,-3,3,0,1.8,1.8,5.4\n",
+         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8\n"],
+        ids=["empty", "header-only", "no-t-column", "short-row", "nan-state", "nan-eta", "state-width",
+             "unknown-column", "ragged-row"],
     )
     def test_malformed_trajectory_exits_2(self, tmp_path, capsys, text):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -236,6 +240,26 @@ class TestVerify:
         assert self._verify(tmp_path, tmp_path / "certificate.json", traj_file) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("t,x1,u1,u2,eta1\n0,-60,1.8,1.8,0\n6,-3,1.8,1.8,5.4\n",
+          "trajectory state has width 1, the scenario needs 2"),
+         ("t,x1,x2,y1\n0,-60,-48,0\n6,-3,3,0\n", "header column 'y1' is not t, x<i>, u<i> or eta<i>"),
+         ("t,x1,x2\n0,-60,-48\n3,-30\n6,-3,3,1\n", "data row 2 has 2 cells, the header 3"),
+         ("t,x1,x2\n0,-60\n6,-3\n", "data row 1 has 2 cells, the header 3")],
+        ids=["state-width", "unknown-column", "ragged-row", "every-row-short"],
+    )
+    def test_malformed_trajectory_message_names_the_problem(self, tmp_path, capsys, text, message):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        traj_file = tmp_path / "bad.csv"
+        traj_file.write_text(text)
+        capsys.readouterr()
+        code = main(["verify", PED2, "--certificate", str(tmp_path / "certificate.json"),
+                     "--trajectory", str(traj_file), "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
 
     def test_certificate_missing_field_exits_2(self, tmp_path, capsys):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -252,9 +276,15 @@ class TestVerify:
         "payload, field",
         [([1, 2], "JSON object"), ("certificate", "JSON object"), ({"lambda": None}, "'lambda'"),
          ({"gamma_atoms": 5}, "'gamma_atoms'"), ({"p_values": [[float("nan"), 2.4]]}, "'p_values'"),
-         ({"lambda": float("inf")}, "'lambda'")],
+         ({"lambda": float("inf")}, "'lambda'"),
+         ({"eta_values": [[0.0, 0.0], [5.4, 0.0]]}, "'eta_values' has width 2, the scenario needs 1"),
+         ({"eta_terminal": [5.4, 0.0]}, "'eta_terminal' has width 2, the scenario needs 1"),
+         ({"p_values": [[-2.4, 2.4, 0.0]], "gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]},
+          "'p_values' has width 3, the scenario needs 2"),
+         ({"q_values": [[0.225, 0.9, 0.0], [-1.2, 4.8, 0.0]]}, "'q_values' has width 3, the scenario needs 2"),
+         ({"gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]}, "gamma atom at t=6 has shape (3,), p has width 2")],
         ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms", "nan-p-values",
-             "infinite-lambda"],
+             "infinite-lambda", "eta-width", "eta-terminal-width", "p-width", "q-width", "atom-width"],
     )
     def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
