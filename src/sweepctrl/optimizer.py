@@ -582,7 +582,9 @@ def solve_discrete(
     the tracking penalty terms (mesh approximations of the squared velocity
     and control deviations) are reported alongside the cost;
     `localization_radius` additionally restricts the search to a sup-norm
-    ball around the reference control.
+    ball around the reference control.  A reference control outside U
+    raises ValueError naming the coordinate, so the ball's centre always
+    lies in U and the localized box is never empty.
     """
     import hashlib  # only here, so that importing the package does not pay for it
 
@@ -596,6 +598,10 @@ def solve_discrete(
         )
     mesh = Mesh(scn.horizon, m)
     U = scn.control_set
+    if reference is not None:
+        bad = U.violation_message(reference[1])
+        if bad is not None:
+            raise ValueError(f"reference control outside the control set: {bad}")
     rng = np.random.default_rng(seed)
     evals = sims = 0
 
@@ -606,7 +612,9 @@ def solve_discrete(
     starts += [lo + (hi - lo) * rng.random(lo.size) for _ in range(extra_starts)]
 
     if reference is not None and localization_radius is not None:
-        center = U.parameters(reference[1])
+        # Inside the box, so the localized box around it is never empty (the reference may sit
+        # outside by CONTROL_TOL).
+        center = np.clip(U.parameters(reference[1]), lo, hi)
         lo = np.maximum(lo, center - localization_radius)
         hi = np.minimum(hi, center + localization_radius)
     span = np.maximum(hi - lo, SEARCH_MIN_SPAN)

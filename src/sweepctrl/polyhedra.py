@@ -11,6 +11,14 @@ that never needs one (parsing, `verify`, a two-agent simulation and its
 multipliers) never loads `scipy.optimize`.  The public entry points take a
 finite `tol >= 0`; `project_raw`, the catch-up loop's kernel, trusts its
 caller's.
+
+The arrays met here hold 1 to 8 entries, so numpy's fixed cost per call,
+not arithmetic, is most of each operation's time.  So every call makes one
+pass: one ufunc reduction (for finiteness, one sum on Python floats) per
+test, never an ndarray-method or `np.any` wrapper, and an entrywise test
+only where that sum is not finite.
+A non-finite point, vector to decompose or projection input raises
+ValueError where it enters, naming it.
 """
 
 from __future__ import annotations
@@ -58,6 +66,15 @@ def _nnls():
     return solve
 
 
+def _check_finite(v: np.ndarray, name: str) -> None:
+    """Raise naming `name` unless the 1-D array v is finite.  The sum of its entries, taken on
+    Python floats (which overflow and form inf - inf without a numpy warning), is not finite when
+    v holds a NaN or an inf, and otherwise only when it overflows, which the entrywise test then
+    clears."""
+    if not math.isfinite(sum(v.tolist())) and not np.isfinite(v).all():
+        raise ValueError(f"{name} must not contain infs or NaNs")
+
+
 def _check_tol(tol) -> None:
     """The membership tolerance of the public entry points: a finite number >= 0."""
     if not (math.isfinite(tol) and tol >= 0):
@@ -90,27 +107,33 @@ class Polyhedron:
     offsets: np.ndarray  # (s,)
 
     def __post_init__(self):
-        normals = np.atleast_2d(np.asarray(self.normals, dtype=float))
-        offsets = np.atleast_1d(np.asarray(self.offsets, dtype=float))
+        normals = np.asarray(self.normals, dtype=float)
+        if normals.ndim < 2:  # as np.atleast_2d, without its per-call cost
+            normals = normals.reshape(1, -1)
+        offsets = np.asarray(self.offsets, dtype=float)
+        if offsets.ndim == 0:
+            offsets = offsets.reshape(1)
         if normals.ndim != 2:
             raise ValueError("normals must be a 2-D array")
         if offsets.shape != (normals.shape[0],):
             raise ValueError("offsets must have one entry per normal")
         if normals.shape[0] < 1:
             raise ValueError("a polyhedron needs at least one row")
-        row_norms = np.linalg.norm(normals, axis=1)
-        # The rows (a_j, c_j) have a finite total norm unless one holds a NaN or an inf, or the norm
-        # of a normal overflows (|a_j|^2 then does too, and no projection onto it can be formed).
-        if not math.isfinite(np.hypot(row_norms, offsets).sum()):
+        # |a_j|^2 as np.linalg.norm forms it, so that a row is zero (also when its square underflows)
+        # or its norm overflows exactly when np.linalg.norm says so.
+        sq = np.add.reduce(normals * normals, axis=1)
+        # The total is finite unless a row holds a NaN or an inf, or some |a_j|^2 overflows (no
+        # projection onto that row can be formed): only then are the rows examined, rule by rule.
+        if not math.isfinite(np.add.reduce(np.hypot(sq, offsets))):
             for what, bad in (
                 ("non-finite normal", ~np.isfinite(normals).all(axis=1)),
                 ("non-finite offset", ~np.isfinite(offsets)),
-                ("normal norm overflows", ~np.isfinite(row_norms)),
+                ("normal norm overflows", ~np.isfinite(sq)),
             ):
                 if bad.any():
                     raise ValueError("%s in row %d" % (what, int(np.argmax(bad))))
-        if np.any(row_norms == 0.0):
-            raise ValueError("zero normal vector in row %d" % int(np.argmin(row_norms)))
+        if np.minimum.reduce(sq) == 0.0:
+            raise ValueError("zero normal vector in row %d" % int(sq.argmin()))
         object.__setattr__(self, "normals", normals)
         object.__setattr__(self, "offsets", offsets)
 
@@ -125,8 +148,9 @@ class Polyhedron:
         return self.normals.shape[0]
 
     def slack(self, x: np.ndarray) -> np.ndarray:
-        """offsets - normals @ x; nonnegative componentwise iff x is inside."""
+        """offsets - normals @ x; nonnegative componentwise iff x is inside.  x must be finite."""
         x = self._check_point(x)
+        _check_finite(x, "x")
         return self.offsets - self.normals @ x
 
     def _check_point(self, x: np.ndarray) -> np.ndarray:
@@ -147,21 +171,22 @@ class ConeDecomposition:
 def contains(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
     """True iff <a_j, x> <= c_j + tol for every row j."""
     _check_tol(tol)
-    return bool(np.all(poly.slack(x) >= -tol))
+    return bool(np.minimum.reduce(poly.slack(x)) >= -tol)  # a NaN slack (overflowing products) is outside
 
 
 def active_set(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> np.ndarray:
     """Sorted row indices where the constraint holds with equality (within tol).
 
-    The point must lie in the polyhedron (within tol); being outside beyond
-    tol is an error, not an active constraint.
+    The point must be finite and lie in the polyhedron (within tol); being
+    outside beyond tol is an error, not an active constraint.
     """
     _check_tol(tol)
     slack = poly.slack(x)
-    if np.any(slack < -tol):
+    # The least slack decides; a NaN row (an overflowing product) falls through to the row test.
+    if not np.minimum.reduce(slack) >= -tol and (slack < -tol).any():
         worst = int(np.argmin(slack))
         raise ValueError(f"point outside the polyhedron: row {worst} violated by {-slack[worst]:.3e}")
-    return np.flatnonzero(np.abs(slack) <= tol)
+    return (slack <= tol).nonzero()[0]  # |slack| <= tol, since no slack is below -tol
 
 
 def project(
@@ -216,15 +241,19 @@ def project_raw(
     lam = top/|a|^2 in closed form, under the same emptiness rule; that
     branch runs on Python floats, since numpy's per-call overhead is most
     of the cost of a 1 x 4 row.  A non-finite input raises ValueError on
-    both paths (the NNLS kernel no longer checks it), and so does a single
-    row whose |a|^2 overflows.
+    both paths, also when no row is violated (the NNLS kernel no longer
+    checks it), and so does a single row whose |a|^2 overflows.  A finite
+    y so far inside that a violation overflows to -inf is returned as is.
     """
-    if start is not None and np.shape(start) != np.shape(y):
-        raise ValueError(f"start has shape {np.shape(start)}, expected {np.shape(y)}")
+    if start is not None and np.shape(start) != y.shape:
+        raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
     if A.shape[0] == 1:
         a, ys = A[0].tolist(), y.tolist()
         top = sum([ai * yi for ai, yi in zip(a, ys, strict=True)]) - c.item()
         if top <= tol:
+            # -inf: a non-finite input, or a finite point so far inside that the sum overflowed.
+            if top == -math.inf:
+                _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
             return y.copy(), np.empty(0, dtype=int)
         if not math.isfinite(top):
             raise ValueError("projection input must not contain infs or NaNs")
@@ -236,17 +265,17 @@ def project_raw(
         lam = top / aa
         return np.array([yi - lam * ai for ai, yi in zip(a, ys)]), np.zeros(1, dtype=int)
     viol = A @ y - c
-    top = float(viol.max())
+    top = float(np.maximum.reduce(viol))  # NaN when any violation is
     if top <= tol:
+        # No violation is NaN or +inf here; a -inf one is tested as on one row.
+        if np.minimum.reduce(viol) == -math.inf:
+            _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
         return y.copy(), np.empty(0, dtype=int)
     n = y.shape[0]
     E = np.empty((n + 1, A.shape[0]))
     E[:n] = -A.T
     E[n] = h = viol / top
-    # One sum finds a NaN or inf; only a sum that is not finite pays for the entrywise test,
-    # which tells a non-finite entry from a sum of huge finite ones overflowing.
-    if not math.isfinite(E.sum()) and not np.isfinite(E).all():
-        raise ValueError("projection input must not contain infs or NaNs")
+    _check_finite(E.ravel(), "projection input")  # the NNLS kernel does not check it
     f = np.zeros(n + 1)
     f[n] = 1.0
     try:
@@ -254,9 +283,9 @@ def project_raw(
     except RuntimeError as exc:  # iteration cap of the NNLS solver
         raise ProjectionError(f"projection failed: {exc}") from exc
     hu = h * u
-    d = 1.0 - float(hu.sum())
+    d = 1.0 - float(np.add.reduce(hu))
     # d is a difference of order-one terms: demand a margin over their rounding.
-    if not d > EMPTY_RTOL * (1.0 + float(np.abs(hu).sum())):
+    if not d > EMPTY_RTOL * (1.0 + float(np.add.reduce(np.abs(hu)))):
         raise ProjectionError("the polyhedron is empty")
     return y - A.T @ ((top / d) * u), u.nonzero()[0]
 
@@ -270,26 +299,23 @@ def decompose_normal(
     the caller decides what residual is acceptable.  Under LICQ the
     coefficients are unique.
     """
-    v = np.asarray(v, dtype=float)
-    act = active_set(poly, x, tol)
-    return decompose_on_rows(poly, act, v)
+    return decompose_on_rows(poly, active_set(poly, x, tol), v)
 
 
 def decompose_on_rows(poly: Polyhedron, rows: np.ndarray, v: np.ndarray) -> ConeDecomposition:
-    """Nonnegative fit of v on an explicit row subset (no activity check)."""
-    v = np.asarray(v, dtype=float)
+    """Nonnegative fit of v on an explicit row subset (no activity check).
+
+    v must be a finite vector of the polyhedron's dimension, even when no row is given; the
+    coefficients map each row (an int) to its eta_j (a float)."""
+    v = np.asarray(v, dtype=float, order="C")  # the NNLS kernel takes C-contiguous arrays
+    if v.shape != (poly.dim,):
+        raise ValueError(f"v has shape {v.shape}, expected ({poly.dim},)")
+    _check_finite(v, "v (the vector to decompose)")  # the rows are finite: Polyhedron checks them
     rows = np.asarray(rows, dtype=int)
     if rows.size == 0:
-        return ConeDecomposition(coefficients={}, residual=float(np.linalg.norm(v)))
-    # What the NNLS kernel does not check (the rows are finite: Polyhedron checks them).
-    if v.shape != (poly.dim,):
-        raise ValueError(f"vector has shape {v.shape}, expected ({poly.dim},)")
-    if not math.isfinite(v.sum()) and not np.isfinite(v).all():
-        raise ValueError("the vector to decompose must not contain infs or NaNs")
-    basis = np.ascontiguousarray(poly.normals[rows].T)  # (dim, k)
-    coef, rnorm = _nnls()(basis, np.ascontiguousarray(v))
-    coefficients = {int(j): float(c) for j, c in zip(rows, coef)}
-    return ConeDecomposition(coefficients=coefficients, residual=float(rnorm))
+        return ConeDecomposition(coefficients={}, residual=math.sqrt(v.dot(v)))  # as np.linalg.norm(v)
+    coef, rnorm = _nnls()(poly.normals.take(rows, 0).T.copy(), v)  # basis (dim, k), C-contiguous
+    return ConeDecomposition(coefficients=dict(zip(rows.tolist(), coef.tolist())), residual=float(rnorm))
 
 
 def row_multipliers(B: np.ndarray, active: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -308,9 +334,15 @@ def row_multipliers(B: np.ndarray, active: np.ndarray, v: np.ndarray) -> np.ndar
 
 
 def check_licq(poly: Polyhedron, x: np.ndarray, tol: float = MEMBERSHIP_TOL) -> bool:
-    """Linear independence of the active normals at x (rank test with tolerance)."""
+    """Linear independence of the active normals at x (rank test with tolerance).
+
+    No active row, or one (a nonzero normal), is independent without a rank test; more active
+    rows than the dimension never are.
+    """
     act = active_set(poly, x, tol)
-    if act.size == 0:
+    if act.size <= 1:
         return True
-    sv = np.linalg.svd(poly.normals[act], compute_uv=False)
+    if act.size > poly.dim:
+        return False
+    sv = np.linalg.svd(poly.normals.take(act, 0), compute_uv=False)
     return bool(sv[-1] > LICQ_RTOL * sv[0])

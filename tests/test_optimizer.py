@@ -596,6 +596,26 @@ class TestSolveDiscrete:
         sol = solve_discrete(ped2(), m=3, budget=np.int64(5))
         assert sol.evaluations == 5
 
+    @pytest.mark.parametrize(
+        "ref, message",
+        [((5.0, 2.0, 2.0), "u1 = 5 outside"), ((2.0, 2.0, -3.0), "u3 = -3 outside"), ((2.0, np.nan, 2.0), "u2 = nan")],
+    )
+    @pytest.mark.parametrize("radius", [0.5, None])
+    def test_reference_control_outside_U_rejected_naming_the_coordinate(self, ref, message, radius):
+        # At radius 0.5 around (5, 2, 2) the localized box for u1 would be empty, and the search
+        # would put u1 at 2, three units from the ball's centre.
+        red = solve_reduced(ped3())
+        with pytest.raises(ValueError, match=f"reference control outside the control set: {message}"):
+            solve_discrete(ped3(), m=4, budget=20, reference=(red.path, np.array(ref)), localization_radius=radius)
+
+    def test_reference_on_the_bound_within_tolerance_keeps_a_nonempty_box(self):
+        red = solve_reduced(ped3())
+        ref = np.array([2.0 + 5e-10, 1.0, 0.0])  # outside U by less than CONTROL_TOL
+        sol = solve_discrete(ped3(), m=4, budget=60, reference=(red.path, ref), localization_radius=0.25)
+        u = sol.control.values
+        assert np.all(u[:, 0] == 2.0)
+        assert np.all(np.abs(u[:, 1:] - ref[1:]) <= 0.25)
+
 
 class TestDiscreteSearchCache:
     """Each distinct control is simulated once per search; a repeat is looked up, counts

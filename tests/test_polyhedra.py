@@ -140,8 +140,9 @@ class TestProject:
 
     @pytest.mark.parametrize(
         "A, y",
-        [([[1.0, -1.0]], [np.nan, 0.0]), ([[np.nan, -1.0]], [0.0, 0.0]), ([[0.0, 1.0]], [np.inf, 0.0])],
-        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient"],
+        [([[1.0, -1.0]], [np.nan, 0.0]), ([[np.nan, -1.0]], [0.0, 0.0]), ([[0.0, 1.0]], [np.inf, 0.0]),
+         ([[1.0, 0.0]], [-np.inf, -1.0])],
+        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient", "minus-inf-y-violating-nothing"],
     )
     def test_one_row_non_finite_input_raises_value_error(self, A, y):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
@@ -162,12 +163,39 @@ class TestProject:
         assert project_raw(A, c, np.zeros(2))[1].tolist() == [0]
 
 
+SPECIAL = st.sampled_from([0.0, 1.0, -2.5, 1e-200, 1e-160, 1e200, np.inf, -np.inf, np.nan])
+
+
+@st.composite
+def rows_with_special_values(draw):
+    """Up to 4 rows in R^1..R^3 whose entries and offsets are zeros, tiny, huge or non-finite."""
+    s, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    return draw(hnp.arrays(float, (s, n), elements=SPECIAL)), draw(hnp.arrays(float, s, elements=SPECIAL))
+
+
+def construction_rule(normals, offsets):
+    """Polyhedron's row rules stated one at a time on np.linalg.norm: the message of the first
+    rule that some row breaks, naming its first such row, or None."""
+    norms = np.linalg.norm(normals, axis=1)
+    for what, bad in (
+        ("non-finite normal", ~np.isfinite(normals).all(axis=1)),
+        ("non-finite offset", ~np.isfinite(offsets)),
+        ("normal norm overflows", ~np.isfinite(norms)),
+        ("zero normal vector", norms == 0.0),
+    ):
+        if bad.any():
+            return f"{what} in row {int(np.argmax(bad))}"
+    return None
+
+
 class TestPolyhedronGuards:
     @pytest.mark.parametrize(
         "normals, offsets, message",
         [([[np.nan, 1.0]], [0.0], "normal in row 0"), ([[1.0, 0.0], [np.inf, 1.0]], [0.0, 0.0], "normal in row 1"),
-         ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.nan], "offset in row 1")],
-        ids=["nan-normal", "infinite-normal", "nan-offset"],
+         ([[1.0, 0.0], [0.0, 1.0]], [0.0, np.nan], "offset in row 1"),
+         ([[1.0, 0.0], [0.0, 0.0]], [0.0, np.inf], "^non-finite offset in row 1$"),  # before the zero row
+         ([[np.inf, 0.0], [1.0, 1.0]], [np.inf, 0.0], "^non-finite normal in row 0$")],
+        ids=["nan-normal", "infinite-normal", "nan-offset", "inf-offset-on-a-zero-row", "inf-normal-and-offset"],
     )
     def test_non_finite_rows_rejected_naming_the_row(self, normals, offsets, message):
         with pytest.raises(ValueError, match=message):
@@ -181,6 +209,37 @@ class TestPolyhedronGuards:
         normals[row] = [1e200, 0.0]
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"norm overflows in row {row}"):
             Polyhedron(normals, np.zeros(2))
+
+    @pytest.mark.parametrize(
+        "normals, offsets, message",
+        [([[1e200, 0.0], [np.nan, 1.0]], [0.0, 0.0], "non-finite normal in row 1"),
+         ([[1.0, 1.0], [1e200, 0.0]], [-np.inf, 0.0], "non-finite offset in row 0")],
+        ids=["nan-after-an-overflowing-row", "inf-offset-before-an-overflowing-row"],
+    )
+    def test_non_finite_rows_are_named_before_an_overflowing_one(self, normals, offsets, message):
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=f"^{message}$"):
+            Polyhedron(np.array(normals), np.array(offsets))
+
+    @pytest.mark.parametrize("tiny", [0.0, 1e-200], ids=["zero", "square-underflows-to-zero"])
+    def test_zero_row_rejected_naming_the_row(self, tiny):
+        with pytest.raises(ValueError, match="^zero normal vector in row 1$"):
+            Polyhedron(np.array([[1.0, 0.0], [tiny, 0.0]]), np.zeros(2))
+
+    def test_a_tiny_row_whose_square_is_subnormal_is_accepted(self):
+        P = Polyhedron(np.array([[1e-160, 1e-160]]), np.array([0.0]))
+        assert P.normals.tolist() == [[1e-160, 1e-160]]
+
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(rows_with_special_values())
+    def test_rules_match_their_row_by_row_statement(self, rows):
+        normals, offsets = rows
+        with np.errstate(over="ignore"):
+            expected = construction_rule(normals, offsets)
+            if expected is None:
+                Polyhedron(normals, offsets)
+            else:
+                with pytest.raises(ValueError, match=f"^{expected}$"):
+                    Polyhedron(normals, offsets)
 
 
 class TestDecomposeNormal:
@@ -196,6 +255,12 @@ class TestDecomposeNormal:
         dec = decompose_normal(C, np.array([-3.0, 3.0]), v)
         assert dec.coefficients[0] == pytest.approx(5.4, abs=1e-12)
         assert dec.residual == pytest.approx(0.0, abs=1e-12)
+
+    def test_coefficients_map_int_rows_to_float_values(self):
+        dec = decompose_normal(pedestrian_set(n=3), np.array([-12.0, -6.0, 0.0]), np.array([1.0, 1.0, -2.0]))
+        assert list(dec.coefficients) == [0, 1]
+        assert all(type(j) is int and type(eta) is float for j, eta in dec.coefficients.items())
+        assert type(dec.residual) is float
 
     def test_interior_reports_full_residual(self):
         C = pedestrian_set()
@@ -218,6 +283,23 @@ class TestLicq:
     def test_duplicated_normal_fails(self):
         P = Polyhedron(np.array([[1.0, -1.0], [1.0, -1.0]]), np.array([-6.0, -6.0]))
         assert not check_licq(P, np.array([-3.0, 3.0]))
+
+    def test_more_active_rows_than_the_dimension_fail(self):
+        # Three lines through the origin in R^2: the SVD of the 3 x 2 block has only 2 singular
+        # values, both large, so a rank test alone would call these rows independent.
+        P = Polyhedron(np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]), np.zeros(3))
+        assert active_set(P, np.zeros(2)).tolist() == [0, 1, 2]
+        assert not check_licq(P, np.zeros(2))
+
+    def test_one_active_row_needs_no_svd(self, monkeypatch):
+        calls = []
+        svd = np.linalg.svd
+        monkeypatch.setattr(np.linalg, "svd", lambda *a, **k: calls.append(1) or svd(*a, **k))
+        C = pedestrian_set(n=3)
+        assert check_licq(C, np.array([-12.0, -6.0, 10.0]))  # only the first gap is 6
+        assert calls == []
+        assert check_licq(C, np.array([-12.0, -6.0, 0.0]))  # both gaps are 6
+        assert calls == [1]
 
 
 def random_instance(rng, max_dim=8, max_rows=7):
@@ -416,8 +498,10 @@ class TestNonFiniteInputOnTheNnlsPath:
             ([[np.nan, -1.0], [0.0, 1.0]], [-6.0, 1.0], [0.0, 0.0]),
             ([[0.0, 1.0], [1.0, -1.0]], [-6.0, 1.0], [np.inf, 0.0]),
             ([[0.0, 1.0], [1.0, 0.0]], [0.0, np.inf], [0.0, 1.0]),
+            ([[1.0, 1.0], [1.0, 2.0]], [0.0, 0.0], [-np.inf, -1.0]),
         ],
-        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient", "minus-inf-violation-on-a-lower-row"],
+        ids=["nan-y", "nan-A", "inf-y-on-a-zero-coefficient", "minus-inf-violation-on-a-lower-row",
+             "minus-inf-y-violating-nothing"],
     )
     def test_raises_value_error(self, A, c, y):
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
@@ -426,6 +510,49 @@ class TestNonFiniteInputOnTheNnlsPath:
     def test_decompose_on_rows_rejects_a_nan_vector(self):
         with pytest.raises(ValueError):
             decompose_on_rows(pedestrian_set(3), np.array([0, 1]), np.array([np.nan, 0.0, 0.0]))
+
+
+class TestNonFinitePointsAndVectors:
+    """A NaN or inf point is not an interior point, and a vector to decompose is checked even
+    when no row is active: each raises ValueError naming the argument."""
+
+    C = pedestrian_set(n=2)
+
+    @pytest.mark.parametrize("x", [[np.nan, 0.0], [np.inf, 0.0], [-np.inf, np.inf]], ids=["nan", "inf", "both-infs"])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda C, x: active_set(C, x),
+            lambda C, x: check_licq(C, x),
+            lambda C, x: decompose_normal(C, x, np.ones(2)),
+            lambda C, x: contains(C, x),
+            lambda C, x: C.slack(x),
+        ],
+        ids=["active_set", "check_licq", "decompose_normal", "contains", "slack"],
+    )
+    def test_non_finite_point_raises_naming_x(self, call, x):
+        with pytest.raises(ValueError, match="^x must not contain infs or NaNs$"):
+            call(self.C, np.array(x))
+
+    @pytest.mark.parametrize("v", [[np.nan, 0.0], [0.0, -np.inf]], ids=["nan", "minus-inf"])
+    def test_non_finite_vector_at_an_interior_point_raises_naming_v(self, v):
+        with pytest.raises(ValueError, match="^v .*must not contain infs or NaNs$"):
+            decompose_normal(self.C, np.array([-60.0, -48.0]), np.array(v))
+        with pytest.raises(ValueError, match="^v .*must not contain infs or NaNs$"):
+            decompose_on_rows(self.C, np.array([], dtype=int), np.array(v))
+
+    def test_vector_of_the_wrong_width_at_an_interior_point_raises_naming_v(self):
+        with pytest.raises(ValueError, match=r"^v has shape \(3,\), expected \(2,\)$"):
+            decompose_normal(self.C, np.array([-60.0, -48.0]), np.ones(3))
+
+    def test_far_inside_point_whose_violation_overflows_is_returned(self):
+        # Finite input whose violation overflows to -inf: deep inside, so the point comes back.
+        y = np.array([-1e160, -1.0])
+        x, W = project_raw(np.array([[1e154, 0.0]]), np.zeros(1), y)
+        assert x.tolist() == y.tolist() and W.size == 0
+        with np.errstate(over="ignore"):
+            x, W = project_raw(np.array([[1e154, 0.0], [0.0, 1.0]]), np.zeros(2), y)
+        assert x.tolist() == y.tolist() and W.size == 0
 
 
 class TestNnlsLoader:
