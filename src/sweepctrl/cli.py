@@ -113,6 +113,8 @@ def _load_control(args: argparse.Namespace, scn, mesh: Mesh) -> ControlSignal:
             if len(rows[-1]) != scn.control_set.dim:
                 width = f"row of width {len(rows[-1])}, the control set width {scn.control_set.dim}"
                 raise UsageError(f"{args.control_file}: line {lineno}: {width}")
+        if not rows:
+            raise UsageError(f"{args.control_file}: holds no control rows")
         return ControlSignal(mesh, np.array(rows))
     raise UsageError("this command needs --control or --control-file")
 

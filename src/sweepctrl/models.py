@@ -192,6 +192,9 @@ class Scenario:
     step_rows(X, Y)               the adjacent-pair rows of K(x) at each node of X, in the sweeping
                                   set's units, and their linearized gaps at the matching nodes of Y
 
+    and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
+    its offset at a state given as a list, for `simulate`'s contact arcs.
+
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
     transpose.  Only a robot whose heading switches at the first contact reads
@@ -370,6 +373,11 @@ class RobotScenario(Scenario):
         # The first root in its stable form; its floor drops one step that may still hold.
         return int(min(cap, np.min(c[hit] / (np.sqrt(disc[hit]) - b[hit]))))
 
+    def pair_row(self, xs: list) -> tuple[list, float]:
+        """K(x) of two robots on Python floats: its one row (a, c) at the state xs, a list, as
+        `constraint_rows` forms it."""
+        return _pair_row(xs, 0, 1), -2.0 * self.R
+
     def pair_gap_euclid(self, x, i: int, j: int) -> float:
         """Euclidean disk separation ||x^i - x^j|| - 2R (the collision geometry)."""
         return math.hypot(x[2 * i] - x[2 * j], x[2 * i + 1] - x[2 * j + 1]) - 2.0 * self.R
@@ -510,16 +518,21 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     # fancy indexing and per-entry stores alike.
     for i in range(n):
         for j in range(i + 1, n):
-            dx, dy = xs[2 * i] - xs[2 * j], xs[2 * i + 1] - xs[2 * j + 1]
-            dist = math.hypot(dx, dy)
-            if dist == 0.0:
-                raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
-            nx, ny = dx / dist, dy / dist
-            row = [0.0] * (2 * n)
-            row[2 * i], row[2 * i + 1], row[2 * j], row[2 * j + 1] = -nx, -ny, nx, ny
-            rows.append(row)
+            rows.append(_pair_row(xs, i, j))
     A = np.array(rows) if rows else np.zeros((0, 2 * n))
     return A, np.array([-2.0 * R] * len(rows))
+
+
+def _pair_row(xs: list, i: int, j: int) -> list:
+    """The row of pair i < j in `linearized_noncollision` at the state xs, a list of Python floats."""
+    dx, dy = xs[2 * i] - xs[2 * j], xs[2 * i + 1] - xs[2 * j + 1]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
+    nx, ny = dx / dist, dy / dist
+    row = [0.0] * len(xs)
+    row[2 * i], row[2 * i + 1], row[2 * j], row[2 * j + 1] = -nx, -ny, nx, ny
+    return row
 
 
 def ordering_holds(n: int, x) -> bool:

@@ -355,13 +355,24 @@ def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> 
             raise ValueError(f"{name} has width {got[0] if len(got) == 1 else got}, the scenario needs {want}")
 
 
+def _check_horizons(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
+    """Raise naming both horizons where the path or the certificate ends off the scenario's
+    horizon T by more than TIME_TOL * max(1, T), the rule of `Mesh.spans`."""
+    T = scn.horizon
+    for name, end in (("trajectory", path.horizon), ("certificate", cert.horizon)):
+        if not abs(end - T) <= TIME_TOL * max(1.0, T):  # NaN fails too
+            raise ValueError(f"{name} horizon {end:g} != scenario horizon {T:g}")
+
+
 def verify_certificate(
     scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL
 ) -> ResidualReport:
     """Run all conditions; the report passes iff every entry passes at `tol`.  Widths that do
-    not fit the scenario raise a ValueError naming the field before any residual."""
+    not fit the scenario raise a ValueError naming the field, and a path or certificate on
+    another horizon one naming both horizons, before any residual."""
     path = as_path(traj)
     _check_widths(scn, path, cert)
+    _check_horizons(scn, path, cert)
     r1 = check_primal(scn, path, u, cert)
     r2, r3 = check_complementarity(scn, path, cert)
     r4 = check_adjoint(scn, cert)

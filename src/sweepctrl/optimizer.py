@@ -19,8 +19,11 @@ Where the published robot analysis produces two branches with equal cost,
 both are kept: the presented branch (larger root, the one whose dual data
 the source analysis reports) carries the certificate, while the
 order-preserving branch is the one the simulator reproduces and is exposed
-for convergence comparisons.  Every template certifies its computed optimum
-at VERIFY_TOL, and each solution report carries the published values
+for convergence comparisons.  Every template's certificate passes the nine
+necessary conditions at VERIFY_TOL; that does not make its control the
+minimizer (pedestrian3's certified (2, 2, 2), at cost 90, is not: the
+discrete search reaches 36.0, the global minimum).  Each solution report
+carries the published values
 verbatim beside the certified ones: the pair's free-phase q in the source's
 convention psi = u, and, for the three-pedestrian scenario, the published
 arc trajectories, which carry the standing pre-contact multiplier alongside

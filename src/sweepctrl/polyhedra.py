@@ -26,6 +26,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, fields
+from operator import mul
 
 import numpy as np
 
@@ -248,22 +249,12 @@ def project_raw(
     if start is not None and np.shape(start) != y.shape:
         raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
     if A.shape[0] == 1:
-        a, ys = A[0].tolist(), y.tolist()
-        top = sum([ai * yi for ai, yi in zip(a, ys, strict=True)]) - c.item()
-        if top <= tol:
-            # -inf: a non-finite input, or a finite point so far inside that the sum overflowed.
-            if top == -math.inf:
-                _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
+        if y.shape != (A.shape[1],):
+            raise ValueError(f"y has shape {y.shape}, expected ({A.shape[1]},)")
+        x = _project_one_row(A[0].tolist(), c.item(), y.tolist(), tol)
+        if x is None:
             return y.copy(), np.empty(0, dtype=int)
-        if not math.isfinite(top):
-            raise ValueError("projection input must not contain infs or NaNs")
-        aa = sum([ai * ai for ai in a])
-        if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule below, d > EMPTY_RTOL (1 + u)
-            if not math.isfinite(aa):
-                raise ValueError("projection row norm overflows")
-            raise ProjectionError("the polyhedron is empty")
-        lam = top / aa
-        return np.array([yi - lam * ai for ai, yi in zip(a, ys)]), np.zeros(1, dtype=int)
+        return np.array(x), np.zeros(1, dtype=int)
     viol = A @ y - c
     top = float(np.maximum.reduce(viol))  # NaN when any violation is
     if top <= tol:
@@ -288,6 +279,30 @@ def project_raw(
     if not d > EMPTY_RTOL * (1.0 + float(np.add.reduce(np.abs(hu)))):
         raise ProjectionError("the polyhedron is empty")
     return y - A.T @ ((top / d) * u), u.nonzero()[0]
+
+
+def _project_one_row(a: list, c: float, y: list, tol: float) -> list | None:
+    """`project_raw` onto the one halfspace <a, x> <= c on Python floats: the projection of y,
+    or None when y violates the row by at most tol (y is its own projection).
+
+    `simulate` steps a robot pair's contact arc on this helper directly, so both take one step
+    in one sequence of float operations.
+    """
+    top = sum(map(mul, a, y)) - c
+    if top <= tol:
+        # -inf: a non-finite input, or a finite point so far inside that the sum overflowed.
+        if top == -math.inf and not all(map(math.isfinite, [*a, c, *y])):
+            raise ValueError("projection input must not contain infs or NaNs")
+        return None
+    if not math.isfinite(top):
+        raise ValueError("projection input must not contain infs or NaNs")
+    aa = sum(map(mul, a, a))
+    if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule of `project_raw`, d > EMPTY_RTOL (1 + u)
+        if not math.isfinite(aa):
+            raise ValueError("projection row norm overflows")
+        raise ProjectionError("the polyhedron is empty")
+    lam = top / aa
+    return [yi - lam * ai for ai, yi in zip(a, y)]
 
 
 def decompose_normal(

@@ -9,7 +9,12 @@ are piecewise linear between mesh nodes, controls piecewise constant.
 One loop serves both models through the `models.Scenario` interface:
 `drive` gives g for every interval at once (from the `headings` hook),
 `constraint_rows` gives K(x), `pair_gaps` finds contacts and `free_run`
-says how far a repeating step may be filled.  `recover_eta` expresses the
+says how far a repeating step may be filled.  Where K(x) is the one row
+of two robots, which turns with x, a contact arc is stepped on Python
+floats: `pair_row` forms that row and `polyhedra._project_one_row`, the
+one-row branch of `project_raw`, projects onto it, so the nodes are those
+of the array step bit for bit at a fraction of numpy's per-call cost.
+`recover_eta` expresses the
 normal-cone multiplier eta_k of interval k on the rows of the step's own
 set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
 sweeping-set rows for pedestrians and sqrt(2) times the tangent rows of
@@ -24,11 +29,12 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
 from .models import ControlSet, Scenario, run_starts
-from .polyhedra import Polyhedron, _same_fields, project_raw, row_multipliers
+from .polyhedra import Polyhedron, _project_one_row, _same_fields, project_raw, row_multipliers
 from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
@@ -218,7 +224,12 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     its contact node on.  Two steps in a row with one support W fix the step
     map while the drive stays: the node keeps the last increment for as many
     steps as `scn.free_run` allows, filled by one cumulative sum (the loop's
-    additions).
+    additions).  After a projected step of two robots with no contact
+    switch pending, the contact arc goes on as a list: each interval forms
+    the pair's row (`scn.pair_row`) and its one-row projection, the float
+    operations of `project_raw(*constraint_rows(x), x + h g)`, until a step
+    projects nothing (its node is kept) or the horizon; the arc's nodes go
+    into the array in one slice.
     """
     mesh = u.mesh
     if not mesh.spans(scn.horizon):
@@ -240,6 +251,8 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     x = nodes[0] = scn.x0
     constraint_rows = scn.constraint_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
+    one_moving_row = not scn.fixed_constraints and scn.n == 2  # K(x) is one row that turns with x
+    drive, first = None, 0  # steps[first:] as lists, once a contact arc needs them
     k = 0
     while k < K:
         if track and contact is None and scn.contact_rows(x).size:
@@ -251,6 +264,27 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             end = next(run_ends)
         k += 1
         nodes[k], W = xn, W.tolist()
+        if W and one_moving_row and k < K and (not track or contact is not None):
+            # A contact arc: the steps, no longer changed by a switch, go on as one-row
+            # projections on Python floats, in the float operations `project_raw` makes,
+            # up to the first no-op step (kept) or the horizon.
+            if drive is None:
+                drive, first = steps[k:].tolist(), k
+            xs, arc, pair_row = xn.tolist(), [], scn.pair_row
+            for g in drive[k - first :]:
+                if k == end:
+                    end = next(run_ends)
+                k += 1
+                a, c = pair_row(xs)
+                y = list(map(add, xs, g))
+                xs = _project_one_row(a, c, y, STEP_TOL)
+                if xs is None:
+                    arc.append(y)
+                    break
+                arc.append(xs)
+            nodes[k + 1 - len(arc) : k + 1] = arc
+            prev, x = [], nodes[k]  # the no-op step's support: the next one may start a run
+            continue
         if k < end and W == prev and (not W or scn.fixed_constraints):
             d = xn - x if W else step
             run = scn.free_run(xn, d, W, end - k)
@@ -369,21 +403,40 @@ def trajectory_csv(
     return "\n".join(lines) + "\n"
 
 
+# The column groups that may start after each group of a trajectory CSV header.
+_LATER_COLUMNS = {"t": ("x",), "x": ("u", "eta"), "u": ("eta",), "eta": ()}
+
+
 def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
     """Inverse of trajectory_csv; returns times/states/controls/etas arrays.
 
-    Raises naming a header column other than t, x<i>, u<i> or eta<i>, the first data row
-    whose cell count differs from the header's, or the first cell that is not a finite number."""
+    The header must be in the order trajectory_csv writes: t, then x1..xn (n >= 1), then
+    u1..uk, then eta1..ej, each group numbered from 1 without gaps.  Raises naming a header
+    column other than t, x<i>, u<i> or eta<i>, the first column out of that order, the first
+    data row whose cell count differs from the header's, or the first cell that is not a
+    finite number."""
     lines = [ln for ln in text.strip().splitlines() if ln.strip()]
     if len(lines) < 2:
         raise ValueError("trajectory CSV needs a header line and at least one data row")
     header = lines[0].split(",")
     groups: dict[str, list[int]] = {"t": [], "x": [], "u": [], "eta": []}
+    allowed = {"t"}  # the names the next column may have
     for idx, name in enumerate(header):
         column = re.fullmatch(r"t|(x|u|eta)\d+", name)
         if column is None:
             raise ValueError(f"trajectory CSV header column '{name}' is not t, x<i>, u<i> or eta<i>")
-        groups[column[1] or "t"].append(idx)
+        if name not in allowed:
+            raise ValueError(
+                f"trajectory CSV header column {idx + 1} '{name}' is out of place: the columns run "
+                "t, x1..xn, u1..uk, eta1..ej, each numbered from 1"
+            )
+        group = column[1] or "t"
+        groups[group].append(idx)
+        allowed = {f"{later}1" for later in _LATER_COLUMNS[group]}
+        if group != "t":
+            allowed.add(f"{group}{len(groups[group]) + 1}")
+    if not groups["x"]:
+        raise ValueError("trajectory CSV header needs 'x' columns after 't'")
     rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
     try:
         data = np.array(rows)
@@ -396,8 +449,6 @@ def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
     if bad.size:
         row, col = bad[0]
         raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
-    if not groups["t"] or not groups["x"]:
-        raise ValueError("trajectory CSV header needs a 't' column and 'x' columns")
     out = {"times": data[:, groups["t"][0]], "states": data[:, groups["x"]]}
     if groups["u"]:
         out["controls"] = data[:, groups["u"]]

@@ -67,6 +67,15 @@ class TestSimulate:
         code = main(["simulate", PED2, "--control-file", str(f), "--mesh-exp", "6", "--out", str(tmp_path)])
         assert code == 0
 
+    @pytest.mark.parametrize("text", ["", "\n  \n", "# no rows\n  # here either\n"], ids=["empty", "blank", "comments"])
+    def test_control_file_without_rows_exits_2_naming_it(self, tmp_path, capsys, text):
+        f = tmp_path / "u.txt"
+        f.write_text(text)
+        code = main(["simulate", PED2, "--control-file", str(f), "--mesh-exp", "6", "--out", str(tmp_path)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{f}: holds no control rows" in err and "Traceback" not in err
+
 
 class TestControlWidth:
     """A control row of the wrong width is an input error (exit 2) naming both widths."""
@@ -247,8 +256,16 @@ class TestVerify:
           "trajectory state has width 1, the scenario needs 2"),
          ("t,x1,x2,y1\n0,-60,-48,0\n6,-3,3,0\n", "header column 'y1' is not t, x<i>, u<i> or eta<i>"),
          ("t,x1,x2\n0,-60,-48\n3,-30\n6,-3,3,1\n", "data row 2 has 2 cells, the header 3"),
-         ("t,x1,x2\n0,-60\n6,-3\n", "data row 1 has 2 cells, the header 3")],
-        ids=["state-width", "unknown-column", "ragged-row", "every-row-short"],
+         ("t,x1,x2\n0,-60\n6,-3\n", "data row 1 has 2 cells, the header 3"),
+         ("t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n5,-3,3,1.8,1.8,5.4\n",
+          "trajectory horizon 5 != scenario horizon 6"),
+         ("t,x2,x1\n0,-48,-60\n6,3,-3\n", "column 2 'x2' is out of place"),
+         ("t,x1,x1\n0,-60,-60\n6,-3,-3\n", "column 3 'x1' is out of place"),
+         ("t,x1,x3\n0,-60,-48\n6,-3,3\n", "column 3 'x3' is out of place"),
+         ("x1,x2,t\n-60,-48,0\n-3,3,6\n", "column 1 'x1' is out of place"),
+         ("t,x1,x2,eta1,u1,u2\n0,-60,-48,0,1.8,1.8\n6,-3,3,5.4,1.8,1.8\n", "column 5 'u1' is out of place")],
+        ids=["state-width", "unknown-column", "ragged-row", "every-row-short", "other-horizon", "swapped-states",
+             "repeated-state", "state-gap", "t-not-first", "control-after-eta"],
     )
     def test_malformed_trajectory_message_names_the_problem(self, tmp_path, capsys, text, message):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -282,9 +299,13 @@ class TestVerify:
          ({"p_values": [[-2.4, 2.4, 0.0]], "gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]},
           "'p_values' has width 3, the scenario needs 2"),
          ({"q_values": [[0.225, 0.9, 0.0], [-1.2, 4.8, 0.0]]}, "'q_values' has width 3, the scenario needs 2"),
-         ({"gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]}, "gamma atom at t=6 has shape (3,), p has width 2")],
+         ({"gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]}, "gamma atom at t=6 has shape (3,), p has width 2"),
+         ({"eta_times": [0.0, 5.0], "eta_values": [[5.4]], "p_times": [0.0, 5.0], "q_times": [0.0, 5.0],
+           "q_values": [[-1.2, 4.8]], "gamma_atoms": [[5.0, [-1.2, -2.4]]]},
+          "certificate horizon 5 != scenario horizon 6")],
         ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms", "nan-p-values",
-             "infinite-lambda", "eta-width", "eta-terminal-width", "p-width", "q-width", "atom-width"],
+             "infinite-lambda", "eta-width", "eta-terminal-width", "p-width", "q-width", "atom-width",
+             "other-horizon"],
     )
     def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

@@ -732,6 +732,47 @@ class TestRunFilling:
             simulate(scn, ControlSignal.constant(Mesh(6.0, 14), u))
             assert len(calls) <= 16
 
+    @pytest.mark.parametrize(
+        "scn,m,u",
+        [
+            (robot2(), 10, [-3.37, -1.685]),  # the reduced optimum
+            (parse_scenario_text(SWITCH_TEXT.format(switch="angles_deg_post = 90 90\nswitch_at = 4.5\n")), 10, [1.0, -0.5]),
+            (parse_scenario_text(SWITCH_TEXT.format(switch="angles_deg_post = 90 90\nswitch_at = contact\n")), 10, [1.0, -0.5]),
+            (parse_scenario_text(SWITCH_TEXT.format(switch="")), 1, [1.0, -0.5]),  # first contact on the last step
+        ],
+        ids=["robot2-optimum", "timed-switch-in-arc", "switch-at-contact", "contact-on-last-step"],
+    )
+    def test_robot_pair_contact_arcs_make_no_projection_call(self, monkeypatch, scn, m, u):
+        import sweepctrl.sweeping as sweeping
+
+        u = ControlSignal.constant(Mesh(6.0, m), u)
+        # The stepwise loop's step inputs, and the steps on a contact arc: those right after a
+        # projected step taken with no contact switch pending.
+        h, contact, x, after = u.mesh.h, None, scn.x0, False
+        inputs, on_arc = [], []
+        for uk, tk in zip(u.values, u.mesh.nodes):
+            if scn.switches_at_contact and contact is None and scn.contact_rows(x).size:
+                contact = tk
+            y = x + h * scn.drive(uk, tk, contact)
+            x, W = project_raw(*scn.constraint_rows(x), y, tol=STEP_TOL)
+            inputs.append(y.tobytes())
+            on_arc.append(after)
+            after = bool(W.size) and not (scn.switches_at_contact and contact is None)
+        calls = []
+
+        def counted(A, c, y, *args, **kwargs):
+            calls.append(y.tobytes())
+            return project_raw(A, c, y, *args, **kwargs)
+
+        monkeypatch.setattr(sweeping, "project_raw", counted)
+        assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u))
+        off_arc = {y for y, arc in zip(inputs, on_arc) if not arc}
+        assert calls and set(calls) <= off_arc
+        if m > 1:
+            assert sum(on_arc) > 150
+        if scn.switch_time is not None:
+            assert on_arc[np.searchsorted(u.mesh.nodes, scn.switch_time)]
+
     def test_exact_event_endpoint_at_fine_mesh(self):
         rng = np.random.default_rng(37)
         mesh = Mesh(6.0, 14)
