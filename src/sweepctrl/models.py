@@ -177,6 +177,12 @@ def run_starts(values: np.ndarray) -> np.ndarray:
     return head.nonzero()[0]
 
 
+def in_contact(gaps) -> np.ndarray:
+    """The package's one contact rule, entrywise: a pair is in contact when its gap is within
+    CONTACT_TOL of 0 on either side, so a pair that overlaps by more is not in contact."""
+    return np.abs(gaps) <= CONTACT_TOL
+
+
 # ---------------------------------------------------------------------------
 # Scenarios
 # ---------------------------------------------------------------------------
@@ -259,8 +265,8 @@ class Scenario:
         return self.drive(u, t, contact_time)
 
     def contact_rows(self, x) -> np.ndarray:
-        """Adjacent-pair indices j with the agents j, j+1 in contact (gap within CONTACT_TOL)."""
-        return np.flatnonzero(np.abs(self.pair_gaps(x)) <= CONTACT_TOL)
+        """Adjacent-pair indices j with the agents j, j+1 in contact (`in_contact`)."""
+        return np.flatnonzero(in_contact(self.pair_gaps(x)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -24,11 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import Scenario
+from .models import Scenario, in_contact
 from .polyhedra import _same_fields
 from .sweeping import ControlSignal, Trajectory, contact_switch_time
 from .tolerances import (
-    CONTACT_TOL,
     ETA_SIGN_TOL,
     GRID_MERGE_RTOL,
     MEMBERSHIP_TOL,
@@ -320,7 +319,7 @@ def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[fl
     C = scn.sweeping_set()
     xT, eta_T = path.terminal, cert.eta_terminal
     r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + C.normals.T @ eta_T))
-    inactive = np.abs(scn.pair_gaps(xT)) > CONTACT_TOL
+    inactive = ~in_contact(scn.pair_gaps(xT))
     r8 = max(np.max(eta_T[inactive], initial=0.0), np.max(-eta_T, initial=0.0))
     return r7, float(r8)
 
@@ -335,7 +334,7 @@ def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     """Number of atoms at times t < T where no constraint is in contact."""
     path = as_path(traj)
     t = cert.atom_times[cert.atom_times < path.horizon - TIME_TOL]
-    return int(np.sum(np.all(np.abs(scn.pair_gaps(path.value(t))) > CONTACT_TOL, axis=1)))
+    return int(np.sum(~np.any(in_contact(scn.pair_gaps(path.value(t))), axis=1)))
 
 
 def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
@@ -356,11 +355,22 @@ def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> 
 
 
 def _check_horizons(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
-    """Raise naming both horizons where the path or the certificate ends off the scenario's
-    horizon T by more than TIME_TOL * max(1, T), the rule of `Mesh.spans`."""
+    """Raise naming the field and its start where the path or one of the certificate's step
+    functions (eta, p, q) starts off t = 0, and naming both horizons where the path or the
+    certificate ends off the scenario's horizon T, each by more than TIME_TOL * max(1, T),
+    the rule of `Mesh.spans`."""
     T = scn.horizon
+    slack = TIME_TOL * max(1.0, T)
+    for name, times in (
+        ("trajectory", path.times),
+        ("certificate field 'eta_times'", cert.eta.times),
+        ("certificate field 'p_times'", cert.p.times),
+        ("certificate field 'q_times'", cert.q.times),
+    ):
+        if not abs(times[0]) <= slack:  # NaN fails too
+            raise ValueError(f"{name} starts at t = {times[0]:g}, not at 0")
     for name, end in (("trajectory", path.horizon), ("certificate", cert.horizon)):
-        if not abs(end - T) <= TIME_TOL * max(1.0, T):  # NaN fails too
+        if not abs(end - T) <= slack:
             raise ValueError(f"{name} horizon {end:g} != scenario horizon {T:g}")
 
 
@@ -368,7 +378,8 @@ def verify_certificate(
     scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL
 ) -> ResidualReport:
     """Run all conditions; the report passes iff every entry passes at `tol`.  Widths that do
-    not fit the scenario raise a ValueError naming the field, and a path or certificate on
+    not fit the scenario raise a ValueError naming the field, a path or certificate step
+    function that starts off 0 one naming it and its start, and a path or certificate on
     another horizon one naming both horizons, before any residual."""
     path = as_path(traj)
     _check_widths(scn, path, cert)

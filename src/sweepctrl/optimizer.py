@@ -13,7 +13,7 @@ Every two-agent scenario with a linked-segment control set goes through one
 pair template, written with the scenario's drive and sweeping row; the model
 family only supplies its contact roots y = t1 * eta1 (the robot's y
 quadratic, the pedestrians' half gap) and the robot's heading checks.  A
-touching start (gap within CONTACT_TOL) has y = 0 and contact time exactly
+touching start (`models.in_contact` at x0) has y = 0 and contact time exactly
 0.  Each feasible root is one algebraic branch in `ReducedSolution.cases`.
 Where the published robot analysis produces two branches with equal cost,
 both are kept: the presented branch (larger root, the one whose dual data
@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .models import ControlSet, PedestrianScenario, RobotScenario, Scenario, ordering_holds
+from .models import ControlSet, PedestrianScenario, RobotScenario, Scenario, in_contact, ordering_holds
 from .optimality import (
     DualCertificate,
     PiecewisePath,
@@ -54,7 +54,6 @@ from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, 
 from .tolerances import (
     ANGLE_TOL,
     BOUND_RTOL,
-    CONTACT_TOL,
     DRIVE_TOL,
     PIECEWISE_MIN_STEP,
     SEARCH_IMPROVE_TOL,
@@ -136,19 +135,35 @@ def robot_y_quadratic(scn: RobotScenario) -> list[float]:
     return sorted(((-4.0 * ssum - sq) / 16.0, (-4.0 * ssum + sq) / 16.0))
 
 
+def _pair_rows(scn: Scenario, rows) -> list[int]:
+    """The adjacent-pair indices `rows`, sorted; raises naming one that is not an integer in
+    0..n-2, or one given twice."""
+    for r in rows:
+        if not (isinstance(r, numbers.Integral) and 0 <= r <= scn.n - 2):
+            raise ValueError(f"pair row {r} is not an integer in 0..{scn.n - 2}")
+    out = sorted(int(r) for r in rows)
+    for r, after in zip(out, out[1:]):
+        if r == after:
+            raise ValueError(f"pair row {r} given twice")
+    return out
+
+
 def pedestrian_contact_time(scn: PedestrianScenario, u, row: int = 0, neighbor_eta: float = 0.0) -> float | None:
     """First contact time of the adjacent pair `row` under constant controls.
 
     With the neighboring multiplier constant at `neighbor_eta` from t = 0:
 
-      t = (gap0 - 2R) / (neighbor_eta - s_{row+1} u^{row+1} + s_row u^row).
+      t = gap0 / (neighbor_eta - s_{row+1} u^{row+1} + s_row u^row),
 
-    An initial gap of exactly 2R gives t = 0; a nonpositive denominator
-    with a positive numerator means no contact in the horizon (None).
+    where gap0 = x0^{row+1} - x0^row - 2R.  A start in contact (`models.in_contact`)
+    gives t = 0; a nonpositive denominator with a positive numerator means no
+    contact in the horizon (None).  A row that is not an integer in 0..n-2 raises
+    a ValueError.
     """
+    (row,) = _pair_rows(scn, [row])
     u = np.asarray(u, dtype=float)
-    gap0 = scn.x0[row + 1] - scn.x0[row] - 2.0 * scn.R
-    if abs(gap0) <= CONTACT_TOL:
+    gap0 = scn.pair_gaps(scn.x0)[row]
+    if in_contact(gap0):
         return 0.0
     denom = neighbor_eta - scn.speeds[row + 1] * u[row + 1] + scn.speeds[row] * u[row]
     if denom <= 0.0:
@@ -168,9 +183,10 @@ def locked_train_multipliers(scn: PedestrianScenario, u, rows) -> np.ndarray:
 
     Velocity matching across every locked pair is the normal-equation system
     of the sweeping set's rows for those pairs under the drive g(u)
-    (`polyhedra.row_multipliers`); its Gram matrix is 2I - adjacency.
+    (`polyhedra.row_multipliers`); its Gram matrix is 2I - adjacency.  A row
+    that is not an integer in 0..n-2, or one given twice, raises a ValueError naming it.
     """
-    B = scn.sweeping_set().normals[sorted(int(r) for r in rows)][None]
+    B = scn.sweeping_set().normals[_pair_rows(scn, rows)][None]
     v = scn.drive(np.asarray(u, dtype=float))[None]
     return row_multipliers(B, np.ones(B.shape[:2], dtype=bool), v)[0]
 
@@ -290,7 +306,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
         raise UnsupportedScenarioError("analytic pair template needs a linked-segment control set")
     ys, eta_key = _pair_family(scn)
     T, x0 = scn.T, scn.x0
-    if ys and abs(scn.pair_gaps(x0)[0]) <= CONTACT_TOL:
+    if ys and in_contact(scn.pair_gaps(x0)[0]):
         ys[0] = 0.0  # a touching start: contact from t = 0, whatever the rounding of its root
     ys = [y for y in ys if y >= 0.0]
     a = scn.sweeping_set().normals[0]
@@ -436,9 +452,8 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
     if scn.control_set.kind != "box":
         raise UnsupportedScenarioError("analytic three-pedestrian template needs a box control set")
     s, T, R = scn.speeds, scn.T, scn.R
-    gap01 = scn.x0[1] - scn.x0[0] - 2.0 * R
-    gap12 = scn.x0[2] - scn.x0[1] - 2.0 * R
-    if not (abs(gap12) <= CONTACT_TOL and gap01 > CONTACT_TOL):
+    front, rear = in_contact(scn.pair_gaps(scn.x0))
+    if front or not rear:
         raise UnsupportedScenarioError(
             "analytic three-pedestrian template needs the rear pair in initial contact"
         )

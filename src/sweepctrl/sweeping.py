@@ -33,9 +33,9 @@ from operator import add
 
 import numpy as np
 
-from .models import ControlSet, Scenario, run_starts
+from .models import ControlSet, Scenario, in_contact, run_starts
 from .polyhedra import Polyhedron, _project_one_row, _same_fields, project_raw, row_multipliers
-from .tolerances import CONTACT_TOL, STEP_TOL, TIME_TOL
+from .tolerances import STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
 ETA_BLOCK = 4096  # intervals per batched multiplier solve in `recover_eta`
@@ -325,7 +325,7 @@ def contact_times(traj: Trajectory, P: Polyhedron, tol: float) -> list[tuple[flo
 def contact_switch_time(scn: Scenario, times, states) -> float | None:
     """Time of the first node in contact, for a scenario whose drive switches there; else None."""
     if scn.switches_at_contact:
-        hits = np.flatnonzero(np.any(np.abs(scn.pair_gaps(states)) <= CONTACT_TOL, axis=1))
+        hits = np.flatnonzero(np.any(in_contact(scn.pair_gaps(states)), axis=1))
         if hits.size:
             return float(times[hits[0]])
     return None
@@ -337,7 +337,8 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     Interval k uses the adjacent-pair rows of the step's own set K(x_k)
     (`scn.step_rows`: the sweeping-set rows for pedestrians, sqrt(2) times
     the tangent rows for robots); a row is active when its linearized gap
-    at the node the step produced, x_{k+1}, is at most CONTACT_TOL.  The
+    at the node the step produced, x_{k+1}, is in contact (`models.in_contact`;
+    a deeper overlap is not active, and its push stays in the residual).  The
     coefficients solve B B^T eta = B v on the active rows B (0 on the
     others) in one batched `polyhedra.row_multipliers` call, clipped at 0;
     adjacent-pair rows form a path, so they are linearly independent.
@@ -364,7 +365,7 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
         hi = min(lo + ETA_BLOCK, K)
         B, gaps = scn.step_rows(X[lo:hi], X[lo + 1 : hi + 1])
         v = defects[lo:hi]
-        eta = row_multipliers(B, gaps <= CONTACT_TOL, v)
+        eta = row_multipliers(B, in_contact(gaps), v)
         eta = values[lo:hi] = np.where(eta > 0.0, eta, 0.0)
         residuals[lo:hi] = np.linalg.norm(v - np.einsum("ki,kid->kd", eta, B), axis=1)
     return EtaProfile(times=times, values=values, terminal=values[-1].copy(), residuals=residuals)

@@ -6,7 +6,7 @@ takes its tolerances from here, so no other source file carries one.
 
 # Membership and contact
 CONTROL_TOL = 1e-9  # a control (or a start) within this of U's bounds (or of the separation) counts as inside
-CONTACT_TOL = 1e-7  # a pair whose gap is within this of 0 is in contact
+CONTACT_TOL = 1e-7  # a pair whose gap is within this of 0, on either side, is in contact (`models.in_contact`)
 MEMBERSHIP_TOL = 1e-9  # a point violating a polyhedron row by at most this is inside it, and the row is active
 
 # Projection kernel

@@ -237,9 +237,11 @@ class TestVerify:
          "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,nan\n",
          "t,x1,u1,u2,eta1\n0,-60,1.8,1.8,0\n6,-3,1.8,1.8,5.4\n",
          "t,x1,x2,y1,u1,u2,eta1\n0,-60,-48,0,1.8,1.8,0\n6,-3,3,0,1.8,1.8,5.4\n",
-         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8\n"],
+         "t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8\n",
+         "t,x1,x2,u1,u2,eta1\n1,-60,-48,1.8,1.8,0\n1.4629629629629630,-53.6,-46.4,1.8,1.8,5.4\n"
+         "6,-3,3,1.8,1.8,5.4\n"],
         ids=["empty", "header-only", "no-t-column", "short-row", "nan-state", "nan-eta", "state-width",
-             "unknown-column", "ragged-row"],
+             "unknown-column", "ragged-row", "late-start"],
     )
     def test_malformed_trajectory_exits_2(self, tmp_path, capsys, text):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -263,9 +265,10 @@ class TestVerify:
          ("t,x1,x1\n0,-60,-60\n6,-3,-3\n", "column 3 'x1' is out of place"),
          ("t,x1,x3\n0,-60,-48\n6,-3,3\n", "column 3 'x3' is out of place"),
          ("x1,x2,t\n-60,-48,0\n-3,3,6\n", "column 1 'x1' is out of place"),
-         ("t,x1,x2,eta1,u1,u2\n0,-60,-48,0,1.8,1.8\n6,-3,3,5.4,1.8,1.8\n", "column 5 'u1' is out of place")],
+         ("t,x1,x2,eta1,u1,u2\n0,-60,-48,0,1.8,1.8\n6,-3,3,5.4,1.8,1.8\n", "column 5 'u1' is out of place"),
+         ("t,x1,x2,u1,u2,eta1\n1,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,5.4\n", "trajectory starts at t = 1, not at 0")],
         ids=["state-width", "unknown-column", "ragged-row", "every-row-short", "other-horizon", "swapped-states",
-             "repeated-state", "state-gap", "t-not-first", "control-after-eta"],
+             "repeated-state", "state-gap", "t-not-first", "control-after-eta", "late-start"],
     )
     def test_malformed_trajectory_message_names_the_problem(self, tmp_path, capsys, text, message):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -302,10 +305,12 @@ class TestVerify:
          ({"gamma_atoms": [[6.0, [0.0, 0.0, 0.0]]]}, "gamma atom at t=6 has shape (3,), p has width 2"),
          ({"eta_times": [0.0, 5.0], "eta_values": [[5.4]], "p_times": [0.0, 5.0], "q_times": [0.0, 5.0],
            "q_values": [[-1.2, 4.8]], "gamma_atoms": [[5.0, [-1.2, -2.4]]]},
-          "certificate horizon 5 != scenario horizon 6")],
+          "certificate horizon 5 != scenario horizon 6"),
+         ({"p_times": [1.0, 6.0]}, "'p_times' starts at t = 1, not at 0"),
+         ({"eta_times": [0.25, 0.5555555555555556, 6.0]}, "'eta_times' starts at t = 0.25, not at 0")],
         ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms", "nan-p-values",
              "infinite-lambda", "eta-width", "eta-terminal-width", "p-width", "q-width", "atom-width",
-             "other-horizon"],
+             "other-horizon", "late-p-start", "late-eta-start"],
     )
     def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

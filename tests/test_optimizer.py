@@ -191,6 +191,22 @@ class TestPedestrianFormulas:
         assert 2 * eta[0] == pytest.approx(eta[1] + 8 * u[0] - 4 * u[1])
         assert 2 * eta[1] == pytest.approx(eta[0] + 4 * u[1] - 2 * u[2])
 
+    @pytest.mark.parametrize("row", [-2, -1, 2, 5, 0.5, np.int64(3)])
+    def test_a_row_outside_the_chain_is_named(self, row):
+        scn, u = ped3(), np.array([2.0, 2.0, 2.0])
+        calls = (
+            lambda: pedestrian_contact_time(scn, u, row=row),
+            lambda: pedestrian_velocity_match(scn, u, row),
+            lambda: locked_train_multipliers(scn, u, [0, row]),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match=f"pair row {row} is not an integer in 0..1"):
+                call()
+
+    def test_a_repeated_row_is_named(self):
+        with pytest.raises(ValueError, match="pair row 1 given twice"):
+            locked_train_multipliers(ped3(), np.array([2.0, 2.0, 2.0]), [1, 1])
+
 
 class TestSolveReducedRobot:
     def test_published_headline_values(self):

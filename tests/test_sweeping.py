@@ -11,9 +11,11 @@ from sweepctrl.models import (
     RobotScenario,
     bundled_scenario,
     bundled_scenario_path,
+    in_contact,
     linearized_noncollision,
     parse_scenario_text,
 )
+from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
 from sweepctrl.polyhedra import Polyhedron, contains, decompose_on_rows, project_raw
 from sweepctrl.sweeping import (
     STEP_TOL,
@@ -978,3 +980,106 @@ class TestMeshInput:
         assert mesh == Mesh(6.0, 10) and hash(mesh) == hash(Mesh(6.0, 10))
         traj = Trajectory(mesh, np.zeros((mesh.intervals + 1, 2)))
         assert np.array_equal(traj.times, np.linspace(0.0, 6.0, 2**10 + 1))
+
+
+# Gaps on both sides of the contact band |gap| <= CONTACT_TOL, and a deep overlap.
+CONTACT_GAPS = {
+    "0": 0.0,
+    "+0.5tol": 0.5 * CONTACT_TOL,
+    "-0.5tol": -0.5 * CONTACT_TOL,
+    "+2tol": 2.0 * CONTACT_TOL,
+    "-2tol": -2.0 * CONTACT_TOL,
+    "-1": -1.0,
+}
+
+
+def pair_at_gap(family, gap):
+    """A two-agent scenario (a robot pair that switches heading at contact), a state whose pair
+    gap is `gap`, and a control whose drive closes that gap."""
+    U = ControlSet.box([-2.0, -2.0], [2.0, 2.0])
+    if family == "pedestrian":
+        scn = PedestrianScenario(n=2, R=1.0, T=1.0, x0=np.array([-10.0, 0.0]), speeds=np.ones(2), control_set=U)
+        x = np.array([-2.0 - gap, 0.0])
+    else:
+        scn = RobotScenario(
+            n=2, R=1.0, T=1.0, x0=np.array([-10.0, -10.0, 0.0, 0.0]), speeds=np.ones(2),
+            angles=np.deg2rad([45.0, 45.0]), angles_post=np.deg2rad([90.0, 90.0]), switch_at="contact",
+            control_set=U,
+        )
+        d = (2.0 + gap) / SQRT2
+        x = np.array([-d, -d, 0.0, 0.0])
+    return scn, x
+
+
+class TestContactRule:
+    """Every contact decision classifies a pair gap as `models.in_contact` does."""
+
+    def test_in_contact_is_the_band_on_both_sides(self):
+        gaps = np.array(list(CONTACT_GAPS.values()))
+        assert in_contact(gaps).tolist() == [True, True, True, False, False, False]
+        assert not in_contact(np.nan)
+
+    @pytest.mark.parametrize("family", ["pedestrian", "robot"])
+    @pytest.mark.parametrize("gap", CONTACT_GAPS.values(), ids=CONTACT_GAPS.keys())
+    def test_every_contact_decision_agrees(self, family, gap):
+        scn, x = pair_at_gap(family, gap)
+        assert abs(scn.pair_gaps(x)[0] - gap) <= 1e-14
+        touching = abs(gap) <= CONTACT_TOL
+        assert scn.contact_rows(x).tolist() == ([0] if touching else [])
+        if scn.switches_at_contact:
+            assert contact_switch_time(scn, np.array([0.0, 0.5]), np.array([scn.x0, x])) == (0.5 if touching else None)
+        # A path resting at x, eta_T = 1 on the one row, and one atom of gamma inside the horizon.
+        path = PiecewisePath(np.array([0.0, 1.0]), np.array([x, x]))
+        zero = np.zeros(scn.state_dim)
+        cert = DualCertificate(
+            lam=1.0, eta=StepFunction.constant(1.0, [0.0]), eta_terminal=np.array([1.0]),
+            p=StepFunction.constant(1.0, zero), q=StepFunction.constant(1.0, zero), gamma_atoms=((0.5, zero),),
+        )
+        assert check_transversality(scn, path, cert)[1] == (0.0 if touching else 1.0)
+        assert check_nonatomicity(cert, path, scn) == (0 if touching else 1)
+        # The drive pushes the pair together while the trajectory rests: an active row takes the push.
+        mesh = Mesh(1.0, 1)
+        prof = recover_eta(scn, Trajectory(mesh, np.array([x, x, x])), ControlSignal.constant(mesh, [1.0, 0.0]))
+        assert (prof.values[:, 0] > 0.0).tolist() == [touching, touching]
+
+
+def project_onto_order_cone(y, R):
+    """P_C(y) for C = {x : x_{j+1} - x_j >= 2R}, by pool-adjacent-violators on z_j = y_j - 2R j:
+    the isotonic regression of z, shifted back.  Uses no package code."""
+    z = np.asarray(y, dtype=float) - 2.0 * R * np.arange(len(y))
+    blocks = []  # [sum, count] of each pooled block, left to right
+    for v in z:
+        blocks.append([v, 1])
+        while len(blocks) > 1 and blocks[-2][0] / blocks[-2][1] > blocks[-1][0] / blocks[-1][1]:
+            s, c = blocks.pop()
+            blocks[-1][0] += s
+            blocks[-1][1] += c
+    fitted = np.concatenate([np.full(c, s / c) for s, c in blocks])
+    return fitted + 2.0 * R * np.arange(len(y))
+
+
+@st.composite
+def constant_pedestrian_chains(draw):
+    """A chain of 2-8 pedestrians (R = 1, about 40 % of the start gaps closed) under one
+    constant box control, m = 3-8."""
+    n = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    spare = np.where(rng.random(n - 1) < 0.4, 0.0, rng.uniform(0.0, 4.0, n - 1))
+    x0 = -20.0 + np.concatenate([[0.0], np.cumsum(2.0 + spare)])
+    scn = PedestrianScenario(
+        n=n, R=1.0, T=6.0, x0=x0, speeds=rng.uniform(0.0, 3.0, n), control_set=ControlSet.box([-2.0] * n, [2.0] * n)
+    )
+    return scn, ControlSignal.constant(Mesh(6.0, draw(st.integers(3, 8))), rng.uniform(-2.0, 2.0, n))
+
+
+class TestPedestrianFlowOracle:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(constant_pedestrian_chains())
+    def test_every_node_is_one_projection_of_free_flight(self, run):
+        # Under a constant control each catch-up node is P_C(x0 + t_k S u), the sticky-particle flow.
+        scn, u = run
+        traj = simulate(scn, u)
+        velocity = scn.speeds * u.values[0]
+        for t, node in zip(traj.times, traj.nodes):
+            ref = project_onto_order_cone(scn.x0 + t * velocity, scn.R)
+            assert np.linalg.norm(node - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
