@@ -309,6 +309,9 @@ class RobotScenario(Scenario):
         angles = np.array([self.angles, post])
         object.__setattr__(self, "_headings", np.stack([np.cos(angles), np.sin(angles)], axis=-1))
         object.__setattr__(self, "_pairs", np.triu_indices(self.n, 1))  # every pair i < j, for `free_run`
+        offsets = np.full(self.n * (self.n - 1) // 2, -2.0 * self.R)  # K(x)'s offsets, one per pair
+        offsets.flags.writeable = False  # shared by every `constraint_rows` call
+        object.__setattr__(self, "_offsets", offsets)
 
     @property
     def switches_at_contact(self) -> bool:
@@ -334,7 +337,8 @@ class RobotScenario(Scenario):
         return self._headings[self._phase(t, contact_time)]
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
-        return linearized_noncollision(x, self.R)
+        """`linearized_noncollision(x, R)`, with its offsets one read-only array for every x."""
+        return _noncollision_rows(x), self._offsets
 
     def pair_gaps(self, x) -> np.ndarray:
         P = np.reshape(x, (*np.shape(x)[:-1], self.n, 2))
@@ -517,16 +521,18 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     n_ij from x^j to x^i, so every offset is -2R.  Coincident centers
     make the gradient undefined and raise.
     """
+    A = _noncollision_rows(x)
+    return A, np.full(len(A), -2.0 * R)
+
+
+def _noncollision_rows(x) -> np.ndarray:
+    """The rows of `linearized_noncollision` at x, one per pair i < j, as a new array."""
     xs = np.asarray(x, dtype=float).tolist()
     n = len(xs) // 2
-    rows = []
     # A scalar loop over Python lists, one array at the end: for the few pairs here it beats
     # fancy indexing and per-entry stores alike.
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows.append(_pair_row(xs, i, j))
-    A = np.array(rows) if rows else np.zeros((0, 2 * n))
-    return A, np.array([-2.0 * R] * len(rows))
+    rows = [_pair_row(xs, i, j) for i in range(n) for j in range(i + 1, n)]
+    return np.array(rows) if rows else np.zeros((0, 2 * n))
 
 
 def _pair_row(xs: list, i: int, j: int) -> list:

@@ -356,22 +356,26 @@ def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> 
 
 def _check_horizons(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
     """Raise naming the field and its start where the path or one of the certificate's step
-    functions (eta, p, q) starts off t = 0, and naming both horizons where the path or the
-    certificate ends off the scenario's horizon T, each by more than TIME_TOL * max(1, T),
-    the rule of `Mesh.spans`."""
+    functions (eta, p, q) starts off t = 0, naming both horizons where the path ends off the
+    scenario's horizon T, and naming the field, its end and both horizons where one of the
+    certificate's step functions ends off T, each by more than TIME_TOL * max(1, T), the rule
+    of `Mesh.spans`."""
     T = scn.horizon
     slack = TIME_TOL * max(1.0, T)
-    for name, times in (
-        ("trajectory", path.times),
+    fields = (
         ("certificate field 'eta_times'", cert.eta.times),
         ("certificate field 'p_times'", cert.p.times),
         ("certificate field 'q_times'", cert.q.times),
-    ):
+    )
+    for name, times in (("trajectory", path.times), *fields):
         if not abs(times[0]) <= slack:  # NaN fails too
             raise ValueError(f"{name} starts at t = {times[0]:g}, not at 0")
-    for name, end in (("trajectory", path.horizon), ("certificate", cert.horizon)):
-        if not abs(end - T) <= slack:
-            raise ValueError(f"{name} horizon {end:g} != scenario horizon {T:g}")
+    if not abs(path.horizon - T) <= slack:
+        raise ValueError(f"trajectory horizon {path.horizon:g} != scenario horizon {T:g}")
+    for name, times in fields:
+        if not abs(times[-1] - T) <= slack:
+            end = times[-1]
+            raise ValueError(f"{name} ends at t = {end:g}: certificate horizon {end:g} != scenario horizon {T:g}")
 
 
 def verify_certificate(
@@ -379,8 +383,9 @@ def verify_certificate(
 ) -> ResidualReport:
     """Run all conditions; the report passes iff every entry passes at `tol`.  Widths that do
     not fit the scenario raise a ValueError naming the field, a path or certificate step
-    function that starts off 0 one naming it and its start, and a path or certificate on
-    another horizon one naming both horizons, before any residual."""
+    function that starts off 0 one naming it and its start, a path on another horizon one
+    naming both horizons, and a certificate step function that ends off T one naming it, its
+    end and both horizons, before any residual."""
     path = as_path(traj)
     _check_widths(scn, path, cert)
     _check_horizons(scn, path, cert)

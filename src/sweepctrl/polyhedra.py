@@ -16,7 +16,11 @@ The arrays met here hold 1 to 8 entries, so numpy's fixed cost per call,
 not arithmetic, is most of each operation's time.  So every call makes one
 pass: one ufunc reduction (for finiteness, one sum on Python floats) per
 test, never an ndarray-method or `np.any` wrapper, and an entrywise test
-only where that sum is not finite.
+only where that sum is not finite.  A multi-row projection goes further:
+around its NNLS kernel call it makes only the array operations the kernel's
+input and the result need (A.dot(y), building E, u.dot(A)), and decides the
+rest on Python floats, in the order numpy would sum them, so that its bits
+are those of the array formulas.
 A non-finite point, vector to decompose or projection input raises
 ValueError where it enters, naming it.
 """
@@ -43,7 +47,8 @@ def _nnls():
     without that wrapper's argument checks, which take about three quarters of a public call on
     the problems met here.  So the callers pass C-contiguous float64 arrays and reject non-finite
     input themselves.  The kernel is private: when it is missing, or fails a probe solve (its
-    signature or its result changed), this is the public `nnls`.
+    signature or its result changed, it rejects a read-only right-hand side, or it writes into
+    E or f), this is the public `nnls`.
     """
     from scipy.optimize import nnls
 
@@ -51,12 +56,17 @@ def _nnls():
         from scipy.optimize._slsqplib import nnls as kernel
     except ImportError:
         return nnls
+    E, f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0])
+    f.flags.writeable = False  # as `project_raw`'s shared right-hand side
+    E0, f0 = E.copy(), f.copy()
     try:
-        u, rnorm, info = kernel(np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0]), 6)
+        u, rnorm, info = kernel(E, f, 6)
     except Exception:  # another signature: whatever a changed private kernel raises, the public one stands in
         return nnls
     if info == 3 or not (np.allclose(u, [1.5, 1.0]) and math.isclose(rnorm, math.sqrt(0.5))):
         return nnls
+    if not (np.array_equal(E, E0) and np.array_equal(f, f0)):
+        return nnls  # a kernel that writes into its input would corrupt the shared right-hand side
 
     def solve(E, f):
         u, rnorm, info = kernel(E, f, 3 * E.shape[1])
@@ -245,6 +255,15 @@ def project_raw(
     both paths, also when no row is violated (the NNLS kernel no longer
     checks it), and so does a single row whose |a|^2 overflows.  A finite
     y so far inside that a violation overflows to -inf is returned as is.
+
+    With several rows, the violations are read once as Python floats.  When
+    their sum is finite, so is each of them, and `top`, the no-op test and
+    the last row h of E are formed on floats; otherwise the array path
+    decides (NaN, inf and an overflowing sum).  The right-hand side e_{n+1}
+    is one read-only array per size (`_last_unit_vector`).  d and its margin
+    sum h_j u_j on floats left to right from 0, which is numpy's add.reduce
+    order below 8 terms; from 8 terms on, numpy sums them pairwise.  So x
+    and the support are those of the array formulas, bit for bit.
     """
     if start is not None and np.shape(start) != y.shape:
         raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
@@ -255,30 +274,55 @@ def project_raw(
         if x is None:
             return y.copy(), np.empty(0, dtype=int)
         return np.array(x), np.zeros(1, dtype=int)
-    viol = A @ y - c
-    top = float(np.maximum.reduce(viol))  # NaN when any violation is
-    if top <= tol:
-        # No violation is NaN or +inf here; a -inf one is tested as on one row.
-        if np.minimum.reduce(viol) == -math.inf:
-            _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
-        return y.copy(), np.empty(0, dtype=int)
+    viol = A.dot(y)  # A @ y, bit for bit, at less call cost than the matmul ufunc
+    viol -= c  # in place: `viol` is A.dot(y)'s own new array
+    vs = viol.tolist()
+    if math.isfinite(sum(vs)):  # every violation is finite: decide on floats
+        top = max(vs)
+        if top <= tol:
+            return y.copy(), np.empty(0, dtype=int)
+    else:
+        top = float(np.maximum.reduce(viol))  # NaN when any violation is
+        if top <= tol:
+            # No violation is NaN or +inf here; a -inf one is tested as on one row.
+            if np.minimum.reduce(viol) == -math.inf:
+                _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
+            return y.copy(), np.empty(0, dtype=int)
     n = y.shape[0]
     E = np.empty((n + 1, A.shape[0]))
     E[:n] = -A.T
-    E[n] = h = viol / top
+    E[n] = h = [v / top for v in vs]
     _check_finite(E.ravel(), "projection input")  # the NNLS kernel does not check it
-    f = np.zeros(n + 1)
-    f[n] = 1.0
     try:
-        u, _ = _nnls()(E, f)
+        u, _ = _nnls()(E, _last_unit_vector(n + 1))
     except RuntimeError as exc:  # iteration cap of the NNLS solver
         raise ProjectionError(f"projection failed: {exc}") from exc
-    hu = h * u
-    d = 1.0 - float(np.add.reduce(hu))
+    if len(h) < 8:
+        # Left to right from 0, the order of numpy's add.reduce below 8 terms: the same bits.
+        dot = mag = 0.0
+        for hu in map(mul, h, u.tolist()):
+            dot += hu
+            mag += abs(hu)
+    else:
+        hu = np.multiply(h, u)
+        dot, mag = float(np.add.reduce(hu)), float(np.add.reduce(np.abs(hu)))
+    d = 1.0 - dot
     # d is a difference of order-one terms: demand a margin over their rounding.
-    if not d > EMPTY_RTOL * (1.0 + float(np.add.reduce(np.abs(hu)))):
+    if not d > EMPTY_RTOL * (1.0 + mag):
         raise ProjectionError("the polyhedron is empty")
-    return y - A.T @ ((top / d) * u), u.nonzero()[0]
+    W = u.nonzero()[0]
+    u *= top / d  # the multipliers lam
+    return y - u.dot(A), W  # y - A^T lam, bit for bit
+
+
+@functools.cache
+def _last_unit_vector(size: int) -> np.ndarray:
+    """e_size, the NNLS right-hand side of `project_raw`, read-only: one array per size, shared
+    by every call (the `_nnls()` probe checks that the kernel leaves it as it is)."""
+    f = np.zeros(size)
+    f[-1] = 1.0
+    f.flags.writeable = False
+    return f
 
 
 def _project_one_row(a: list, c: float, y: list, tol: float) -> list | None:

@@ -307,10 +307,12 @@ class TestVerify:
            "q_values": [[-1.2, 4.8]], "gamma_atoms": [[5.0, [-1.2, -2.4]]]},
           "certificate horizon 5 != scenario horizon 6"),
          ({"p_times": [1.0, 6.0]}, "'p_times' starts at t = 1, not at 0"),
-         ({"eta_times": [0.25, 0.5555555555555556, 6.0]}, "'eta_times' starts at t = 0.25, not at 0")],
+         ({"eta_times": [0.25, 0.5555555555555556, 6.0]}, "'eta_times' starts at t = 0.25, not at 0"),
+         ({"q_times": [0.0, 0.5555555555555556, 5.0]}, "'q_times' ends at t = 5: certificate horizon 5"),
+         ({"eta_times": [0.0, 0.5555555555555556, 9.0]}, "'eta_times' ends at t = 9: certificate horizon 9")],
         ids=["top-level-list", "top-level-string", "null-lambda", "number-gamma-atoms", "nan-p-values",
              "infinite-lambda", "eta-width", "eta-terminal-width", "p-width", "q-width", "atom-width",
-             "other-horizon", "late-p-start", "late-eta-start"],
+             "other-horizon", "late-p-start", "late-eta-start", "early-q-end", "late-eta-end"],
     )
     def test_malformed_certificate_exits_2_naming_the_field(self, tmp_path, capsys, payload, field):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

@@ -242,6 +242,45 @@ class TestStepRows:
         assert np.array_equal(gaps, scn.pair_gaps(Y))
 
 
+class TestRobotConstraintRows:
+    """`RobotScenario.constraint_rows` is `linearized_noncollision` with one read-only offsets
+    array for every state, which the catch-up loop never writes into."""
+
+    @staticmethod
+    def chain(n):
+        return parse_scenario_text(
+            f"model = robot\nn = {n}\nR = 1.5\nT = 6\nx0 = {' '.join(str(4 * (i // 2)) for i in range(2 * n))}\n"
+            f"speeds = {' '.join(['1.5'] * n)}\nangles_deg = {' '.join(['225'] * n)}\n"
+            f"control.kind = box\ncontrol.lo = {' '.join(['-3'] * n)}\ncontrol.hi = {' '.join(['1'] * n)}\n"
+        )
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_and_offsets_are_linearized_noncollision_bit_for_bit(self, n):
+        scn = self.chain(n)
+        rng = np.random.default_rng(n)
+        for x in [scn.x0, *rng.uniform(-30.0, 30.0, (20, 2 * n))]:
+            A, c = scn.constraint_rows(x)
+            A_ref, c_ref = linearized_noncollision(x, scn.R)
+            assert A.shape == A_ref.shape and A.dtype == A_ref.dtype and A.tobytes() == A_ref.tobytes()
+            assert c.shape == c_ref.shape and c.dtype == c_ref.dtype and c.tobytes() == c_ref.tobytes()
+            assert c_ref.flags.writeable and A.flags.writeable  # the function's arrays stay fresh
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_offsets_are_read_only_and_unchanged_by_a_simulation(self, n):
+        from sweepctrl.sweeping import ControlSignal, Mesh, simulate
+
+        scn = self.chain(n)
+        c = scn.constraint_rows(scn.x0)[1]
+        with pytest.raises(ValueError, match="read-only"):
+            c[0] = 0.0
+        # The rear robots are driven into the front ones: most steps project onto several rows.
+        u = ControlSignal.constant(Mesh(6.0, 8), -3.0 + 3.5 * np.arange(n) / (n - 1))
+        traj = simulate(scn, u)
+        assert np.any(scn.pair_gaps(traj.nodes[-1]) < 1e-6)
+        assert scn.constraint_rows(traj.nodes[-1])[1] is c
+        assert c.tolist() == [-3.0] * (n * (n - 1) // 2)
+
+
 class TestSetRepresentation:
     def test_no_disagreements_on_ordered_samples(self):
         scn = robot_example()

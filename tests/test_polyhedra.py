@@ -507,6 +507,20 @@ class TestNonFiniteInputOnTheNnlsPath:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError):
             project_raw(np.array(A), np.array(c), np.array(y))
 
+    @pytest.mark.parametrize(
+        "A, c, y",
+        [
+            ([[np.inf, 1.0], [1.0, 1.0]], [0.0, 0.0], [0.0, 5.0]),
+            ([[1e200, 0.0], [0.0, 1.0]], [0.0, 0.0], [1e200, 1.0]),
+        ],
+        ids=["inf-A-facing-a-zero-coordinate", "overflowing-violation"],
+    )
+    def test_raises_value_error_whatever_the_violations_read(self, A, c, y):
+        # The violations may come out finite or not (an inf times 0, an overflowing product):
+        # either way the input is refused, never projected.
+        with np.errstate(all="ignore"), pytest.raises(ValueError):
+            project_raw(np.array(A), np.array(c), np.array(y))
+
     def test_decompose_on_rows_rejects_a_nan_vector(self):
         with pytest.raises(ValueError):
             decompose_on_rows(pedestrian_set(3), np.array([0, 1]), np.array([np.nan, 0.0, 0.0]))
@@ -583,6 +597,30 @@ class TestNnlsLoader:
         slsqplib = pytest.importorskip("scipy.optimize._slsqplib")
         monkeypatch.setattr(slsqplib, "nnls", kernel, raising=False)
         assert self.load() is scipy.optimize.nnls
+
+    @pytest.mark.parametrize("unlock", [False, True], ids=["writes-read-only-f", "unlocks-and-writes-f"])
+    def test_falls_back_when_the_kernel_writes_into_its_right_hand_side(self, monkeypatch, unlock):
+        # `project_raw` shares one read-only right-hand side per size between calls: a kernel
+        # that writes into f, whether it is refused or gets through, is not used.
+        import scipy.optimize
+
+        slsqplib = pytest.importorskip("scipy.optimize._slsqplib")
+        real = slsqplib.nnls
+
+        def scribbling(E, f, maxiter):
+            result = real(E, f, maxiter)
+            if unlock:
+                f.flags.writeable = True
+            f[0] = 7.0
+            return result
+
+        monkeypatch.setattr(slsqplib, "nnls", scribbling)
+        solver = self.load()
+        assert solver is scipy.optimize.nnls
+        monkeypatch.setattr(polyhedra, "_nnls", lambda: solver)
+        x, W = project_raw(np.array([[1.0, -1.0], [-1.0, 0.0]]), np.array([-6.0, 1.0]), np.zeros(2))
+        np.testing.assert_allclose(x, [-1.0, 5.0], rtol=0, atol=1e-12)
+        assert W.tolist() == [0, 1]
 
     def test_both_loaders_give_identical_results(self, monkeypatch):
         import scipy.optimize

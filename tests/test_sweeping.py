@@ -16,6 +16,7 @@ from sweepctrl.models import (
     parse_scenario_text,
 )
 from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
+from sweepctrl import polyhedra
 from sweepctrl.polyhedra import Polyhedron, contains, decompose_on_rows, project_raw
 from sweepctrl.sweeping import (
     STEP_TOL,
@@ -31,7 +32,7 @@ from sweepctrl.sweeping import (
     simulate,
     trajectory_csv,
 )
-from sweepctrl.tolerances import CONTACT_TOL
+from sweepctrl.tolerances import CONTACT_TOL, EMPTY_RTOL, MEMBERSHIP_TOL
 
 SQRT2 = np.sqrt(2.0)
 
@@ -848,6 +849,83 @@ def jostling_chains():
         scn = parse_scenario_text(robot_text(n, 0.75, " ".join(map(repr, np.repeat(a, 2).tolist())), speeds, -3, 1))
         out.append((scn, walk_controls(rng, mesh, -3.0 + 3.2 * np.arange(n) / (n - 1), -3.0, 1.0)))
     return out
+
+
+def nnls_step_formula(A, c, y, tol):
+    """The NNLS branch of `project_raw` as numpy array formulas, through the same solver: E =
+    [-A^T; h] with h = (A y - c)/top, d = 1 - add.reduce(h u), x = y - A^T((top/d) u)."""
+    viol = A @ y - c
+    top = float(np.maximum.reduce(viol))
+    if top <= tol:
+        return y.copy(), np.empty(0, dtype=int)
+    E = np.vstack([-A.T, viol / top])
+    f = np.zeros(len(E))
+    f[-1] = 1.0
+    u, _ = polyhedra._nnls()(E, f)
+    hu = E[-1] * u
+    d = 1.0 - float(np.add.reduce(hu))
+    assert d > EMPTY_RTOL * (1.0 + float(np.add.reduce(np.abs(hu))))
+    return y - A.T @ ((top / d) * u), u.nonzero()[0]
+
+
+class TestNnlsStepAgainstItsFormula:
+    """`project_raw`'s multi-row branch decides and sums on Python floats where numpy would
+    pay a call per array of a few entries; it gives the bits of the array formulas."""
+
+    @staticmethod
+    def assert_same(A, c, y, tol):
+        x, W = project_raw(A, c, y, tol=tol)
+        x_ref, W_ref = nnls_step_formula(A, c, y, tol)
+        assert x.tobytes() == x_ref.tobytes() and np.array_equal(W, W_ref)
+        return W.size > 0
+
+    def test_criterion_6_instances(self):
+        rng = np.random.default_rng(2023)
+        projected = 0
+        for _ in range(2000):
+            n, s = int(rng.integers(2, 9)), int(rng.integers(2, 8))  # s = 1 takes the closed form
+            A, c, y = rng.standard_normal((s, n)), np.abs(rng.standard_normal(s)) + 0.1, rng.standard_normal(n) * 5.0
+            projected += self.assert_same(A, c, y, MEMBERSHIP_TOL)
+        assert projected > 1000
+
+    def test_eight_or_more_rows(self):
+        # numpy's add.reduce sums 8 or more terms pairwise, not left to right: so does the branch.
+        rng = np.random.default_rng(2024)
+        projected = 0
+        for _ in range(300):
+            s = int(rng.integers(8, 13))
+            n = int(rng.integers(s, 16))  # room for every row to be active
+            A, c, y = rng.standard_normal((s, n)), np.abs(rng.standard_normal(s)) + 0.1, rng.standard_normal(n) * 5.0
+            projected += self.assert_same(A, c, y, MEMBERSHIP_TOL)
+        assert projected > 250
+
+    @staticmethod
+    def steps(scn, u):
+        """(A, c, y) of each catch-up step of the stepwise loop (no heading switch here)."""
+        x, h = scn.x0, u.mesh.h
+        for uk, tk in zip(u.values, u.mesh.nodes):
+            A, c = scn.constraint_rows(x)
+            y = x + h * scn.drive(uk, tk)
+            yield A, c, y
+            x, _ = project_raw(A, c, y, tol=STEP_TOL)
+
+    @pytest.mark.parametrize("chain", range(4), ids=["pedestrians5", "pedestrians8", "robots3", "robots4"])
+    def test_jostling_chain_steps(self, chain):
+        scn, u = jostling_chains()[chain]
+        projected = sum(self.assert_same(A, c, y, STEP_TOL) for A, c, y in self.steps(scn, u))
+        assert projected > u.mesh.intervals // 4
+
+    def test_five_robots_ten_rows(self):
+        rng = np.random.default_rng(5)
+        a = -30.0 + np.concatenate([[0.0], np.cumsum(1.5 * np.sqrt(2.0) * (1.0 + rng.uniform(0.0, 0.6, 4)))])
+        speeds = " ".join(map(repr, rng.uniform(1.0, 2.0, 5).tolist()))
+        scn = parse_scenario_text(robot_text(5, 0.75, " ".join(map(repr, np.repeat(a, 2).tolist())), speeds, -3, 1))
+        u = walk_controls(rng, Mesh(6.0, 8), -3.0 + 3.2 * np.arange(5) / 4, -3.0, 1.0)
+        projected = 0
+        for A, c, y in self.steps(scn, u):
+            assert A.shape[0] == 10
+            projected += self.assert_same(A, c, y, STEP_TOL)
+        assert projected > u.mesh.intervals // 4
 
 
 def nnls_eta(scn, traj, u):
