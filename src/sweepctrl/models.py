@@ -8,11 +8,14 @@ admissible-configuration set, and the linearized constraint sets coincide
 under the ordering hypotheses; the actual collision geometry of the disks
 (start check, admissible velocities, per-step constraint linearization) is
 Euclidean.  The pedestrian model lives in R^n where the two notions agree
-exactly.
+exactly.  A robot chain's per-step K(x) is written with one fancy store of
+its pair floats, through flat indices cached per n, together with the
+block -A^T of the NNLS matrix that the catch-up step hands to `polyhedra`.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -199,7 +202,10 @@ class Scenario:
                                   set's units, and their linearized gaps at the matching nodes of Y
 
     and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
-    its offset at a state given as a list, for `simulate`'s contact arcs.
+    its offset at a state given as a list, for `simulate`'s contact arcs.  A K(x) that turns
+    with x (`fixed_constraints` False) also gives `catchup_rows(x)`: (A, c, E) with E the NNLS
+    block of `polyhedra._project_rows` formed in the same pass, or None to let `project_raw`
+    form it; `simulate` forms a fixed set's block itself, once per call.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -338,7 +344,13 @@ class RobotScenario(Scenario):
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         """`linearized_noncollision(x, R)`, with its offsets one read-only array for every x."""
-        return _noncollision_rows(x), self._offsets
+        return _noncollision_system(x)[0], self._offsets
+
+    def catchup_rows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """`constraint_rows(x)` and, for three robots or more, the NNLS block of K(x) formed with
+        it (`_noncollision_system`); two robots' one row takes `project_raw`'s closed form, no block."""
+        A, E = _noncollision_system(x)
+        return A, self._offsets, E if self.n > 2 else None
 
     def pair_gaps(self, x) -> np.ndarray:
         P = np.reshape(x, (*np.shape(x)[:-1], self.n, 2))
@@ -421,7 +433,7 @@ class PedestrianScenario(Scenario):
 
     def free_run(self, x, d, support, cap: int) -> int:
         """Steps until a row outside the support would bind: the least slack over rate."""
-        A, c = self.constraint_rows(x)
+        A, c = self._sweeping_set.normals, self._sweeping_set.offsets
         rate = A @ d
         rate[support] = 0.0  # the support's rows move at rounding-level rates
         hit = rate > 0.0
@@ -521,18 +533,57 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     n_ij from x^j to x^i, so every offset is -2R.  Coincident centers
     make the gradient undefined and raise.
     """
-    A = _noncollision_rows(x)
+    A = _noncollision_system(x)[0]
     return A, np.full(len(A), -2.0 * R)
 
 
-def _noncollision_rows(x) -> np.ndarray:
-    """The rows of `linearized_noncollision` at x, one per pair i < j, as a new array."""
+def _noncollision_system(x) -> tuple[np.ndarray, np.ndarray | None]:
+    """The rows A of `linearized_noncollision` at x, one per pair i < j, as a new array, and in
+    the same buffer the NNLS matrix E that `polyhedra._project_rows` takes: (2n + 1, s), -A^T
+    in its first 2n rows and its last row left for the step to write; E is None when a row is
+    not finite (`project_raw` then forms and checks E itself).
+
+    Each pair's floats come from the float operations of `_pair_row` (hypot, two divisions),
+    inlined, since a call per pair costs more than the arithmetic.  They go into a copy of the
+    layout's template in one fancy store, so A and E have the bits of `np.array` of the pair
+    rows and of -A^T.
+    """
     xs = np.asarray(x, dtype=float).tolist()
-    n = len(xs) // 2
-    # A scalar loop over Python lists, one array at the end: for the few pairs here it beats
-    # fancy indexing and per-entry stores alike.
-    rows = [_pair_row(xs, i, j) for i in range(n) for j in range(i + 1, n)]
-    return np.array(rows) if rows else np.zeros((0, 2 * n))
+    index, pairs, template = _system_layout(len(xs) // 2)
+    vals = []
+    finite = True
+    for i, j in pairs:
+        dx, dy = xs[i] - xs[j], xs[i + 1] - xs[j + 1]
+        dist = math.hypot(dx, dy)
+        if not 0.0 < dist < math.inf:
+            if dist == 0.0:
+                raise ValueError(f"coincident centers {i // 2 + 1}, {j // 2 + 1}: gradient undefined")
+            finite = False  # a NaN, or an inf that a row may not survive: let project_raw decide
+        nx, ny = dx / dist, dy / dist
+        vals += (-nx, -ny, nx, ny, nx, ny, -nx, -ny)
+    buf = template.copy()
+    buf[index] = vals
+    s, d = len(pairs), 2 * (len(xs) // 2)
+    return buf[: s * d].reshape(s, d), buf[s * d :].reshape(d + 1, s) if finite else None
+
+
+@functools.cache
+def _system_layout(n: int) -> tuple[np.ndarray, list, np.ndarray]:
+    """Where `_noncollision_system` writes the floats of n robots: one buffer holds A, (s, 2n),
+    then E, (2n + 1, s).  Pair i < j (state offsets 2i, 2j, in row order) writes -n, n into its
+    row of A and n, -n into its column of E.  The template is 0.0 over A and -0.0 over E, the
+    zeros of -A^T, so every entry has the bits of the array formulas."""
+    pairs = [(2 * i, 2 * j) for i in range(n) for j in range(i + 1, n)]
+    s, d = len(pairs), 2 * n
+    index = []
+    for r, (i, j) in enumerate(pairs):
+        cols = (i, i + 1, j, j + 1)
+        index += [r * d + k for k in cols]
+        index += [s * d + k * s + r for k in cols]
+    template = np.zeros(s * d + (d + 1) * s)
+    template[s * d :] = -0.0
+    template.flags.writeable = False
+    return np.array(index, dtype=np.intp), pairs, template
 
 
 def _pair_row(xs: list, i: int, j: int) -> list:

@@ -20,7 +20,10 @@ only where that sum is not finite.  A multi-row projection goes further:
 around its NNLS kernel call it makes only the array operations the kernel's
 input and the result need (A.dot(y), building E, u.dot(A)), and decides the
 rest on Python floats, in the order numpy would sum them, so that its bits
-are those of the array formulas.
+are those of the array formulas.  A caller that already holds E's block
+-A^T, checked finite (`simulate`: once per call for a fixed set, with K(x)
+for a robot chain), hands it to `_project_rows`, the branch `project_raw`
+runs, which then writes only E's last row.
 A non-finite point, vector to decompose or projection input raises
 ValueError where it enters, naming it.
 """
@@ -244,9 +247,11 @@ def project_raw(
     lam = u / d and x = y - A^T lam; d = 0 exactly when the set is empty.
     Here the last row of E is divided by the largest violation `top` (so
     lam = top * u / d), which leaves x unchanged but keeps d from shrinking
-    with the squared distance to the set.  A y violating no row by more
-    than `tol` is returned as is.  `start` (a feasible point, if the caller
-    has one) is checked for shape only.
+    with the squared distance to the set; where a row is satisfied by so
+    much more than that violation that v_j / top overflows, the divisor is
+    max_j |v_j| instead, so that a finite input is projected, not refused.
+    A y violating no row by more than `tol` is returned as is.  `start` (a
+    feasible point, if the caller has one) is checked for shape only.
 
     With one row, u = 1/(1 + |a|^2) and d = |a|^2/(1 + |a|^2), so
     lam = top/|a|^2 in closed form, under the same emptiness rule; that
@@ -267,6 +272,20 @@ def project_raw(
     """
     if start is not None and np.shape(start) != y.shape:
         raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
+    return _project_rows(A, c, y, tol, None)
+
+
+def _project_rows(
+    A: np.ndarray, c: np.ndarray, y: np.ndarray, tol: float, E: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """`project_raw` without its `start`, for a caller that may hold E's top block already.
+
+    E, when not None, is a C-contiguous (dim + 1, s) float array whose first
+    dim rows hold -A^T, finite (`_nnls_block`, or `models` for a robot
+    chain): only its last row h is written here, so a fixed set's block
+    serves every step of a simulation.  With None, the block is formed and
+    checked here, once the step is known to project.
+    """
     if A.shape[0] == 1:
         if y.shape != (A.shape[1],):
             raise ValueError(f"y has shape {y.shape}, expected ({A.shape[1]},)")
@@ -288,11 +307,23 @@ def project_raw(
             if np.minimum.reduce(viol) == -math.inf:
                 _check_finite(np.concatenate((A.ravel(), c, y)), "projection input")
             return y.copy(), np.empty(0, dtype=int)
+    h = [v / top for v in vs]
     n = y.shape[0]
-    E = np.empty((n + 1, A.shape[0]))
-    E[:n] = -A.T
-    E[n] = h = [v / top for v in vs]
-    _check_finite(E.ravel(), "projection input")  # the NNLS kernel does not check it
+    if E is None:  # the block is formed here, and checked with h in one sum
+        E = np.empty((n + 1, len(h)))
+        E[:n] = -A.T
+        E[n] = h
+        finite = math.isfinite(sum(E.ravel().tolist()))
+    else:
+        E[n] = h
+        finite = math.isfinite(sum(h))
+    if not finite and not np.isfinite(E).all():  # the NNLS kernel does not check its input
+        if not (all(map(math.isfinite, vs)) and np.isfinite(E[:n]).all()):
+            raise ValueError("projection input must not contain infs or NaNs")
+        # A row satisfied by so much more than the worst violation that v/top overflows:
+        # any positive scale leaves x as it is, and max |v| keeps every |h_j| <= 1.
+        top = max(map(abs, vs))
+        E[n] = h = [v / top for v in vs]
     try:
         u, _ = _nnls()(E, _last_unit_vector(n + 1))
     except RuntimeError as exc:  # iteration cap of the NNLS solver
@@ -313,6 +344,16 @@ def project_raw(
     W = u.nonzero()[0]
     u *= top / d  # the multipliers lam
     return y - u.dot(A), W  # y - A^T lam, bit for bit
+
+
+def _nnls_block(A: np.ndarray) -> np.ndarray:
+    """E of `project_raw`'s NNLS branch for the rows A, (dim + 1, s): its first dim rows -A^T,
+    checked finite, and its last row h left for each projection to write."""
+    n = A.shape[1]
+    E = np.empty((n + 1, A.shape[0]))
+    E[:n] = -A.T
+    _check_finite(E[:n].ravel(), "projection input")
+    return E
 
 
 @functools.cache

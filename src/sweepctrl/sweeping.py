@@ -14,6 +14,10 @@ of two robots, which turns with x, a contact arc is stepped on Python
 floats: `pair_row` forms that row and `polyhedra._project_one_row`, the
 one-row branch of `project_raw`, projects onto it, so the nodes are those
 of the array step bit for bit at a fraction of numpy's per-call cost.
+A multi-row step hands `polyhedra._project_rows`, `project_raw`'s own
+branch, the NNLS block -A^T of its set: a fixed set's block is formed once
+per `simulate` call, and a robot chain's comes with K(x) from the
+`catchup_rows` hook, so each step writes only the block's last row.
 `recover_eta` expresses the
 normal-cone multiplier eta_k of interval k on the rows of the step's own
 set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
@@ -34,7 +38,15 @@ from operator import add
 import numpy as np
 
 from .models import ControlSet, Scenario, in_contact, run_starts
-from .polyhedra import Polyhedron, _project_one_row, _same_fields, project_raw, row_multipliers
+from .polyhedra import (
+    Polyhedron,
+    _nnls_block,
+    _project_one_row,
+    _project_rows,
+    _same_fields,
+    project_raw,
+    row_multipliers,
+)
 from .tolerances import STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
@@ -229,7 +241,10 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     the pair's row (`scn.pair_row`) and its one-row projection, the float
     operations of `project_raw(*constraint_rows(x), x + h g)`, until a step
     projects nothing (its node is kept) or the horizon; the arc's nodes go
-    into the array in one slice.
+    into the array in one slice.  A fixed set is read once per call, and its
+    NNLS block formed then; a moving set comes with its block from
+    `scn.catchup_rows`, and a step with a block projects through
+    `project_raw`'s branch on it, a step without one through `project_raw`.
     """
     mesh = u.mesh
     if not mesh.spans(scn.horizon):
@@ -249,7 +264,12 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
     x = nodes[0] = scn.x0
-    constraint_rows = scn.constraint_rows  # bound once: a step takes microseconds
+    fixed = catchup_rows = None
+    if scn.fixed_constraints:  # one K for every step: its NNLS block is formed once, here
+        A, c = scn.constraint_rows(x)
+        fixed = A, c, _nnls_block(A) if len(A) > 1 else None
+    else:
+        catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
     one_moving_row = not scn.fixed_constraints and scn.n == 2  # K(x) is one row that turns with x
     drive, first = None, 0  # steps[first:] as lists, once a contact arc needs them
@@ -259,7 +279,11 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             contact = times[k]
             steps[k:] = h * scn.drive(values[k:], times[k:-1], contact)
         step = steps[k]
-        xn, W = project_raw(*constraint_rows(x), x + step, tol=STEP_TOL)
+        A, c, E = fixed or catchup_rows(x)
+        if E is None:
+            xn, W = project_raw(A, c, x + step, tol=STEP_TOL)
+        else:  # the same branch of `project_raw`, on the block the step already holds
+            xn, W = _project_rows(A, c, x + step, STEP_TOL, E)
         if k == end:
             end = next(run_ends)
         k += 1

@@ -1,5 +1,7 @@
 """Scenario construction, control sets, separation gaps, set-representation checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,53 @@ class TestRobotConstraintRows:
         assert np.any(scn.pair_gaps(traj.nodes[-1]) < 1e-6)
         assert scn.constraint_rows(traj.nodes[-1])[1] is c
         assert c.tolist() == [-3.0] * (n * (n - 1) // 2)
+
+    @staticmethod
+    def dense_rows(x):
+        """K(x)'s rows written out pair by pair i < j, each a dense row: the reference."""
+        n = len(x) // 2
+        rows = []
+        for i in range(n):
+            for j in range(i + 1, n):
+                dx, dy = float(x[2 * i]) - float(x[2 * j]), float(x[2 * i + 1]) - float(x[2 * j + 1])
+                dist = math.hypot(dx, dy)
+                nx, ny = dx / dist, dy / dist
+                row = np.zeros(2 * n)
+                row[2 * i], row[2 * i + 1], row[2 * j], row[2 * j + 1] = -nx, -ny, nx, ny
+                rows.append(row)
+        return np.array(rows)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_rows_and_nnls_block_match_dense_pair_rows_byte_for_byte(self, n):
+        scn = self.chain(n)
+        rng = np.random.default_rng(100 + n)
+        for x in [scn.x0, *rng.uniform(-30.0, 30.0, (40, 2 * n)), *rng.normal(0.0, 1e-3, (10, 2 * n))]:
+            ref = self.dense_rows(x)
+            A, c, E = scn.catchup_rows(x)
+            for got in (A, scn.constraint_rows(x)[0], linearized_noncollision(x, scn.R)[0]):
+                assert got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+            assert c is scn.constraint_rows(x)[1]
+            # E's block is -A^T, zeros included (-0.0), C-contiguous, with a spare last row.
+            assert E.shape == (2 * n + 1, len(ref)) and E.flags.c_contiguous
+            assert E[: 2 * n].tobytes() == (-ref.T).tobytes()
+
+    @pytest.mark.parametrize("n, i, j", [(3, 0, 2), (4, 1, 3), (5, 3, 4), (6, 0, 5)])
+    def test_a_coincident_pair_raises_naming_both_robots(self, n, i, j):
+        scn = self.chain(n)
+        x = np.random.default_rng(n).uniform(-30.0, 30.0, 2 * n)
+        x[2 * j : 2 * j + 2] = x[2 * i : 2 * i + 2]
+        for call in (scn.catchup_rows, lambda x: scn.constraint_rows(x), lambda x: linearized_noncollision(x, scn.R)):
+            with pytest.raises(ValueError, match=f"coincident centers {i + 1}, {j + 1}: gradient undefined"):
+                call(x)
+
+    def test_a_non_finite_state_leaves_the_block_to_the_projection(self):
+        scn = self.chain(3)
+        x = scn.x0.copy()
+        x[3] = np.nan
+        A, _, E = scn.catchup_rows(x)
+        assert E is None and np.isnan(A).any()
+        pair = self.chain(2)
+        assert pair.catchup_rows(pair.x0)[2] is None  # one row: the closed form
 
 
 class TestSetRepresentation:

@@ -666,6 +666,15 @@ class TestRunFilling:
             assert np.all(np.any(np.diff(u.values, axis=0) != 0.0, axis=1))
             assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u))
 
+    @pytest.mark.parametrize("chain", [1, 2], ids=["pedestrians8", "robots3"])
+    def test_jostling_chains_are_bit_identical_to_the_stepwise_loop(self, chain):
+        # A fixed set's NNLS block formed once per call, and a robot chain's formed with K(x).
+        scn, u = jostling_chains()[chain]
+        assert u.mesh.m == 9 and np.all(np.any(np.diff(u.values, axis=0) != 0.0, axis=1))
+        nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+        assert np.sum(np.any(in_contact(scn.pair_gaps(nodes)), axis=1)) > u.mesh.intervals // 4
+
     @pytest.mark.parametrize("switch", ["1.3", "2.0", "5.99"])
     def test_timed_heading_switch_inside_a_run_matches_stepwise(self, switch):
         scn = parse_scenario_text(
@@ -813,6 +822,31 @@ class TestProjectionPath:
         assert not calls
         simulate(ped3(), ControlSignal.constant(Mesh(6.0, 10), PED3_U))  # two rows: the spy sees NNLS
         assert calls
+
+    def test_a_fixed_set_is_read_once_per_simulation(self, monkeypatch):
+        import sweepctrl.sweeping as sweeping
+
+        rows, projections = [], []
+        hook, project_rows = PedestrianScenario.constraint_rows, sweeping._project_rows
+
+        def counted_rows(self, x):
+            rows.append(1)
+            return hook(self, x)
+
+        def counted_projection(*args):
+            projections.append(1)
+            return project_rows(*args)
+
+        monkeypatch.setattr(PedestrianScenario, "constraint_rows", counted_rows)
+        monkeypatch.setattr(sweeping, "_project_rows", counted_projection)
+        for scn, u in ((ped3(), ControlSignal.constant(Mesh(6.0, 14), PED3_U)), jostling_chains()[1]):
+            rows.clear(), projections.clear()
+            simulate(scn, u)
+            assert len(rows) <= 1
+            if u.mesh.m == 14:  # constant runs are filled: a few projections on the block
+                assert 0 < len(projections) <= 16
+            else:  # the control changes every interval: every step projects on the block
+                assert len(projections) == u.mesh.intervals
 
 
 def robot_text(n, R, x0, speeds, lo, hi):
