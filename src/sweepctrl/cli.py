@@ -156,10 +156,11 @@ def _solution_text(sol: ReducedSolution) -> str:
         "contact schedule  = "
         + ", ".join(f"(t={t:.6g}, row={j + 1})" for t, j in sol.contact_schedule)
     )
-    for k in range(sol.eta.values.shape[0]):
-        a, b = sol.eta.times[k], sol.eta.times[k + 1]
-        lines.append(f"eta on [{a:.6g}, {b:.6g})  = {np.round(sol.eta.values[k], 12).tolist()}")
-    lines.append(f"eta at T          = {np.round(sol.eta_terminal, 12).tolist()}")
+    cert = sol.certificate
+    for k in range(cert.eta.values.shape[0]):
+        a, b = cert.eta.times[k], cert.eta.times[k + 1]
+        lines.append(f"eta on [{a:.6g}, {b:.6g})  = {np.round(cert.eta.values[k], 12).tolist()}")
+    lines.append(f"eta at T          = {np.round(cert.eta_terminal, 12).tolist()}")
     lines.append(f"cost              = {sol.cost:.12g}")
     if sol.reduced_cost is not None:
         a, b, c = sol.reduced_cost
@@ -167,15 +168,15 @@ def _solution_text(sol: ReducedSolution) -> str:
     lines.append("")
     lines.append("certificate")
     lines.append("-----------")
-    lines.append(f"lambda = {sol.certificate.lam:g}")
-    lines.append(f"q(0)   = {np.round(sol.certificate.q.values[0], 12).tolist()}")
-    lines.append(f"p(T)   = {np.round(sol.certificate.p.values[-1], 12).tolist()}")
-    for t, v in sol.certificate.gamma_atoms:
+    lines.append(f"lambda = {cert.lam:g}")
+    lines.append(f"q(0)   = {np.round(cert.q.values[0], 12).tolist()}")
+    lines.append(f"p(T)   = {np.round(cert.p.values[-1], 12).tolist()}")
+    for t, v in cert.gamma_atoms:
         lines.append(f"gamma atom at t={t:.6g}: {np.round(v, 12).tolist()}")
     if sol.contact_schedule:
         t_first = sol.contact_schedule[-1][0]
         lines.append(
-            f"gamma([t1, T])    = {np.round(sol.certificate.gamma_tail(t_first), 12).tolist()}"
+            f"gamma([t1, T])    = {np.round(cert.gamma_tail(t_first), 12).tolist()}"
         )
     for key in ("post_contact_slopes", "p_T", "gamma", "consistency_note"):
         if key in sol.report:
@@ -197,8 +198,8 @@ def _solution_text(sol: ReducedSolution) -> str:
 def _solution_csv(sol: ReducedSolution, mesh: Mesh) -> str:
     times, states = sample_path(sol.path, mesh)
     controls = np.tile(sol.control, (len(times) - 1, 1))
-    etas = sol.eta.value(0.5 * (times[:-1] + times[1:]))
-    return trajectory_csv(times, states, controls, etas, sol.eta_terminal)
+    etas = sol.certificate.eta.value(0.5 * (times[:-1] + times[1:]))
+    return trajectory_csv(times, states, controls, etas, sol.certificate.eta_terminal)
 
 
 def _cmd_solve_reduced(args: argparse.Namespace) -> int:

@@ -397,8 +397,13 @@ class RobotScenario(Scenario):
 
     def pair_row(self, xs: list) -> tuple[list, float]:
         """K(x) of two robots on Python floats: its one row (a, c) at the state xs, a list, as
-        `constraint_rows` forms it."""
-        return _pair_row(xs, 0, 1), -2.0 * self.R
+        `constraint_rows` forms it (hypot, then two divisions)."""
+        dx, dy = xs[0] - xs[2], xs[1] - xs[3]
+        dist = math.hypot(dx, dy)
+        if dist == 0.0:
+            raise ValueError("coincident centers 1, 2: gradient undefined")
+        nx, ny = dx / dist, dy / dist
+        return [-nx, -ny, nx, ny], -2.0 * self.R
 
     def pair_gap_euclid(self, x, i: int, j: int) -> float:
         """Euclidean disk separation ||x^i - x^j|| - 2R (the collision geometry)."""
@@ -543,8 +548,8 @@ def _noncollision_system(x) -> tuple[np.ndarray, np.ndarray | None]:
     in its first 2n rows and its last row left for the step to write; E is None when a row is
     not finite (`project_raw` then forms and checks E itself).
 
-    Each pair's floats come from the float operations of `_pair_row` (hypot, two divisions),
-    inlined, since a call per pair costs more than the arithmetic.  They go into a copy of the
+    Each pair's floats come from the float operations of `RobotScenario.pair_row` (hypot, two
+    divisions), inlined, since a call per pair costs more than the arithmetic.  They go into a copy of the
     layout's template in one fancy store, so A and E have the bits of `np.array` of the pair
     rows and of -A^T.
     """
@@ -584,18 +589,6 @@ def _system_layout(n: int) -> tuple[np.ndarray, list, np.ndarray]:
     template[s * d :] = -0.0
     template.flags.writeable = False
     return np.array(index, dtype=np.intp), pairs, template
-
-
-def _pair_row(xs: list, i: int, j: int) -> list:
-    """The row of pair i < j in `linearized_noncollision` at the state xs, a list of Python floats."""
-    dx, dy = xs[2 * i] - xs[2 * j], xs[2 * i + 1] - xs[2 * j + 1]
-    dist = math.hypot(dx, dy)
-    if dist == 0.0:
-        raise ValueError(f"coincident centers {i + 1}, {j + 1}: gradient undefined")
-    nx, ny = dx / dist, dy / dist
-    row = [0.0] * len(xs)
-    row[2 * i], row[2 * i + 1], row[2 * j], row[2 * j + 1] = -nx, -ny, nx, ny
-    return row
 
 
 def ordering_holds(n: int, x) -> bool:

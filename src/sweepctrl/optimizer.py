@@ -5,7 +5,9 @@ closed forms: contact times and normal-cone multipliers from the phase
 algebra, the terminal cost as an explicit quadratic in the free control
 parameter, and a complete dual certificate assembled from the maximization
 condition (before contact), the dual surface condition (on the contact
-arc), and endpoint transversality.  The discrete path searches constant or
+arc), and endpoint transversality: a template chooses only eta, eta_T and
+q, and `_certificate` derives p and gamma from them, for every template
+alike.  The discrete path searches constant or
 piecewise-constant controls with the catch-up simulator as the dynamics
 oracle.
 
@@ -50,7 +52,7 @@ from .optimality import (
     verify_certificate,
 )
 from .polyhedra import row_multipliers
-from .sweeping import ControlSignal, Mesh, Trajectory, cost as trajectory_cost, simulate
+from .sweeping import ControlSignal, Mesh, Trajectory, cost as terminal_cost, simulate
 from .tolerances import (
     ANGLE_TOL,
     BOUND_RTOL,
@@ -203,34 +205,41 @@ class RobotCase:
     y: float  # t1 * eta1 root
     t1: float
     eta1: float
-    cost: float
     path: PiecewisePath
     ordering_preserved: bool
+
+    @property
+    def cost(self) -> float:
+        return terminal_cost(self.path)
 
 
 @dataclass(frozen=True)
 class ReducedSolution:
     """A template's closed-form optimum and its dual certificate.
 
-    `verification`, the nine-condition report of `certificate` on `path`
-    under `control`, is computed by `verify_certificate` when it is first
-    read and kept; a caller that never reads it never pays for it.
+    The multipliers eta and eta_T are the certificate's; `cost` is the
+    terminal cost of `path`.  `verification`, the nine-condition report of
+    `certificate` on `path` under `control`, is computed by
+    `verify_certificate` when it is first read and kept; a caller that never
+    reads it never pays for it.
     """
+
+    recommended_tol = VERIFY_TOL  # the tolerance every template certificate passes at
 
     scenario: Scenario
     control: np.ndarray
     contact_schedule: tuple[tuple[float, int], ...]
-    eta: StepFunction
-    eta_terminal: np.ndarray
     path: PiecewisePath  # certified path (the presented solution)
     simulation_path: PiecewisePath  # dynamics-consistent branch
-    cost: float
     certificate: DualCertificate
-    recommended_tol: float
     report: dict
     reduced_cost: tuple[float, float, float] | None = None  # J(r) = a r^2 + b r + c
     cases: tuple[RobotCase, ...] = ()
     rejected_cases: tuple[str, ...] = ()
+
+    @property
+    def cost(self) -> float:
+        return terminal_cost(self.path)
 
     @functools.cached_property
     def verification(self) -> ResidualReport:
@@ -334,7 +343,7 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
             path = PiecewisePath(np.array([0.0, t1, T]), np.array([x0, x0 + Z * v_pre, x_T]))
         else:
             path = PiecewisePath(np.array([0.0, T]), np.array([x0, x_T]))
-        case = RobotCase(y, t1, e * r, 0.5 * float(x_T @ x_T), path, ordering_holds(scn.n, path.states))
+        case = RobotCase(y, t1, e * r, path, ordering_holds(scn.n, path.states))
         branches.append((case, r, coeffs))
     if not branches:
         raise UnsupportedScenarioError("no feasible contact branch for this scenario")
@@ -368,12 +377,16 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
     q_published[last] = u_opt / scale
     neutral = np.array([v_arc[last[1]], -v_arc[last[0]]])
     q_arc[last] = scn.sweeping_set().offsets[0] * neutral / (a[last] @ neutral)
-    x_T = case.path.terminal
-    pT = -(x_T + case.eta1 * a)
-    cert = _two_phase_certificate(T, case.t1, case.eta1, q_pre, q_arc, pT)
-    q_head = cert.q.values[0]
-    if cert.q.values.shape[0] == 1:  # contact from t = 0 or only at T: no free phase
-        q_published = q_head
+    # q and eta change where the path does: at t1 when contact starts inside (0, T).  Contact
+    # from t = 0, or only at T, leaves one arc segment, with eta1 on it only in the first case.
+    times = case.path.times
+    if times.size == 3:
+        q, eta = [q_pre, q_arc], [[0.0], [case.eta1]]
+    else:
+        q, eta = [q_arc], [[case.eta1 if case.t1 <= TIME_TOL else 0.0]]
+        q_published = q_arc
+    cert = _certificate(scn, case.path.terminal, StepFunction(times, eta), [case.eta1], StepFunction(times, q))
+    q_head, pT = q[0], cert.p.values[-1]
     report = {
         "u": u_opt.tolist(),
         "t1": case.t1,
@@ -385,27 +398,19 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
         "gamma_from_contact": (pT - q_published).tolist(),
         "certified_q": q_head.tolist(),
         "certified_gamma_from_contact": (pT - q_head).tolist(),
-        "terminal_state": x_T.tolist(),
+        "terminal_state": case.path.terminal.tolist(),
     }
     return ReducedSolution(
         scenario=scn,
         control=u_opt,
         contact_schedule=((case.t1, 0),),
-        eta=cert.eta,
-        eta_terminal=cert.eta_terminal,
         path=case.path,
         simulation_path=next((cs for cs in cases if cs.ordering_preserved), case).path,
-        cost=case.cost,
         certificate=cert,
-        recommended_tol=VERIFY_TOL,
         report=report,
         reduced_cost=coeffs,
         cases=cases,
     )
-
-
-def _step(times: list[float], values: list[np.ndarray]) -> StepFunction:
-    return StepFunction(np.array(times), np.array(values))
 
 
 def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
@@ -424,27 +429,20 @@ def _pre_contact_psi(U: ControlSet, u_opt: np.ndarray) -> np.ndarray:
     return u_opt - U.at_parameter(np.where(at_bound, 0.0, p))
 
 
-def _two_phase_certificate(T: float, t1: float, eta1: float, q_pre, q_arc, pT) -> DualCertificate:
-    """Certificate of a free phase on [0, t1) followed by a contact arc on [t1, T].
-
-    Contact at the start or at the horizon leaves one arc segment (eta1 on it,
-    or only at T) and a single measure atom at T.
-    """
-    if TIME_TOL < t1 < T - TIME_TOL:
-        q = _step([0.0, t1, T], [q_pre, q_arc])
-        eta = _step([0.0, t1, T], [np.array([0.0]), np.array([eta1])])
-        atoms = ((t1, q_arc - q_pre), (T, pT - q_arc))
-    else:
-        q = _step([0.0, T], [q_arc])
-        eta = _step([0.0, T], [np.array([eta1 if t1 <= TIME_TOL else 0.0])])
-        atoms = ((T, pT - q_arc),)
+def _certificate(scn: Scenario, x_T: np.ndarray, eta: StepFunction, eta_terminal, q: StepFunction) -> DualCertificate:
+    """The template certificate that eta, eta_T and q fix: lambda = 1, p constant at
+    p(T) = -(x(T) + A^T eta_T) (transversality, A the sweeping set's normals), and gamma with
+    an atom at each inner breakpoint of q equal to q's jump there and a last atom
+    (T, p(T) - q(T-)), so that q = p - gamma([t, T]) (the measure link)."""
+    pT = -(x_T + scn.sweeping_set().normals.T @ eta_terminal)
+    jumps = zip(q.times[1:-1], np.diff(q.values, axis=0))
     return DualCertificate(
         lam=1.0,
         eta=eta,
-        eta_terminal=np.array([eta1]),
-        p=_step([0.0, T], [pT]),
+        eta_terminal=eta_terminal,
+        p=StepFunction.constant(scn.T, pT),
         q=q,
-        gamma_atoms=atoms,
+        gamma_atoms=(*jumps, (scn.T, pT - q.values[-1])),
     )
 
 
@@ -492,17 +490,9 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
     path = PiecewisePath(np.array([0.0, t1, T]), np.array([scn.x0, x_t1, x_T]))
 
     C = scn.sweeping_set()
-    eta_terminal = eta_arc.copy()
-    pT = -(x_T + C.normals.T @ eta_terminal)
-    eta = _step([0.0, t1, T], [np.array([0.0, eta2_0]), eta_arc])
-    cert = DualCertificate(
-        lam=1.0,
-        eta=eta,
-        eta_terminal=eta_terminal,
-        p=_step([0.0, T], [pT]),
-        q=_step([0.0, T], [q]),
-        gamma_atoms=((T, pT - q),),
-    )
+    eta = StepFunction(path.times, [[0.0, eta2_0], eta_arc])
+    cert = _certificate(scn, x_T, eta, eta_arc, StepFunction.constant(T, q))
+    pT = cert.p.values[-1]
     # Published-procedure values: the printed arc formulas keep the standing
     # pre-contact multiplier term alongside the refreshed pair multipliers,
     # so the printed slopes, terminal state, p(T) and gamma tail all differ
@@ -522,7 +512,7 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
         "t2": 0.0,
         "eta2_0": eta2_0,
         "eta_t1": eta_arc.tolist(),
-        "cost": 0.5 * float(x_T @ x_T),
+        "cost": terminal_cost(path),
         "q": q.tolist(),
         "post_contact_slopes": printed_slopes.tolist(),
         "p_T": pT_printed.tolist(),
@@ -539,13 +529,9 @@ def _solve_ped_triple(scn: PedestrianScenario) -> ReducedSolution:
         scenario=scn,
         control=u_opt,
         contact_schedule=((0.0, 1), (t1, 0)),
-        eta=eta,
-        eta_terminal=eta_terminal,
         path=path,
         simulation_path=path,
-        cost=0.5 * float(x_T @ x_T),
         certificate=cert,
-        recommended_tol=VERIFY_TOL,
         report=report,
         rejected_cases=tuple(rejected),
     )
@@ -660,7 +646,7 @@ def solve_discrete(
         if val is None:
             traj = simulate(scn, ControlSignal.from_parameters(mesh, U, P))
             sims += 1
-            val = costs[k] = trajectory_cost(traj)
+            val = costs[k] = terminal_cost(traj)
             if low_key is None or val < costs[low_key]:
                 low_key, low_traj = k, traj
         return val

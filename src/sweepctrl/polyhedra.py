@@ -209,25 +209,23 @@ def project(
     tol: float = MEMBERSHIP_TOL,
     feasible_start: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Euclidean projection of y onto the polyhedron."""
-    x, _ = project_with_working_set(poly, y, tol, feasible_start)
+    """Euclidean projection of y onto the polyhedron.
+
+    `feasible_start` is checked for shape only: the least-distance solve
+    starts from nothing.
+    """
+    x, _ = project_with_working_set(poly, y, tol)
+    if feasible_start is not None and np.shape(feasible_start) != x.shape:
+        raise ValueError(f"start has shape {np.shape(feasible_start)}, expected {x.shape}")
     return x
 
 
 def project_with_working_set(
-    poly: Polyhedron,
-    y: np.ndarray,
-    tol: float = MEMBERSHIP_TOL,
-    feasible_start: np.ndarray | None = None,
+    poly: Polyhedron, y: np.ndarray, tol: float = MEMBERSHIP_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projection plus the rows that carry a positive multiplier.
-
-    `feasible_start` is checked for shape but not needed: the
-    least-distance solve starts from nothing.
-    """
+    """Projection plus the rows that carry a positive multiplier."""
     _check_tol(tol)
-    y = poly._check_point(y)
-    return project_raw(poly.normals, poly.offsets, y, feasible_start, tol)
+    return project_raw(poly.normals, poly.offsets, poly._check_point(y), None, tol)
 
 
 def project_raw(

@@ -321,8 +321,9 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     return Trajectory(mesh=mesh, nodes=nodes)
 
 
-def cost(traj: Trajectory) -> float:
-    """Terminal cost 0.5 * ||x(T)||^2."""
+def cost(traj) -> float:
+    """Terminal cost J = 0.5 * ||x(T)||^2 of a `Trajectory` or an `optimality.PiecewisePath`:
+    the package's one spelling of J."""
     xT = traj.terminal
     return 0.5 * float(xT @ xT)
 
@@ -462,14 +463,25 @@ def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
             allowed.add(f"{group}{len(groups[group]) + 1}")
     if not groups["x"]:
         raise ValueError("trajectory CSV header needs 'x' columns after 't'")
-    rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
     try:
+        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
         data = np.array(rows)
-    except ValueError:  # ragged rows: numpy rejects them, and only then is the bad row looked for
+    except ValueError:  # a cell that is not a number, or ragged rows: only then is the cause looked for
         data = None
     if data is None or data.shape[1] != len(header):
-        k = next(k for k, row in enumerate(rows) if len(row) != len(header))
-        raise ValueError(f"trajectory CSV data row {k + 1} has {len(rows[k])} cells, the header {len(header)}")
+        for k, ln in enumerate(lines[1:]):
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"trajectory CSV data row {k + 1} has {len(cells)} cells, the header {len(header)}")
+            for name, tok in zip(header, cells):
+                try:
+                    finite = math.isfinite(float(tok))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"trajectory CSV column '{name}', data row {k + 1}: {tok.strip()!r} is not a finite number"
+                    )
     bad = np.argwhere(~np.isfinite(data))
     if bad.size:
         row, col = bad[0]

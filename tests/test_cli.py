@@ -266,9 +266,11 @@ class TestVerify:
          ("t,x1,x3\n0,-60,-48\n6,-3,3\n", "column 3 'x3' is out of place"),
          ("x1,x2,t\n-60,-48,0\n-3,3,6\n", "column 1 'x1' is out of place"),
          ("t,x1,x2,eta1,u1,u2\n0,-60,-48,0,1.8,1.8\n6,-3,3,5.4,1.8,1.8\n", "column 5 'u1' is out of place"),
-         ("t,x1,x2,u1,u2,eta1\n1,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,5.4\n", "trajectory starts at t = 1, not at 0")],
+         ("t,x1,x2,u1,u2,eta1\n1,-60,-48,1.8,1.8,0\n6,-3,3,1.8,1.8,5.4\n", "trajectory starts at t = 1, not at 0"),
+         ("t,x1,x2,u1,u2,eta1\n0,-60,-48,1.8,1.8,0\n6,abc,3,1.8,1.8,5.4\n",
+          "column 'x1', data row 2: 'abc' is not a finite number")],
         ids=["state-width", "unknown-column", "ragged-row", "every-row-short", "other-horizon", "swapped-states",
-             "repeated-state", "state-gap", "t-not-first", "control-after-eta", "late-start"],
+             "repeated-state", "state-gap", "t-not-first", "control-after-eta", "late-start", "text-cell"],
     )
     def test_malformed_trajectory_message_names_the_problem(self, tmp_path, capsys, text, message):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

@@ -423,6 +423,60 @@ class TestRobotQuadrantVariant:
             solve_reduced(scn)
 
 
+def touching_pair():
+    """The pair of `TestSolveReducedPedestrianPair.test_initial_contact_pair`: contact from t = 0."""
+    return PedestrianScenario(
+        n=2,
+        R=3.0,
+        T=6.0,
+        x0=np.array([-54.0, -48.0]),
+        speeds=np.array([8.0, 2.0]),
+        control_set=ControlSet.segment([1.0, 1.0], (-1.8, 1.8), 0),
+    )
+
+
+def pair_touching_at_T():
+    """A pedestrian pair whose optimal push closes the gap exactly at T = 3 (t1 = T, eta = 0 on
+    [0, T) and eta_T = 3)."""
+    return parse_scenario_text(
+        "model = pedestrian\nn = 2\nR = 3\nT = 3\nx0 = -29 -5\nspeeds = 6 2\n"
+        "control.kind = segment\ncontrol.link = 1 1\ncontrol.bounds = -4 4\n"
+    )
+
+
+class TestCertificateRule:
+    """Every template certificate is fixed by eta, eta_T and q: lambda = 1, p constant at
+    p(T) = -(x(T) + A^T eta_T), an atom of gamma at each inner jump of q equal to the jump and a
+    last atom (T, p(T) - q(T-)); the cost is `sweeping.cost` of the path.  Checked bit for bit
+    on each branch of the two templates."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [robot2, ped2, ped3, touching_pair, pair_touching_at_T, lambda: TestRobotQuadrantVariant().scenario()],
+        ids=["robot2", "pedestrian2", "pedestrian3", "pair-touching-start", "pair-contact-at-T",
+             "robot-quadrant"],
+    )
+    def test_p_gamma_and_cost_follow_from_eta_and_q(self, make):
+        sol = solve_reduced(make())
+        scn, cert = sol.scenario, sol.certificate
+        T = scn.T
+        pT = -(sol.path.terminal + scn.sweeping_set().normals.T @ cert.eta_terminal)
+        assert cert.lam == 1.0
+        assert cert.p.times.tolist() == [0.0, T] and cert.p.values.shape == (1, scn.state_dim)
+        assert cert.p.values[0].tobytes() == pT.tobytes()
+        q = cert.q
+        expected = [(float(q.times[k]), q.values[k] - q.values[k - 1]) for k in range(1, len(q.values))]
+        expected.append((T, pT - q.values[-1]))
+        assert [t for t, _ in cert.gamma_atoms] == [t for t, _ in expected]
+        assert [v.tobytes() for _, v in cert.gamma_atoms] == [v.tobytes() for _, v in expected]
+        assert sol.cost == trajectory_cost(sol.path) == sol.report["cost"]
+        for case in sol.cases:
+            assert case.cost == trajectory_cost(case.path)
+        p_key = "certified_p_T" if "certified_p_T" in sol.report else "p_T"
+        assert sol.report[p_key] == pT.tolist()
+        assert sol.verification.passed
+
+
 class TestUnsupportedTemplates:
     def test_interleaved_contacts_rejected(self):
         scn = PedestrianScenario(

@@ -111,6 +111,14 @@ class TestProject:
         assert np.allclose(expected, [-13.0, -7.0])
         assert np.allclose(project(C, y), expected, atol=1e-12)
 
+    @pytest.mark.parametrize("start", [np.zeros(3), np.zeros((2, 1)), 0.0], ids=["long", "column", "scalar"])
+    def test_wrong_shaped_feasible_start_raises(self, start):
+        # The start is checked for shape only; a right-shaped one changes nothing.
+        C, y = pedestrian_set(), np.array([-10.0, -10.0])
+        with pytest.raises(ValueError, match=r"start has shape"):
+            project(C, y, feasible_start=start)
+        assert project(C, y, feasible_start=np.zeros(2)).tobytes() == project(C, y).tobytes()
+
     def test_nearly_parallel_rows(self):
         # Five nearly parallel rows around the origin (criterion-6 generator,
         # seed 308, task 27, instance 134): nonempty, so it must not raise.
