@@ -6,9 +6,11 @@ eta (with a separate value carried at t = T), the adjoint arcs p and q
 atoms), and the vector measure gamma represented by finitely many atoms.
 All checks are evaluated on the union grid of the trajectory and
 certificate breakpoints, so piecewise-affine reference solutions verify
-exactly rather than through mesh-straddling artifacts; each check takes
-every grid interval at once, through the array-valued paths below and the
-scenario's array-valued drive.
+exactly rather than through mesh-straddling artifacts.  `verify_certificate`
+builds that grid once and evaluates the path, its velocity, eta, q and the
+control at its midpoints once; checks 1, 2/3 and 6 are array expressions
+over every interval of that one evaluation (`_Evaluation`), and the small
+checks decide on Python floats.
 
 Conditions checked, by report id: (1) primal velocity representation,
 (2)/(3) complementarity, (4) constant adjoint arc (the state gradient of
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -38,8 +41,9 @@ from .tolerances import (
 
 
 def _interval(times: np.ndarray, t, count: int):
-    """Index of the breakpoint interval holding t (per entry for an array), clipped to [0, count)."""
-    return np.clip(np.searchsorted(times, t, side="right") - 1, 0, count - 1)
+    """Index of the breakpoint interval holding t (per entry for an array), clamped to [0, count)
+    by two ufuncs: `np.clip`'s Python-level wrapper costs more than the search."""
+    return np.minimum(np.maximum(np.searchsorted(times, t, side="right") - 1, 0), count - 1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,13 +112,18 @@ class PiecewisePath:
 
     def value(self, t) -> np.ndarray:
         """The state at t, or one row per time for an array of times."""
-        k = _interval(self.times, t, self.states.shape[0] - 1)
-        w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
-        return (1.0 - w) * self.states[k] + w * self.states[k + 1]
+        return self._value(_interval(self.times, t, len(self.states) - 1), t)
 
     def velocity(self, t) -> np.ndarray:
         """The slope of the segment holding t, or one row per time for an array of times."""
-        k = _interval(self.times, t, self.states.shape[0] - 1)
+        return self._slope(_interval(self.times, t, len(self.states) - 1))
+
+    def _value(self, k, t) -> np.ndarray:
+        """The state at t on segment k (per entry for arrays)."""
+        w = ((t - self.times[k]) / (self.times[k + 1] - self.times[k]))[..., None]
+        return (1.0 - w) * self.states[k] + w * self.states[k + 1]
+
+    def _slope(self, k) -> np.ndarray:
         return (self.states[k + 1] - self.states[k]) / (self.times[k + 1] - self.times[k])[..., None]
 
 
@@ -134,9 +143,7 @@ class DualCertificate:
 
     def __post_init__(self):
         object.__setattr__(self, "eta_terminal", np.asarray(self.eta_terminal, dtype=float))
-        atoms = tuple(
-            (float(t), np.asarray(v, dtype=float)) for t, v in self.gamma_atoms
-        )
+        atoms = tuple((float(t), np.asarray(v, dtype=float)) for t, v in self.gamma_atoms)
         object.__setattr__(self, "gamma_atoms", atoms)
         if self.lam < 0:
             raise ValueError("lambda must be nonnegative")
@@ -160,10 +167,6 @@ class DualCertificate:
     def gamma_tail(self, t) -> np.ndarray:
         """gamma([t, T]): sum of atoms at times >= t; one row per time for an array of times."""
         return (self.atom_times >= np.asarray(t)[..., None] - TIME_TOL) @ self.atom_values
-
-    def is_atom_time(self, t):
-        """Whether t is an atom time; per entry for an array of times."""
-        return np.any(np.abs(np.asarray(t)[..., None] - self.atom_times) <= TIME_TOL, axis=-1)
 
     def q_at_T(self) -> np.ndarray:
         """q(T) = p(T) - gamma({T})."""
@@ -203,7 +206,7 @@ class ResidualReport:
 
 
 # ---------------------------------------------------------------------------
-# Helpers
+# Condition checks
 # ---------------------------------------------------------------------------
 
 
@@ -223,24 +226,64 @@ def as_path(traj) -> PiecewisePath:
 
 
 def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) -> np.ndarray:
-    """Sorted breakpoints of the path, the certificate and any `extra` time arrays in [0, T]."""
-    pieces = [path.times, cert.eta.times, cert.q.times, cert.p.times, *extra, cert.atom_times]
-    grid = np.unique(np.concatenate(pieces))
+    """Sorted breakpoints of the path, the certificate and any `extra` time arrays in [0, T].  A
+    time within GRID_MERGE_RTOL * max(1, T) of the one before it is dropped (a repeat too), so a
+    time rounded by hand next to its exact value leaves no sliver segment straddling a jump."""
+    grid = np.sort(np.concatenate([path.times, cert.eta.times, cert.q.times, cert.p.times, *extra, cert.atom_times]))
     grid = grid[(grid >= 0.0) & (grid <= path.horizon + TIME_TOL)]
-    # Merge near-duplicate breakpoints (e.g. a rounded time written by hand
-    # next to its exact value) so no sliver segments straddle a jump.
-    merge_tol = GRID_MERGE_RTOL * max(1.0, path.horizon)
-    keep = np.concatenate([[True], np.diff(grid) > merge_tol])
-    return grid[keep]
+    return grid[np.diff(grid, prepend=-np.inf) > GRID_MERGE_RTOL * max(1.0, path.horizon)]
 
 
-def _midpoints(grid: np.ndarray) -> np.ndarray:
-    return 0.5 * (grid[:-1] + grid[1:])
+class _Evaluation:
+    """Checks 1, 2/3 and 6 as array expressions over every grid interval at once, with the path,
+    eta, q and the control each evaluated once.  Complementarity samples the union grid of the
+    path's and the certificate's breakpoints, primal and maximization that of the control's too:
+    one grid when the control's are grid points already (a trajectory CSV's controls, a constant
+    control), else a second one, so each check samples the times it would alone."""
 
+    def __init__(self, scn: Scenario, path: PiecewisePath, cert: DualCertificate, useries: StepFunction | None):
+        self.scn, self.path, self.cert, self.C = scn, path, cert, scn.sweeping_set()
+        grid = _union_grid(path, cert)
+        self.on_grid = self.with_u = self._sample(grid)
+        if useries is not None:
+            at = np.minimum(np.searchsorted(grid, useries.times), grid.size - 1)
+            if not (grid[at] == useries.times).all():
+                self.with_u = self._sample(_union_grid(path, cert, useries.times))
+            self.u = useries.value(self.with_u[0])
+            self.contact = contact_switch_time(scn, path.times, path.states)
 
-# ---------------------------------------------------------------------------
-# Individual condition checks
-# ---------------------------------------------------------------------------
+    def _sample(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(tm, x, x', eta, q): x at the grid points and midpoints interleaved (t_0, m_0, t_1,
+        ..., t_N), the rest at the midpoints tm; the path's intervals are searched once."""
+        tm = 0.5 * (grid[:-1] + grid[1:])
+        points = np.empty(2 * grid.size - 1)
+        points[0::2], points[1::2] = grid, tm
+        path = self.path
+        k = _interval(path.times, points, len(path.states) - 1)
+        return tm, path._value(k, points), path._slope(k[1::2]), self.cert.eta.value(tm), self.cert.q.value(tm)
+
+    def primal(self) -> float:
+        tm, _, velocity, eta, _ = self.with_u
+        r = velocity + eta @ self.C.normals - self.scn.drive(self.u, tm, self.contact)
+        return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
+
+    def complementarity(self) -> tuple[float, float]:
+        (_, x, _, eta, q), C, cert = self.on_grid, self.C, self.cert
+        # Interval k sees the gaps at rows 2k, 2k + 1 and 2k + 2 of x.
+        apart = np.maximum(0.0, self.scn.pair_gaps(x) - MEMBERSHIP_TOL)
+        apart = np.maximum(np.maximum(apart[:-2:2], apart[1::2]), apart[2::2])
+        apart_T = np.maximum(0.0, self.scn.pair_gaps(self.path.terminal) - MEMBERSHIP_TOL)
+        r_slack = max(np.max(eta * apart, initial=0.0), np.max(cert.eta_terminal * apart_T))
+        off_surface = np.abs(q @ C.normals.T - C.offsets)
+        off_surface_T = np.abs(C.normals @ cert.q_at_T() - C.offsets)
+        r_dual = max(np.max(eta * off_surface, initial=0.0), np.max(cert.eta_terminal * off_surface_T))
+        return float(r_slack), float(r_dual)
+
+    def maximization(self) -> float:
+        tm, _, _, _, q = self.with_u
+        psi = self.scn.drive_adjoint(q, tm, self.contact)
+        best, _ = self.scn.control_set.maximize_linear(psi)
+        return float(np.max(best - np.sum(psi * self.u, axis=1), initial=0.0))
 
 
 def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
@@ -249,41 +292,19 @@ def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     path = as_path(traj)
     useries = as_step_series(u, path.horizon)
     scn.control_set.check_rows(useries.values)
-    C = scn.sweeping_set()
-    contact = contact_switch_time(scn, path.times, path.states)
-    tm = _midpoints(_union_grid(path, cert, useries.times))
-    r = path.velocity(tm) + cert.eta.value(tm) @ C.normals - scn.drive(useries.value(tm), tm, contact)
-    return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
+    return _Evaluation(scn, path, cert, useries).primal()
 
 
 def check_complementarity(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
     """Residuals of the two complementarity conditions.
 
-    First: eta_j weighted by the positive part of the pair gap
-    `scn.pair_gaps` (the model's own contact geometry: Euclidean disk
-    distance for the robots, order gap for the pedestrians) less
-    MEMBERSHIP_TOL at both ends
-    and the midpoint of each interval, so eta must vanish where the pair is
-    strictly apart.  Second: eta_j weighted by |<a_j, q> - c_j| (positive
-    eta pins q to the constraint surface).  Both include t = T through the
-    terminal eta.
+    First: eta_j weighted by the positive part of the pair gap `scn.pair_gaps` (the model's own
+    contact geometry: Euclidean disk distance for the robots, order gap for the pedestrians)
+    less MEMBERSHIP_TOL at both ends and the midpoint of each interval, so eta must vanish where
+    the pair is strictly apart.  Second: eta_j weighted by |<a_j, q> - c_j| (positive eta pins
+    q to the constraint surface).  Both include t = T through the terminal eta.
     """
-    path = as_path(traj)
-    C = scn.sweeping_set()
-    grid = _union_grid(path, cert)
-    tm = _midpoints(grid)
-    eta = cert.eta.value(tm)
-    # Gaps at t_0, m_0, t_1, m_1, ..., t_N: interval k sees rows 2k, 2k + 1 and 2k + 2.
-    points = np.empty(2 * grid.size - 1)
-    points[0::2], points[1::2] = grid, tm
-    apart = np.maximum(0.0, scn.pair_gaps(path.value(points)) - MEMBERSHIP_TOL)
-    apart = np.maximum(np.maximum(apart[:-2:2], apart[1::2]), apart[2::2])
-    apart_T = np.maximum(0.0, scn.pair_gaps(path.terminal) - MEMBERSHIP_TOL)
-    r_slack = max(np.max(eta * apart, initial=0.0), np.max(cert.eta_terminal * apart_T))
-    off_surface = np.abs(cert.q.value(tm) @ C.normals.T - C.offsets)
-    off_surface_T = np.abs(C.normals @ cert.q_at_T() - C.offsets)
-    r_dual = max(np.max(eta * off_surface, initial=0.0), np.max(cert.eta_terminal * off_surface_T))
-    return float(r_slack), float(r_dual)
+    return _Evaluation(scn, as_path(traj), cert, None).complementarity()
 
 
 def check_adjoint(scn: Scenario, cert: DualCertificate) -> float:
@@ -294,8 +315,9 @@ def check_adjoint(scn: Scenario, cert: DualCertificate) -> float:
 
 def check_measure_link(cert: DualCertificate) -> float:
     """Max over breakpoints (atom times excluded) of ||q(t) - p(t) + gamma([t, T])||."""
-    times = np.unique(np.concatenate([cert.q.times, cert.p.times]))
-    times = times[~cert.is_atom_time(times)]
+    atoms = cert.atom_times.tolist()
+    breaks = sorted({*cert.q.times.tolist(), *cert.p.times.tolist()})
+    times = np.array([t for t in breaks if all(abs(t - s) > TIME_TOL for s in atoms)])
     r = cert.q.value(times) - cert.p.value(times) + cert.gamma_tail(times)
     return float(np.max(np.linalg.norm(r, axis=1), initial=0.0))
 
@@ -304,12 +326,7 @@ def check_maximization(scn: Scenario, cert: DualCertificate, u, traj) -> float:
     """Sup over intervals of max_U <psi, u> - <psi, u(t)>, where psi = (dg/du)^T q
     is the scenario's `drive_adjoint`."""
     path = as_path(traj)
-    useries = as_step_series(u, path.horizon)
-    contact = contact_switch_time(scn, path.times, path.states)
-    tm = _midpoints(_union_grid(path, cert, useries.times))
-    psi = scn.drive_adjoint(cert.q.value(tm), tm, contact)
-    best, _ = scn.control_set.maximize_linear(psi)
-    return float(np.max(best - np.sum(psi * useries.value(tm), axis=1), initial=0.0))
+    return _Evaluation(scn, path, cert, as_step_series(u, path.horizon)).maximization()
 
 
 def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
@@ -319,9 +336,8 @@ def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[fl
     C = scn.sweeping_set()
     xT, eta_T = path.terminal, cert.eta_terminal
     r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + C.normals.T @ eta_T))
-    inactive = ~in_contact(scn.pair_gaps(xT))
-    r8 = max(np.max(eta_T[inactive], initial=0.0), np.max(-eta_T, initial=0.0))
-    return r7, float(r8)
+    contact, etas = in_contact(scn.pair_gaps(xT)).tolist(), eta_T.tolist()
+    return r7, max(0.0, *(e for e, c in zip(etas, contact) if not c), *(-e for e in etas))
 
 
 def check_nontriviality(cert: DualCertificate) -> bool:
@@ -333,14 +349,19 @@ def check_nontriviality(cert: DualCertificate) -> bool:
 def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     """Number of atoms at times t < T where no constraint is in contact."""
     path = as_path(traj)
-    t = cert.atom_times[cert.atom_times < path.horizon - TIME_TOL]
-    return int(np.sum(~np.any(in_contact(scn.pair_gaps(path.value(t))), axis=1)))
+    t = [s for s in cert.atom_times.tolist() if s < path.horizon - TIME_TOL]
+    if not t:
+        return 0
+    return sum(not any(row) for row in in_contact(scn.pair_gaps(path.value(np.array(t)))).tolist())
 
 
-def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
-    """Raise naming the field and both widths where the path or the certificate does not fit
-    the scenario: states, p and q have state_dim columns (the gamma atoms have p's width, which
-    `DualCertificate` checks), eta and eta_terminal one per sweeping row."""
+def _check_fit(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
+    """Raise naming the field where the path or the certificate does not fit the scenario.
+    Widths first, naming both: states, p and q have state_dim columns (the gamma atoms have p's
+    width, which `DualCertificate` checks), eta and eta_terminal one per sweeping row.  Then the
+    path and the certificate's eta, p and q must start at t = 0 (naming the start) and end at
+    the scenario's T (naming both horizons, and a step function's end), each within
+    TIME_TOL * max(1, T), the rule of `Mesh.spans`."""
     d, s = scn.state_dim, scn.sweeping_set().nrows
     for name, array, want in (
         ("trajectory state", path.states, d),
@@ -352,14 +373,6 @@ def _check_widths(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> 
         got = array.shape[1:]
         if got != (want,):
             raise ValueError(f"{name} has width {got[0] if len(got) == 1 else got}, the scenario needs {want}")
-
-
-def _check_horizons(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
-    """Raise naming the field and its start where the path or one of the certificate's step
-    functions (eta, p, q) starts off t = 0, naming both horizons where the path ends off the
-    scenario's horizon T, and naming the field, its end and both horizons where one of the
-    certificate's step functions ends off T, each by more than TIME_TOL * max(1, T), the rule
-    of `Mesh.spans`."""
     T = scn.horizon
     slack = TIME_TOL * max(1.0, T)
     fields = (
@@ -378,38 +391,27 @@ def _check_horizons(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -
             raise ValueError(f"{name} ends at t = {end:g}: certificate horizon {end:g} != scenario horizon {T:g}")
 
 
-def verify_certificate(
-    scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL
-) -> ResidualReport:
-    """Run all conditions; the report passes iff every entry passes at `tol`.  Widths that do
-    not fit the scenario raise a ValueError naming the field, a path or certificate step
-    function that starts off 0 one naming it and its start, a path on another horizon one
-    naming both horizons, and a certificate step function that ends off T one naming it, its
-    end and both horizons, before any residual."""
+# The conditions with a residual at `tol`, in report order.
+_CONDITIONS = ("1-primal", "2-complementarity", "3-dual-surface", "4-adjoint", "5-measure-link",
+               "6-maximization", "7-transversality", "8-terminal-cone")
+
+
+def verify_certificate(scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL) -> ResidualReport:
+    """Run all conditions; the report passes iff every entry passes at `tol`.  A path or a
+    certificate that does not fit the scenario (`_check_fit`) or a control outside U raises a
+    ValueError before any residual."""
     path = as_path(traj)
-    _check_widths(scn, path, cert)
-    _check_horizons(scn, path, cert)
-    r1 = check_primal(scn, path, u, cert)
-    r2, r3 = check_complementarity(scn, path, cert)
-    r4 = check_adjoint(scn, cert)
-    r5 = check_measure_link(cert)
-    r6 = check_maximization(scn, cert, u, path)
-    r7, r8 = check_transversality(scn, path, cert)
+    _check_fit(scn, path, cert)
+    useries = as_step_series(u, path.horizon)
+    scn.control_set.check_rows(useries.values)
+    checks = _Evaluation(scn, path, cert, useries)
+    residuals = (checks.primal(), *checks.complementarity(), check_adjoint(scn, cert), check_measure_link(cert),
+                 checks.maximization(), *check_transversality(scn, path, cert))
+    entries = [ResidualEntry(name, r, tol, r <= tol) for name, r in zip(_CONDITIONS, residuals)]
     nontrivial = check_nontriviality(cert)
     atoms_bad = check_nonatomicity(cert, path, scn)
-
-    entries = [
-        ResidualEntry("1-primal", r1, tol, r1 <= tol),
-        ResidualEntry("2-complementarity", r2, tol, r2 <= tol),
-        ResidualEntry("3-dual-surface", r3, tol, r3 <= tol),
-        ResidualEntry("4-adjoint", r4, tol, r4 <= tol),
-        ResidualEntry("5-measure-link", r5, tol, r5 <= tol),
-        ResidualEntry("6-maximization", r6, tol, r6 <= tol),
-        ResidualEntry("7-transversality", r7, tol, r7 <= tol),
-        ResidualEntry("8-terminal-cone", r8, tol, r8 <= tol),
-        ResidualEntry("9-nontriviality", 0.0 if nontrivial else 1.0, 0.5, nontrivial),
-        ResidualEntry("nonatomicity", float(atoms_bad), 0.5, atoms_bad == 0),
-    ]
+    entries.append(ResidualEntry("9-nontriviality", 0.0 if nontrivial else 1.0, 0.5, nontrivial))
+    entries.append(ResidualEntry("nonatomicity", float(atoms_bad), 0.5, atoms_bad == 0))
     return ResidualReport(entries=tuple(entries))
 
 
@@ -469,12 +471,8 @@ def certificate_from_dict(d: dict) -> DualCertificate:
 
 
 def save_certificate(cert: DualCertificate, path) -> None:
-    from pathlib import Path
-
     Path(path).write_text(json.dumps(certificate_to_dict(cert), indent=2) + "\n")
 
 
 def load_certificate(path) -> DualCertificate:
-    from pathlib import Path
-
     return certificate_from_dict(json.loads(Path(path).read_text()))

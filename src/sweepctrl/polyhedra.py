@@ -318,9 +318,10 @@ def _project_rows(
     if not finite and not np.isfinite(E).all():  # the NNLS kernel does not check its input
         if not (all(map(math.isfinite, vs)) and np.isfinite(E[:n]).all()):
             raise ValueError("projection input must not contain infs or NaNs")
-        # A row satisfied by so much more than the worst violation that v/top overflows:
-        # any positive scale leaves x as it is, and max |v| keeps every |h_j| <= 1.
-        top = max(map(abs, vs))
+        # A row satisfied by so much more than the worst violation that v/top overflows: any
+        # positive divisor leaves x as it is.  The one nearest 1 in [max |v| 2^-1023, top 2^1022]
+        # keeps every |h_j| <= 2^1023 and the worst violation's h normal, so its bits survive.
+        top = max(max(map(abs, vs)) * 2.0**-1023, min(1.0, top * 2.0**1022))
         E[n] = h = [v / top for v in vs]
     try:
         u, _ = _nnls()(E, _last_unit_vector(n + 1))

@@ -433,6 +433,34 @@ def trajectory_csv(
 _LATER_COLUMNS = {"t": ("x",), "x": ("u", "eta"), "u": ("eta",), "eta": ()}
 
 
+def _parse_cells(body: list[str], header: list[str]) -> np.ndarray:
+    """The data rows parsed cell by cell with float(); raises naming the first ragged row or
+    the first cell that is not a finite number."""
+    try:
+        data = np.array([[float(tok) for tok in ln.split(",")] for ln in body])
+    except ValueError:  # a cell that is not a number, or ragged rows: only then is the cause looked for
+        data = None
+    if data is None or data.shape[1] != len(header):
+        for k, ln in enumerate(body):
+            cells = ln.split(",")
+            if len(cells) != len(header):
+                raise ValueError(f"trajectory CSV data row {k + 1} has {len(cells)} cells, the header {len(header)}")
+            for name, tok in zip(header, cells):
+                try:
+                    finite = math.isfinite(float(tok))
+                except ValueError:
+                    finite = False
+                if not finite:
+                    raise ValueError(
+                        f"trajectory CSV column '{name}', data row {k + 1}: {tok.strip()!r} is not a finite number"
+                    )
+    bad = np.argwhere(~np.isfinite(data))
+    if bad.size:
+        row, col = bad[0]
+        raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
+    return data
+
+
 def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
     """Inverse of trajectory_csv; returns times/states/controls/etas arrays.
 
@@ -463,29 +491,15 @@ def read_trajectory_csv(text: str) -> dict[str, np.ndarray]:
             allowed.add(f"{group}{len(groups[group]) + 1}")
     if not groups["x"]:
         raise ValueError("trajectory CSV header needs 'x' columns after 't'")
+    body = lines[1:]
+    # One C-level parse: np.loadtxt accepts a subset of what float() does, with the same bits.
+    # Text it refuses, a wrong shape and a non-finite value go cell by cell, to name the cause.
     try:
-        rows = [[float(tok) for tok in ln.split(",")] for ln in lines[1:]]
-        data = np.array(rows)
-    except ValueError:  # a cell that is not a number, or ragged rows: only then is the cause looked for
+        data = np.loadtxt(body, delimiter=",", comments=None, ndmin=2)
+    except ValueError:
         data = None
-    if data is None or data.shape[1] != len(header):
-        for k, ln in enumerate(lines[1:]):
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"trajectory CSV data row {k + 1} has {len(cells)} cells, the header {len(header)}")
-            for name, tok in zip(header, cells):
-                try:
-                    finite = math.isfinite(float(tok))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise ValueError(
-                        f"trajectory CSV column '{name}', data row {k + 1}: {tok.strip()!r} is not a finite number"
-                    )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
+    if data is None or data.shape != (len(body), len(header)) or not np.isfinite(data).all():
+        data = _parse_cells(body, header)
     out = {"times": data[:, groups["t"][0]], "states": data[:, groups["x"]]}
     if groups["u"]:
         out["controls"] = data[:, groups["u"]]

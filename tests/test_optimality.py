@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sweepctrl import cli, optimality
 from sweepctrl.models import bundled_scenario, bundled_scenario_path, parse_scenario_text
 from sweepctrl.optimality import (
     DualCertificate,
@@ -23,11 +24,21 @@ from sweepctrl.optimality import (
     check_nontriviality,
     check_primal,
     check_transversality,
+    load_certificate,
     verify_certificate,
     _union_grid,
 )
+from sweepctrl.optimizer import solve_reduced
 from sweepctrl.polyhedra import Polyhedron
-from sweepctrl.sweeping import ControlSignal, EtaProfile, Mesh, Trajectory, contact_switch_time, simulate
+from sweepctrl.sweeping import (
+    ControlSignal,
+    EtaProfile,
+    Mesh,
+    Trajectory,
+    contact_switch_time,
+    read_trajectory_csv,
+    simulate,
+)
 
 T1_PED2 = 5.0 / 9.0
 
@@ -517,3 +528,90 @@ def test_array_checks_match_the_interval_loops(text, control):
         times = np.r_[cert.atom_times, cert.q.times]  # atom times included: gamma([t, T]) holds the atom at t
         tails = [sum((v for s, v in cert.gamma_atoms if s >= t - 1e-12), np.zeros(cert.p.dim)) for t in times]
         assert np.allclose(cert.gamma_tail(times), tails, rtol=1e-13, atol=1e-13)
+
+
+# The ten residuals of each bundled scenario's reduced certificate, as `float.hex`, for three
+# verifications: `sol.verification`, `verify` on the CSV and certificate `solve-reduced` writes
+# (m = 8), and the same with lambda and q raised by 0.1.
+PINNED_RESIDUALS = {
+    "robot2.scn": {
+        "solution": ("0x1.07e0f66afed07p-49", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                     "0x1.0000000000000p-48", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "csv": ("0x1.a35e6e552abd3p-42", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                "0x1.0000000000000p-48", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "corrupted": ("0x1.a35e6e552abd3p-42", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x1.9999999999980p-3",
+                      "0x1.6e89a31b7a800p-10", "0x1.b27247aff1498p-1", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    },
+    "pedestrian2.scn": {
+        "solution": ("0x1.07e0f66afed07p-49", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "csv": ("0x1.5500060180529p-41", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0",
+                "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "corrupted": ("0x1.5500060180529p-41", "0x0.0p+0", "0x1.599999999999ap-48", "0x0.0p+0", "0x1.21a1851ff630fp-3",
+                      "0x0.0p+0", "0x1.b27247aff14a1p-2", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    },
+    "pedestrian3.scn": {
+        "solution": ("0x1.99ccc999fff00p-48", "0x0.0p+0", "0x1.aaaaaaaaaaaaap-48", "0x0.0p+0", "0x0.0p+0",
+                     "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "csv": ("0x1.db0990e169ad1p-41", "0x0.0p+0", "0x1.aaaaaaaaaaaaap-48", "0x0.0p+0", "0x0.0p+0",
+                "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+        "corrupted": ("0x1.db0990e169ad1p-41", "0x0.0p+0", "0x1.aaaaaaaaaaaaap-48", "0x0.0p+0", "0x1.62b9586ad09c2p-3",
+                      "0x0.0p+0", "0x1.5775c544ff26ap+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    },
+}
+
+
+def solve_reduced_artifacts(name, tmp_path):
+    """The solution of a bundled scenario, and the path, control and certificate `verify` reads
+    back from what `solve-reduced --mesh-exp=8` wrote."""
+    assert cli.main(["solve-reduced", str(bundled_scenario_path(name)), "--mesh-exp=8", f"--out={tmp_path}"]) == 0
+    data = read_trajectory_csv((tmp_path / "trajectory.csv").read_text())
+    u = StepFunction(data["times"], data["controls"][:-1])
+    sol = solve_reduced(bundled_scenario(name))
+    return sol, PiecewisePath(data["times"], data["states"]), u, load_certificate(tmp_path / "certificate.json")
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RESIDUALS))
+def test_bundled_residuals_are_pinned_bit_for_bit(name, tmp_path):
+    sol, path, u, cert = solve_reduced_artifacts(name, tmp_path)
+    corrupted = dataclasses.replace(cert, lam=cert.lam + 0.1, q=StepFunction(cert.q.times, cert.q.values + 0.1))
+    reports = {
+        "solution": sol.verification,
+        "csv": verify_certificate(sol.scenario, path, u, cert),
+        "corrupted": verify_certificate(sol.scenario, path, u, corrupted),
+    }
+    for kind, report in reports.items():
+        assert tuple(e.residual.hex() for e in report.entries) == PINNED_RESIDUALS[name][kind], kind
+
+
+@pytest.fixture
+def grid_builds(monkeypatch):
+    """The `extra` time arrays of every `_union_grid` call."""
+    calls = []
+    real = optimality._union_grid
+
+    def spy(path, cert, *extra):
+        calls.append(extra)
+        return real(path, cert, *extra)
+
+    monkeypatch.setattr(optimality, "_union_grid", spy)
+    return calls
+
+
+@pytest.mark.parametrize("name", ["robot2.scn", "pedestrian3.scn"])
+def test_verify_builds_one_grid_when_the_control_breakpoints_are_on_it(name, tmp_path, grid_builds):
+    sol, path, u, cert = solve_reduced_artifacts(name, tmp_path)
+    grid_builds.clear()
+    csv_report = verify_certificate(sol.scenario, path, u, cert)  # a CSV's controls: the path's breakpoints
+    assert grid_builds == [()]
+    grid_builds.clear()
+    verify_certificate(sol.scenario, sol.path, sol.control, sol.certificate)  # a constant control
+    assert grid_builds == [()]
+    # Control breakpoints off the grid: primal and maximization get a second grid holding them,
+    # and complementarity keeps the first, so its residual does not move.
+    off = np.r_[0.0, 0.5 * (path.times[1:3] + path.times[2:4]), path.horizon]
+    grid_builds.clear()
+    report = verify_certificate(sol.scenario, path, StepFunction(off, u.value(off[:-1])), cert)
+    assert len(grid_builds) == 2 and grid_builds[0] == () and np.array_equal(*grid_builds[1], off)
+    for condition in ("2-complementarity", "3-dual-surface"):
+        assert report.entry(condition).residual == csv_report.entry(condition).residual

@@ -576,14 +576,16 @@ class TestNonFinitePointsAndVectors:
             x, W = project_raw(np.array([[1e154, 0.0], [0.0, 1.0]]), np.zeros(2), y)
         assert x.tolist() == y.tolist() and W.size == 0
 
-    @pytest.mark.parametrize("y", [[-1e300, 1e-10], [-1e200, 1e-120]])
+    @pytest.mark.parametrize("y", [[-1e300, 1e-10], [-1e200, 1e-120], [-1e300, 1e-300], [-1.7e308, 1e-320]])
     def test_a_row_satisfied_far_beyond_the_worst_violation_is_projected(self, y):
-        # v_0 / top overflows (-1e310, -1e320): E's last row is scaled by max |v| instead, not
-        # refused as non-finite input.  Its entry for the violated row is then subnormal, so x_1
-        # is 0 to a few bits of precision in units of y_1.  No errstate: a warning fails the test.
-        x, W = project_with_working_set(Polyhedron(np.eye(2), np.zeros(2)), np.array(y), tol=0.0)
-        assert x[0] == y[0] and abs(x[1]) <= 1e-3 * y[1]
+        # v_0 / top overflows (-1e310, -1e320, -1e600, ...): E's last row takes another divisor,
+        # not refused as non-finite input.  The divisor keeps the violated row's entry normal, so
+        # x_1 is 0 exactly, on the boundary at tol 0.  No errstate: a warning fails the test.
+        P = Polyhedron(np.eye(2), np.zeros(2))
+        x, W = project_with_working_set(P, np.array(y), tol=0.0)
+        assert x.tolist() == [y[0], 0.0]
         assert W.tolist() == [1]
+        assert project(P, np.array(y), tol=0.0).tolist() == [y[0], 0.0]
 
 
 class TestNnlsLoader:

@@ -16,7 +16,7 @@ from sweepctrl.models import (
     parse_scenario_text,
 )
 from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
-from sweepctrl import polyhedra
+from sweepctrl import polyhedra, sweeping
 from sweepctrl.polyhedra import Polyhedron, contains, decompose_on_rows, project_raw
 from sweepctrl.sweeping import (
     STEP_TOL,
@@ -513,6 +513,72 @@ class TestCsv:
         back = read_trajectory_csv(trajectory_csv(times[:, 0], states, controls, etas[:-1], etas[-1]))
         for key, want in (("times", times[:, 0]), ("states", states), ("controls", controls), ("etas", etas)):
             assert back[key].tobytes() == want.tobytes(), key
+
+    # Malformed text for the differential test: each edits the data rows of a well-formed CSV.
+    MUTATIONS = {
+        "ragged": lambda rows, r: rows[:r] + [rows[r].rsplit(",", 1)[0]] + rows[r + 1:],
+        "extra-cell": lambda rows, r: rows[:r] + [rows[r] + ",1.0"] + rows[r + 1:],
+        "empty-cell": lambda rows, r: rows[:r] + ["," + rows[r].split(",", 1)[1]] + rows[r + 1:],
+        "trailing-comma": lambda rows, r: rows[:r] + [rows[r] + ","] + rows[r + 1:],
+        "hash": lambda rows, r: rows[:r] + ["#" + rows[r]] + rows[r + 1:],
+        "blank-lines": lambda rows, r: rows[:r] + ["", "   ", rows[r], "\t"] + rows[r + 1:],
+        "crlf": lambda rows, r: ["\r\n".join(rows)],
+        "spaces": lambda rows, r: rows[:r] + [", ".join(f" {c} " for c in rows[r].split(","))] + rows[r + 1:],
+        "nan": lambda rows, r: rows[:r] + ["nan," + rows[r].split(",", 1)[1]] + rows[r + 1:],
+        "inf": lambda rows, r: rows[:r] + [rows[r].rsplit(",", 1)[0] + ",-inf"] + rows[r + 1:],
+        "overflow": lambda rows, r: rows[:r] + [rows[r].rsplit(",", 1)[0] + ",1e400"] + rows[r + 1:],
+        "underscore": lambda rows, r: rows[:r] + ["1_0," + rows[r].split(",", 1)[1]] + rows[r + 1:],
+        "single-row": lambda rows, r: rows[r:r + 1],
+    }
+
+    @staticmethod
+    def outcome(text: str):
+        """`read_trajectory_csv`'s arrays as bytes, or its ValueError text."""
+        try:
+            return {k: (v.shape, v.tobytes()) for k, v in read_trajectory_csv(text).items()}
+        except ValueError as exc:
+            return str(exc)
+
+    def outcome_cell_by_cell(self, text: str):
+        """The same, with the one-parse path refused, so every cell goes through float()."""
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(np, "loadtxt", refuse)
+            return self.outcome(text)
+
+    def test_well_formed_text_is_parsed_in_one_call(self, monkeypatch):
+        def cell_by_cell(*args):
+            raise AssertionError("parsed cell by cell")
+
+        monkeypatch.setattr(sweeping, "_parse_cells", cell_by_cell)
+        text = trajectory_csv(np.array([0.0, 0.5, 1.0]), np.array([[1.0, 2.0], [-0.0, 5e-324], [1e300, -1e-300]]))
+        assert read_trajectory_csv(text)["states"].tobytes() == np.array([[1.0, 2.0], [-0.0, 5e-324], [1e300, -1e-300]]).tobytes()
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(
+        st.integers(1, 5).flatmap(
+            lambda rows: st.lists(
+                st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=5, max_size=5),
+                min_size=rows, max_size=rows,
+            )
+        ),
+        st.sampled_from([None, *MUTATIONS]),
+        st.integers(0, 4),
+    )
+    def test_one_parse_matches_the_cell_by_cell_path(self, values, mutation, r):
+        """Bit-identical arrays on repr-formatted doubles (subnormals, +-0.0 and 1e+-300 included),
+        and the same result or the same ValueError text on malformed rows."""
+        rows = [",".join(map(repr, row)) for row in values]
+        if mutation is not None:
+            rows = self.MUTATIONS[mutation](rows, r % len(rows))
+        text = "t,x1,x2,u1,eta1\n" + "\n".join(rows) + "\n"
+        fast = self.outcome(text)
+        assert fast == self.outcome_cell_by_cell(text)
+        if mutation is None:
+            assert fast["states"][1] == np.array(values)[:, 1:3].tobytes()
 
 
 class TestControlCheck:
