@@ -96,28 +96,49 @@ class ControlSet:
     def rhi(self) -> float:
         return float(self.hi[0])
 
+    @functools.cached_property
+    def _basis_sq(self) -> np.ndarray:
+        return np.einsum("qd,qd->q", self.basis, self.basis)
+
+    @functools.cached_property
+    def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.lo - CONTROL_TOL, self.hi + CONTROL_TOL
+
     def parameters(self, u) -> np.ndarray:
         """Least-squares parameters p of u (of each row of an (N, d) array); exact on the set.
         `einsum`, not a BLAS product, so that a row gets the same p in a batch of any size."""
-        B = self.basis
-        return np.einsum("...d,qd->...q", np.asarray(u, dtype=float), B) / np.einsum("qd,qd->q", B, B)
+        return np.einsum("...d,qd->...q", np.asarray(u, dtype=float), self.basis) / self._basis_sq
 
     def in_box(self, P) -> np.ndarray:
         """Entrywise lo - CONTROL_TOL <= p <= hi + CONTROL_TOL for parameter rows P (a NaN
         parameter is outside): the one parameter rule of the set."""
-        return (self.lo - CONTROL_TOL <= P) & (P <= self.hi + CONTROL_TOL)
+        lo, hi = self._bounds
+        return (lo <= P) & (P <= hi)
 
     def _first_violation(self, values, tol: float) -> tuple[int, str] | None:
         """(row, message) for the first control row of the wrong width, off the span of the basis
-        by more than tol * max(1, |p|) (so any non-finite row) or with p outside [lo - tol, hi + tol]."""
+        by more than tol * max(1, |p|) (so any non-finite row) or with p outside [lo - tol, hi + tol].
+
+        All rows in is the usual answer, so it is decided first, with the fewest array calls (a
+        count of the true entries, not an ndarray reduction, which costs more): a box's p is u
+        (exactly, where u is finite, and a NaN or an inf u is outside its bounds), so it takes
+        neither `parameters` nor the span test."""
         U = np.atleast_2d(np.asarray(values, dtype=float))
         if U.shape[1] != self.dim:
             return 0, f"u has width {U.shape[1]}, the control set width {self.dim}"
+        if self.kind == "box":
+            within = self.in_box(U)
+            if np.count_nonzero(within) == within.size:
+                return None
+            k = int(within.all(1).argmin())
+            i = int(within[k].argmin())
+            return k, f"u{i + 1} = {U[k, i]:g} outside [{self.lo[i]:g}, {self.hi[i]:g}]"
         finite = np.isfinite(U)
-        P = self.parameters(np.where(finite, U, 0.0))  # 0 * NaN would reach every parameter of a box
+        all_finite = np.count_nonzero(finite) == finite.size
+        P = self.parameters(U if all_finite else np.where(finite, U, 0.0))  # finite: no inf - inf below
         off = np.abs(U - P @ self.basis)
         within = self.in_box(P)
-        if (off <= tol).all() and within.all():  # all in: no row-wise reductions, which cost more
+        if np.count_nonzero(off <= tol) == off.size and np.count_nonzero(within) == within.size:
             return None
         on = off.max(1) <= tol * np.maximum(1.0, np.abs(P).max(1))
         good = on & within.all(1)
@@ -125,9 +146,6 @@ class ControlSet:
             return None
         k = int(good.argmin())
         u, p = U[k], P[k]
-        if self.kind == "box":  # p = u, coordinate by coordinate
-            i = int(np.argmin(finite[k] & within[k]))
-            return k, f"u{i + 1} = {u[i]:g} outside [{self.lo[i]:g}, {self.hi[i]:g}]"
         if not finite[k].all():
             i = int(np.argmin(finite[k]))
             return k, f"u{i + 1} = {u[i]:g} is not a finite number"

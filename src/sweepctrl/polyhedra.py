@@ -6,11 +6,13 @@ operations in this module.
 Projection is a least-distance program.  Onto one halfspace (a two-agent
 K(x)) it is the closed form x = y - (<a, y> - c)/|a|^2 a; otherwise a
 single NNLS call (Lawson & Hanson) solves it, exact on the small dense
-problems met here.  scipy is imported on the first NNLS call, so a run
-that never needs one (parsing, `verify`, a two-agent simulation and its
-multipliers) never loads `scipy.optimize`.  The public entry points take a
-finite `tol >= 0`; `project_raw`, the catch-up loop's kernel, trusts its
-caller's.
+problems met here.  That call is scipy's compiled kernel: its extension
+file alone is loaded on the first NNLS call, and `scipy.optimize` is
+imported only where that file is missing or fails its probe, for the
+public `nnls`.  A run that never needs one
+(parsing, `verify`, a two-agent simulation and its multipliers) loads no
+part of scipy.  The public entry points take a finite `tol >= 0`;
+`project_raw`, the catch-up loop's kernel, trusts its caller's.
 
 The arrays met here hold 1 to 8 entries, so numpy's fixed cost per call,
 not arithmetic, is most of each operation's time.  So every call makes one
@@ -31,8 +33,12 @@ ValueError where it enters, naming it.
 from __future__ import annotations
 
 import functools
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from operator import mul
 
 import numpy as np
@@ -40,36 +46,72 @@ import numpy as np
 from .tolerances import EMPTY_RTOL, LICQ_RTOL, MEMBERSHIP_TOL
 
 
+_KERNEL = "scipy.optimize._slsqplib"
+
+
+def _kernel_module():
+    """scipy's compiled `optimize/_slsqplib` extension module, without running the
+    `scipy.optimize` package, which costs most of a short CLI run's time and memory.
+
+    The module `sys.modules` already holds (`None` there blocks it) is used as it stands.
+    Otherwise the extension file is looked up in scipy's package directory only and loaded alone.
+    A single-phase extension enters itself in `sys.modules`; it is taken out again, so that a
+    later `import scipy.optimize` binds its own module object (over the same compiled functions).
+    Raises ImportError or OSError where the file is missing or cannot be loaded.
+    """
+    if _KERNEL in sys.modules:
+        if sys.modules[_KERNEL] is None:
+            raise ImportError(f"{_KERNEL} is blocked")
+        return sys.modules[_KERNEL]
+    scipy = sys.modules.get("scipy")
+    if scipy is not None:
+        dirs = scipy.__path__
+    else:  # found, not imported
+        spec = importlib.util.find_spec("scipy")
+        dirs = spec and spec.submodule_search_locations
+    if not dirs:
+        raise ImportError("no scipy package directory")
+    finder = FileFinder(os.path.join(dirs[0], "optimize"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
+    found = finder.find_spec(_KERNEL)
+    if found is None:
+        raise ImportError(f"no {_KERNEL} extension file under {dirs[0]}")
+    module = importlib.util.module_from_spec(found)
+    found.loader.exec_module(module)
+    if sys.modules.get(_KERNEL) is module:
+        del sys.modules[_KERNEL]
+    return module
+
+
 @functools.cache
 def _nnls():
     """An NNLS solver `(E, f) -> (u, ||E u - f||)`, built on the first call, so that importing the
-    package does not load scipy.optimize (the largest part of the package's import time).
+    package loads no part of scipy.
 
     It is scipy's compiled Lawson & Hanson kernel `_slsqplib.nnls(E, f, maxiter)` with the public
     `nnls`'s iteration cap (3 times the columns) and its RuntimeError on the cap (info == 3), but
     without that wrapper's argument checks, which take about three quarters of a public call on
     the problems met here.  So the callers pass C-contiguous float64 arrays and reject non-finite
-    input themselves.  The kernel is private: when it is missing, or fails a probe solve (its
-    signature or its result changed, it rejects a read-only right-hand side, or it writes into
-    E or f), this is the public `nnls`.
+    input themselves.  The kernel's extension file is loaded alone (`_kernel_module`), so a run
+    never imports `scipy.optimize` unless it falls back.  The kernel is private: when it is
+    missing (a scipy without `optimize/_slsqplib*`), or fails a probe solve (its signature or its
+    result changed, it rejects a read-only right-hand side, or it writes into E or f), this is
+    the public `scipy.optimize.nnls`, and the first NNLS solve imports `scipy.optimize`.
     """
-    from scipy.optimize import nnls
-
     try:
-        from scipy.optimize._slsqplib import nnls as kernel
-    except ImportError:
-        return nnls
+        kernel = _kernel_module().nnls
+    except (ImportError, OSError, AttributeError):
+        return _public_nnls()
     E, f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0])
     f.flags.writeable = False  # as `project_raw`'s shared right-hand side
     E0, f0 = E.copy(), f.copy()
     try:
         u, rnorm, info = kernel(E, f, 6)
     except Exception:  # another signature: whatever a changed private kernel raises, the public one stands in
-        return nnls
+        return _public_nnls()
     if info == 3 or not (np.allclose(u, [1.5, 1.0]) and math.isclose(rnorm, math.sqrt(0.5))):
-        return nnls
+        return _public_nnls()
     if not (np.array_equal(E, E0) and np.array_equal(f, f0)):
-        return nnls  # a kernel that writes into its input would corrupt the shared right-hand side
+        return _public_nnls()  # a kernel that writes into its input would corrupt the shared right-hand side
 
     def solve(E, f):
         u, rnorm, info = kernel(E, f, 3 * E.shape[1])
@@ -78,6 +120,12 @@ def _nnls():
         return u, rnorm
 
     return solve
+
+
+def _public_nnls():
+    from scipy.optimize import nnls
+
+    return nnls
 
 
 def _check_finite(v: np.ndarray, name: str) -> None:

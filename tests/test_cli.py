@@ -412,6 +412,47 @@ print(*codes, "scipy.optimize" in sys.modules)
     assert "eta1" in (tmp_path / "trajectory.csv").read_text().splitlines()[0]
 
 
+ROBOT3_CHAIN = """model = robot
+n = 3
+R = 1.5
+T = 6
+x0 = -30 -30 -25 -25 -20 -20
+speeds = 1 1 1
+angles_deg = 225 225 225
+control.kind = box
+control.lo = -3 -3 -3
+control.hi = 1 1 1
+"""
+
+
+def test_multi_row_simulate_and_solve_discrete_leave_scipy_optimize_unloaded(tmp_path):
+    # Three or more agents project onto two or more rows, through scipy's NNLS kernel, whose
+    # extension file is loaded alone: no CLI run imports `scipy.optimize`.
+    import sweepctrl
+
+    chain = tmp_path / "robot3.scn"
+    chain.write_text(ROBOT3_CHAIN)
+    out = {name: str(tmp_path / name) for name in ("chain", "sim", "search")}
+    script = f"""
+import sys
+import sweepctrl.cli
+from sweepctrl import polyhedra
+codes = [sweepctrl.cli.main(["simulate", {str(chain)!r}, "--control=-3,-1,1", "--mesh-exp", "8", "--out", {out["chain"]!r}])]
+nnls_built = polyhedra._nnls.cache_info().currsize  # 1 once a projection has taken the NNLS branch
+codes += [
+    sweepctrl.cli.main(["simulate", {PED3!r}, "--control=2,2,0.5", "--mesh-exp", "8", "--out", {out["sim"]!r}]),
+    sweepctrl.cli.main(["solve-discrete", {PED3!r}, "--mesh-exp", "6", "--budget", "20", "--out", {out["search"]!r}]),
+]
+print(*codes, nnls_built, "scipy.optimize" in sys.modules)
+"""
+    src = str(Path(sweepctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split()[-5:] == ["0", "0", "0", "1", "False"]
+    for name in out:
+        assert (tmp_path / name / "trajectory.csv").is_file()
+
+
 class TestSolveDiscrete:
     def test_finds_reduced_optimum(self, tmp_path, capsys):
         code = main(

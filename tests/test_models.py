@@ -25,6 +25,7 @@ from sweepctrl.models import (
     robot_sweeping_set,
     verify_set_representation,
 )
+from sweepctrl.tolerances import CONTROL_TOL
 
 
 def robot_example():
@@ -460,6 +461,58 @@ class TestControlSetAgreement:
             assert inside
         if change == "width":
             assert f"width {u.size}" in msg and f"width {U.dim}" in msg
+
+
+def reference_first_violation(U: ControlSet, values, tol):
+    """`ControlSet._first_violation` as one formula for both kinds: every row's parameters (of its
+    finite entries), its distance from the span of the basis and its bounds, then the first bad row."""
+    V = np.atleast_2d(np.asarray(values, dtype=float))
+    if V.shape[1] != U.dim:
+        return 0, f"u has width {V.shape[1]}, the control set width {U.dim}"
+    finite = np.isfinite(V)
+    P = U.parameters(np.where(finite, V, 0.0))
+    off = np.abs(V - P @ U.basis)
+    within = U.in_box(P)
+    on = off.max(1) <= tol * np.maximum(1.0, np.abs(P).max(1))
+    good = on & within.all(1)
+    if good.all():
+        return None
+    k = int(good.argmin())
+    u, p = V[k], P[k]
+    if U.kind == "box":
+        i = int(np.argmin(finite[k] & within[k]))
+        return k, f"u{i + 1} = {u[i]:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]"
+    if not finite[k].all():
+        i = int(np.argmin(finite[k]))
+        return k, f"u{i + 1} = {u[i]:g} is not a finite number"
+    if not on[k]:
+        return k, f"u = {u.tolist()} is not proportional to the link {U.link.tolist()}"
+    return k, f"link parameter {p[0]:g} outside [{U.rlo:g}, {U.rhi:g}]"
+
+
+@st.composite
+def control_set_and_rows(draw):
+    """The set and first row of `control_set_and_row`, then up to five more rows of its width,
+    each on the set or with one entry a number in [-10, 10], NaN or +-inf."""
+    U, u, change = draw(control_set_and_row())
+    if change == "width":
+        return U, u
+    entry = st.floats(-10.0, 10.0) | st.sampled_from([np.nan, np.inf, -np.inf])
+    rows = [u]
+    for _ in range(draw(st.integers(0, 5))):
+        row = U.at_parameter(U.lo + (U.hi - U.lo) * draw(hnp.arrays(float, U.lo.size, elements=st.floats(0.0, 1.0))))
+        if draw(st.booleans()):
+            row[draw(st.integers(0, U.dim - 1))] = draw(entry)
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    return U, np.array(rows)
+
+
+class TestFirstViolationReference:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(control_set_and_rows())
+    def test_fast_paths_agree_with_the_one_formula(self, case):
+        U, rows = case
+        assert U._first_violation(rows, CONTROL_TOL) == reference_first_violation(U, rows, CONTROL_TOL)
 
 
 class TestValueEquality:

@@ -1,6 +1,10 @@
 """Geometry engine tests: membership, active sets, projection, cone decomposition."""
 
+import os
+import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -677,3 +681,71 @@ class TestNnlsLoader:
         monkeypatch.setattr(polyhedra, "_nnls", lambda: solver)
         with pytest.raises(ProjectionError, match="projection failed"):
             project_raw(np.array([[1.0, -1.0], [-1.0, 0.0]]), np.array([-6.0, 1.0]), np.zeros(2))
+
+
+def _run_fresh(script: str) -> list[str]:
+    """The words `script` prints, run in a new interpreter that imports sweepctrl from this tree."""
+    src = str(Path(polyhedra.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True).stdout.split()
+
+
+class TestNnlsLoaderFreshProcess:
+    """The loader's lookup past `sys.modules`, which the pytest process (where `scipy.optimize` is
+    already imported) does not reach: the kernel's extension file loaded alone, and its absence."""
+
+    @staticmethod
+    def skip_without_kernel_file():
+        import scipy
+
+        optimize = Path(scipy.__path__[0], "optimize")
+        if not any((optimize / f"_slsqplib{suffix}").is_file() for suffix in EXTENSION_SUFFIXES):
+            pytest.skip("this scipy has no optimize/_slsqplib extension file")
+
+    @pytest.mark.parametrize("first", ["", "import scipy"], ids=["scipy-found", "scipy-imported"])
+    def test_kernel_file_alone_then_identical_to_the_public_nnls(self, first):
+        self.skip_without_kernel_file()
+        script = f"""
+import sys
+import numpy as np
+{first}
+from sweepctrl import polyhedra
+from sweepctrl.polyhedra import Polyhedron, decompose_on_rows, project_raw
+
+kernel = polyhedra._nnls()
+x, W = project_raw(np.array([[1.0, -1.0], [-1.0, 0.0]]), np.array([-6.0, 1.0]), np.zeros(2))
+print(kernel.__qualname__, np.allclose(x, [-1.0, 5.0], rtol=0, atol=1e-12), W.tolist() == [0, 1])
+print("scipy.optimize" in sys.modules, "scipy.optimize._slsqplib" in sys.modules)
+
+import scipy.optimize
+
+def results(solver):
+    polyhedra._nnls = lambda: solver
+    rng = np.random.default_rng(2024)
+    out = []
+    for _ in range(200):
+        n, s = int(rng.integers(2, 9)), int(rng.integers(1, 8))
+        poly = Polyhedron(rng.standard_normal((s, n)), np.abs(rng.standard_normal(s)) + 0.1)
+        y = rng.standard_normal(n) * 5.0
+        x, W = project_raw(poly.normals, poly.offsets, y)
+        out.append((x, W, decompose_on_rows(poly, W, y - x).residual))
+    return out
+
+pairs = list(zip(results(kernel), results(scipy.optimize.nnls)))
+print(len(pairs), all(np.array_equal(x1, x2) and np.array_equal(W1, W2) and r1 == r2 for (x1, W1, r1), (x2, W2, r2) in pairs))
+print(kernel is not scipy.optimize.nnls, hasattr(scipy.optimize, "_slsqplib"))
+"""
+        assert _run_fresh(script) == ["_nnls.<locals>.solve", "True", "True", "False", "False", "200", "True", "True", "True"]
+
+    def test_falls_back_when_scipy_directory_has_no_kernel_file(self, tmp_path):
+        # The lookup reads scipy's first package directory only; an empty one ahead of scipy's own
+        # hides the kernel, while `import scipy.optimize` still finds the package behind it.
+        script = f"""
+import scipy
+scipy.__path__.insert(0, {str(tmp_path)!r})
+from sweepctrl import polyhedra
+solver = polyhedra._nnls()
+import scipy.optimize
+print(solver is scipy.optimize.nnls)
+"""
+        assert _run_fresh(script) == ["True"]
