@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .models import load_scenario
+from .models import Scenario, load_scenario
 from .optimality import (
     PiecewisePath,
     StepFunction,
@@ -31,6 +31,7 @@ from .polyhedra import ProjectionError
 from .sweeping import (
     ControlSignal,
     Mesh,
+    Trajectory,
     cost,
     read_trajectory_csv,
     recover_eta,
@@ -131,19 +132,21 @@ def _write(path: Path, text: str) -> None:
     path.write_text(text)
 
 
+def _write_trajectory(out: Path, scn: Scenario, traj: Trajectory, u: ControlSignal) -> None:
+    """out/trajectory.csv: the nodes of `traj`, the control u and the multipliers recovered from both."""
+    prof = recover_eta(scn, traj, u)
+    _write(out / "trajectory.csv", trajectory_csv(traj.times, traj.nodes, u.values, prof.values, prof.terminal))
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
-    mesh = Mesh(scn.horizon, args.mesh_exp)
-    u = _load_control(args, scn, mesh)
+def _cmd_simulate(args: argparse.Namespace, scn: Scenario) -> int:
+    u = _load_control(args, scn, Mesh(scn.horizon, args.mesh_exp))
     traj = simulate(scn, u)
-    prof = recover_eta(scn, traj, u)
-    csv_text = trajectory_csv(traj.times, traj.nodes, u.values, prof.values, prof.terminal)
-    _write(args.out / "trajectory.csv", csv_text)
+    _write_trajectory(args.out, scn, traj, u)
     print(f"cost = {cost(traj):.12g}")
     print(f"trajectory written to {args.out / 'trajectory.csv'}")
     return 0
@@ -202,8 +205,7 @@ def _solution_csv(sol: ReducedSolution, mesh: Mesh) -> str:
     return trajectory_csv(times, states, controls, etas, sol.certificate.eta_terminal)
 
 
-def _cmd_solve_reduced(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
+def _cmd_solve_reduced(args: argparse.Namespace, scn: Scenario) -> int:
     sol = solve_reduced(scn)
     mesh = Mesh(scn.horizon, args.mesh_exp)
     _write(args.out / "solution.txt", _solution_text(sol))
@@ -227,8 +229,7 @@ def _cmd_solve_reduced(args: argparse.Namespace) -> int:
     return 0 if sol.verification.passed else 1
 
 
-def _cmd_solve_discrete(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
+def _cmd_solve_discrete(args: argparse.Namespace, scn: Scenario) -> int:
     reference = None
     try:
         red = solve_reduced(scn)
@@ -242,11 +243,7 @@ def _cmd_solve_discrete(args: argparse.Namespace) -> int:
         piecewise=args.piecewise,
         reference=reference,
     )
-    prof = recover_eta(scn, sol.trajectory, sol.control)
-    csv_text = trajectory_csv(
-        sol.trajectory.times, sol.trajectory.nodes, sol.control.values, prof.values, prof.terminal
-    )
-    _write(args.out / "trajectory.csv", csv_text)
+    _write_trajectory(args.out, scn, sol.trajectory, sol.control)
     lines = [
         "discrete solution",
         "=================",
@@ -272,8 +269,7 @@ def _cmd_solve_discrete(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
+def _cmd_verify(args: argparse.Namespace, scn: Scenario) -> int:
     cert = load_certificate(args.certificate)
     data = read_trajectory_csv(args.trajectory.read_text())
     path = PiecewisePath(data["times"], data["states"])
@@ -292,19 +288,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if report.passed else 1
 
 
-def _cmd_convergence(args: argparse.Namespace) -> int:
-    scn = load_scenario(args.scenario)
-    if args.control is not None:
+def _cmd_convergence(args: argparse.Namespace, scn: Scenario) -> int:
+    if args.control is not None:  # the reference endpoint: two mesh levels past the finest
         u_const = args.control
-        ref_terminal = None
-        red = None
-    else:
-        red = solve_reduced(scn)
-        u_const = red.control
-        ref_terminal = red.simulation_path.terminal
-    if ref_terminal is None:
         fine = simulate(scn, ControlSignal.constant(Mesh(scn.horizon, max(args.m_range) + 2), u_const))
         ref_terminal = fine.terminal
+    else:
+        red = solve_reduced(scn)
+        u_const, ref_terminal = red.control, red.simulation_path.terminal
     header = f"{'m':>3} {'J_m':>18} {'endpoint_error':>18}"
     rows = [header]
     csv_lines = ["m,J_m,endpoint_error"]
@@ -402,7 +393,7 @@ def main(argv=None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         _check_out(args.out)
-        return args.handler(args)
+        return args.handler(args, load_scenario(args.scenario))
     except (ProjectionError, np.linalg.LinAlgError) as exc:  # before ValueError: LinAlgError is one
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3

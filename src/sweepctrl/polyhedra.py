@@ -54,7 +54,9 @@ def _kernel_module():
     `scipy.optimize` package, which costs most of a short CLI run's time and memory.
 
     The module `sys.modules` already holds (`None` there blocks it) is used as it stands.
-    Otherwise the extension file is looked up in scipy's package directory only and loaded alone.
+    Otherwise the extension file is looked up only in the first of scipy's package directories
+    that `importlib.util.find_spec("scipy")` names (for an imported scipy, that list is
+    `scipy.__path__` itself), and loaded alone.
     A single-phase extension enters itself in `sys.modules`; it is taken out again, so that a
     later `import scipy.optimize` binds its own module object (over the same compiled functions).
     Raises ImportError or OSError where the file is missing or cannot be loaded.
@@ -63,12 +65,8 @@ def _kernel_module():
         if sys.modules[_KERNEL] is None:
             raise ImportError(f"{_KERNEL} is blocked")
         return sys.modules[_KERNEL]
-    scipy = sys.modules.get("scipy")
-    if scipy is not None:
-        dirs = scipy.__path__
-    else:  # found, not imported
-        spec = importlib.util.find_spec("scipy")
-        dirs = spec and spec.submodule_search_locations
+    spec = importlib.util.find_spec("scipy")
+    dirs = spec and spec.submodule_search_locations
     if not dirs:
         raise ImportError("no scipy package directory")
     finder = FileFinder(os.path.join(dirs[0], "optimize"), (ExtensionFileLoader, EXTENSION_SUFFIXES))
@@ -93,25 +91,27 @@ def _nnls():
     the problems met here.  So the callers pass C-contiguous float64 arrays and reject non-finite
     input themselves.  The kernel's extension file is loaded alone (`_kernel_module`), so a run
     never imports `scipy.optimize` unless it falls back.  The kernel is private: when it is
-    missing (a scipy without `optimize/_slsqplib*`), or fails a probe solve (its signature or its
-    result changed, it rejects a read-only right-hand side, or it writes into E or f), this is
-    the public `scipy.optimize.nnls`, and the first NNLS solve imports `scipy.optimize`.
+    missing (a scipy without `optimize/_slsqplib*`) or cannot be loaded, or fails a probe solve
+    (its signature or its result changed, it rejects a read-only right-hand side, or it writes
+    into E or f), this is the public `scipy.optimize.nnls`, and the first NNLS solve imports
+    `scipy.optimize`.
     """
-    try:
-        kernel = _kernel_module().nnls
-    except (ImportError, OSError, AttributeError):
-        return _public_nnls()
     E, f = np.array([[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]]), np.array([2.0, 1.0, 1.0])
     f.flags.writeable = False  # as `project_raw`'s shared right-hand side
     E0, f0 = E.copy(), f.copy()
     try:
+        kernel = _kernel_module().nnls
         u, rnorm, info = kernel(E, f, 6)
-    except Exception:  # another signature: whatever a changed private kernel raises, the public one stands in
-        return _public_nnls()
-    if info == 3 or not (np.allclose(u, [1.5, 1.0]) and math.isclose(rnorm, math.sqrt(0.5))):
-        return _public_nnls()
-    if not (np.array_equal(E, E0) and np.array_equal(f, f0)):
-        return _public_nnls()  # a kernel that writes into its input would corrupt the shared right-hand side
+        # The probe's answer within the cap, and its input as it was: a kernel that writes into
+        # its input would corrupt the shared right-hand side.
+        passed = info != 3 and np.allclose(u, [1.5, 1.0]) and math.isclose(rnorm, math.sqrt(0.5))
+        passed = passed and np.array_equal(E, E0) and np.array_equal(f, f0)
+    except Exception:  # no kernel file, or another signature: whatever a changed private kernel raises
+        passed = False
+    if not passed:
+        from scipy.optimize import nnls
+
+        return nnls
 
     def solve(E, f):
         u, rnorm, info = kernel(E, f, 3 * E.shape[1])
@@ -120,12 +120,6 @@ def _nnls():
         return u, rnorm
 
     return solve
-
-
-def _public_nnls():
-    from scipy.optimize import nnls
-
-    return nnls
 
 
 def _check_finite(v: np.ndarray, name: str) -> None:

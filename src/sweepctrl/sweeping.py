@@ -370,14 +370,21 @@ def recover_eta(scn: Scenario, traj: Trajectory, u: ControlSignal) -> EtaProfile
     The residual reports whatever those rows cannot explain, a push
     between non-adjacent robots included.  Intervals go in blocks of
     ETA_BLOCK, so the (block, s, dim) temporaries stay small.  The control
-    is checked against U as in `simulate`.
+    is checked against U, and its mesh against the horizon, as in `simulate`;
+    a non-finite node raises, naming the node and its coordinate.
     """
     if traj.mesh.intervals != u.mesh.intervals or not traj.mesh.spans(u.mesh.T):
         raise ValueError("trajectory and control live on different meshes")
+    if not u.mesh.spans(scn.horizon):
+        raise ValueError(f"control mesh horizon {u.mesh.T} != scenario horizon {scn.horizon}")
     X = traj.nodes
     if X.shape[1:] != (scn.state_dim,):
         width = X.shape[1] if X.ndim == 2 else X.shape[1:]
         raise ValueError(f"trajectory state width {width} != scenario state width {scn.state_dim}")
+    finite = np.isfinite(X)
+    if not finite.all():
+        k, i = np.argwhere(~finite)[0]
+        raise ValueError(f"trajectory node {k}, coordinate x{i + 1}: {X[k, i]:g} is not a finite number")
     u.checked_starts(scn.control_set)  # checks a signal not built in the scenario's set
     times = traj.times
     K = traj.mesh.intervals
@@ -434,30 +441,22 @@ _LATER_COLUMNS = {"t": ("x",), "x": ("u", "eta"), "u": ("eta",), "eta": ()}
 
 
 def _parse_cells(body: list[str], header: list[str]) -> np.ndarray:
-    """The data rows parsed cell by cell with float(); raises naming the first ragged row or
-    the first cell that is not a finite number."""
-    try:
-        data = np.array([[float(tok) for tok in ln.split(",")] for ln in body])
-    except ValueError:  # a cell that is not a number, or ragged rows: only then is the cause looked for
-        data = None
-    if data is None or data.shape[1] != len(header):
-        for k, ln in enumerate(body):
-            cells = ln.split(",")
-            if len(cells) != len(header):
-                raise ValueError(f"trajectory CSV data row {k + 1} has {len(cells)} cells, the header {len(header)}")
-            for name, tok in zip(header, cells):
-                try:
-                    finite = math.isfinite(float(tok))
-                except ValueError:
-                    finite = False
-                if not finite:
-                    raise ValueError(
-                        f"trajectory CSV column '{name}', data row {k + 1}: {tok.strip()!r} is not a finite number"
-                    )
-    bad = np.argwhere(~np.isfinite(data))
-    if bad.size:
-        row, col = bad[0]
-        raise ValueError(f"trajectory CSV column '{header[col]}', data row {row + 1}: not a finite number")
+    """The data rows parsed cell by cell with float(); raises naming the first ragged row or the
+    first cell that is not a finite number, with its column, data row and text."""
+    data = np.empty((len(body), len(header)))
+    for k, ln in enumerate(body):
+        cells = ln.split(",")
+        if len(cells) != len(header):
+            raise ValueError(f"trajectory CSV data row {k + 1} has {len(cells)} cells, the header {len(header)}")
+        for j, tok in enumerate(cells):
+            try:
+                data[k, j] = value = float(tok)
+            except ValueError:
+                value = math.nan
+            if not math.isfinite(value):
+                raise ValueError(
+                    f"trajectory CSV column '{header[j]}', data row {k + 1}: {tok.strip()!r} is not a finite number"
+                )
     return data
 
 

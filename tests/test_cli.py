@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from sweepctrl import cli
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
+from sweepctrl.polyhedra import ProjectionError
 from sweepctrl.sweeping import read_trajectory_csv, trajectory_csv
 
 PED2 = str(bundled_scenario_path("pedestrian2.scn"))
@@ -669,3 +670,82 @@ class TestPathErrors:
                               capture_output=True, text=True, env=env, cwd=tmp_path)
         assert proc.returncode == 2
         assert proc.stderr.startswith("error:") and "Traceback" not in proc.stderr
+
+
+class TestRejectedValues:
+    """A malformed option value or control file exits 2 naming the option or the file line."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["simulate", PED2, "--control=1,1", "--mesh-exp", "abc"], "--mesh-exp: expected an integer, got 'abc'"),
+            (["convergence", PED2, "--m-range", "6:x"], "--m-range: expected 'lo:hi[:step]' or a list, got '6:x'"),
+            (["convergence", PED2, "--m-range", "6,eight"], "--m-range: expected 'lo:hi[:step]' or a list"),
+            (["simulate", PED2, "--control", "abc"], "--control: expected numbers, got 'abc'"),
+            (["convergence", PED2, "--control", ","], "--control: expected numbers, got ','"),
+        ],
+        ids=["mesh-exp", "m-range-field", "m-range-list", "control-word", "control-empty"],
+    )
+    def test_option_value(self, tmp_path, capsys, argv, message):
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_tol_value(self, tmp_path, capsys, reduced_artifacts):
+        red, _ = reduced_artifacts
+        code = main(["verify", PED2, "--certificate", str(red / "certificate.json"),
+                     "--trajectory", str(red / "trajectory.csv"), "--tol", "abc", "--out", str(tmp_path)])
+        assert code == 2
+        assert "--tol: expected a number, got 'abc'" in capsys.readouterr().err
+
+    def test_control_file_line(self, tmp_path, capsys):
+        f = tmp_path / "u.txt"
+        f.write_text("# rows\n1 1\n1 abc\n")
+        code = main(["simulate", PED2, "--control-file", str(f), "--mesh-exp", "4", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {f}: line 3: expected numbers\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_verify_without_any_control(self, tmp_path, capsys, reduced_artifacts):
+        red, _ = reduced_artifacts
+        data = read_trajectory_csv((red / "trajectory.csv").read_text())
+        states = tmp_path / "states.csv"
+        states.write_text(trajectory_csv(data["times"], data["states"]))
+        code = main(["verify", PED2, "--certificate", str(red / "certificate.json"),
+                     "--trajectory", str(states), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err == "error: verify needs control columns in the CSV or --control\n"
+        assert not (tmp_path / "out").exists()
+
+
+def test_solve_discrete_outside_every_template_runs_without_a_reference(tmp_path, capsys):
+    scn = tmp_path / "four.scn"
+    scn.write_text("model = pedestrian\nn = 4\nR = 1\nT = 2\nx0 = -12 -8 -4 0\nspeeds = 2 1 1 1\n"
+                   "control.kind = box\ncontrol.lo = -1 -1 -1 -1\ncontrol.hi = 1 1 1 1\n")
+    code = main(["solve-discrete", str(scn), "--mesh-exp", "4", "--budget", "30", "--out", str(tmp_path / "out")])
+    assert code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("discrete solution\n") and "localization" not in out and "reduced optimum" not in out
+    assert (tmp_path / "out" / "solution.txt").read_text() == out
+    assert read_trajectory_csv((tmp_path / "out" / "trajectory.csv").read_text())["etas"].shape == (17, 3)
+
+
+@pytest.mark.parametrize(
+    "error", [ProjectionError("the polyhedron is empty"), np.linalg.LinAlgError("Singular matrix")],
+    ids=["projection-error", "lin-alg-error"],
+)
+@pytest.mark.parametrize(
+    "argv, callee",
+    [(["simulate", PED2, "--control=1,1", "--mesh-exp=4"], "simulate"),
+     (["solve-reduced", PED2, "--mesh-exp=4"], "solve_reduced")],
+)
+def test_numerical_failure_inside_a_command_exits_3(tmp_path, capsys, monkeypatch, error, argv, callee):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, callee, fail)
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 3
+    assert capsys.readouterr().err == f"numerical failure: {error}\n"
+    assert not (tmp_path / "out").exists()

@@ -682,3 +682,49 @@ class TestParserFuzz:
             return
         for value in (scn.x0, scn.speeds, scn.R, scn.T, scn.control_set.vertices()):
             assert np.all(np.isfinite(value))
+
+
+class TestRejectionsNamed:
+    """Each rejection of a malformed scenario file, agent pair or step raises naming its cause."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (scenario_text(PEDESTRIAN_TEXT) + "wobble\n", "line 10: expected 'key = value', got 'wobble'"),
+            (scenario_text(PEDESTRIAN_TEXT) + "R = 4\n", "duplicate key 'R'"),
+            (scenario_text(PEDESTRIAN_TEXT, angles_deg="45 45"), "key 'angles_deg' is robot-only"),
+        ],
+        ids=["no-equals-sign", "duplicate-key", "robot-only-key"],
+    )
+    def test_malformed_file(self, text, message):
+        with pytest.raises(ScenarioFormatError, match=message):
+            parse_scenario_text(text)
+
+    def test_unknown_bundled_name(self):
+        with pytest.raises(FileNotFoundError, match="no bundled scenario named 'nowhere.scn'"):
+            bundled_scenario_path("nowhere.scn")
+
+    def test_pedestrian_sweeping_set_of_one_agent(self):
+        with pytest.raises(ValueError, match="need n >= 2"):
+            pedestrian_sweeping_set(1, 3.0)
+
+    @pytest.mark.parametrize(
+        "make, i, j, message",
+        [(robot_example, 0, 0, "invalid agent pair"), (robot_example, 0, 2, "invalid agent pair"),
+         (pedestrian_two, 1, 0, "pedestrian gap needs 0 <= i < j < n")],
+        ids=["robot-same-agent", "robot-out-of-range", "pedestrian-reversed"],
+    )
+    def test_distance_gap_of_a_bad_pair(self, make, i, j, message):
+        scn = make()
+        with pytest.raises(ValueError, match=message):
+            distance_gap(scn, scn.x0, i, j)
+
+    @pytest.mark.parametrize("h", [0.0, -0.1])
+    def test_admissible_velocities_need_a_positive_step(self, h):
+        scn = robot_example()
+        with pytest.raises(ValueError, match="h must be positive"):
+            admissible_velocities_contains(scn, scn.x0, np.zeros(4), h)
+
+    def test_pair_row_of_coincident_centers(self):
+        with pytest.raises(ValueError, match="coincident centers 1, 2: gradient undefined"):
+            robot_example().pair_row([1.0, 2.0, 1.0, 2.0])

@@ -615,3 +615,43 @@ def test_verify_builds_one_grid_when_the_control_breakpoints_are_on_it(name, tmp
     assert len(grid_builds) == 2 and grid_builds[0] == () and np.array_equal(*grid_builds[1], off)
     for condition in ("2-complementarity", "3-dual-surface"):
         assert report.entry(condition).residual == csv_report.entry(condition).residual
+
+
+class TestRejectionsNamed:
+    """Malformed dual data and paths raise where they are built, naming what is wrong."""
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["repeated", "decreasing"])
+    def test_step_function_breakpoints_must_increase(self, times):
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            StepFunction(np.array(times), np.array([[1.0], [2.0]]))
+
+    @pytest.mark.parametrize("times", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0]], ids=["repeated", "decreasing"])
+    def test_path_breakpoints_must_increase(self, times):
+        with pytest.raises(ValueError, match="breakpoints must be strictly increasing"):
+            PiecewisePath(np.array(times), np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("states", [2, 4], ids=["one-short", "one-over"])
+    def test_path_needs_one_state_per_breakpoint(self, states):
+        with pytest.raises(ValueError, match="one state per breakpoint"):
+            PiecewisePath(np.array([0.0, 1.0, 2.0]), np.zeros((states, 2)))
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"lam": -1.0}, "lambda must be nonnegative"),
+            ({"eta": StepFunction(np.array([0.0, T1_PED2, 6.0]), np.array([[0.0], [-5.4]]))},
+             "eta must be nonnegative"),
+            ({"eta_terminal": np.array([-5.4])}, "eta must be nonnegative"),
+            ({"gamma_atoms": ((7.0, np.zeros(2)),)}, "atom time outside the horizon"),
+        ],
+        ids=["negative-lambda", "negative-eta", "negative-terminal-eta", "atom-after-T"],
+    )
+    def test_certificate_rejects(self, change, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(ped2_certificate(), **change)
+
+    def test_report_entry_of_an_unknown_condition(self):
+        report = verify_certificate(ped2(), ped2_path(), StepFunction.constant(6.0, [1.8, 1.8]), ped2_certificate())
+        assert report.entry("1-primal").condition == "1-primal"
+        with pytest.raises(KeyError, match="no-such-condition"):
+            report.entry("no-such-condition")

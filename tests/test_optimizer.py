@@ -744,3 +744,65 @@ class TestSamplePath:
         assert np.any(np.isclose(times, t1))
         k = int(np.argmin(np.abs(times - t1)))
         assert np.allclose(states[k], sol.path.value(t1))
+
+
+PED2_FILE = bundled_scenario_path("pedestrian2.scn").read_text()
+PED3_FILE = bundled_scenario_path("pedestrian3.scn").read_text()
+ROBOT2_FILE = bundled_scenario_path("robot2.scn").read_text()
+
+
+class TestTemplateRejections:
+    """Each way a scenario falls outside the two templates raises UnsupportedScenarioError naming it."""
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (PED2_FILE.split("control.kind")[0] + "control.kind = box\ncontrol.lo = -1.8 -1.8\ncontrol.hi = 1.8 1.8\n",
+             "analytic pair template needs a linked-segment control set"),
+            (PED2_FILE.replace("x0 = -60 -48", "x0 = -39 -31").replace("speeds = 8 2", "speeds = 1 1"),
+             "equal pushed speeds: no contact interaction to resolve"),
+            (PED2_FILE.replace("x0 = -60 -48", "x0 = -25 2").replace("speeds = 8 2", "speeds = 8 6"),
+             "optimal control avoids contact"),
+            (ROBOT2_FILE.replace("angles_deg = 225 225", "angles_deg = 0 0"),
+             r"contact heading must satisfy cos = sin"),
+            (PED3_FILE.split("control.kind")[0] + "control.kind = segment\ncontrol.link = 1 1 1\n"
+             "control.bounds = -2 2\n", "analytic three-pedestrian template needs a box control set"),
+            (PED3_FILE.replace("speeds = 8 4 2", "speeds = 8 2 4"),
+             "initial contact does not push: outside the template"),
+            (PED3_FILE.replace("speeds = 8 4 2", "speeds = 1 4 2"),
+             "front pair never locks under the extremal control"),
+        ],
+        ids=["box-pair", "equal-pushed-speeds", "contact-free-optimum", "off-diagonal-heading", "segment-triple",
+             "no-push", "no-lock"],
+    )
+    def test_outside_the_template(self, text, message):
+        with pytest.raises(UnsupportedScenarioError, match=message):
+            solve_reduced(parse_scenario_text(text))
+
+    def test_non_positive_locked_train_multipliers(self, monkeypatch):
+        # With the rear pair pushing and the front pair locking within T, both locked multipliers
+        # are positive in exact arithmetic; the guard stands against rounding, so the solver's
+        # multipliers are replaced here.
+        import sweepctrl.optimizer as optimizer
+
+        real = optimizer.locked_train_multipliers
+        monkeypatch.setattr(
+            optimizer, "locked_train_multipliers",
+            lambda scn, u, rows: real(scn, u, rows) * (-1.0 if len(rows) == 2 else 1.0),
+        )
+        with pytest.raises(UnsupportedScenarioError, match="locked train multipliers not positive"):
+            solve_reduced(ped3())
+
+    @pytest.mark.parametrize(
+        "formula, args",
+        [(robot_eta_formula, ([1.0, 1.0, 1.0],)), (robot_contact_quadratic, ([1.0, 1.0, 1.0],)),
+         (robot_y_quadratic, ())],
+        ids=["eta", "contact-quadratic", "y-quadratic"],
+    )
+    def test_robot_formulas_need_two_robots(self, formula, args):
+        scn = parse_scenario_text(
+            "model = robot\nn = 3\nR = 6\nT = 6\nx0 = -40 -40 -25 -25 -10 -10\nspeeds = 3 2 1\n"
+            "angles_deg = 225 225 225\ncontrol.kind = box\ncontrol.lo = -2 -2 -2\ncontrol.hi = 2 2 2\n"
+        )
+        with pytest.raises(UnsupportedScenarioError, match="applies to the two-robot model"):
+            formula(scn, *args)

@@ -241,6 +241,33 @@ class TestPolyhedronGuards:
         P = Polyhedron(np.array([[1e-160, 1e-160]]), np.array([0.0]))
         assert P.normals.tolist() == [[1e-160, 1e-160]]
 
+    def test_a_1d_normal_with_a_scalar_offset_is_one_row(self):
+        P = Polyhedron(np.array([1.0, -1.0]), 2.0)
+        assert P.normals.tolist() == [[1.0, -1.0]] and P.offsets.tolist() == [2.0]
+        assert contains(P, np.array([1.0, 0.0])) and not contains(P, np.array([3.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "normals, offsets, message",
+        [(np.ones((1, 2, 2)), np.ones(1), "normals must be a 2-D array"),
+         (np.eye(2), np.ones(1), "offsets must have one entry per normal"),
+         (np.eye(2), np.ones((2, 1)), "offsets must have one entry per normal"),
+         (np.empty((0, 2)), np.empty(0), "a polyhedron needs at least one row")],
+        ids=["3-d-normals", "too-few-offsets", "2-d-offsets", "zero-rows"],
+    )
+    def test_shapes_rejected(self, normals, offsets, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            Polyhedron(normals, offsets)
+
+    @pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "two-rows"])
+    def test_project_raw_rejects_a_start_of_another_shape(self, rows):
+        A = np.eye(2)[:rows]
+        with pytest.raises(ValueError, match=r"start has shape \(3,\), expected \(2,\)"):
+            project_raw(A, np.zeros(rows), np.ones(2), start=np.zeros(3))
+
+    def test_one_row_project_raw_rejects_a_point_of_another_shape(self):
+        with pytest.raises(ValueError, match=r"y has shape \(3,\), expected \(2,\)"):
+            project_raw(np.array([[1.0, 0.0]]), np.zeros(1), np.ones(3))
+
     @settings(max_examples=300, derandomize=True, deadline=None, database=None)
     @given(rows_with_special_values())
     def test_rules_match_their_row_by_row_statement(self, rows):
@@ -603,6 +630,15 @@ class TestNnlsLoader:
         import scipy.optimize
 
         monkeypatch.setitem(sys.modules, "scipy.optimize._slsqplib", None)
+        assert self.load() is scipy.optimize.nnls
+
+    def test_falls_back_when_scipy_has_no_package_directory(self, monkeypatch):
+        import scipy.optimize
+
+        monkeypatch.delitem(sys.modules, "scipy.optimize._slsqplib", raising=False)
+        monkeypatch.setattr(polyhedra.importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ImportError, match="no scipy package directory"):
+            polyhedra._kernel_module()
         assert self.load() is scipy.optimize.nnls
 
     @pytest.mark.parametrize(

@@ -36,3 +36,11 @@ def test_only_the_certificate_builders_construct_a_dual_certificate():
              if (module, where) not in CERTIFICATE_BUILDERS]
     assert not stray, "DualCertificate constructed outside its builders:\n" + "\n".join(stray)
     assert set(found) == CERTIFICATE_BUILDERS  # the scan sees both builders
+
+
+def test_the_cli_loads_the_scenario_and_writes_a_trajectory_in_one_place_each():
+    # `main` loads the scenario for every command; a simulated trajectory and a reduced
+    # solution's sampled path are the two kinds of trajectory.csv.
+    in_cli = {name: sorted(where for module, where in _constructions(name) if module == "cli.py")
+              for name in ("load_scenario", "trajectory_csv")}
+    assert in_cli == {"load_scenario": ["main"], "trajectory_csv": ["_solution_csv", "_write_trajectory"]}

@@ -322,7 +322,39 @@ class TestRecoverEta:
                 assert np.all(prof.values[k, inactive] == 0.0)
 
 
+    @pytest.mark.parametrize("make", [robot2, ped3], ids=["robot2", "pedestrian3"])
+    def test_non_finite_node_named(self, make):
+        # A NaN node once gave eta = 0 and a NaN residual on the two intervals around it.
+        scn = make()
+        u = ControlSignal.constant(Mesh(6.0, 4), scn.control_set.vertices()[0])
+        nodes = simulate(scn, u).nodes.copy()
+        nodes[5, 1] = np.nan
+        with pytest.raises(ValueError, match="trajectory node 5, coordinate x2: nan is not a finite number"):
+            recover_eta(scn, Trajectory(u.mesh, nodes), u)
+
+    @pytest.mark.parametrize("T", [5.0, 7.0])
+    def test_control_mesh_off_the_scenario_horizon_rejected(self, T):
+        # As in `simulate`: a trajectory and control on one mesh of another horizon are not fitted.
+        scn = ped2()
+        u = ControlSignal.constant(Mesh(T, 4), PED2_U)
+        traj = Trajectory(u.mesh, np.tile(scn.x0, (17, 1)))
+        with pytest.raises(ValueError, match=f"control mesh horizon {T} != scenario horizon 6.0"):
+            recover_eta(scn, traj, u)
+
+    def test_trajectory_and_control_on_different_meshes_rejected(self):
+        scn = ped2()
+        u = ControlSignal.constant(Mesh(6.0, 5), PED2_U)
+        traj = simulate(scn, ControlSignal.constant(Mesh(6.0, 4), PED2_U))
+        with pytest.raises(ValueError, match="trajectory and control live on different meshes"):
+            recover_eta(scn, traj, u)
+
+
 class TestConstructionGuards:
+    @pytest.mark.parametrize("rows", [16, 18])
+    def test_trajectory_node_count(self, rows):
+        with pytest.raises(ValueError, match=r"node count must be 2\^m \+ 1"):
+            Trajectory(Mesh(6.0, 4), np.zeros((rows, 2)))
+
     def test_mesh_validation(self):
         with pytest.raises(ValueError):
             Mesh(T=6.0, m=0)
@@ -548,6 +580,17 @@ class TestCsv:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(np, "loadtxt", refuse)
             return self.outcome(text)
+
+    @pytest.mark.parametrize("cell", ["nan", " NaN ", "-inf", "1e400"])
+    def test_non_finite_cell_named_with_its_text(self, cell):
+        text = f"t,x1,x2\n0,-60,-48\n6,-3,{cell}\n"
+        with pytest.raises(ValueError) as exc:
+            read_trajectory_csv(text)
+        assert str(exc.value) == f"trajectory CSV column 'x2', data row 2: {cell.strip()!r} is not a finite number"
+
+    def test_header_without_state_columns_rejected(self):
+        with pytest.raises(ValueError, match="trajectory CSV header needs 'x' columns after 't'"):
+            read_trajectory_csv("t\n0\n6\n")
 
     def test_well_formed_text_is_parsed_in_one_call(self, monkeypatch):
         def cell_by_cell(*args):
