@@ -215,7 +215,9 @@ class Scenario:
     headings(t, contact_time)     unit drive direction per agent, (n, coords); (N, n, coords) at N times
     constraint_rows(x)            the step set K(x) = {y : A y <= c} as (A, c)
     pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
-    free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d
+    free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d,
+                                  decided on Python floats, bit for bit the array formulas (a
+                                  robot chain's loop over its pairs is O(n^2))
     step_rows(X, Y)               the adjacent-pair rows of K(x) at each node of X, in the sweeping
                                   set's units, and their linearized gaps at the matching nodes of Y
 
@@ -332,7 +334,6 @@ class RobotScenario(Scenario):
         post = self.angles if self.angles_post is None else self.angles_post
         angles = np.array([self.angles, post])
         object.__setattr__(self, "_headings", np.stack([np.cos(angles), np.sin(angles)], axis=-1))
-        object.__setattr__(self, "_pairs", np.triu_indices(self.n, 1))  # every pair i < j, for `free_run`
         offsets = np.full(self.n * (self.n - 1) // 2, -2.0 * self.R)  # K(x)'s offsets, one per pair
         offsets.flags.writeable = False  # shared by every `constraint_rows` call
         object.__setattr__(self, "_offsets", offsets)
@@ -397,21 +398,26 @@ class RobotScenario(Scenario):
 
     def free_run(self, x, d, support, cap: int) -> int:
         """Free flight only: while each pair keeps ||x^i - x^j|| >= 2R + ||d^i - d^j|| + CONTACT_TOL,
-        x + d lies in the linearized K(x) and out of contact (a quadratic in the step count)."""
-        i, j = self._pairs
-        P, V = np.reshape(x, (-1, 2)), np.reshape(d, (-1, 2))
-        D, dD = P[i] - P[j], V[i] - V[j]
-        a = np.sum(dD * dD, axis=1)
-        b = np.sum(D * dD, axis=1)
-        c = np.sum(D * D, axis=1) - (2.0 * self.R + np.sqrt(a) + CONTACT_TOL) ** 2  # a l^2 + 2 b l + c >= 0
-        if np.any(c < 0.0):
-            return 0
-        disc = b * b - a * c
-        hit = (b < 0.0) & (disc >= 0.0)
-        if not hit.any():
-            return cap
-        # The first root in its stable form; its floor drops one step that may still hold.
-        return int(min(cap, np.min(c[hit] / (np.sqrt(disc[hit]) - b[hit]))))
+        x + d lies in the linearized K(x) and out of contact (a quadratic in the step count).
+        One pass over every pair i < j on Python floats, O(n^2), in the float operations of the
+        array formula over all pairs at once, so the run length is that formula's bit for bit;
+        at a few robots numpy's per-call cost, not the arithmetic, is most of such a formula's time."""
+        xs, ds = x.tolist(), d.tolist()
+        two_r, least = 2.0 * self.R, math.inf
+        for i in range(0, len(xs), 2):
+            xi, yi, ui, vi = xs[i], xs[i + 1], ds[i], ds[i + 1]
+            for j in range(i + 2, len(xs), 2):
+                Dx, Dy, ex, ey = xi - xs[j], yi - xs[j + 1], ui - ds[j], vi - ds[j + 1]
+                a, b = ex * ex + ey * ey, Dx * ex + Dy * ey
+                r = two_r + math.sqrt(a) + CONTACT_TOL
+                c = (Dx * Dx + Dy * Dy) - r * r  # a l^2 + 2 b l + c >= 0
+                if c < 0.0:
+                    return 0
+                disc = b * b - a * c
+                if b < 0.0 and disc >= 0.0:  # the first root, in its stable form
+                    least = min(least, c / (math.sqrt(disc) - b))
+        # The least root's floor drops one step that may still hold.
+        return int(min(cap, least))
 
     def pair_row(self, xs: list) -> tuple[list, float]:
         """K(x) of two robots on Python floats: its one row (a, c) at the state xs, a list, as
@@ -455,14 +461,16 @@ class PedestrianScenario(Scenario):
         return self._sweeping_set.normals, self._sweeping_set.offsets
 
     def free_run(self, x, d, support, cap: int) -> int:
-        """Steps until a row outside the support would bind: the least slack over rate."""
-        A, c = self._sweeping_set.normals, self._sweeping_set.offsets
-        rate = A @ d
-        rate[support] = 0.0  # the support's rows move at rounding-level rates
-        hit = rate > 0.0
-        if not hit.any():
-            return cap
-        return int(min(cap, max(0.0, np.min((c - A @ x)[hit] / rate[hit]))))
+        """Steps until a row outside the support would bind: the least slack over rate.  The
+        rows are e_j - e_{j+1}, so rate and slack are one subtraction each on Python floats, bit
+        for bit the matrix products `A @ d` and `c - A @ x`."""
+        xs, ds = x.tolist(), d.tolist()
+        c, least = -2.0 * self.R, math.inf
+        for j in range(self.n - 1):
+            rate = ds[j] - ds[j + 1]
+            if rate > 0.0 and j not in support:  # the support's rows move at rounding-level rates
+                least = min(least, (c - (xs[j] - xs[j + 1])) / rate)
+        return int(min(cap, max(0.0, least)))
 
     def pair_gaps(self, x) -> np.ndarray:
         return np.diff(np.asarray(x, dtype=float)) - 2.0 * self.R

@@ -440,15 +440,29 @@ def _finite(value) -> bool:
     return bool(np.all(np.isfinite(value)))
 
 
+def _check_numbers(name: str, value) -> None:
+    """Raise naming the certificate field when `value`, a number or lists of them, holds anything
+    but an int or a float: a JSON true, "0.5" or null is not read as a number."""
+    todo = [value]
+    while todo:
+        v = todo.pop()
+        if isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)):
+            continue
+        if not isinstance(v, list):
+            raise ValueError(f"certificate field '{name}': {json.dumps(v, default=repr)} is not a number")
+        todo.extend(reversed(v))
+
+
 def certificate_from_dict(d: dict) -> DualCertificate:
     """The certificate of a `certificate_to_dict` mapping; raises ValueError naming the
-    missing, malformed or non-finite field."""
+    missing, malformed, non-numeric or non-finite field."""
     if not isinstance(d, dict):
         raise ValueError(f"certificate must be a JSON object, got {type(d).__name__}")
 
     def field(name: str, convert=lambda v: np.array(v, dtype=float)):
         if name not in d:
             raise ValueError(f"certificate is missing the field '{name}'")
+        _check_numbers(name, d[name])
         try:
             value = convert(d[name])
         except (TypeError, ValueError) as exc:

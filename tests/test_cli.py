@@ -328,6 +328,34 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and field in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"lambda": True}, "'lambda': true is not a number"),
+         ({"lambda": "1"}, "'lambda': \"1\" is not a number"),
+         ({"eta_terminal": [True]}, "'eta_terminal': true is not a number"),
+         ({"eta_terminal": ["5.4"]}, "'eta_terminal': \"5.4\" is not a number"),
+         ({"eta_times": ["0", "0.5555555555555556", "6"]}, "'eta_times': \"0\" is not a number"),
+         ({"eta_values": [[0.0], [False]]}, "'eta_values': false is not a number"),
+         ({"p_values": [[-2.4, "2.4"]]}, "'p_values': \"2.4\" is not a number"),
+         ({"q_times": [0.0, True, 6.0]}, "'q_times': true is not a number"),
+         ({"q_values": [[0.225, None], [-1.2, 4.8]]}, "'q_values': null is not a number"),
+         ({"gamma_atoms": [["0.5555555555555556", [-1.425, 3.9]], [6.0, [-1.2, -2.4]]]},
+          "'gamma_atoms': \"0.5555555555555556\" is not a number"),
+         ({"gamma_atoms": [[0.5555555555555556, [-1.425, True]], [6.0, [-1.2, -2.4]]]},
+          "'gamma_atoms': true is not a number")],
+        ids=["bool-lambda", "string-lambda", "bool-eta-terminal", "string-eta-terminal", "string-eta-times",
+             "bool-eta-values", "string-p-values", "bool-q-times", "null-q-values", "string-atom-time",
+             "bool-atom-value"],
+    )
+    def test_certificate_value_that_is_not_a_json_number_exits_2(self, tmp_path, capsys, payload, message):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_text(json.dumps({**json.loads(cert_file.read_text()), **payload}))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

@@ -25,7 +25,7 @@ from sweepctrl.models import (
     robot_sweeping_set,
     verify_set_representation,
 )
-from sweepctrl.tolerances import CONTROL_TOL
+from sweepctrl.tolerances import CONTACT_TOL, CONTROL_TOL
 
 
 def robot_example():
@@ -513,6 +513,103 @@ class TestFirstViolationReference:
     def test_fast_paths_agree_with_the_one_formula(self, case):
         U, rows = case
         assert U._first_violation(rows, CONTROL_TOL) == reference_first_violation(U, rows, CONTROL_TOL)
+
+
+def reference_robot_free_run(scn: RobotScenario, x, d, cap: int) -> int:
+    """`RobotScenario.free_run` as array formulas over every pair i < j at once."""
+    i, j = np.triu_indices(scn.n, 1)
+    P, V = np.reshape(x, (-1, 2)), np.reshape(d, (-1, 2))
+    D, dD = P[i] - P[j], V[i] - V[j]
+    a = np.sum(dD * dD, axis=1)
+    b = np.sum(D * dD, axis=1)
+    c = np.sum(D * D, axis=1) - (2.0 * scn.R + np.sqrt(a) + CONTACT_TOL) ** 2
+    if np.any(c < 0.0):
+        return 0
+    disc = b * b - a * c
+    hit = (b < 0.0) & (disc >= 0.0)
+    if not hit.any():
+        return cap
+    return int(min(cap, np.min(c[hit] / (np.sqrt(disc[hit]) - b[hit]))))
+
+
+def reference_pedestrian_free_run(scn: PedestrianScenario, x, d, support, cap: int) -> int:
+    """`PedestrianScenario.free_run` as matrix products with the sweeping set's rows."""
+    A, c = scn.sweeping_set().normals, scn.sweeping_set().offsets
+    rate = A @ d
+    rate[support] = 0.0
+    hit = rate > 0.0
+    if not hit.any():
+        return cap
+    return int(min(cap, max(0.0, np.min((c - A @ x)[hit] / rate[hit]))))
+
+
+# A step cap, as `simulate` passes the steps left in a run: none, one, or 2^m.
+FREE_RUN_CAPS = [0, 1] + [2**m for m in range(1, 25)]
+
+
+def contact_gap(rng) -> float:
+    """A gap beyond 2R: touching, at or within CONTACT_TOL of it, overlapping, or apart."""
+    kind = rng.integers(3)
+    if kind == 0:
+        return float(rng.choice([0.0, CONTACT_TOL, -CONTACT_TOL, -0.5]))
+    return rng.uniform(-2.0 * CONTACT_TOL, 2.0 * CONTACT_TOL) if kind == 1 else rng.uniform(0.0, 10.0)
+
+
+def free_run_draw(rng, size: int) -> tuple[float, np.ndarray, int]:
+    """A radius, an increment of zero, rounding-level (1e-9) or order-one entries, and a cap."""
+    R = float(rng.choice([0.0, 1.0])) if rng.integers(2) else rng.uniform(0.1, 3.0)
+    d = rng.choice([0.0, 1e-9, 1.0]) * rng.uniform(-1.0, 1.0, size)
+    return R, d, int(rng.choice(FREE_RUN_CAPS))
+
+
+class TestFreeRunReference:
+    """`free_run` decides a run length on Python floats; it must be the array formulas' int exactly,
+    on seeded draws that reach every outcome: no step, the cap, and a run the first root ends."""
+
+    def test_robot_pairs_agree_with_the_array_formula(self):
+        rng, outcomes = np.random.default_rng(5), set()
+        for _ in range(4000):
+            n = int(rng.integers(2, 7))
+            R, d, cap = free_run_draw(rng, 2 * n)
+            scn = RobotScenario(
+                n=n, R=R, T=1.0, x0=np.repeat((2.0 * R + 1.0) * np.arange(n), 2), speeds=np.ones(n),
+                angles=np.zeros(n), control_set=ControlSet.box(-np.ones(n), np.ones(n)),
+            )
+            x = rng.uniform(-40.0, 40.0, 2 * n)
+            if rng.integers(2):  # one pair i < j at 2R plus a contact gap
+                i, j = sorted(rng.choice(n, 2, replace=False).tolist())
+                angle = rng.uniform(0.0, 2.0 * math.pi)
+                x[2 * j : 2 * j + 2] = x[2 * i : 2 * i + 2] + (2.0 * R + contact_gap(rng)) * np.array(
+                    [math.cos(angle), math.sin(angle)]
+                )
+            run = scn.free_run(x, d, [], cap)
+            assert run == reference_robot_free_run(scn, x, d, cap), (n, R, x.tolist(), d.tolist(), cap)
+            outcomes.add(0 if run == 0 else 2 if run == cap else 1)
+        assert outcomes == {0, 1, 2}
+
+    def test_pedestrian_rows_agree_with_the_matrix_products(self):
+        rng, outcomes = np.random.default_rng(5), set()
+        for _ in range(4000):
+            n = int(rng.integers(2, 9))
+            R, d, cap = free_run_draw(rng, n)
+            scn = PedestrianScenario(
+                n=n, R=R, T=1.0, x0=(2.0 * R + 1.0) * np.arange(n), speeds=np.ones(n),
+                control_set=ControlSet.box(-np.ones(n), np.ones(n)),
+            )
+            x = rng.uniform(-60.0, 0.0) + np.cumsum([0.0] + [2.0 * R + contact_gap(rng) for _ in range(n - 1)])
+            support = np.flatnonzero(rng.integers(2, size=n - 1)).tolist()
+            run = scn.free_run(x, d, support, cap)
+            assert run == reference_pedestrian_free_run(scn, x, d, support, cap), (n, R, x.tolist(), d.tolist(),
+                                                                                   support, cap)
+            outcomes.add(0 if run == 0 else 2 if run == cap else 1)
+        assert outcomes == {0, 1, 2}
+
+    @pytest.mark.parametrize("cap", [0, 1, 2**20])
+    @pytest.mark.parametrize("gap", [-0.5, 0.0, 0.5 * CONTACT_TOL])
+    def test_overlapping_or_touching_robots_run_no_steps(self, cap, gap):
+        scn = robot_example()
+        x, d = np.array([0.0, 0.0, 2.0 * scn.R + gap, 0.0]), np.zeros(4)
+        assert scn.free_run(x, d, [], cap) == reference_robot_free_run(scn, x, d, cap) == 0
 
 
 class TestValueEquality:

@@ -736,6 +736,25 @@ class TestDiscreteSearchCache:
         assert len(seen) == sol.simulations < 50
 
 
+class TestBundledSearchPaths:
+    """The whole search path of each bundled file at m = 10, pinned to the bit: a change to how
+    `simulate` steps or fills a run that moves one node moves a cost, and so the search."""
+
+    @pytest.mark.parametrize(
+        "name, cost, evaluations, simulations, control",
+        [
+            ("robot2.scn", "0x1.20000759986e4p+5", 68, 19, [-3.3675317382812504, -1.6837658691406252]),
+            ("pedestrian2.scn", "0x1.2000000000000p+3", 45, 16, [1.8, 1.8]),
+            ("pedestrian3.scn", "0x1.2000000000000p+5", 561, 154, [2.0, 2.0, 0.5]),
+        ],
+    )
+    def test_search_path_is_pinned(self, name, cost, evaluations, simulations, control):
+        sol = solve_discrete(bundled_scenario(name), 10, budget=2000)
+        assert sol.cost == float.fromhex(cost)
+        assert (sol.evaluations, sol.simulations, sol.converged) == (evaluations, simulations, True)
+        assert sol.control.values.tolist() == [control] * 2**10
+
+
 class TestSamplePath:
     def test_breakpoints_enter_the_grid(self):
         sol = solve_reduced(ped2())
