@@ -489,4 +489,8 @@ def save_certificate(cert: DualCertificate, path) -> None:
 
 
 def load_certificate(path) -> DualCertificate:
-    return certificate_from_dict(json.loads(Path(path).read_text()))
+    try:
+        data = json.loads(Path(path).read_text())
+    except RecursionError as exc:  # json's decoder recurses once per nested array or object
+        raise ValueError(f"certificate {path}: JSON nested too deeply to parse") from exc
+    return certificate_from_dict(data)

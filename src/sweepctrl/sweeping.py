@@ -417,7 +417,14 @@ def trajectory_csv(
 ) -> str:
     """Rows of t, x1.., u1.., eta1..; controls and etas come from the interval
     to the right of each node, with the final row repeating the terminal values.
-    Each number is the shortest text that reads back as the same float."""
+    Each number is the shortest text that reads back as the same float, as `repr` writes it.
+
+    The table is formatted in one `orjson.dumps` call (Ryū shortest digits, the digits `repr`
+    gives). orjson writes the positional form where `repr` switches to exponent form, and `null`
+    for a non-finite value, so a row holding such a value is written with `repr` cell by cell.
+    orjson is imported on the first call, so importing the package does not load it."""
+    import orjson
+
     times = np.asarray(times, dtype=float)
     states = np.atleast_2d(np.asarray(states, dtype=float))
     rows = times.shape[0]
@@ -432,8 +439,13 @@ def trajectory_csv(
         cols += [f"eta{i + 1}" for i in range(etas.shape[1])]
         last = etas[-1] if eta_terminal is None else np.asarray(eta_terminal, dtype=float)
         blocks.append(np.vstack([etas[:rows], np.tile(last, (max(rows - etas.shape[0], 0), 1))]))
-    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in np.hstack(blocks).tolist()]
-    return "\n".join(lines) + "\n"
+    table = np.ascontiguousarray(np.hstack(blocks))  # orjson takes only C-ordered arrays
+    lines = orjson.dumps(table, option=orjson.OPT_SERIALIZE_NUMPY).decode()[2:-2].split("],[") if rows else []
+    mag = np.abs(table)
+    # 0.0001 and 1e16 bound where repr writes positional digits; they are not tolerances.
+    for k in np.flatnonzero(((mag < 0.0001) & (mag != 0.0) | ~(mag < 1e16)).any(axis=1)).tolist():
+        lines[k] = ",".join(map(repr, table[k].tolist()))
+    return "\n".join([",".join(cols)] + lines) + "\n"
 
 
 # The column groups that may start after each group of a trajectory CSV header.

@@ -356,6 +356,20 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("nested", ["top-level", "lambda"])
+    def test_deeply_nested_certificate_exits_2_naming_the_file(self, tmp_path, capsys, nested):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        deep = "[" * 200_000
+        if nested == "lambda":
+            deep = cert_file.read_text().replace('"lambda": 1.0', '"lambda": ' + deep, 1)
+            assert deep != cert_file.read_text()
+        cert_file.write_text(deep)
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and str(cert_file) in err and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
@@ -420,6 +434,33 @@ print(after_package, after_cli, code, loaded())
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     assert out.stdout.split()[-4:] == ["False", "False", "0", "False"]
+
+
+def test_orjson_is_loaded_only_by_a_csv_write(tmp_path):
+    assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+    import sweepctrl
+
+    script = f"""
+import contextlib, io, sys
+loaded = lambda: "orjson" in sys.modules
+import sweepctrl
+after_package = loaded()
+import sweepctrl.cli
+after_cli = loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    help_code = sweepctrl.cli.main(["--help"])
+after_help = loaded()
+verify_code = sweepctrl.cli.main(["verify", {PED2!r}, "--certificate", {str(tmp_path / "certificate.json")!r},
+                                  "--trajectory", {str(tmp_path / "trajectory.csv")!r}, "--out", {str(tmp_path)!r}])
+after_verify = loaded()
+simulate_code = sweepctrl.cli.main(["simulate", {PED2!r}, "--control", "1.8,1.8", "--mesh-exp", "6",
+                                    "--out", {str(tmp_path / "sim")!r}])
+print(after_package, after_cli, help_code, after_help, verify_code, after_verify, simulate_code, loaded())
+"""
+    src = str(Path(sweepctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split()[-8:] == ["False", "False", "0", "False", "0", "False", "0", "True"]
 
 
 def test_two_agent_simulate_and_solve_discrete_leave_scipy_unloaded(tmp_path):

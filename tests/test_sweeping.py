@@ -16,7 +16,7 @@ from sweepctrl.models import (
     parse_scenario_text,
 )
 from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
-from sweepctrl import polyhedra, sweeping
+from sweepctrl import cli, polyhedra, sweeping
 from sweepctrl.polyhedra import Polyhedron, contains, decompose_on_rows, project_raw
 from sweepctrl.sweeping import (
     STEP_TOL,
@@ -622,6 +622,102 @@ class TestCsv:
         assert fast == self.outcome_cell_by_cell(text)
         if mutation is None:
             assert fast["states"][1] == np.array(values)[:, 1:3].tobytes()
+
+
+def reference_trajectory_csv(times, states, controls=None, etas=None, eta_terminal=None):
+    """`trajectory_csv` as the per-cell formula: the same table, each row `repr` cell by cell."""
+    times = np.asarray(times, dtype=float)
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    rows = times.shape[0]
+    cols = ["t"] + [f"x{i + 1}" for i in range(states.shape[1])]
+    blocks = [times[:, None], states]
+    if controls is not None:
+        controls = np.atleast_2d(np.asarray(controls, dtype=float))
+        cols += [f"u{i + 1}" for i in range(controls.shape[1])]
+        blocks.append(controls[np.minimum(np.arange(rows), controls.shape[0] - 1)])
+    if etas is not None:
+        etas = np.atleast_2d(np.asarray(etas, dtype=float))
+        cols += [f"eta{i + 1}" for i in range(etas.shape[1])]
+        last = etas[-1] if eta_terminal is None else np.asarray(eta_terminal, dtype=float)
+        blocks.append(np.vstack([etas[:rows], np.tile(last, (max(rows - etas.shape[0], 0), 1))]))
+    lines = [",".join(cols)] + [",".join(map(repr, row)) for row in np.hstack(blocks).tolist()]
+    return "\n".join(lines) + "\n"
+
+
+# Values on both sides of where repr switches to exponent form (|x| < 0.0001 and |x| >= 1e16),
+# signed zeros, subnormals and the non-finite values, which orjson would write as null.
+EDGE_VALUES = [
+    0.0, -0.0, 5e-324, 2.225073858507201e-308, 2.2250738585072014e-308, float("nan"), float("inf"),
+    float("-inf"), np.nextafter(0.0001, 0.0), 0.0001, np.nextafter(0.0001, 1.0), 9999999999999998.0,
+    1e16, np.nextafter(1e16, 2e16), 1e15, 123456789012345.0, 0.1, 1.0 / 3.0, 1e300, 1.7976931348623157e308,
+]
+csv_cells = st.one_of(
+    st.floats(),
+    st.sampled_from(EDGE_VALUES).flatmap(lambda v: st.sampled_from([v, -v])),
+    st.floats(5e-5, 2e-4),
+    st.floats(5e15, 2e16),
+)
+
+
+@st.composite
+def csv_tables(draw):
+    """Arguments of `trajectory_csv`: 0-6 rows, 1-3 state columns, controls and etas with any number
+    of rows from 1 (a short eta block is padded with its terminal row), C- or F-ordered."""
+    rows, n = draw(st.integers(0, 6)), draw(st.integers(1, 3))
+    order = draw(st.sampled_from("CF"))
+
+    def block(nrows, width):
+        cells = draw(st.lists(csv_cells, min_size=nrows * width, max_size=nrows * width))
+        return np.array(np.reshape(np.array(cells, dtype=float), (nrows, width)), order=order)
+
+    times, states = block(rows, 1)[:, 0], block(rows, n)
+    controls = block(draw(st.integers(1, rows + 1)), draw(st.integers(1, 3))) if draw(st.booleans()) else None
+    etas = eta_terminal = None
+    if draw(st.booleans()):
+        etas = block(draw(st.integers(1, rows + 1)), draw(st.integers(1, 3)))
+        eta_terminal = block(1, etas.shape[1])[0] if draw(st.booleans()) else None
+    return times, states, controls, etas, eta_terminal
+
+
+class TestCsvReference:
+    """`trajectory_csv` formats the table in one orjson call; its text must be the per-cell formula's."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(csv_tables())
+    def test_text_equals_the_per_cell_formula(self, args):
+        assert trajectory_csv(*args) == reference_trajectory_csv(*args)
+
+    @pytest.mark.parametrize("value", EDGE_VALUES)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_edge_value_in_a_row_of_positional_values(self, value, sign):
+        states = np.array([[0.5, 2.0], [sign * value, 3.0], [1.0, 7.25]])
+        args = (np.array([0.0, 0.5, 1.0]), states, np.array([[1.5], [-2.5]]), np.array([[4.0], [sign * value]]))
+        assert trajectory_csv(*args) == reference_trajectory_csv(*args)
+
+    def test_zero_rows_one_state_column_and_an_f_ordered_table(self):
+        states = np.asfortranarray(np.arange(12.0).reshape(4, 3) / 7.0)
+        assert np.hstack([np.zeros(4)[:, None], states]).flags.f_contiguous  # orjson refuses such a table
+        for args in [(np.zeros(0), np.zeros((0, 1))), (np.zeros(0), np.zeros((0, 2)), np.ones((1, 2)), np.ones((1, 1))),
+                     (np.array([0.25]), np.array([[1e-300]])), (np.linspace(0.0, 1.0, 4), states)]:
+            assert trajectory_csv(*args) == reference_trajectory_csv(*args)
+        assert trajectory_csv(np.zeros(0), np.zeros((0, 1))) == "t,x1\n"
+
+    @pytest.mark.parametrize(
+        "name, control", [("pedestrian2.scn", "1.8,1.8"), ("pedestrian3.scn", "2,2,2"),
+                          ("robot2.scn", f"{float(2.0 * ROBOT_R)!r},{float(ROBOT_R)!r}")],
+        ids=["pedestrian2", "pedestrian3", "robot2"],
+    )
+    def test_cli_csvs_of_the_bundled_files(self, tmp_path, monkeypatch, name, control):
+        """The `solve-reduced` and `simulate` CSVs equal the ones the per-cell formula writes."""
+        scn = str(bundled_scenario_path(name))
+        commands = [["solve-reduced", scn], ["simulate", scn, f"--control={control}"]]
+        for k, command in enumerate(commands):
+            assert cli.main([*command, "--out", str(tmp_path / f"{k}-new")]) == 0
+            with monkeypatch.context() as mp:
+                mp.setattr(cli, "trajectory_csv", reference_trajectory_csv)
+                assert cli.main([*command, "--out", str(tmp_path / f"{k}-ref")]) == 0
+            new, ref = ((tmp_path / f"{k}-{side}" / "trajectory.csv").read_bytes() for side in ("new", "ref"))
+            assert new == ref and len(new.splitlines()) > 2**12  # the default mesh, m = 12
 
 
 class TestControlCheck:
