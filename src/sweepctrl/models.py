@@ -104,6 +104,12 @@ class ControlSet:
     def _bounds(self) -> tuple[np.ndarray, np.ndarray]:
         return self.lo - CONTROL_TOL, self.hi + CONTROL_TOL
 
+    @functools.cached_property
+    def _bound_lists(self) -> tuple[list, list]:
+        """`_bounds` as Python floats, for a test of one parameter row without array calls."""
+        lo, hi = self._bounds
+        return lo.tolist(), hi.tolist()
+
     def parameters(self, u) -> np.ndarray:
         """Least-squares parameters p of u (of each row of an (N, d) array); exact on the set.
         `einsum`, not a BLAS product, so that a row gets the same p in a batch of any size."""
@@ -212,7 +218,9 @@ def in_contact(gaps) -> np.ndarray:
 class Scenario:
     """The drive, checks and contact test both families share, over five model hooks:
 
-    headings(t, contact_time)     unit drive direction per agent, (n, coords); (N, n, coords) at N times
+    headings(t, contact_time)     unit drive direction per agent: one (n, coords) table, which
+                                  broadcasts over N times when no heading switches, else
+                                  (N, n, coords) at N times
     constraint_rows(x)            the step set K(x) = {y : A y <= c} as (A, c)
     pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
     free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d,
@@ -272,7 +280,8 @@ class Scenario:
 
     def drive(self, u, t=0.0, contact_time: float | None = None) -> np.ndarray:
         """g(x, u) = (s_i u^i times agent i's heading) for a u known to lie in U: (state_dim,),
-        or (N, state_dim) for N control rows and/or N times."""
+        or (N, state_dim) for N control rows, at one time or at N times.  The products are
+        elementwise, so a row's drive has the same bits whether the headings broadcast or not."""
         # (s u) h, not s (u h) or a precomputed s h: a pushed robot train amplifies rounding.
         g = (self.speeds * u)[..., None] * self.headings(t, contact_time)
         return g.reshape(*g.shape[:-2], -1)
@@ -346,20 +355,25 @@ class RobotScenario(Scenario):
     def switch_time(self) -> float | None:
         return None if self.angles_post is None or self.switch_at == "contact" else self.switch_at
 
-    def _phase(self, t, contact_time: float | None) -> np.ndarray:
-        """1 where the post-switch headings hold at t (given the first contact time if known), else 0."""
-        switch = contact_time if self.switch_at == "contact" else self.switch_at
-        if self.angles_post is None or switch is None:
-            return np.zeros(np.shape(t), dtype=int)
-        return (np.asarray(t) >= switch).astype(int)
+    def _switch(self, contact_time: float | None) -> float | None:
+        """The time the post-switch headings take over (given the first contact time if known),
+        or None while no switch is known."""
+        if self.angles_post is None:
+            return None
+        return contact_time if self.switch_at == "contact" else self.switch_at
 
     def theta(self, t: float, contact_time: float | None = None) -> np.ndarray:
         """Heading angles effective at time t, given the first contact time if known."""
-        return self.angles_post if self._phase(t, contact_time) else self.angles
+        switch = self._switch(contact_time)
+        return self.angles_post if switch is not None and t >= switch else self.angles
 
     def headings(self, t, contact_time: float | None = None) -> np.ndarray:
-        """(cos th_i, sin th_i) per agent along the headings effective at t."""
-        return self._headings[self._phase(t, contact_time)]
+        """(cos th_i, sin th_i) per agent along the headings effective at t: one (n, 2) table
+        while no switch is known, which broadcasts over any times, else one table per time."""
+        switch = self._switch(contact_time)
+        if switch is None:
+            return self._headings[0]
+        return self._headings[(np.asarray(t) >= switch).astype(int)]
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         """`linearized_noncollision(x, R)`, with its offsets one read-only array for every x."""
@@ -452,10 +466,14 @@ class PedestrianScenario(Scenario):
         if np.min(gaps) < -CONTROL_TOL:
             j = int(np.argmin(gaps))
             raise ValueError(f"key 'x0': gap {j + 1}->{j + 2} below 2R (not projected)")
+        headings = np.ones((self.n, 1))
+        headings.flags.writeable = False  # shared by every `drive` call
+        object.__setattr__(self, "_headings", headings)
 
     def headings(self, t, contact_time: float | None = None) -> np.ndarray:
-        """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n)."""
-        return np.ones((self.n, 1))
+        """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n).  One
+        read-only (n, 1) table of ones, built with the scenario."""
+        return self._headings
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._sweeping_set.normals, self._sweeping_set.offsets

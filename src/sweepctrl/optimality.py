@@ -493,4 +493,6 @@ def load_certificate(path) -> DualCertificate:
         data = json.loads(Path(path).read_text())
     except RecursionError as exc:  # json's decoder recurses once per nested array or object
         raise ValueError(f"certificate {path}: JSON nested too deeply to parse") from exc
+    except json.JSONDecodeError as exc:  # its message gives the line and column, not the file
+        raise ValueError(f"certificate {path}: not valid JSON: {exc}") from exc
     return certificate_from_dict(data)

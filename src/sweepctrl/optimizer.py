@@ -576,7 +576,10 @@ def solve_discrete(
     looked up, not simulated, but still counts against the budget, so the
     search takes the same path either way.  Every control is built by
     `ControlSignal.from_parameters` from parameters clipped into the box,
-    which checks it against U once; `simulate` does not check it again.
+    which checks it against U once; `simulate` does not check it again.  A
+    compass step is decided on Python floats, in the float operations of the
+    parameter arrays, and copies the parameter rows only when it moves, so an
+    evaluation pays for its simulation and little else.
     `simulations` counts the `simulate` calls.  The lowest-cost trajectory
     simulated so far is kept and returned when it belongs to the best
     control; otherwise the best control is simulated once more, outside the
@@ -651,18 +654,24 @@ def solve_discrete(
                 low_key, low_traj = k, traj
         return val
 
+    lo_l, hi_l, span_l = lo.tolist(), hi.tolist(), span.tolist()
+
     def search(P: np.ndarray, val: float, min_step: float) -> tuple[np.ndarray, float, bool]:
-        """Compass search from P (cost val); False when the budget stopped it."""
+        """Compass search from P (cost val); False when the budget stopped it.  Each candidate is
+        decided on Python floats, in the float operations of the array entries, and copied only
+        when it moves off P."""
         rel = 0.25
         while rel > min_step:
             improved = False
-            for idx in np.ndindex(P.shape):
+            for idx in itertools.product(range(P.shape[0]), range(P.shape[1])):
                 i = idx[1]
+                p = P.item(idx)  # an improving candidate ends the sign loop: p holds for both signs
                 for sgn in (1.0, -1.0):
-                    cand = P.copy()
-                    cand[idx] = min(max(P[idx] + sgn * rel * span[i], lo[i]), hi[i])
-                    if cand[idx] == P[idx]:
+                    x = min(max(p + sgn * rel * span_l[i], lo_l[i]), hi_l[i])
+                    if x == p:
                         continue
+                    cand = P.copy()
+                    cand[idx] = x
                     v = evaluate(cand)
                     if v is None:
                         return P, val, False

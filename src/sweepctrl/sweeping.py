@@ -52,6 +52,9 @@ from .tolerances import STEP_TOL, TIME_TOL
 MESH_EXP_MAX = 24  # step underflow guard
 ETA_BLOCK = 4096  # intervals per batched multiplier solve in `recover_eta`
 
+_ONE_RUN = np.zeros(1, dtype=np.intp)  # the run starts of a constant control, shared read-only
+_ONE_RUN.flags.writeable = False
+
 
 @dataclass(frozen=True)
 class Mesh:
@@ -96,7 +99,9 @@ class ControlSignal:
     `recover_eta` take those starts without a second check when the
     scenario's control set is that same U object; every other signal (built
     from values, or in another set) has its rows checked by
-    `ControlSet.check_rows` on each call.
+    `ControlSet.check_rows` on each call.  A constant control, one parameter
+    row, is checked on Python floats and shares one read-only `[0]` as its run
+    starts, so a search candidate costs a few microseconds before `simulate`.
     """
 
     mesh: Mesh
@@ -127,26 +132,38 @@ class ControlSignal:
         control, and each of r rows holds for 2^m / r intervals.
 
         Raises naming the first parameter outside [lo - CONTROL_TOL, hi + CONTROL_TOL] (NaN
-        included), the rule of `ControlSet.in_box`.  The values are the signal's own and read-only.
+        included), the rule of `ControlSet.in_box`: one row on Python floats, several rows as an
+        array.  The values are the signal's own and read-only.
         """
-        P = np.atleast_2d(np.asarray(P, dtype=float))
+        P = np.asarray(P, dtype=float)
+        if P.ndim < 2:
+            P = P.reshape(1, -1)
         if P.ndim != 2 or P.shape[1] != len(U.lo) or not len(P) or mesh.intervals % len(P):
             raise ValueError(
                 f"parameter rows of shape {P.shape} do not fit {len(U.lo)} parameters on {mesh.intervals} intervals"
             )
-        inside = U.in_box(P)
-        if not inside.all():
-            k, i = np.argwhere(~inside)[0]
-            raise ValueError(
-                f"parameter row {k}: p{i + 1} = {P[k, i]:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]"
-            )
-        values = np.repeat(P @ U.basis, mesh.intervals // len(P), axis=0)
+        if len(P) == 1:
+            lo, hi = U._bound_lists
+            for i, (a, p, b) in enumerate(zip(lo, P[0].tolist(), hi)):
+                if not a <= p <= b:  # a NaN parameter is outside
+                    raise ValueError(f"parameter row 0: p{i + 1} = {p:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]")
+        else:
+            inside = U.in_box(P)
+            if not inside.all():
+                k, i = np.argwhere(~inside)[0]
+                raise ValueError(
+                    f"parameter row {k}: p{i + 1} = {P[k, i]:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]"
+                )
+        values = (P @ U.basis).repeat(mesh.intervals // len(P), axis=0)
         values.flags.writeable = False
-        starts = np.zeros(1, dtype=np.intp) if len(P) == 1 else run_starts(values)
-        starts.flags.writeable = False
-        signal = ControlSignal(mesh, values)
-        object.__setattr__(signal, "_built_in", U)
-        object.__setattr__(signal, "_starts", starts)
+        if len(P) == 1:
+            starts = _ONE_RUN
+        else:
+            starts = run_starts(values)
+            starts.flags.writeable = False
+        # The shape is the one `__post_init__` checks: set the fields without running it again.
+        signal = object.__new__(ControlSignal)
+        signal.__dict__.update(mesh=mesh, values=values, _built_in=U, _starts=starts)
         return signal
 
     def checked_starts(self, U: ControlSet) -> np.ndarray:
@@ -250,15 +267,15 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     if not mesh.spans(scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
     values = u.values
-    starts = u.checked_starts(scn.control_set)
+    starts = u.checked_starts(scn.control_set).tolist()
     h = mesh.h
     times = mesh.nodes
     K = mesh.intervals
     steps = h * scn.drive(values, times[:-1])
     if scn.switch_time is not None:  # the drive also changes at the first node past the switch
-        starts = np.union1d(starts, np.searchsorted(times[:-1], scn.switch_time))
+        starts = sorted({*starts, int(times[:-1].searchsorted(scn.switch_time))})
     # The intervals where the runs of equal drives end, in order; `end` is that of interval k's run.
-    run_ends = iter(starts[1:].tolist() + [K])
+    run_ends = iter(starts[1:] + [K])
     end = 0
     track = scn.switches_at_contact
     contact: float | None = None
@@ -314,7 +331,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             run = scn.free_run(xn, d, W, end - k)
             fill = nodes[k : k + run + 1]
             fill[1:] = d
-            np.cumsum(fill, axis=0, out=fill)
+            fill.cumsum(axis=0, out=fill)  # the method: `np.cumsum` is a Python wrapper around it
             k += run
             W = None  # the next fill needs two fresh steps
         prev, x = W, nodes[k]

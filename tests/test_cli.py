@@ -370,6 +370,16 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and str(cert_file) in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("text", ['{"lambda": 1,}', '{"lambda": 1.0,', "", "certificate"])
+    def test_certificate_that_is_not_json_exits_2_naming_the_file(self, tmp_path, capsys, text):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_text(text)
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: certificate {cert_file}: not valid JSON: ") and "Traceback" not in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "0"])
     def test_tol_must_be_finite_and_positive(self, tmp_path, capsys, tol):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

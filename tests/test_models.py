@@ -612,6 +612,89 @@ class TestFreeRunReference:
         assert scn.free_run(x, d, [], cap) == reference_robot_free_run(scn, x, d, cap) == 0
 
 
+def reference_headings(scn, t, contact_time=None) -> np.ndarray:
+    """The headings gathered for every time, (N, n, coords): the table `drive` took before one
+    (n, coords) table broadcast over the times where no heading switches."""
+    if isinstance(scn, PedestrianScenario):
+        return np.ones((*np.shape(t), scn.n, 1))
+    switch = contact_time if scn.switch_at == "contact" else scn.switch_at
+    if scn.angles_post is None or switch is None:
+        phase = np.zeros(np.shape(t), dtype=int)
+    else:
+        phase = (np.asarray(t) >= switch).astype(int)
+    angles = np.array([scn.angles, scn.angles if scn.angles_post is None else scn.angles_post])
+    return np.stack([np.cos(angles), np.sin(angles)], axis=-1)[phase]
+
+
+def reference_drive(scn, u, t, contact_time=None) -> np.ndarray:
+    g = (scn.speeds * u)[..., None] * reference_headings(scn, t, contact_time)
+    return g.reshape(*g.shape[:-2], -1)
+
+
+def reference_drive_adjoint(scn, q, t, contact_time=None) -> np.ndarray:
+    H = reference_headings(scn, t, contact_time)
+    return scn.speeds * np.sum(H * np.reshape(q, (*np.shape(q)[:-1], scn.n, H.shape[-1])), axis=-1)
+
+
+# Control and adjoint entries: signed zeros, order-one values, and large and tiny magnitudes.
+drive_entries = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0]), st.floats(-1e6, 1e6), st.floats(-1e-300, 1e-300))
+
+
+@st.composite
+def drive_cases(draw):
+    """A scenario (pedestrians, or robots with no switch, a time switch or a contact switch), N
+    control rows and adjoint rows, N times on [0, T] that may hit the switch, and a contact time."""
+    n, N = draw(st.integers(2, 4)), draw(st.integers(1, 16))
+    T = 6.0
+    speeds = np.array(draw(st.lists(st.floats(0.0, 10.0), min_size=n, max_size=n)))
+    U = ControlSet.box(-np.ones(n), np.ones(n))
+    family = draw(st.sampled_from(["pedestrian", "robot", "robot-time", "robot-contact"]))
+    if family == "pedestrian":
+        scn = PedestrianScenario(n=n, R=1.0, T=T, x0=3.0 * np.arange(n), speeds=speeds, control_set=U)
+    else:
+        angle = st.floats(0.0, 2.0 * math.pi)
+        angles = np.array(draw(st.lists(angle, min_size=n, max_size=n)))
+        post = np.array(draw(st.lists(angle, min_size=n, max_size=n))) if family != "robot" else None
+        switch = {"robot": None, "robot-time": draw(st.floats(0.0, T)), "robot-contact": "contact"}[family]
+        scn = RobotScenario(n=n, R=1.0, T=T, x0=np.repeat(3.0 * np.arange(n), 2), speeds=speeds, angles=angles,
+                            control_set=U, angles_post=post, switch_at=switch)
+    times = np.sort(draw(st.lists(st.floats(0.0, T), min_size=N, max_size=N)))
+    contact = draw(st.one_of(st.none(), st.floats(0.0, T), st.sampled_from(times.tolist())))
+    if isinstance(scn, RobotScenario) and scn.switch_time is not None and draw(st.booleans()):
+        times[N // 2] = scn.switch_time  # a time exactly at the switch takes the post-switch headings
+    u = draw(hnp.arrays(float, (N, n), elements=drive_entries))
+    q = draw(hnp.arrays(float, (N, scn.state_dim), elements=drive_entries))
+    return scn, u, q, times, contact
+
+
+class TestDriveReference:
+    """Where no heading switches, `headings` gives one (n, coords) table that `drive` and
+    `drive_adjoint` broadcast over the times; every entry keeps the bits of the gathered table."""
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(drive_cases())
+    def test_drive_and_adjoint_equal_the_gathered_heading_formula(self, case):
+        scn, u, q, times, contact = case
+        self.assert_same_bits(scn.drive(u, times, contact), reference_drive(scn, u, times, contact))
+        self.assert_same_bits(scn.drive_adjoint(q, times, contact), reference_drive_adjoint(scn, q, times, contact))
+        t = float(times[0])
+        self.assert_same_bits(scn.drive(u[0], t, contact), reference_drive(scn, u[0], t, contact))
+        self.assert_same_bits(scn.drive_adjoint(q[0], t, contact), reference_drive_adjoint(scn, q[0], t, contact))
+
+    @pytest.mark.parametrize("name", ["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"])
+    def test_one_shared_table_without_a_switch(self, name):
+        scn = bundled_scenario(name)
+        H = scn.headings(np.linspace(0.0, scn.T, 5))
+        assert H.shape == (scn.n, scn.state_dim // scn.n)
+        assert np.array_equal(H, reference_headings(scn, 0.0))
+        if isinstance(scn, PedestrianScenario):
+            assert H is scn.headings(0.0) and not H.flags.writeable
+
+
 class TestValueEquality:
     def test_two_parses_of_one_file_compare_equal(self):
         for name in ("robot2.scn", "pedestrian2.scn", "pedestrian3.scn"):

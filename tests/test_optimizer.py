@@ -735,6 +735,42 @@ class TestDiscreteSearchCache:
         assert sol.converged is False
         assert len(seen) == sol.simulations < 50
 
+    @pytest.mark.parametrize(
+        "name, budget, cost, simulations",
+        [("pedestrian2.scn", 17, "0x1.2000000000000p+3", 16), ("robot2.scn", 19, "0x1.20000759986e5p+5", 16),
+         ("pedestrian3.scn", 66, "0x1.2000000000000p+5", 61)],
+    )
+    def test_a_start_that_finds_the_budget_spent_ends_the_search(self, monkeypatch, name, budget, cost, simulations):
+        # At m = 6, `budget` is the first start's exact evaluation count: its compass search
+        # converges on the last evaluation the budget allows, and the next start's first
+        # evaluation finds the budget spent.
+        seen = self.spy(monkeypatch)
+        scn = bundled_scenario(name)
+        sol = solve_discrete(scn, 6, budget=budget)
+        assert (sol.cost, sol.evaluations, sol.simulations, sol.converged) == (
+            float.fromhex(cost), budget, simulations, False)
+        assert len(seen) == len(set(seen)) == simulations
+        full = solve_discrete(scn, 6, budget=2000)
+        assert full.evaluations > budget and full.converged
+
+    def test_a_best_control_above_the_lowest_simulated_cost_is_simulated_again(self, monkeypatch):
+        # robot2 at a 1e-5 length scale: near the optimum a step lowers the cost by less than
+        # SEARCH_IMPROVE_TOL, so the search keeps a control that is not the lowest-cost one it
+        # simulated, and simulates that control once more for its trajectory.
+        text = ROBOT2_FILE
+        for old, small in [("R = 6", "R = 6e-5"), ("x0 = -30 -30 -20 -20", "x0 = -3e-4 -3e-4 -2e-4 -2e-4"),
+                           ("speeds = 3 1", "speeds = 3e-5 1e-5")]:
+            assert old in text
+            text = text.replace(old, small)
+        scn = parse_scenario_text(text)
+        seen = self.spy(monkeypatch)
+        sol = solve_discrete(scn, 4, budget=2000)
+        assert (sol.cost, sol.evaluations, sol.simulations, sol.converged) == (
+            float.fromhex("0x1.eec7d2e594c24p-29"), 62, 19, True)
+        assert len(seen) == sol.simulations == len(set(seen)) + 1 and seen[-1] in seen[:-1]
+        assert np.array_equal(sol.trajectory.nodes, simulate(scn, sol.control).nodes)
+        assert sol.cost == trajectory_cost(sol.trajectory)
+
 
 class TestBundledSearchPaths:
     """The whole search path of each bundled file at m = 10, pinned to the bit: a change to how
@@ -753,6 +789,27 @@ class TestBundledSearchPaths:
         assert sol.cost == float.fromhex(cost)
         assert (sol.evaluations, sol.simulations, sol.converged) == (evaluations, simulations, True)
         assert sol.control.values.tolist() == [control] * 2**10
+
+    @pytest.mark.parametrize(
+        "name, m, budget, cost, evaluations, simulations, converged, values_digest",
+        [
+            ("pedestrian2.scn", 3, 2000, "0x1.2000000000000p+3", 109, 80, True, "061b1ae0430995b5d38035d84f4553ef"),
+            ("robot2.scn", 5, 2000, "0x1.2000000763983p+5", 642, 340, True, "22bd7d84f0000aa0346e247613d57cf5"),
+            ("pedestrian3.scn", 3, 2000, "0x1.2000000000000p+5", 821, 408, True, "429b31aa3ab97984ef49b2c26c63ab80"),
+            ("robot2.scn", 3, 84, "0x1.20000759986e2p+5", 84, 35, False, "f1e81b512fe6e06080499e194b77e360"),
+        ],
+    )
+    def test_piecewise_search_path_is_pinned(
+        self, name, m, budget, cost, evaluations, simulations, converged, values_digest
+    ):
+        # The refinement steps one interval's parameters at a time, so the digest of the whole
+        # control stands for the 2^m rows.
+        import hashlib
+
+        sol = solve_discrete(bundled_scenario(name), m, budget=budget, piecewise=True)
+        assert sol.cost == float.fromhex(cost)
+        assert (sol.evaluations, sol.simulations, sol.converged) == (evaluations, simulations, converged)
+        assert hashlib.blake2b(sol.control.values.tobytes(), digest_size=16).hexdigest() == values_digest
 
 
 class TestSamplePath:

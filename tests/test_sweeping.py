@@ -14,6 +14,7 @@ from sweepctrl.models import (
     in_contact,
     linearized_noncollision,
     parse_scenario_text,
+    run_starts,
 )
 from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
 from sweepctrl import cli, polyhedra, sweeping
@@ -32,7 +33,7 @@ from sweepctrl.sweeping import (
     simulate,
     trajectory_csv,
 )
-from sweepctrl.tolerances import CONTACT_TOL, EMPTY_RTOL, MEMBERSHIP_TOL
+from sweepctrl.tolerances import CONTACT_TOL, CONTROL_TOL, EMPTY_RTOL, MEMBERSHIP_TOL
 
 SQRT2 = np.sqrt(2.0)
 
@@ -732,6 +733,115 @@ class TestControlCheck:
         values[7:20] = PED2_U
         with pytest.raises(ValueError, match="interval 30 "):
             simulate(ped2(), ControlSignal(Mesh(6.0, 6), values))
+
+
+def reference_from_parameters(mesh, U, P):
+    """`ControlSignal.from_parameters` as the array formulas: the values and run starts it builds,
+    or the text of the error it raises."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if P.ndim != 2 or P.shape[1] != len(U.lo) or not len(P) or mesh.intervals % len(P):
+        return f"parameter rows of shape {P.shape} do not fit {len(U.lo)} parameters on {mesh.intervals} intervals"
+    inside = U.in_box(P)
+    if not inside.all():
+        k, i = np.argwhere(~inside)[0]
+        return f"parameter row {k}: p{i + 1} = {P[k, i]:g} outside [{U.lo[i]:g}, {U.hi[i]:g}]"
+    values = np.repeat(P @ U.basis, mesh.intervals // len(P), axis=0)
+    return values, np.zeros(1, dtype=np.intp) if len(P) == 1 else run_starts(values)
+
+
+def built_or_error(mesh, U, P):
+    try:
+        return ControlSignal.from_parameters(mesh, U, P)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def parameter_cases(draw):
+    """A box or a segment U, a mesh, and parameter rows P of U (mostly one row) whose entries sit
+    inside, on the bounds, at lo - CONTROL_TOL and hi + CONTROL_TOL, one float past them, or at
+    a signed zero, NaN or an infinity; P given as a list, a 1-D array, an int array or rows."""
+    if draw(st.booleans()):
+        q = draw(st.integers(1, 3))
+        ends = [sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))) for _ in range(q)]
+        U = ControlSet.box([a for a, _ in ends], [b for _, b in ends])
+    else:
+        d = draw(st.integers(1, 3))
+        link = draw(st.lists(st.sampled_from([-2.0, -0.5, 0.0, 1.0, 3.0]), min_size=d, max_size=d))
+        link[0] = link[0] or 1.0
+        U = ControlSet.segment(link, sorted(draw(st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=2))))
+    q, m = len(U.lo), draw(st.integers(1, 6))
+
+    def entry(i, anywhere=True):
+        lo, hi = float(U.lo[i]), float(U.hi[i])
+        edges = [lo, hi, lo - CONTROL_TOL, hi + CONTROL_TOL]
+        inside = st.one_of(st.floats(0.0, 1.0).map(lambda f: lo + (hi - lo) * f), st.sampled_from(edges))
+        if not anywhere:
+            return draw(inside)
+        edges = [np.nextafter(lo - CONTROL_TOL, -np.inf), np.nextafter(hi + CONTROL_TOL, np.inf), 0.0, -0.0,
+                 np.nan, np.inf, -np.inf]
+        return draw(st.one_of(inside, st.sampled_from(edges), st.floats()))
+
+    form = draw(st.sampled_from(["list", "1-D", "int", "row", "rows"]))
+    if form == "int":
+        return Mesh(1.0, m), U, np.array([draw(st.integers(-1000, 1000)) for _ in range(q)])
+    if form == "rows":  # mostly inside, so that rows are built as well as refused
+        rows, anywhere = 2 ** draw(st.integers(0, m)), draw(st.booleans())
+        return Mesh(1.0, m), U, np.array([[entry(i, anywhere) for i in range(q)] for _ in range(rows)])
+    row = [entry(i) for i in range(q)]
+    return Mesh(1.0, m), U, {"list": row, "1-D": np.array(row), "row": np.array([row])}[form]
+
+
+class TestFromParametersReference:
+    """`from_parameters` checks one parameter row on Python floats and shares one read-only `[0]`
+    as its run starts; the values, starts and error text must be the array formulas'."""
+
+    @staticmethod
+    def assert_matches(mesh, U, P):
+        got, expected = built_or_error(mesh, U, P), reference_from_parameters(mesh, U, P)
+        if isinstance(expected, str):
+            assert got == expected
+            return
+        values, starts = expected
+        assert got.values.shape == values.shape and got.values.tobytes() == values.tobytes()
+        assert not got.values.flags.writeable and not got._starts.flags.writeable
+        assert got._starts.dtype == starts.dtype and got._starts.tolist() == starts.tolist()
+        assert got.mesh is mesh and got._built_in is U and got.checked_starts(U) is got._starts
+        assert got == ControlSignal(mesh, values)
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(parameter_cases())
+    def test_values_starts_and_errors_equal_the_array_formulas(self, case):
+        self.assert_matches(*case)
+
+    @pytest.mark.parametrize(
+        "p, message",
+        [
+            (2.0 + CONTROL_TOL, None),
+            (np.nextafter(2.0 + CONTROL_TOL, np.inf), "parameter row 0: p2 = 2 outside [-2, 2]"),
+            (-2.0 - CONTROL_TOL, None),
+            (np.nextafter(-2.0 - CONTROL_TOL, -np.inf), "parameter row 0: p2 = -2 outside [-2, 2]"),
+            (np.nan, "parameter row 0: p2 = nan outside [-2, 2]"),
+            (np.inf, "parameter row 0: p2 = inf outside [-2, 2]"),
+            (-np.inf, "parameter row 0: p2 = -inf outside [-2, 2]"),
+        ],
+    )
+    def test_the_bounds_of_one_row(self, p, message):
+        mesh, U = Mesh(6.0, 6), ped3().control_set
+        first = "parameter row 0: p1 = 3 outside [-2, 2]"  # the first parameter outside is named
+        assert built_or_error(mesh, U, [3.0, p, 0.5]) == reference_from_parameters(mesh, U, [3.0, p, 0.5]) == first
+        self.assert_matches(mesh, U, [1.0, p, 0.5])
+        got = built_or_error(mesh, U, [1.0, p, 0.5])
+        assert got == message if message else isinstance(got, ControlSignal)
+
+    def test_parameter_forms_of_one_row(self):
+        mesh, U = Mesh(6.0, 6), ped3().control_set
+        for P in ([1, -2, 0.5], np.array([1.0, -2.0, 0.5]), np.array([1, -2, 0]), np.array([[1.0, -2.0, 0.5]]),
+                  [-0.0, 0.0, -0.0], [1.0, 2.0], 1.0, np.zeros((0, 3)), np.zeros((3, 3)), np.zeros((1, 1, 3))):
+            self.assert_matches(mesh, U, P)
+        self.assert_matches(mesh, robot2().control_set, 0.5)  # a segment's one parameter as a scalar
+        one, other = (ControlSignal.from_parameters(mesh, U, [p, p, p]) for p in (1.0, -1.0))
+        assert one._starts is other._starts  # one shared array
 
 
 SWITCH_TEXT = (
