@@ -352,7 +352,7 @@ def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
     t = [s for s in cert.atom_times.tolist() if s < path.horizon - TIME_TOL]
     if not t:
         return 0
-    return sum(not any(row) for row in in_contact(scn.pair_gaps(path.value(np.array(t)))).tolist())
+    return list(map(any, in_contact(scn.pair_gaps(path.value(np.array(t)))).tolist())).count(False)
 
 
 def _check_fit(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:

@@ -411,10 +411,14 @@ def _project_one_row(a: list, c: float, y: list, tol: float) -> list | None:
     """`project_raw` onto the one halfspace <a, x> <= c on Python floats: the projection of y,
     or None when y violates the row by at most tol (y is its own projection).
 
-    `simulate` steps a robot pair's contact arc on this helper directly, so both take one step
-    in one sequence of float operations.
+    The two sums add left to right from 0, written out: from Python 3.12 on, the builtin `sum`
+    of floats compensates its rounding, which would make the bits depend on the interpreter.
+    `sweeping._pair_arc` writes these float operations out for a robot pair's row.
     """
-    top = sum(map(mul, a, y)) - c
+    top = 0.0
+    for p in map(mul, a, y):
+        top += p
+    top -= c
     if top <= tol:
         # -inf: a non-finite input, or a finite point so far inside that the sum overflowed.
         if top == -math.inf and not all(map(math.isfinite, [*a, c, *y])):
@@ -422,7 +426,9 @@ def _project_one_row(a: list, c: float, y: list, tol: float) -> list | None:
         return None
     if not math.isfinite(top):
         raise ValueError("projection input must not contain infs or NaNs")
-    aa = sum(map(mul, a, a))
+    aa = 0.0
+    for p in map(mul, a, a):
+        aa += p
     if not aa > EMPTY_RTOL * (2.0 + aa):  # the NNLS rule of `project_raw`, d > EMPTY_RTOL (1 + u)
         if not math.isfinite(aa):
             raise ValueError("projection row norm overflows")

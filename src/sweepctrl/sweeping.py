@@ -11,9 +11,10 @@ One loop serves both models through the `models.Scenario` interface:
 `constraint_rows` gives K(x), `pair_gaps` finds contacts and `free_run`
 says how far a repeating step may be filled.  Where K(x) is the one row
 of two robots, which turns with x, a contact arc is stepped on Python
-floats: `pair_row` forms that row and `polyhedra._project_one_row`, the
-one-row branch of `project_raw`, projects onto it, so the nodes are those
-of the array step bit for bit at a fraction of numpy's per-call cost.
+floats, in one loop (`_pair_arc`) that forms the row as `pair_row` does
+and projects onto it as `polyhedra._project_one_row`, the one-row branch
+of `project_raw`, does, so the nodes are those of the array step bit for
+bit at a fraction of numpy's per-call cost.
 A multi-row step hands `polyhedra._project_rows`, `project_raw`'s own
 branch, the NNLS block -A^T of its set: a fixed set's block is formed once
 per `simulate` call, and a robot chain's comes with K(x) from the
@@ -33,7 +34,6 @@ import math
 import numbers
 import re
 from dataclasses import dataclass
-from operator import add
 
 import numpy as np
 
@@ -47,7 +47,7 @@ from .polyhedra import (
     project_raw,
     row_multipliers,
 )
-from .tolerances import STEP_TOL, TIME_TOL
+from .tolerances import EMPTY_RTOL, STEP_TOL, TIME_TOL
 
 MESH_EXP_MAX = 24  # step underflow guard
 ETA_BLOCK = 4096  # intervals per batched multiplier solve in `recover_eta`
@@ -254,11 +254,12 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     map while the drive stays: the node keeps the last increment for as many
     steps as `scn.free_run` allows, filled by one cumulative sum (the loop's
     additions).  After a projected step of two robots with no contact
-    switch pending, the contact arc goes on as a list: each interval forms
-    the pair's row (`scn.pair_row`) and its one-row projection, the float
-    operations of `project_raw(*constraint_rows(x), x + h g)`, until a step
-    projects nothing (its node is kept) or the horizon; the arc's nodes go
-    into the array in one slice.  A fixed set is read once per call, and its
+    switch pending, the contact arc goes on in one call of `_pair_arc`, a
+    loop on four Python floats that forms each interval's pair row and its
+    one-row projection in the float operations of
+    `project_raw(*constraint_rows(x), x + h g)`, until a step projects
+    nothing (its node is kept) or the horizon; the arc's nodes go into the
+    array in one slice.  A fixed set is read once per call, and its
     NNLS block formed then; a moving set comes with its block from
     `scn.catchup_rows`, and a step with a block projects through
     `project_raw`'s branch on it, a step without one through `project_raw`.
@@ -311,19 +312,11 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             # up to the first no-op step (kept) or the horizon.
             if drive is None:
                 drive, first = steps[k:].tolist(), k
-            xs, arc, pair_row = xn.tolist(), [], scn.pair_row
-            for g in drive[k - first :]:
-                if k == end:
-                    end = next(run_ends)
-                k += 1
-                a, c = pair_row(xs)
-                y = list(map(add, xs, g))
-                xs = _project_one_row(a, c, y, STEP_TOL)
-                if xs is None:
-                    arc.append(y)
-                    break
-                arc.append(xs)
-            nodes[k + 1 - len(arc) : k + 1] = arc
+            arc = _pair_arc(xn.tolist(), drive[k - first :], -2.0 * scn.R)
+            nodes.reshape(-1)[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc  # a view of the C-ordered rows
+            k += len(arc) // 4
+            while end < k:  # where the per-step `if k == end` would have left it
+                end = next(run_ends)
             prev, x = [], nodes[k]  # the no-op step's support: the next one may start a run
             continue
         if k < end and W == prev and (not W or scn.fixed_constraints):
@@ -336,6 +329,42 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             W = None  # the next fill needs two fresh steps
         prev, x = W, nodes[k]
     return Trajectory(mesh=mesh, nodes=nodes)
+
+
+def _pair_arc(x: list, drive: list, c: float) -> list:
+    """The nodes of a two-robot contact arc after the node x (four floats), one after the other
+    in one flat list: one step per increment g in `drive` (lists of four floats), up to and
+    including the first step that projects nothing, or to the last increment.
+
+    A step is `project_raw(*scn.constraint_rows(x), x + g, tol=STEP_TOL)` in its float
+    operations, in their order: the pair's row (-n, n) with offset c as
+    `RobotScenario.pair_row` forms it (hypot, then two divisions), y = x + g, and the one-row
+    projection of `polyhedra._project_one_row` with its sums written out.  `a * -b` is
+    `-(a * b)` and `a + -b` is `a - b` exactly, so the signs fold into the operators.  A step
+    that projects nothing, or whose input is not finite, or whose row fails the emptiness
+    rule, goes to `_project_one_row` itself, which keeps y as the node or raises its error.
+    """
+    hypot, inf, tol = math.hypot, math.inf, STEP_TOL
+    x0, x1, x2, x3 = x
+    arc = []
+    for g0, g1, g2, g3 in drive:
+        dx, dy = x0 - x2, x1 - x3
+        dist = hypot(dx, dy)
+        if dist == 0.0:
+            raise ValueError("coincident centers 1, 2: gradient undefined")
+        nx, ny = dx / dist, dy / dist
+        y0, y1, y2, y3 = x0 + g0, x1 + g1, x2 + g2, x3 + g3
+        top = 0.0 - nx * y0 - ny * y1 + nx * y2 + ny * y3 - c
+        aa = 0.0 + nx * nx + ny * ny + nx * nx + ny * ny
+        if not (tol < top < inf and aa > EMPTY_RTOL * (2.0 + aa)):
+            _project_one_row([-nx, -ny, nx, ny], c, [y0, y1, y2, y3], tol)  # None: y is kept
+            arc += y0, y1, y2, y3
+            break
+        lam = top / aa
+        px, py = lam * nx, lam * ny
+        x0, x1, x2, x3 = y0 + px, y1 + py, y2 - px, y3 - py
+        arc += x0, x1, x2, x3
+    return arc
 
 
 def cost(traj) -> float:

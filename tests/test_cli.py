@@ -356,6 +356,19 @@ class TestVerify:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("step", ["eta", "p", "q"])
+    def test_certificate_step_fields_of_mismatched_length_exit_2_naming_both(self, tmp_path, capsys, step):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        data = json.loads(cert_file.read_text())
+        data[f"{step}_times"] = data[f"{step}_times"][:-1]  # one breakpoint short
+        cert_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: certificate fields '{step}_times', '{step}_values': need one more "
+                              "breakpoint than segment values") and "Traceback" not in err
+
     @pytest.mark.parametrize("nested", ["top-level", "lambda"])
     def test_deeply_nested_certificate_exits_2_naming_the_file(self, tmp_path, capsys, nested):
         assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0

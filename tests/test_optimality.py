@@ -617,6 +617,20 @@ def test_verify_builds_one_grid_when_the_control_breakpoints_are_on_it(name, tmp
         assert report.entry(condition).residual == csv_report.entry(condition).residual
 
 
+@pytest.mark.parametrize("name", ["robot2.scn", "pedestrian2.scn", "pedestrian3.scn"])
+def test_a_trajectory_and_its_signal_verify_as_their_path_and_step_function(name):
+    # `as_path` and `as_step_series` turn a simulated `Trajectory` and its `ControlSignal` into
+    # the `PiecewisePath` and `StepFunction` they stand for: the entries are the same.
+    sol = solve_reduced(bundled_scenario(name))
+    u = ControlSignal.constant(Mesh(sol.scenario.horizon, 8), sol.control)
+    traj = simulate(sol.scenario, u)
+    got = verify_certificate(sol.scenario, traj, u, sol.certificate)
+    want = verify_certificate(sol.scenario, PiecewisePath.from_trajectory(traj), StepFunction(u.mesh.nodes, u.values),
+                              sol.certificate)
+    assert got.entries == want.entries
+    assert [e.residual.hex() for e in got.entries] == [e.residual.hex() for e in want.entries]
+
+
 class TestRejectionsNamed:
     """Malformed dual data and paths raise where they are built, naming what is wrong."""
 

@@ -1,5 +1,6 @@
 """Geometry engine tests: membership, active sets, projection, cone decomposition."""
 
+import math
 import os
 import subprocess
 import sys
@@ -463,6 +464,62 @@ class TestProjectionHypothesis:
         x2, W2 = project_raw(np.stack([a, -a]), np.array([c, 10.0 - c]), y)
         assert np.linalg.norm(x1 - x2) <= 1e-12 * max(1.0, float(np.linalg.norm(y)))
         assert W1.tolist() == W2.tolist() == [0]
+
+
+def left_to_right_one_row(a, c, y, tol):
+    """`_project_one_row` for a finite y that projects, with each sum added one term at a time,
+    left to right from 0: the order of Python 3.11's builtin `sum`, not of 3.12's compensated one."""
+    top = 0.0
+    for ai, yi in zip(a, y):
+        top = top + ai * yi
+    top = top - c
+    if top <= tol:
+        return None
+    aa = 0.0
+    for ai in a:
+        aa = aa + ai * ai
+    lam = top / aa
+    return [yi - lam * ai for ai, yi in zip(a, y)]
+
+
+@st.composite
+def cancelling_row_and_point(draw):
+    """A row and a point whose products cancel: a big term, small ones and the big one negated,
+    so that a sum that compensates its rounding (`math.fsum`) differs from the left-to-right one."""
+    big = draw(st.floats(1e15, 1e17))
+    small = st.floats(0.1, 3.0)
+    y = [big, draw(small), -big, draw(small)]
+    a = [1.0, 1.0, 1.0, 1.0]
+    if draw(st.booleans()):  # |a|^2 cancels too: 1e16 + 1 + 1 rounds back to 1e16 twice
+        a, y = [1e8, 1.0, 1.0, 0.0], [1.0 + draw(small), draw(small), draw(small), 0.0]
+    return a, -draw(small), y
+
+
+class TestOneRowSumsLeftToRight:
+    """From Python 3.12 the builtin `sum` of floats compensates its rounding; the one-row projection
+    must add left to right from 0 on every interpreter, so that its bits do not change with it."""
+
+    @settings(max_examples=200, derandomize=True, deadline=None, database=None)
+    @given(cancelling_row_and_point())
+    def test_projection_adds_left_to_right(self, inst):
+        a, c, y = inst
+        want = left_to_right_one_row(a, c, y, 1e-12)
+        got = polyhedra._project_one_row(a, c, y, 1e-12)
+        assert want is not None and np.array(got).tobytes() == np.array(want).tobytes()
+        x, W = project_raw(np.array([a]), np.array([c]), np.array(y), tol=1e-12)
+        assert x.tobytes() == np.array(want).tobytes() and W.tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "a, c, y",
+        [([1.0, 1.0, 1.0, 1.0], 0.0, [1e16, 1.0, -1e16, 0.5]), ([1e8, 1.0, 1.0, 0.0], 0.0, [1.0, 1.0, 1.0, 0.0])],
+        ids=["products", "row-norm"],
+    )
+    def test_inputs_where_compensated_sums_round_differently(self, a, c, y):
+        top = math.fsum(ai * yi for ai, yi in zip(a, y)) - c
+        aa = math.fsum(ai * ai for ai in a)
+        compensated = [yi - top / aa * ai for ai, yi in zip(a, y)]
+        got = polyhedra._project_one_row(a, c, y, 1e-12)
+        assert got == left_to_right_one_row(a, c, y, 1e-12) != compensated
 
 
 @st.composite

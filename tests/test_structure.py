@@ -44,3 +44,34 @@ def test_the_cli_loads_the_scenario_and_writes_a_trajectory_in_one_place_each():
     in_cli = {name: sorted(where for module, where in _constructions(name) if module == "cli.py")
               for name in ("load_scenario", "trajectory_csv")}
     assert in_cli == {"load_scenario": ["main"], "trajectory_csv": ["_solution_csv", "_write_trajectory"]}
+
+
+def _builtin_sums():
+    """(module file, enclosing function, whether it is the one argument of `math.isfinite`) of
+    every call of the builtin `sum` in the package source."""
+    found = []
+
+    def visit(node, module, where, parent):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            where = node.name
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum":
+            func = getattr(parent, "func", None)
+            decides = (isinstance(func, ast.Attribute) and func.attr == "isfinite"
+                       and isinstance(func.value, ast.Name) and func.value.id == "math" and parent.args == [node])
+            found.append((module, where, decides))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, where, node)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, None, None)
+    return found
+
+
+def test_a_builtin_sum_only_decides_whether_a_sum_is_finite():
+    # From Python 3.12 `sum` of floats compensates its rounding, so a value it gives depends on
+    # the interpreter; whether the sum is finite does not.  Values are added left to right.
+    found = _builtin_sums()
+    stray = [f"{module}: {where or 'module level'}" for module, where, decides in found if not decides]
+    assert not stray, "builtin sum() whose value is used:\n" + "\n".join(stray)
+    assert {(module, where) for module, where, _ in found} == {("polyhedra.py", "_check_finite"),
+                                                              ("polyhedra.py", "_project_rows")}

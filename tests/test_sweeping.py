@@ -1,5 +1,9 @@
 """Catch-up scheme: stepping, worked-scenario closed forms, multiplier recovery, CSV."""
 
+import math
+from operator import add
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -1117,6 +1121,185 @@ class TestRunFilling:
             traj = simulate(scn, ControlSignal.constant(mesh, u_const))
             vmax = float(np.max(np.abs(scn.speeds * u_const)))
             assert np.linalg.norm(traj.terminal - exact_pedestrian_endpoint(scn, u_const)) <= 5 * mesh.h * max(vmax, 1.0)
+
+
+def reference_pair_arc(scn, x, drive):
+    """The contact-arc loop `simulate` ran step by step before `_pair_arc`: `pair_row`, y = x + g
+    through `map(add)` and `_project_one_row` per increment, up to the first no-op step (kept)."""
+    xs, arc = list(x), []
+    for g in drive:
+        a, c = scn.pair_row(xs)
+        y = list(map(add, xs, g))
+        xs = polyhedra._project_one_row(a, c, y, STEP_TOL)
+        if xs is None:
+            arc.append(y)
+            break
+        arc.append(xs)
+    return arc
+
+
+def arc_outcome(run):
+    """The flat nodes of an arc as bytes, or the type and text of the error it raises."""
+    try:
+        return np.array(run(), dtype=float).tobytes()
+    except (ValueError, polyhedra.ProjectionError) as exc:
+        return type(exc), str(exc)
+
+
+def pair_increment(theta, s1, d1, s2, d2):
+    """One step of two robots: robot 1 at speed s1 along theta + d1, robot 2 at speed s2 along
+    theta + pi + d2, where theta points from robot 1 to robot 2 (|d| < pi/2 closes the gap)."""
+    a1, a2 = theta + d1, theta + math.pi + d2
+    return [s1 * math.cos(a1), s1 * math.sin(a1), s2 * math.cos(a2), s2 * math.sin(a2)]
+
+
+ARC_KINDS = ("pushing", "stop-first", "switch", "random", "coincident", "non-finite")
+
+
+@st.composite
+def pair_arcs(draw):
+    """A two-robot scenario, a node of its pair in contact and the increments of an arc from it."""
+    kind = draw(st.sampled_from(ARC_KINDS))
+    R = draw(st.floats(0.25, 3.0))
+    scn = RobotScenario(n=2, R=R, T=6.0, x0=np.array([0.0, 0.0, 2.0 * R, 2.0 * R]), speeds=np.ones(2),
+                        angles=np.zeros(2), control_set=ControlSet.box([-1.0, -1.0], [1.0, 1.0]))
+    theta = draw(st.floats(0.0, 2.0 * math.pi))
+    gap = draw(st.sampled_from([0.0, 1e-13, -1e-13, 1e-9, -1e-9]))
+    cx, cy = draw(st.floats(-50.0, 50.0)), draw(st.floats(-50.0, 50.0))
+    dist = 2.0 * R + gap
+    x = [cx, cy, cx + dist * math.cos(theta), cy + dist * math.sin(theta)]
+    steps = draw(st.integers(1, 40))
+    speed = st.floats(1e-3, 0.05 * R)
+    slip = st.floats(-0.3, 0.3)
+    push = pair_increment(theta, draw(speed), draw(slip), draw(speed), draw(slip))
+    drive = [push] * steps
+    if kind == "stop-first":  # both robots back away: the first step projects nothing
+        drive[0] = pair_increment(theta, draw(speed), math.pi + draw(slip), draw(speed), math.pi + draw(slip))
+    elif kind == "switch":  # the headings change inside the arc, as at a timed switch
+        other = pair_increment(theta, draw(speed), draw(slip), draw(speed), draw(slip))
+        cut = draw(st.integers(0, steps))
+        drive = [push] * cut + [other] * (steps - cut)
+    elif kind == "random":  # any direction: the arc goes on while the step closes the gap
+        pieces = st.lists(st.floats(-0.1 * R, 0.1 * R), min_size=4, max_size=4)
+        drive = [draw(pieces) for _ in range(steps)]
+    elif kind == "coincident":
+        x = [cx, cy, cx, cy]
+    elif kind == "non-finite":  # a NaN or infinite increment, reached while the arc goes on
+        bad = list(push)
+        bad[draw(st.integers(0, 3))] = draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+        drive[draw(st.integers(0, steps - 1))] = bad
+    return kind, scn, x, drive
+
+
+@st.composite
+def pair_runs(draw):
+    """Two robots in contact pushing each other under a piecewise control of 1-8 pieces, m = 3-10,
+    with a timed heading switch on some draws: the runs and the headings change inside the arc."""
+    R = draw(st.floats(0.5, 2.0))
+    theta = draw(st.floats(0.1, math.pi / 2.0 - 0.1))  # robot 2 above and right of robot 1
+    x0 = np.array([-20.0, -20.0, -20.0 + 2.0 * R * math.cos(theta), -20.0 + 2.0 * R * math.sin(theta)])
+    x0[2:] += 1e-9  # apart by less than the first step closes: that step projects
+
+    def headings():
+        return [theta + draw(st.floats(-1.2, 1.2)), theta + math.pi + draw(st.floats(-1.2, 1.2))]
+
+    switch = draw(st.one_of(st.none(), st.floats(0.5, 5.5)))
+    scn = RobotScenario(
+        n=2, R=R, T=6.0, x0=x0, speeds=np.array(draw(st.lists(st.floats(0.5, 3.0), min_size=2, max_size=2))),
+        angles=np.array(headings()), control_set=ControlSet.box([-2.0, -2.0], [2.0, 2.0]),
+        angles_post=None if switch is None else np.array(headings()), switch_at=switch,
+    )
+    mesh = Mesh(6.0, draw(st.integers(3, 10)))
+    pieces = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cuts = np.sort(rng.choice(np.arange(1, mesh.intervals), pieces - 1, replace=False))
+    low = draw(st.sampled_from([0.3, -1.0]))  # 0.3: every step pushes; -1.0: arcs end and start again
+    values = rng.uniform(low, 2.0, (pieces, 2))
+    values[0] = rng.uniform(0.3, 2.0, 2)  # the first step pushes, so an arc starts at the second
+    return scn, ControlSignal(mesh, values[np.searchsorted(cuts, np.arange(mesh.intervals), side="right")])
+
+
+class TestPairArcReference:
+    """`_pair_arc` steps a two-robot contact arc on four local floats; its nodes and errors must be
+    those of the per-step loop it replaced (`pair_row`, `map(add)`, `_project_one_row`)."""
+
+    @settings(max_examples=400, derandomize=True, deadline=None, database=None)
+    @given(pair_arcs())
+    def test_nodes_and_errors_equal_the_per_step_loop(self, case):
+        kind, scn, x, drive = case
+        got = arc_outcome(lambda: sweeping._pair_arc(x, drive, -2.0 * scn.R))
+        assert got == arc_outcome(lambda: reference_pair_arc(scn, x, drive))
+        if kind == "stop-first":
+            assert isinstance(got, bytes) and len(got) == 4 * 8  # the first step's node, kept
+        elif kind in ("pushing", "switch"):
+            assert isinstance(got, bytes) and len(got) == 4 * 8 * len(drive)  # to the last increment
+        elif kind == "coincident":
+            assert got == (ValueError, "coincident centers 1, 2: gradient undefined")
+        elif kind == "non-finite":
+            assert got == (ValueError, "projection input must not contain infs or NaNs")
+
+    @pytest.mark.parametrize(
+        "x, g, want",
+        [
+            ([0.0, 0.0, 2.0, 0.0], [-1e308, 0.0, 1e308, 0.0], None),  # top overflows to -inf: y is kept
+            ([0.0, 0.0, 2.0, 0.0], [0.0, 0.0, math.inf, 0.0], "projection input must not contain infs or NaNs"),
+            ([0.0, 0.0, 2.0, 0.0], [0.0, 0.0, -math.inf, 0.0], "projection input must not contain infs or NaNs"),
+            ([0.0, 0.0, 2.0, 0.0], [math.nan, 0.0, 0.0, 0.0], "projection input must not contain infs or NaNs"),
+            ([1.5e308, 1.5e308, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0], "the polyhedron is empty"),  # hypot overflows
+        ],
+        ids=["far-step-kept", "top-minus-inf", "top-plus-inf", "top-nan", "row-norm-zero"],
+    )
+    def test_edge_steps_keep_the_one_row_outcome(self, x, g, want):
+        scn = robot2()
+        got = arc_outcome(lambda: sweeping._pair_arc(x, [g, g], -2.0 * scn.R))
+        assert got == arc_outcome(lambda: reference_pair_arc(scn, x, [g, g]))
+        if want is None:
+            assert got == np.array([a + b for a, b in zip(x, g)]).tobytes()
+        else:
+            assert got[1] == want
+
+    @settings(max_examples=60, derandomize=True, deadline=None, database=None)
+    @given(pair_runs())
+    def test_piecewise_controls_changing_inside_an_arc_match_stepwise(self, run):
+        scn, u = run
+        arcs = []
+
+        def counted(x, drive, c):
+            arcs.append(len(drive))
+            return pair_arc(x, drive, c)
+
+        pair_arc = sweeping._pair_arc
+        with mock.patch.object(sweeping, "_pair_arc", counted):
+            nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+        assert arcs and arcs[0] == u.mesh.intervals - 1  # the first arc starts at the second step
+
+    def test_a_run_after_an_arc_is_filled_to_the_run_end(self, monkeypatch):
+        # Robot 1 pushes robot 2 up the diagonal for 256 intervals, then both part and drift:
+        # each fill after the arc must stop where its run of equal controls ends.
+        scn = parse_scenario_text(SWITCH_TEXT.format(switch="").replace("x0 = 0 0 5 5", "x0 = 0 0 1.5 1.5"))
+        u = ControlSignal(Mesh(6.0, 10), np.repeat([[1.0, 0.2], [-1.0, 1.0], [0.5, 0.5], [0.2, 1.0]], 256, 0))
+        caps, free_run = [], RobotScenario.free_run
+
+        def spy(self, x, d, support, cap):
+            caps.append((x.copy(), cap))
+            return free_run(self, x, d, support, cap)
+
+        monkeypatch.setattr(RobotScenario, "free_run", spy)
+        nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+        fills = []
+        for x, cap in caps:
+            k = int(np.flatnonzero((nodes == x).all(axis=1))[0])  # the node the fill starts from
+            assert cap == 256 * (1 + (k - 1) // 256) - k  # the end of the run of interval k - 1
+            fills.append(k)
+        assert any(256 < k < 512 for k in fills) and any(512 < k for k in fills)
+
+    @pytest.mark.parametrize("switch", ["1.3", "3.0", "5.99"])
+    def test_timed_heading_switch_inside_an_arc_matches_stepwise(self, switch):
+        scn = parse_scenario_text(SWITCH_TEXT.format(switch=f"angles_deg_post = 90 180\nswitch_at = {switch}\n"))
+        u = ControlSignal(Mesh(6.0, 10), np.repeat([[1.0, -0.5], [0.8, -0.9], [1.0, -0.2], [0.6, -1.0]], 256, 0))
+        assert simulate(scn, u).nodes.tobytes() == stepwise(scn, u).tobytes()
 
 
 class TestProjectionPath:
