@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polyhedra import Polyhedron, _same_fields
+from .polyhedra import Polyhedron, _nnls_block, _same_fields
 from .tolerances import CONTACT_TOL, CONTROL_TOL
 
 
@@ -230,10 +230,12 @@ class Scenario:
                                   set's units, and their linearized gaps at the matching nodes of Y
 
     and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
-    its offset at a state given as a list, for `simulate`'s contact arcs.  A K(x) that turns
-    with x (`fixed_constraints` False) also gives `catchup_rows(x)`: (A, c, E) with E the NNLS
-    block of `polyhedra._project_rows` formed in the same pass, or None to let `project_raw`
-    form it; `simulate` forms a fixed set's block itself, once per call.
+    its offset at a state given as a list, the formula `simulate`'s contact arcs write out.  A
+    K(x) that turns with x (`fixed_constraints` False) also gives `catchup_rows(x)`: (A, c, E)
+    with E the NNLS block of `polyhedra._project_rows` formed in the same pass, or None to let
+    `project_raw` form it.  A fixed set gives `nnls_block`, its block formed and checked once,
+    with the scenario, and read-only (None for one row); `simulate` copies it once per call,
+    since a step writes the block's last row.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -469,6 +471,11 @@ class PedestrianScenario(Scenario):
         headings = np.ones((self.n, 1))
         headings.flags.writeable = False  # shared by every `drive` call
         object.__setattr__(self, "_headings", headings)
+        block = None  # one row takes `project_raw`'s closed form, with no block
+        if self.n > 2:  # shared by every `simulate` call, which copies it
+            block = _nnls_block(self._sweeping_set.normals)
+            block.flags.writeable = False
+        object.__setattr__(self, "nnls_block", block)
 
     def headings(self, t, contact_time: float | None = None) -> np.ndarray:
         """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n).  One

@@ -627,12 +627,14 @@ def solve_discrete(
     span = np.maximum(hi - lo, SEARCH_MIN_SPAN)
 
     def key(P: np.ndarray) -> bytes:
-        """Fixed-size digest of the control P (a piecewise P has 2^m * q entries)."""
+        """The control P as a cache key: the bytes of its row when P is one row or rows all equal
+        (the constant control P[:1], as when refining starts), else a digest of its 2^m * q
+        entries behind a prefix, so that its length, 17 bytes, is no row's (a multiple of 8)."""
         raw = P.tobytes()
-        row = raw[: P.itemsize * P.shape[1]]
-        if raw == row * len(P):  # equal rows: the constant control P[:1], as when refining starts
-            raw = row
-        return hashlib.blake2b(raw, digest_size=16).digest()
+        row = raw[: len(raw) // len(P)]
+        if raw == row * len(P):
+            return row
+        return b"#" + hashlib.blake2b(raw, digest_size=16).digest()
 
     # simulate is deterministic, so a stored cost is the one a new simulation would give.
     costs: dict[bytes, float] = {}

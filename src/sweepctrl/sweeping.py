@@ -7,18 +7,20 @@ per-step linearized noncollision set for the planar robot model.  States
 are piecewise linear between mesh nodes, controls piecewise constant.
 
 One loop serves both models through the `models.Scenario` interface:
-`drive` gives g for every interval at once (from the `headings` hook),
-`constraint_rows` gives K(x), `pair_gaps` finds contacts and `free_run`
-says how far a repeating step may be filled.  Where K(x) is the one row
-of two robots, which turns with x, a contact arc is stepped on Python
-floats, in one loop (`_pair_arc`) that forms the row as `pair_row` does
-and projects onto it as `polyhedra._project_one_row`, the one-row branch
-of `project_raw`, does, so the nodes are those of the array step bit for
-bit at a fraction of numpy's per-call cost.
+`drive` gives g for the first interval of every run of equal controls at
+once (from the `headings` hook), `constraint_rows` gives K(x), `pair_gaps`
+finds contacts and `free_run` says how far a repeating step may be filled.
+Where K(x) is the one row of two robots, which turns with x, a contact arc
+is stepped on Python floats, in one loop (`_pair_arc`) that forms the row
+as `RobotScenario.pair_row` does and projects onto it as
+`polyhedra._project_one_row`, the one-row branch of `project_raw`, does,
+so the nodes are those of the array step bit for bit at a fraction of
+numpy's per-call cost.
 A multi-row step hands `polyhedra._project_rows`, `project_raw`'s own
 branch, the NNLS block -A^T of its set: a fixed set's block is formed once
-per `simulate` call, and a robot chain's comes with K(x) from the
-`catchup_rows` hook, so each step writes only the block's last row.
+per scenario (`nnls_block`) and copied once per `simulate` call, and a
+robot chain's comes with K(x) from the `catchup_rows` hook, so each step
+writes only the block's last row.
 `recover_eta` expresses the
 normal-cone multiplier eta_k of interval k on the rows of the step's own
 set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
@@ -40,7 +42,6 @@ import numpy as np
 from .models import ControlSet, Scenario, in_contact, run_starts
 from .polyhedra import (
     Polyhedron,
-    _nnls_block,
     _project_one_row,
     _project_rows,
     _same_fields,
@@ -248,19 +249,24 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     itself was checked when it was built, and its recorded run starts are
     used; any other control has its rows checked by `ControlSet.check_rows`
     here, which raises naming the first interval outside the set.  The free
-    increments h*g of all intervals come from one `drive` call; a
-    robot whose heading switches at the first contact recomputes them from
-    its contact node on.  Two steps in a row with one support W fix the step
-    map while the drive stays: the node keeps the last increment for as many
-    steps as `scn.free_run` allows, filled by one cumulative sum (the loop's
-    additions).  After a projected step of two robots with no contact
-    switch pending, the contact arc goes on in one call of `_pair_arc`, a
-    loop on four Python floats that forms each interval's pair row and its
-    one-row projection in the float operations of
-    `project_raw(*constraint_rows(x), x + h g)`, until a step projects
-    nothing (its node is kept) or the horizon; the arc's nodes go into the
-    array in one slice.  A fixed set is read once per call, and its
-    NNLS block formed then; a moving set comes with its block from
+    increment h*g is taken once per run of equal drives, at the run's first
+    interval, for all runs in one `drive` call (a timed heading switch starts
+    a run), and holds over the run; a robot whose heading switches at the
+    first contact starts a run at its contact node and takes the increments
+    from there on again.  Two steps in a
+    row with one support W fix the step map while the drive stays: the node
+    keeps the last increment for as many steps as `scn.free_run` allows,
+    filled by one cumulative sum (the loop's additions).  After a projected
+    step of two robots with no contact switch pending, the contact arc goes
+    on in one call of `_pair_arc`, a loop on four Python floats that forms
+    each interval's pair row and its one-row projection in the float
+    operations of `project_raw(*constraint_rows(x), x + h g)`, until a step
+    projects nothing (its node is kept) or the horizon; it reads the
+    increments from one list of each run's row repeated, built at the first
+    arc, through an offset, and the arc's nodes go into the array in one
+    slice.  A fixed set is read once per call, and its NNLS block, formed
+    with the scenario (`scn.nnls_block`), copied then, since each step
+    writes the block's last row; a moving set comes with its block from
     `scn.catchup_rows`, and a step with a block projects through
     `project_raw`'s branch on it, a step without one through `project_raw`.
     """
@@ -268,55 +274,63 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     if not mesh.spans(scn.horizon):
         raise ValueError(f"control mesh horizon {mesh.T} != scenario horizon {scn.horizon}")
     values = u.values
-    starts = u.checked_starts(scn.control_set).tolist()
+    starts = u.checked_starts(scn.control_set)  # an array: indexing by a list costs far more
     h = mesh.h
     times = mesh.nodes
     K = mesh.intervals
-    steps = h * scn.drive(values, times[:-1])
-    if scn.switch_time is not None:  # the drive also changes at the first node past the switch
-        starts = sorted({*starts, int(times[:-1].searchsorted(scn.switch_time))})
-    # The intervals where the runs of equal drives end, in order; `end` is that of interval k's run.
-    run_ends = iter(starts[1:] + [K])
-    end = 0
+    if scn.switch_time is not None:  # the drive also changes at the first node past the switch, if any
+        starts = np.array(sorted({*starts.tolist(), int(times[:-1].searchsorted(scn.switch_time))} - {K}))
+    # The runs of equal drives, in order: where each ends, and its increment h*g, taken at its first
+    # interval (`drive` is elementwise, so every interval of the run has those bits).
+    ends = starts[1:].tolist() + [K]
+    drives = h * scn.drive(values.take(starts, 0), times[starts])
+    runs = zip(ends, drives)
+    end = 0  # where interval k's run ends; `step` is its increment
     track = scn.switches_at_contact
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
     x = nodes[0] = scn.x0
     fixed = catchup_rows = None
-    if scn.fixed_constraints:  # one K for every step: its NNLS block is formed once, here
+    if scn.fixed_constraints:  # one K for every step: a copy of its NNLS block, as a step writes its last row
         A, c = scn.constraint_rows(x)
-        fixed = A, c, _nnls_block(A) if len(A) > 1 else None
+        E = scn.nnls_block
+        fixed = A, c, None if E is None else E.copy()
     else:
         catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
     one_moving_row = not scn.fixed_constraints and scn.n == 2  # K(x) is one row that turns with x
-    drive, first = None, 0  # steps[first:] as lists, once a contact arc needs them
+    increments = None  # each run's row repeated, as lists, once a contact arc needs them
     k = 0
     while k < K:
         if track and contact is None and scn.contact_rows(x).size:
+            # The drive changes at node k: k starts a run, and the runs from it take the new headings.
             contact = times[k]
-            steps[k:] = h * scn.drive(values[k:], times[k:-1], contact)
-        step = steps[k]
+            starts = np.append(k, starts[starts > k])
+            ends = starts[1:].tolist() + [K]
+            drives = h * scn.drive(values.take(starts, 0), times[starts], contact)
+            runs, end = zip(ends, drives), k
+        if k == end:
+            end, step = next(runs)
         A, c, E = fixed or catchup_rows(x)
         if E is None:
             xn, W = project_raw(A, c, x + step, tol=STEP_TOL)
         else:  # the same branch of `project_raw`, on the block the step already holds
             xn, W = _project_rows(A, c, x + step, STEP_TOL, E)
-        if k == end:
-            end = next(run_ends)
         k += 1
         nodes[k], W = xn, W.tolist()
         if W and one_moving_row and k < K and (not track or contact is not None):
             # A contact arc: the steps, no longer changed by a switch, go on as one-row
             # projections on Python floats, in the float operations `project_raw` makes,
             # up to the first no-op step (kept) or the horizon.
-            if drive is None:
-                drive, first = steps[k:].tolist(), k
-            arc = _pair_arc(xn.tolist(), drive[k - first :], -2.0 * scn.R)
+            if increments is None:
+                increments = []
+                for first, after, row in zip(starts.tolist(), ends, drives.tolist()):
+                    increments += [row] * (after - first)
+            arc = _pair_arc(xn.tolist(), _Tail(increments, k - int(starts[0])), -2.0 * scn.R)
             nodes.reshape(-1)[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc  # a view of the C-ordered rows
             k += len(arc) // 4
-            while end < k:  # where the per-step `if k == end` would have left it
-                end = next(run_ends)
+            while end < k:  # the run of interval k - 1, where the per-step `if k == end` would have left it
+                end, step = next(runs)
             prev, x = [], nodes[k]  # the no-op step's support: the next one may start a run
             continue
         if k < end and W == prev and (not W or scn.fixed_constraints):
@@ -328,13 +342,34 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             k += run
             W = None  # the next fill needs two fresh steps
         prev, x = W, nodes[k]
-    return Trajectory(mesh=mesh, nodes=nodes)
+    # The shape is the one `Trajectory.__post_init__` checks: set the fields without running it.
+    traj = object.__new__(Trajectory)
+    traj.__dict__.update(mesh=mesh, nodes=nodes)
+    return traj
 
 
-def _pair_arc(x: list, drive: list, c: float) -> list:
+class _Tail:
+    """`rows[start:]` without the copy: the increments a contact arc reads from the interval it
+    starts at, out of one list that serves every arc of a simulation."""
+
+    __slots__ = ("rows", "start")
+
+    def __init__(self, rows: list, start: int):
+        self.rows, self.start = rows, start
+
+    def __len__(self) -> int:
+        return len(self.rows) - self.start
+
+    def __iter__(self):
+        it = iter(self.rows)
+        it.__setstate__(self.start)  # the list iterator's own position: O(1), where `islice` walks to it
+        return it
+
+
+def _pair_arc(x: list, drive, c: float) -> list:
     """The nodes of a two-robot contact arc after the node x (four floats), one after the other
-    in one flat list: one step per increment g in `drive` (lists of four floats), up to and
-    including the first step that projects nothing, or to the last increment.
+    in one flat list: one step per increment g in `drive` (an iterable of lists of four floats),
+    up to and including the first step that projects nothing, or to the last increment.
 
     A step is `project_raw(*scn.constraint_rows(x), x + g, tol=STEP_TOL)` in its float
     operations, in their order: the pair's row (-n, n) with offset c as

@@ -365,6 +365,17 @@ class TestControlSets:
         v = U.vertices()
         assert np.allclose(sorted(v[:, 0]), [-3.37, 3.37])
 
+    def test_off_the_link_within_the_relative_tolerance_is_inside(self):
+        # u = (4 + 3e-9, 2) is 1.2e-9 off the link line: more than CONTROL_TOL, but within
+        # CONTROL_TOL * |r| at r = 2.  Twice as far off (2.4e-9) it is outside.
+        U = ControlSet.segment([2, 1], [-5, 5], 0)
+        u = np.array([4.0 + 3e-9, 2.0])
+        assert np.abs(u - U.clamp(u)).max() > CONTROL_TOL
+        assert U.contains(u) and U.violation_message(u) is None
+        assert U.check_rows(np.array([u, u, [0.0, 0.0]])).tolist() == [0, 2]
+        far = np.array([4.0 + 6e-9, 2.0])
+        assert U.violation_message(far) == f"u = {far.tolist()} is not proportional to the link [2.0, 1.0]"
+
     def test_box_vertices_and_linear_max(self):
         U = ControlSet.box([-2, -2, -2], [2, 2, 2])
         assert U.vertices().shape == (8, 3)

@@ -43,6 +43,12 @@ def ped3():
     return bundled_scenario("pedestrian3.scn")
 
 
+OFF_DIAGONAL_PAIR = (
+    "model = robot\nn = 2\nR = 1\nT = 6\nx0 = 0 0 10 0.5\nspeeds = 1 1\nangles_deg = 225 225\n"
+    "control.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+)
+
+
 class TestRobotFormulas:
     def test_eta_formula_at_the_optimum(self):
         scn = robot2()
@@ -96,6 +102,26 @@ class TestRobotFormulas:
         # Positive controls push both robots away from the origin; the faster
         # one leads, so the pair separates and never meets in (0, T].
         assert robot_contact_quadratic(scn, np.array([3.0, 1.5])) == []
+
+    def test_contact_quadratic_without_contact(self):
+        # The pair moves along the diagonal, 6.7 from it: the relative motion misses the disk
+        # of radius 2R, so the discriminant is negative.
+        scn = parse_scenario_text(OFF_DIAGONAL_PAIR)
+        d1, d2 = scn.x0[2] - scn.x0[0], scn.x0[3] - scn.x0[1]
+        assert abs(d1 - d2) / SQRT2 > 2.0 * scn.R
+        assert robot_contact_quadratic(scn, np.array([1.0, -1.0])) == []
+
+    @pytest.mark.parametrize("v", [1e-170, -1e-170])
+    def test_contact_quadratic_of_an_underflowing_relative_speed_is_linear(self, v):
+        # A touching start (3-4-5) whose relative speed d squares to 0.0: the quadratic formula
+        # would divide by 2a = 0, the linear root -c/b gives the contact at t = 0.
+        scn = parse_scenario_text(OFF_DIAGONAL_PAIR.replace("R = 1", "R = 2.5").replace("10 0.5", "3 4"))
+        assert v * v == 0.0
+        assert robot_contact_quadratic(scn, np.array([0.0, v])) == [0.0]
+
+    def test_y_quadratic_off_the_diagonal_has_no_root(self):
+        # |dx1 - dx2| = 9.5 > 2 sqrt(2) R: the discriminant is negative.
+        assert robot_y_quadratic(parse_scenario_text(OFF_DIAGONAL_PAIR)) == []
 
     def test_y_quadratic_published_roots(self):
         roots = robot_y_quadratic(robot2())

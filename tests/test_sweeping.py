@@ -1,6 +1,8 @@
 """Catch-up scheme: stepping, worked-scenario closed forms, multiplier recovery, CSV."""
 
 import math
+import sys
+import threading
 from operator import add
 from unittest import mock
 
@@ -1301,6 +1303,29 @@ class TestPairArcReference:
         u = ControlSignal(Mesh(6.0, 10), np.repeat([[1.0, -0.5], [0.8, -0.9], [1.0, -0.2], [0.6, -1.0]], 256, 0))
         assert simulate(scn, u).nodes.tobytes() == stepwise(scn, u).tobytes()
 
+    def test_arcs_that_stop_and_start_again_match_stepwise(self):
+        # A control drawn anew every interval ends and restarts the pair's contact arc hundreds
+        # of times: each arc reads the one list of increments from its own offset, in place.
+        scn = parse_scenario_text(
+            "model = robot\nn = 2\nR = 1.5\nT = 6\nx0 = -20 -20 -17 -17\nspeeds = 1 3\nangles_deg = 225 225\n"
+            "control.kind = box\ncontrol.lo = -2 -2\ncontrol.hi = 2 2\n"
+        )
+        mesh = Mesh(6.0, 12)
+        u = ControlSignal(mesh, np.random.default_rng(1).uniform(-1.0, 2.0, (mesh.intervals, 2)))
+        arcs = []
+
+        def counted(x, drive, c):
+            arcs.append((mesh.intervals - len(drive), next(iter(drive))))  # the arc's first interval
+            return pair_arc(x, drive, c)
+
+        pair_arc = sweeping._pair_arc
+        with mock.patch.object(sweeping, "_pair_arc", counted):
+            nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+        assert len(arcs) > 500
+        for k, g in arcs:  # each offset reads its own interval's increment
+            assert g == (mesh.h * scn.drive(u.values[k])).tolist()
+
 
 class TestProjectionPath:
     def test_two_agent_steps_make_no_nnls_call(self, monkeypatch):
@@ -1345,6 +1370,24 @@ class TestProjectionPath:
                 assert 0 < len(projections) <= 16
             else:  # the control changes every interval: every step projects on the block
                 assert len(projections) == u.mesh.intervals
+
+    def test_a_fixed_sets_block_is_formed_once_per_scenario(self, monkeypatch):
+        import sweepctrl.models as models
+
+        blocks, form = [], models._nnls_block
+
+        def counted(A):
+            blocks.append(1)
+            return form(A)
+
+        scn, u = jostling_chains()[0]
+        monkeypatch.setattr(models, "_nnls_block", counted)
+        scn = PedestrianScenario(n=scn.n, R=scn.R, T=scn.T, x0=scn.x0, speeds=scn.speeds, control_set=scn.control_set)
+        template = scn.nnls_block.tobytes()
+        runs = [simulate(scn, u).nodes.tobytes() for _ in range(3)]
+        assert len(blocks) == 1 and runs == [runs[0]] * 3
+        assert not scn.nnls_block.flags.writeable and scn.nnls_block.tobytes() == template
+        assert ped2().nnls_block is None  # one row: `project_raw`'s closed form, no block
 
 
 def robot_text(n, R, x0, speeds, lo, hi):
@@ -1693,3 +1736,45 @@ class TestPedestrianFlowOracle:
         for t, node in zip(traj.times, traj.nodes):
             ref = project_onto_order_cone(scn.x0 + t * velocity, scn.R)
             assert np.linalg.norm(node - ref) <= 1e-12 * max(1.0, np.linalg.norm(ref))
+
+
+class TestConcurrentSimulations:
+    """The package promises that independent simulations may run concurrently: scenarios share
+    read-only templates (a fixed set's NNLS block, a robot chain's layout), and each call copies
+    what it writes."""
+
+    def test_threads_sharing_scenarios_get_the_serial_nodes(self):
+        chains = jostling_chains()
+        ped, robots = chains[0][0], chains[2][0]  # 5 pedestrians and 3 robots: multi-row blocks
+        mesh = Mesh(6.0, 9)
+        jobs = []
+        for seed in range(8):
+            rng = np.random.default_rng(100 + seed)
+            jobs.append([
+                (ped, walk_controls(rng, mesh, 2.0 - 0.6 * np.arange(5), -1.0, 2.0)),
+                (robots, walk_controls(rng, mesh, np.array([-3.0, -1.4, 0.2]), -3.0, 1.0)),
+            ])
+        serial = [[simulate(scn, u).nodes.tobytes() for scn, u in job] for job in jobs]
+        results, errors = [None] * len(jobs), []
+        start = threading.Barrier(len(jobs))
+
+        def work(i):
+            try:
+                start.wait(timeout=30)
+                results[i] = [[simulate(scn, u).nodes.tobytes() for scn, u in jobs[i]] for _ in range(6)]
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert not errors
+        assert results == [[nodes] * 6 for nodes in serial]
