@@ -116,6 +116,9 @@ def _load_control(args: argparse.Namespace, scn, mesh: Mesh) -> ControlSignal:
                 raise UsageError(f"{args.control_file}: line {lineno}: {width}")
         if not rows:
             raise UsageError(f"{args.control_file}: holds no control rows")
+        if len(rows) != mesh.intervals:
+            raise UsageError(f"{args.control_file}: control row count {len(rows)}, the mesh at m = {mesh.m} "
+                             f"has {mesh.intervals} intervals")
         return ControlSignal(mesh, np.array(rows))
     raise UsageError("this command needs --control or --control-file")
 

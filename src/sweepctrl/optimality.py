@@ -22,6 +22,7 @@ normal-cone membership, (9) nontriviality, plus measure nonatomicity.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -236,16 +237,23 @@ def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) 
 
 class _Evaluation:
     """Checks 1, 2/3 and 6 as array expressions over every grid interval at once, with the path,
-    eta, q and the control each evaluated once.  Complementarity samples the union grid of the
-    path's and the certificate's breakpoints, primal and maximization that of the control's too:
-    one grid when the control's are grid points already (a trajectory CSV's controls, a constant
-    control), else a second one, so each check samples the times it would alone."""
+    eta, q and the control each evaluated once.  It is the one door into those checks, with one
+    input contract: a path or a certificate that does not fit the scenario (`_check_fit`) or a
+    control outside U raises a ValueError here, before any residual; complementarity alone passes
+    the control None.  Complementarity samples the union grid of the path's and the certificate's
+    breakpoints, primal and maximization that of the control's too: one grid when the control's
+    are grid points already (a trajectory CSV's controls, a constant control), else a second one,
+    so each check samples the times it would alone."""
 
-    def __init__(self, scn: Scenario, path: PiecewisePath, cert: DualCertificate, useries: StepFunction | None):
+    def __init__(self, scn: Scenario, traj, cert: DualCertificate, u):
+        path = as_path(traj)
+        _check_fit(scn, path, cert)
         self.scn, self.path, self.cert, self.C = scn, path, cert, scn.sweeping_set()
         grid = _union_grid(path, cert)
         self.on_grid = self.with_u = self._sample(grid)
-        if useries is not None:
+        if u is not None:
+            useries = as_step_series(u, path.horizon)
+            scn.control_set.check_rows(useries.values)
             at = np.minimum(np.searchsorted(grid, useries.times), grid.size - 1)
             if not (grid[at] == useries.times).all():
                 self.with_u = self._sample(_union_grid(path, cert, useries.times))
@@ -288,11 +296,8 @@ class _Evaluation:
 
 def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
     """Sup over intervals of the defect in -x' = sum_j eta_j a_j - g(x, u),
-    i.e. ||x' + sum_j eta_j a_j - g(x, u)||."""
-    path = as_path(traj)
-    useries = as_step_series(u, path.horizon)
-    scn.control_set.check_rows(useries.values)
-    return _Evaluation(scn, path, cert, useries).primal()
+    i.e. ||x' + sum_j eta_j a_j - g(x, u)||.  Inputs `verify_certificate` refuses raise here too."""
+    return _Evaluation(scn, traj, cert, u).primal()
 
 
 def check_complementarity(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
@@ -302,9 +307,10 @@ def check_complementarity(scn: Scenario, traj, cert: DualCertificate) -> tuple[f
     contact geometry: Euclidean disk distance for the robots, order gap for the pedestrians)
     less MEMBERSHIP_TOL at both ends and the midpoint of each interval, so eta must vanish where
     the pair is strictly apart.  Second: eta_j weighted by |<a_j, q> - c_j| (positive eta pins
-    q to the constraint surface).  Both include t = T through the terminal eta.
+    q to the constraint surface).  Both include t = T through the terminal eta.  A path or a
+    certificate that `verify_certificate` refuses raises here too.
     """
-    return _Evaluation(scn, as_path(traj), cert, None).complementarity()
+    return _Evaluation(scn, traj, cert, None).complementarity()
 
 
 def check_adjoint(scn: Scenario, cert: DualCertificate) -> float:
@@ -324,9 +330,8 @@ def check_measure_link(cert: DualCertificate) -> float:
 
 def check_maximization(scn: Scenario, cert: DualCertificate, u, traj) -> float:
     """Sup over intervals of max_U <psi, u> - <psi, u(t)>, where psi = (dg/du)^T q
-    is the scenario's `drive_adjoint`."""
-    path = as_path(traj)
-    return _Evaluation(scn, path, cert, as_step_series(u, path.horizon)).maximization()
+    is the scenario's `drive_adjoint`.  Inputs `verify_certificate` refuses raise here too."""
+    return _Evaluation(scn, traj, cert, u).maximization()
 
 
 def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
@@ -397,19 +402,14 @@ _CONDITIONS = ("1-primal", "2-complementarity", "3-dual-surface", "4-adjoint", "
 
 
 def verify_certificate(scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL) -> ResidualReport:
-    """Run all conditions; the report passes iff every entry passes at `tol`.  A path or a
-    certificate that does not fit the scenario (`_check_fit`) or a control outside U raises a
-    ValueError before any residual."""
-    path = as_path(traj)
-    _check_fit(scn, path, cert)
-    useries = as_step_series(u, path.horizon)
-    scn.control_set.check_rows(useries.values)
-    checks = _Evaluation(scn, path, cert, useries)
+    """Run all conditions; the report passes iff every entry passes at `tol`.  Inputs that
+    `_Evaluation` refuses raise a ValueError before any residual."""
+    checks = _Evaluation(scn, traj, cert, u)
     residuals = (checks.primal(), *checks.complementarity(), check_adjoint(scn, cert), check_measure_link(cert),
-                 checks.maximization(), *check_transversality(scn, path, cert))
+                 checks.maximization(), *check_transversality(scn, checks.path, cert))
     entries = [ResidualEntry(name, r, tol, r <= tol) for name, r in zip(_CONDITIONS, residuals)]
     nontrivial = check_nontriviality(cert)
-    atoms_bad = check_nonatomicity(cert, path, scn)
+    atoms_bad = check_nonatomicity(cert, checks.path, scn)
     entries.append(ResidualEntry("9-nontriviality", 0.0 if nontrivial else 1.0, 0.5, nontrivial))
     entries.append(ResidualEntry("nonatomicity", float(atoms_bad), 0.5, atoms_bad == 0))
     return ResidualReport(entries=tuple(entries))
@@ -434,23 +434,22 @@ def certificate_to_dict(cert: DualCertificate) -> dict:
     }
 
 
-def _finite(value) -> bool:
-    if isinstance(value, tuple):
-        return all(map(_finite, value))
-    return bool(np.all(np.isfinite(value)))
-
-
 def _check_numbers(name: str, value) -> None:
     """Raise naming the certificate field when `value`, a number or lists of them, holds anything
-    but an int or a float: a JSON true, "0.5" or null is not read as a number."""
-    todo = [value]
+    but an int or a float (a JSON true, "0.5" or null is not read as a number), and then, in the
+    same walk, when it holds anything but a finite float: NaN, an infinity or an int beyond
+    the largest float.  A non-number anywhere is named before a non-finite number."""
+    todo, finite = [value], True
     while todo:
         v = todo.pop()
-        if isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)):
-            continue
-        if not isinstance(v, list):
+        if isinstance(v, list):
+            todo.extend(reversed(v))
+        elif isinstance(v, float) or (isinstance(v, int) and not isinstance(v, bool)):
+            finite = finite and abs(v) <= sys.float_info.max  # exact for an int; NaN fails too
+        else:
             raise ValueError(f"certificate field '{name}': {json.dumps(v, default=repr)} is not a number")
-        todo.extend(reversed(v))
+    if not finite:
+        raise ValueError(f"certificate field '{name}': not all finite numbers")
 
 
 def certificate_from_dict(d: dict) -> DualCertificate:
@@ -467,8 +466,6 @@ def certificate_from_dict(d: dict) -> DualCertificate:
             value = convert(d[name])
         except (TypeError, ValueError) as exc:
             raise ValueError(f"certificate field '{name}': {exc}") from exc
-        if not _finite(value):
-            raise ValueError(f"certificate field '{name}': not all finite numbers")
         return value
 
     def step(name: str) -> StepFunction:

@@ -77,6 +77,16 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{f}: holds no control rows" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("count", [1, 7, 9])
+    def test_control_file_with_the_wrong_row_count_exits_2_naming_it(self, tmp_path, capsys, count):
+        f = tmp_path / "u.txt"
+        f.write_text("1 1\n" * count)
+        code = main(["simulate", PED2, "--control-file", str(f), "--mesh-exp", "3", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {f}: control row count {count}, the mesh at m = 3 has 8 intervals\n"
+        assert not (tmp_path / "out").exists()
+
 
 class TestControlWidth:
     """A control row of the wrong width is an input error (exit 2) naming both widths."""
@@ -355,6 +365,33 @@ class TestVerify:
         assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "field, place",
+        [("lambda", lambda data, big: big),
+         ("eta_values", lambda data, big: [[0.0], [big]]),
+         ("gamma_atoms", lambda data, big: [[big, data["gamma_atoms"][0][1]], data["gamma_atoms"][1]])],
+        ids=["lambda", "eta-value", "atom-time"],
+    )
+    def test_certificate_int_beyond_float_range_exits_2_naming_the_field(self, tmp_path, capsys, field, place):
+        # A JSON integer of 401 digits is a number, but no float holds it.
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        data = json.loads(cert_file.read_text())
+        data[field] = place(data, 10**400)
+        cert_file.write_text(json.dumps(data))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: certificate field '{field}': not all finite numbers") and "Traceback" not in err
+
+    def test_certificate_non_number_is_named_before_a_non_finite_number(self, tmp_path, capsys):
+        assert main(["solve-reduced", PED2, "--out", str(tmp_path)]) == 0
+        cert_file = tmp_path / "certificate.json"
+        cert_file.write_text(json.dumps({**json.loads(cert_file.read_text()), "eta_values": [[10**400], [True]]}))
+        capsys.readouterr()
+        assert self._verify(tmp_path, cert_file, tmp_path / "trajectory.csv") == 2
+        assert capsys.readouterr().err.startswith("error: certificate field 'eta_values': true is not a number")
 
     @pytest.mark.parametrize("step", ["eta", "p", "q"])
     def test_certificate_step_fields_of_mismatched_length_exit_2_naming_both(self, tmp_path, capsys, step):

@@ -344,6 +344,19 @@ class TestSetRepresentation:
         report = verify_set_representation(scn, samples=500, seed=11, x_ref=scn.x0)
         assert report.disagreements == 0
 
+    def test_far_from_the_origin_the_descriptions_round_apart(self):
+        # At |x| ~ 1e16 floats are 2 apart.  C's row sums x_i1 + x_i2 - x_j1 - x_j2 through a
+        # partial sum near 2e16, where floats are 4 apart, so it rounds the 2R = 2 margin away;
+        # the all-pairs sum and the distance test take exact coordinate differences first.  Near
+        # the boundary the three descriptions then disagree.
+        scn = parse_scenario_text(
+            "model = robot\nn = 2\nR = 1\nT = 6\nx0 = 1e16 1e16 10000000000000004 10000000000000004\n"
+            "speeds = 1 1\nangles_deg = 225 225\ncontrol.kind = box\ncontrol.lo = -1 -1\ncontrol.hi = 1 1\n"
+        )
+        report = verify_set_representation(scn, samples=2000, seed=1)
+        assert report.disagreements > 0
+        assert verify_set_representation(robot_example(), samples=2000, seed=1).disagreements == 0
+
     @pytest.mark.parametrize(
         "x_ref, what",
         [([5.0, 5.0, -20.0, -20.0], "ordering"), ([-30.0, -30.0, -20.0, -40.0], "ordering"),

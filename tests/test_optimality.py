@@ -669,3 +669,24 @@ class TestRejectionsNamed:
         assert report.entry("1-primal").condition == "1-primal"
         with pytest.raises(KeyError, match="no-such-condition"):
             report.entry("no-such-condition")
+
+
+class TestOneInputContract:
+    """The public grid checks meet `verify_certificate`'s contract: a path that does not fit the
+    scenario or a control outside U raises before any residual."""
+
+    def test_maximization_rejects_a_control_outside_U(self):
+        sol = solve_reduced(ped2())
+        with pytest.raises(ValueError, match="control value on interval 0 outside the admissible set"):
+            check_maximization(sol.scenario, sol.certificate, 10.0 * sol.control, sol.path)
+
+    @pytest.mark.parametrize("check", ["primal", "complementarity", "maximization"])
+    def test_a_path_on_another_horizon_is_rejected(self, check):
+        sol = solve_reduced(ped2())
+        scn, cert, u = sol.scenario, sol.certificate, sol.control
+        halved = PiecewisePath(0.5 * sol.path.times, sol.path.states)
+        call = {"primal": lambda: check_primal(scn, halved, u, cert),
+                "complementarity": lambda: check_complementarity(scn, halved, cert),
+                "maximization": lambda: check_maximization(scn, cert, u, halved)}[check]
+        with pytest.raises(ValueError, match="trajectory horizon 3 != scenario horizon 6"):
+            call()

@@ -46,6 +46,14 @@ def test_the_cli_loads_the_scenario_and_writes_a_trajectory_in_one_place_each():
     assert in_cli == {"load_scenario": ["main"], "trajectory_csv": ["_solution_csv", "_write_trajectory"]}
 
 
+def test_the_grid_checks_have_one_door():
+    # `_Evaluation.__init__` applies verify's whole input contract for every grid check: the
+    # scenario fit, the control's normalization and its membership in U are called nowhere else.
+    in_optimality = {name: sorted({where for module, where in _constructions(name) if module == "optimality.py"})
+                     for name in ("check_rows", "_check_fit", "as_step_series")}
+    assert in_optimality == {"check_rows": ["__init__"], "_check_fit": ["__init__"], "as_step_series": ["__init__"]}
+
+
 def _builtin_sums():
     """(module file, enclosing function, whether it is the one argument of `math.isfinite`) of
     every call of the builtin `sum` in the package source."""
