@@ -239,9 +239,12 @@ class Scenario:
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
-    transpose.  Only a robot whose heading switches at the first contact reads
-    `contact_time` (`switches_at_contact`); a robot whose heading switches
-    at a given time reports it as `switch_time`.  `fixed_constraints` says
+    transpose.  Pedestrians, whose heading is 1, write the drive in closed form
+    as s * u, with the same bits; the adjoint stays this generic one for both
+    families, since its sum over a length-1 axis turns -0.0 into 0.0.  Only a
+    robot whose heading switches at the first contact reads `contact_time`
+    (`switches_at_contact`); a robot whose heading switches at a given time
+    reports it as `switch_time`.  `fixed_constraints` says
     that K(x) is one set for every x, so that a projected step repeats.
     """
 
@@ -481,6 +484,11 @@ class PedestrianScenario(Scenario):
         """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n).  One
         read-only (n, 1) table of ones, built with the scenario."""
         return self._headings
+
+    def drive(self, u, t=0.0, contact_time: float | None = None) -> np.ndarray:
+        """g(x, u) = (s_1 u^1, ..., s_n u^n), the base formula in closed form: its product with
+        a heading of 1.0 and its reshape of a length-1 axis change no bit, -0.0 included."""
+        return self.speeds * u
 
     def constraint_rows(self, x) -> tuple[np.ndarray, np.ndarray]:
         return self._sweeping_set.normals, self._sweeping_set.offsets

@@ -21,6 +21,7 @@ normal-cone membership, (9) nontriviality, plus measure nonatomicity.
 
 from __future__ import annotations
 
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -221,9 +222,18 @@ def as_step_series(u, T: float) -> StepFunction:
 
 
 def as_path(traj) -> PiecewisePath:
+    """`traj` as a `PiecewisePath`: a path as it is, a `Trajectory` through its nodes.  Anything
+    else raises a TypeError naming the parameter and the type it got, so a check called with
+    its arguments in another check's order says which one is out of place."""
     if isinstance(traj, PiecewisePath):
         return traj
-    return PiecewisePath.from_trajectory(traj)
+    if isinstance(traj, Trajectory):
+        return PiecewisePath.from_trajectory(traj)
+    raise _wrong_type("traj", "a Trajectory or a PiecewisePath", traj)
+
+
+def _wrong_type(name: str, want: str, got) -> TypeError:
+    return TypeError(f"parameter '{name}' needs {want}, got {type(got).__name__}")
 
 
 def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) -> np.ndarray:
@@ -237,28 +247,42 @@ def _union_grid(path: PiecewisePath, cert: DualCertificate, *extra: np.ndarray) 
 
 class _Evaluation:
     """Checks 1, 2/3 and 6 as array expressions over every grid interval at once, with the path,
-    eta, q and the control each evaluated once.  It is the one door into those checks, with one
-    input contract: a path or a certificate that does not fit the scenario (`_check_fit`) or a
-    control outside U raises a ValueError here, before any residual; complementarity alone passes
-    the control None.  Complementarity samples the union grid of the path's and the certificate's
+    eta, q and the control each evaluated once, and checks 7/8 and nonatomicity on the terminal
+    state and the atoms.  It is the one door into every check that reads the path, with one
+    input contract: a path, certificate or scenario of another type raises a TypeError naming
+    the parameter, and a path or a certificate that does not fit the scenario (`_check_fit`) or
+    a control outside U a ValueError, here, before any residual; the checks that read no control
+    pass None.  Complementarity samples the union grid of the path's and the certificate's
     breakpoints, primal and maximization that of the control's too: one grid when the control's
     are grid points already (a trajectory CSV's controls, a constant control), else a second one,
     so each check samples the times it would alone."""
 
     def __init__(self, scn: Scenario, traj, cert: DualCertificate, u):
         path = as_path(traj)
+        if not isinstance(cert, DualCertificate):
+            raise _wrong_type("cert", "a DualCertificate", cert)
+        if not isinstance(scn, Scenario):
+            raise _wrong_type("scn", "a Scenario", scn)
         _check_fit(scn, path, cert)
         self.scn, self.path, self.cert, self.C = scn, path, cert, scn.sweeping_set()
-        grid = _union_grid(path, cert)
-        self.on_grid = self.with_u = self._sample(grid)
         if u is not None:
             useries = as_step_series(u, path.horizon)
             scn.control_set.check_rows(useries.values)
+            grid = self.grid
             at = np.minimum(np.searchsorted(grid, useries.times), grid.size - 1)
-            if not (grid[at] == useries.times).all():
-                self.with_u = self._sample(_union_grid(path, cert, useries.times))
+            on_grid = (grid[at] == useries.times).all()
+            self.with_u = self.on_grid if on_grid else self._sample(_union_grid(path, cert, useries.times))
             self.u = useries.value(self.with_u[0])
             self.contact = contact_switch_time(scn, path.times, path.states)
+
+    # The union grid and its sample are taken on first use: the endpoint checks read neither.
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        return _union_grid(self.path, self.cert)
+
+    @functools.cached_property
+    def on_grid(self) -> tuple[np.ndarray, ...]:
+        return self._sample(self.grid)
 
     def _sample(self, grid: np.ndarray) -> tuple[np.ndarray, ...]:
         """(tm, x, x', eta, q): x at the grid points and midpoints interleaved (t_0, m_0, t_1,
@@ -292,6 +316,20 @@ class _Evaluation:
         psi = self.scn.drive_adjoint(q, tm, self.contact)
         best, _ = self.scn.control_set.maximize_linear(psi)
         return float(np.max(best - np.sum(psi * self.u, axis=1), initial=0.0))
+
+    def transversality(self) -> tuple[float, float]:
+        C, cert = self.C, self.cert
+        xT, eta_T = self.path.terminal, cert.eta_terminal
+        r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + C.normals.T @ eta_T))
+        contact, etas = in_contact(self.scn.pair_gaps(xT)).tolist(), eta_T.tolist()
+        return r7, max(0.0, *(e for e, c in zip(etas, contact) if not c), *(-e for e in etas))
+
+    def nonatomicity(self) -> int:
+        path = self.path
+        t = [s for s in self.cert.atom_times.tolist() if s < path.horizon - TIME_TOL]
+        if not t:
+            return 0
+        return list(map(any, in_contact(self.scn.pair_gaps(path.value(np.array(t)))).tolist())).count(False)
 
 
 def check_primal(scn: Scenario, traj, u, cert: DualCertificate) -> float:
@@ -336,13 +374,9 @@ def check_maximization(scn: Scenario, cert: DualCertificate, u, traj) -> float:
 
 def check_transversality(scn: Scenario, traj, cert: DualCertificate) -> tuple[float, float]:
     """Endpoint conditions: -p(T) = lam * x(T) + sum_{active} eta_T a_j, and the
-    terminal cone membership (nonnegative coefficients supported on contact rows)."""
-    path = as_path(traj)
-    C = scn.sweeping_set()
-    xT, eta_T = path.terminal, cert.eta_terminal
-    r7 = float(np.linalg.norm(cert.p.values[-1] + cert.lam * xT + C.normals.T @ eta_T))
-    contact, etas = in_contact(scn.pair_gaps(xT)).tolist(), eta_T.tolist()
-    return r7, max(0.0, *(e for e, c in zip(etas, contact) if not c), *(-e for e in etas))
+    terminal cone membership (nonnegative coefficients supported on contact rows).
+    Inputs `verify_certificate` refuses raise here too."""
+    return _Evaluation(scn, traj, cert, None).transversality()
 
 
 def check_nontriviality(cert: DualCertificate) -> bool:
@@ -352,12 +386,9 @@ def check_nontriviality(cert: DualCertificate) -> bool:
 
 
 def check_nonatomicity(cert: DualCertificate, traj, scn: Scenario) -> int:
-    """Number of atoms at times t < T where no constraint is in contact."""
-    path = as_path(traj)
-    t = [s for s in cert.atom_times.tolist() if s < path.horizon - TIME_TOL]
-    if not t:
-        return 0
-    return list(map(any, in_contact(scn.pair_gaps(path.value(np.array(t)))).tolist())).count(False)
+    """Number of atoms at times t < T where no constraint is in contact.  Inputs
+    `verify_certificate` refuses raise here too."""
+    return _Evaluation(scn, traj, cert, None).nonatomicity()
 
 
 def _check_fit(scn: Scenario, path: PiecewisePath, cert: DualCertificate) -> None:
@@ -406,10 +437,10 @@ def verify_certificate(scn: Scenario, traj, u, cert: DualCertificate, tol: float
     `_Evaluation` refuses raise a ValueError before any residual."""
     checks = _Evaluation(scn, traj, cert, u)
     residuals = (checks.primal(), *checks.complementarity(), check_adjoint(scn, cert), check_measure_link(cert),
-                 checks.maximization(), *check_transversality(scn, checks.path, cert))
+                 checks.maximization(), *checks.transversality())
     entries = [ResidualEntry(name, r, tol, r <= tol) for name, r in zip(_CONDITIONS, residuals)]
     nontrivial = check_nontriviality(cert)
-    atoms_bad = check_nonatomicity(cert, checks.path, scn)
+    atoms_bad = checks.nonatomicity()
     entries.append(ResidualEntry("9-nontriviality", 0.0 if nontrivial else 1.0, 0.5, nontrivial))
     entries.append(ResidualEntry("nonatomicity", float(atoms_bad), 0.5, atoms_bad == 0))
     return ResidualReport(entries=tuple(entries))

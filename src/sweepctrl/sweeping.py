@@ -8,7 +8,8 @@ are piecewise linear between mesh nodes, controls piecewise constant.
 
 One loop serves both models through the `models.Scenario` interface:
 `drive` gives g for the first interval of every run of equal controls at
-once (from the `headings` hook), `constraint_rows` gives K(x), `pair_gaps`
+once (a robot's from the `headings` hook, the pedestrians' in closed form,
+and a one-run control's on its one row), `constraint_rows` gives K(x), `pair_gaps`
 finds contacts and `free_run` says how far a repeating step may be filled.
 Where K(x) is the one row of two robots, which turns with x, a contact arc
 is stepped on Python floats, in one loop (`_pair_arc`) that forms the row
@@ -251,7 +252,8 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     here, which raises naming the first interval outside the set.  The free
     increment h*g is taken once per run of equal drives, at the run's first
     interval, for all runs in one `drive` call (a timed heading switch starts
-    a run), and holds over the run; a robot whose heading switches at the
+    a run), and holds over the run; a control of one run drives its one row,
+    with no gather.  A robot whose heading switches at the
     first contact starts a run at its contact node and takes the increments
     from there on again.  Two steps in a
     row with one support W fix the step map while the drive stays: the node
@@ -281,9 +283,13 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     if scn.switch_time is not None:  # the drive also changes at the first node past the switch, if any
         starts = np.array(sorted({*starts.tolist(), int(times[:-1].searchsorted(scn.switch_time))} - {K}))
     # The runs of equal drives, in order: where each ends, and its increment h*g, taken at its first
-    # interval (`drive` is elementwise, so every interval of the run has those bits).
+    # interval (`drive` is elementwise, so every interval of the run has those bits).  One run
+    # drives its one row, without a gather.
     ends = starts[1:].tolist() + [K]
-    drives = h * scn.drive(values.take(starts, 0), times[starts])
+    if len(ends) == 1:
+        drives = [h * scn.drive(values[0], times[0])]
+    else:
+        drives = h * scn.drive(values.take(starts, 0), times[starts])
     runs = zip(ends, drives)
     end = 0  # where interval k's run ends; `step` is its increment
     track = scn.switches_at_contact
@@ -324,7 +330,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             # up to the first no-op step (kept) or the horizon.
             if increments is None:
                 increments = []
-                for first, after, row in zip(starts.tolist(), ends, drives.tolist()):
+                for first, after, row in zip(starts.tolist(), ends, np.asarray(drives).tolist()):
                     increments += [row] * (after - first)
             arc = _pair_arc(xn.tolist(), _Tail(increments, k - int(starts[0])), -2.0 * scn.R)
             nodes.reshape(-1)[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc  # a view of the C-ordered rows

@@ -31,6 +31,6 @@ BOUND_RTOL = 1e-9  # a control parameter r within this times max(1, |r|) of its 
 
 # Direct search
 SEARCH_MIN_SPAN = 1e-12  # floor of a parameter range's width, so a zero-width range still steps
-SEARCH_IMPROVE_TOL = 1e-14  # a candidate must lower the cost by more than this to be taken
+SEARCH_IMPROVE_TOL = 1e-14  # a candidate must lower the cost by more than this, in cost units, to be taken
 SEARCH_MIN_STEP = 1e-4  # the constant search stops below this relative step
 PIECEWISE_MIN_STEP = 1e-3  # the per-interval refinement stops below this relative step

@@ -690,3 +690,54 @@ class TestOneInputContract:
                 "maximization": lambda: check_maximization(scn, cert, u, halved)}[check]
         with pytest.raises(ValueError, match="trajectory horizon 3 != scenario horizon 6"):
             call()
+
+    @pytest.mark.parametrize("check", ["transversality", "nonatomicity"])
+    def test_the_endpoint_checks_reject_a_path_on_another_horizon(self, check):
+        sol = solve_reduced(ped2())
+        scn, cert = sol.scenario, sol.certificate
+        halved = PiecewisePath(0.5 * sol.path.times, sol.path.states)
+        call = {"transversality": lambda: check_transversality(scn, halved, cert),
+                "nonatomicity": lambda: check_nonatomicity(cert, halved, scn)}[check]
+        with pytest.raises(ValueError, match="trajectory horizon 3 != scenario horizon 6"):
+            call()
+
+    @pytest.mark.parametrize("check", ["transversality", "nonatomicity"])
+    def test_the_endpoint_checks_reject_a_path_of_another_width(self, check):
+        sol = solve_reduced(ped2())
+        scn, cert = sol.scenario, sol.certificate
+        wide = PiecewisePath(sol.path.times, np.hstack([sol.path.states, np.zeros((len(sol.path.times), 1))]))
+        call = {"transversality": lambda: check_transversality(scn, wide, cert),
+                "nonatomicity": lambda: check_nonatomicity(cert, wide, scn)}[check]
+        with pytest.raises(ValueError, match="trajectory state has width 3, the scenario needs 2"):
+            call()
+
+    # Each public check called with its arguments in another check's order names the parameter
+    # that got the wrong kind of object.
+    SWAPPED = {
+        "primal in maximization's order": (lambda scn, path, u, cert: check_primal(scn, cert, u, path),
+                                            "'traj' needs a Trajectory or a PiecewisePath, got DualCertificate"),
+        "maximization in primal's order": (lambda scn, path, u, cert: check_maximization(scn, path, u, cert),
+                                           "'traj' needs a Trajectory or a PiecewisePath, got DualCertificate"),
+        "complementarity in nonatomicity's order": (lambda scn, path, u, cert: check_complementarity(cert, path, scn),
+                                                    "'cert' needs a DualCertificate, got PedestrianScenario"),
+        "transversality in nonatomicity's order": (lambda scn, path, u, cert: check_transversality(cert, path, scn),
+                                                   "'cert' needs a DualCertificate, got PedestrianScenario"),
+        "nonatomicity in transversality's order": (lambda scn, path, u, cert: check_nonatomicity(scn, path, cert),
+                                                   "'cert' needs a DualCertificate, got PedestrianScenario"),
+    }
+
+    @pytest.mark.parametrize("case", SWAPPED.keys())
+    def test_arguments_in_another_checks_order_are_named(self, case):
+        call, message = self.SWAPPED[case]
+        sol = solve_reduced(ped2())
+        with pytest.raises(TypeError, match=f"^parameter {message}$"):
+            call(sol.scenario, sol.path, sol.control, sol.certificate)
+
+    def test_a_simulated_trajectory_goes_through_the_door(self):
+        scn = ped2()
+        mesh = Mesh(scn.T, 6)
+        traj = simulate(scn, ControlSignal.constant(mesh, [1.8, 1.8]))
+        cert = solve_reduced(scn).certificate
+        assert check_transversality(scn, traj, cert) == check_transversality(scn, PiecewisePath.from_trajectory(traj), cert)
+        with pytest.raises(TypeError, match="^parameter 'traj' needs a Trajectory or a PiecewisePath, got ndarray$"):
+            check_transversality(scn, traj.nodes, cert)

@@ -1390,6 +1390,47 @@ class TestProjectionPath:
         assert ped2().nnls_block is None  # one row: `project_raw`'s closed form, no block
 
 
+class TestOneDriveCall:
+    """`simulate` takes the drive in one call: a one-run control on its one row, several runs in
+    one gathered call."""
+
+    def test_a_search_drives_one_row_per_simulation(self, monkeypatch):
+        from sweepctrl import optimizer
+
+        rows, simulations = [], []
+        drive, run = PedestrianScenario.drive, optimizer.simulate
+
+        def spied_drive(self, u, *args):
+            rows.append(np.shape(u))
+            return drive(self, u, *args)
+
+        def counted(scn, u):
+            simulations.append(1)
+            return run(scn, u)
+
+        monkeypatch.setattr(PedestrianScenario, "drive", spied_drive)
+        monkeypatch.setattr(optimizer, "simulate", counted)
+        scn = bundled_scenario("pedestrian3.scn")
+        sol = optimizer.solve_discrete(scn, 6, budget=50)
+        assert len(simulations) == sol.simulations > 1
+        assert rows == [(scn.n,)] * len(simulations)
+
+    def test_a_timed_switch_takes_one_gathered_call_for_its_two_runs(self, monkeypatch):
+        rows, drive = [], RobotScenario.drive
+
+        def spied_drive(self, u, *args):
+            rows.append(np.shape(u))
+            return drive(self, u, *args)
+
+        scn = parse_scenario_text(SWITCH_TEXT.format(switch="angles_deg_post = 90 180\nswitch_at = 2.5\n"))
+        u = ControlSignal.constant(Mesh(6.0, 8), [1.0, -0.5])
+        monkeypatch.setattr(RobotScenario, "drive", spied_drive)
+        nodes = simulate(scn, u).nodes
+        assert rows == [(2, scn.n)]
+        monkeypatch.undo()
+        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+
+
 def robot_text(n, R, x0, speeds, lo, hi):
     return (
         f"model = robot\nn = {n}\nR = {R}\nT = 6\nx0 = {x0}\nspeeds = {speeds}\n"
