@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .polyhedra import Polyhedron, _nnls_block, _same_fields
-from .tolerances import CONTACT_TOL, CONTROL_TOL
+from .polyhedra import Polyhedron, _same_fields
+from .tolerances import CONTACT_TOL, CONTROL_TOL, SCALE_MAX
 
 
 class ScenarioFormatError(ValueError):
@@ -72,6 +72,9 @@ class ControlSet:
         k = float(link[bound_on])
         if k == 0.0:
             raise ValueError("bound_on component has zero link coefficient")
+        norm = math.hypot(*link.tolist())
+        if not 1.0 / SCALE_MAX <= norm <= SCALE_MAX:  # |link|^2 divides every parameter fit
+            raise ValueError(f"segment link norm {norm:g} outside [{1.0 / SCALE_MAX:g}, {SCALE_MAX:g}]")
         rlo, rhi = sorted((blo / k, bhi / k))  # Python floats: an overflow gives inf, no warning
         if not all(math.isfinite(r * c) for r in (rlo, rhi) for c in link.tolist()):
             raise ValueError(f"segment end points {rlo:g} * link, {rhi:g} * link are not finite")
@@ -225,17 +228,17 @@ class Scenario:
     pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
     free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d,
                                   decided on Python floats, bit for bit the array formulas (a
-                                  robot chain's loop over its pairs is O(n^2))
+                                  robot chain's loop over its pairs is O(n^2); a pedestrian
+                                  chain's also takes x and d as lists)
     step_rows(X, Y)               the adjacent-pair rows of K(x) at each node of X, in the sweeping
                                   set's units, and their linearized gaps at the matching nodes of Y
 
     and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
-    its offset at a state given as a list, the formula `simulate`'s contact arcs write out.  A
-    K(x) that turns with x (`fixed_constraints` False) also gives `catchup_rows(x)`: (A, c, E)
-    with E the NNLS block of `polyhedra._project_rows` formed in the same pass, or None to let
-    `project_raw` form it.  A fixed set gives `nnls_block`, its block formed and checked once,
-    with the scenario, and read-only (None for one row); `simulate` copies it once per call,
-    since a step writes the block's last row.
+    its offset at a state given as a list, the formula `simulate`'s contact arcs write out.  The
+    robots' K(x), which turns with x, also comes from `catchup_rows(x)`: (A, c, E) with E the
+    NNLS block of `polyhedra._project_rows` formed in the same pass, or None to let
+    `project_raw` form it.  The pedestrians' set is fixed, and `simulate` steps it by
+    pool-adjacent-violators on Python floats, with no block.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -244,13 +247,11 @@ class Scenario:
     families, since its sum over a length-1 axis turns -0.0 into 0.0.  Only a
     robot whose heading switches at the first contact reads `contact_time`
     (`switches_at_contact`); a robot whose heading switches at a given time
-    reports it as `switch_time`.  `fixed_constraints` says
-    that K(x) is one set for every x, so that a projected step repeats.
+    reports it as `switch_time`.
     """
 
     switches_at_contact = False
     switch_time: float | None = None
-    fixed_constraints = False
     __eq__ = _same_fields
 
     def _validate(self, make_sweeping_set, coords: int) -> None:
@@ -265,11 +266,25 @@ class Scenario:
             raise ValueError(f"key 'T': need a finite T > 0, got {self.T}")
         if self.x0.shape != (coords * self.n,) or not np.all(np.isfinite(self.x0)):
             raise ValueError(f"key 'x0': need {coords * self.n} finite numbers")
-        if self.speeds.shape != (self.n,) or not np.all(self.speeds >= 0.0):
-            raise ValueError(f"key 'speeds': need {self.n} nonnegative numbers")
+        if self.speeds.shape != (self.n,) or not np.all((self.speeds >= 0.0) & (self.speeds < math.inf)):
+            raise ValueError(f"key 'speeds': need {self.n} finite nonnegative numbers")
         if self.control_set.dim != self.n:
             key = "control.lo" if self.control_set.kind == "box" else "control.link"
             raise ValueError(f"key '{key}': control set dimension {self.control_set.dim} != n = {self.n}")
+        # How far the agents may get, on Python floats (an overflow is inf): with controls and reach
+        # up to SCALE_MAX, and a horizon from reach / SCALE_MAX to SCALE_MAX, the squares of states,
+        # times and velocities (a step's rounding over h included) stay finite.
+        U = self.control_set
+        umax = (np.abs(U.basis).T @ np.maximum(np.abs(U.lo), np.abs(U.hi))).tolist()  # |u_i| over U
+        if not max(umax) <= SCALE_MAX:
+            keys = "keys 'control.lo', 'control.hi'" if U.kind == "box" else "key 'control.bounds'"
+            raise ValueError(f"{keys}: controls up to {max(umax):g}, beyond {SCALE_MAX:g}")
+        vmax = max(s * u for s, u in zip(self.speeds.tolist(), umax))
+        reach = max(map(abs, self.x0.tolist())) + 2.0 * self.R * self.n + self.T * vmax
+        if not reach <= SCALE_MAX:
+            raise ValueError(f"keys 'x0', 'R', 'T', 'speeds': |x0| + 2R n + T s |u| = {reach:g}, beyond {SCALE_MAX:g}")
+        if not reach / SCALE_MAX <= self.T <= SCALE_MAX:
+            raise ValueError(f"key 'T': need a horizon in [{reach / SCALE_MAX:g}, {SCALE_MAX:g}], got {self.T:g}")
         object.__setattr__(self, "_sweeping_set", make_sweeping_set(self.n, self.R))
 
     @property
@@ -463,7 +478,6 @@ class PedestrianScenario(Scenario):
     x0: np.ndarray  # (n,)
     speeds: np.ndarray  # (n,)
     control_set: ControlSet
-    fixed_constraints = True
 
     def __post_init__(self):
         self._validate(pedestrian_sweeping_set, coords=1)
@@ -474,11 +488,6 @@ class PedestrianScenario(Scenario):
         headings = np.ones((self.n, 1))
         headings.flags.writeable = False  # shared by every `drive` call
         object.__setattr__(self, "_headings", headings)
-        block = None  # one row takes `project_raw`'s closed form, with no block
-        if self.n > 2:  # shared by every `simulate` call, which copies it
-            block = _nnls_block(self._sweeping_set.normals)
-            block.flags.writeable = False
-        object.__setattr__(self, "nnls_block", block)
 
     def headings(self, t, contact_time: float | None = None) -> np.ndarray:
         """Every pedestrian walks along the line: the drive is (s_1 u^1, ..., s_n u^n).  One
@@ -496,8 +505,8 @@ class PedestrianScenario(Scenario):
     def free_run(self, x, d, support, cap: int) -> int:
         """Steps until a row outside the support would bind: the least slack over rate.  The
         rows are e_j - e_{j+1}, so rate and slack are one subtraction each on Python floats, bit
-        for bit the matrix products `A @ d` and `c - A @ x`."""
-        xs, ds = x.tolist(), d.tolist()
+        for bit the matrix products `A @ d` and `c - A @ x`.  x and d are arrays or lists."""
+        xs, ds = (x, d) if isinstance(x, list) else (x.tolist(), d.tolist())
         c, least = -2.0 * self.R, math.inf
         for j in range(self.n - 1):
             rate = ds[j] - ds[j + 1]

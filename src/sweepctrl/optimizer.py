@@ -58,6 +58,7 @@ from .tolerances import (
     BOUND_RTOL,
     DRIVE_TOL,
     PIECEWISE_MIN_STEP,
+    SCALE_MAX,
     SEARCH_IMPROVE_TOL,
     SEARCH_MIN_SPAN,
     SEARCH_MIN_STEP,
@@ -313,6 +314,8 @@ def _solve_pair(scn: Scenario) -> ReducedSolution:
     U = scn.control_set
     if U.kind != "segment":
         raise UnsupportedScenarioError("analytic pair template needs a linked-segment control set")
+    if not np.all(scn.speeds >= 1.0 / SCALE_MAX):  # the certificate's psi is divided by each speed
+        raise UnsupportedScenarioError(f"analytic pair template needs every speed at least {1.0 / SCALE_MAX:g}")
     ys, eta_key = _pair_family(scn)
     T, x0 = scn.T, scn.x0
     if ys and in_contact(scn.pair_gaps(x0)[0]):

@@ -23,9 +23,9 @@ around its NNLS kernel call it makes only the array operations the kernel's
 input and the result need (A.dot(y), building E, u.dot(A)), and decides the
 rest on Python floats, in the order numpy would sum them, so that its bits
 are those of the array formulas.  A caller that already holds E's block
--A^T, checked finite (`simulate`: once per call for a fixed set, with K(x)
-for a robot chain), hands it to `_project_rows`, the branch `project_raw`
-runs, which then writes only E's last row.
+-A^T, checked finite (`simulate`, with K(x) for a robot chain), hands it
+to `_project_rows`, the branch `project_raw` runs, which then writes only
+E's last row.
 A non-finite point, vector to decompose or projection input raises
 ValueError where it enters, naming it.
 """
@@ -321,10 +321,9 @@ def _project_rows(
     """`project_raw` without its `start`, for a caller that may hold E's top block already.
 
     E, when not None, is a C-contiguous (dim + 1, s) float array whose first
-    dim rows hold -A^T, finite (`_nnls_block`, or `models` for a robot
-    chain): only its last row h is written here, so a fixed set's block
-    serves every step of a simulation.  With None, the block is formed and
-    checked here, once the step is known to project.
+    dim rows hold -A^T, finite (`models` forms it with a robot chain's
+    K(x)): only its last row h is written here.  With None, the block is
+    formed and checked here, once the step is known to project.
     """
     if A.shape[0] == 1:
         if y.shape != (A.shape[1],):
@@ -385,16 +384,6 @@ def _project_rows(
     W = u.nonzero()[0]
     u *= top / d  # the multipliers lam
     return y - u.dot(A), W  # y - A^T lam, bit for bit
-
-
-def _nnls_block(A: np.ndarray) -> np.ndarray:
-    """E of `project_raw`'s NNLS branch for the rows A, (dim + 1, s): its first dim rows -A^T,
-    checked finite, and its last row h left for each projection to write."""
-    n = A.shape[1]
-    E = np.empty((n + 1, A.shape[0]))
-    E[:n] = -A.T
-    _check_finite(E[:n].ravel(), "projection input")
-    return E
 
 
 @functools.cache

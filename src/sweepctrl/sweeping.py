@@ -6,22 +6,23 @@ pedestrian model (whose separation constraints are already linear) and the
 per-step linearized noncollision set for the planar robot model.  States
 are piecewise linear between mesh nodes, controls piecewise constant.
 
-One loop serves both models through the `models.Scenario` interface:
 `drive` gives g for the first interval of every run of equal controls at
 once (a robot's from the `headings` hook, the pedestrians' in closed form,
-and a one-run control's on its one row), `constraint_rows` gives K(x), `pair_gaps`
-finds contacts and `free_run` says how far a repeating step may be filled.
+and a one-run control's on its one row), and `free_run` says how far a
+repeating step may be filled.  A pedestrian chain is stepped in one loop on
+Python floats (`_chain_steps`): its set is the chain x_{j+1} - x_j >= 2R, so
+each step is `_chain_step`, the projection by pool-adjacent-violators, with
+no NNLS call and no array per step.  The robots' loop takes K(x) from the
+`catchup_rows` hook and `pair_gaps` finds their contacts.
 Where K(x) is the one row of two robots, which turns with x, a contact arc
 is stepped on Python floats, in one loop (`_pair_arc`) that forms the row
 as `RobotScenario.pair_row` does and projects onto it as
 `polyhedra._project_one_row`, the one-row branch of `project_raw`, does,
 so the nodes are those of the array step bit for bit at a fraction of
 numpy's per-call cost.
-A multi-row step hands `polyhedra._project_rows`, `project_raw`'s own
-branch, the NNLS block -A^T of its set: a fixed set's block is formed once
-per scenario (`nnls_block`) and copied once per `simulate` call, and a
-robot chain's comes with K(x) from the `catchup_rows` hook, so each step
-writes only the block's last row.
+A robot chain's multi-row step hands `polyhedra._project_rows`,
+`project_raw`'s own branch, the NNLS block -A^T that comes with K(x), so
+each step writes only the block's last row.
 `recover_eta` expresses the
 normal-cone multiplier eta_k of interval k on the rows of the step's own
 set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
@@ -36,11 +37,13 @@ import functools
 import math
 import numbers
 import re
+from array import array
 from dataclasses import dataclass
+from operator import add, sub
 
 import numpy as np
 
-from .models import ControlSet, Scenario, in_contact, run_starts
+from .models import ControlSet, PedestrianScenario, Scenario, in_contact, run_starts
 from .polyhedra import (
     Polyhedron,
     _project_one_row,
@@ -70,6 +73,8 @@ class Mesh:
             raise ValueError(f"mesh exponent must be an integer in [1, {MESH_EXP_MAX}], got {self.m!r}")
         if not 0.0 < self.T < math.inf:  # NaN fails too
             raise ValueError(f"horizon must be a finite positive number, got {self.T!r}")
+        if self.h == 0.0:
+            raise ValueError(f"horizon {self.T!r} leaves a zero step on {self.intervals} intervals")
 
     @property
     def intervals(self) -> int:
@@ -253,12 +258,14 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     increment h*g is taken once per run of equal drives, at the run's first
     interval, for all runs in one `drive` call (a timed heading switch starts
     a run), and holds over the run; a control of one run drives its one row,
-    with no gather.  A robot whose heading switches at the
-    first contact starts a run at its contact node and takes the increments
-    from there on again.  Two steps in a
-    row with one support W fix the step map while the drive stays: the node
-    keeps the last increment for as many steps as `scn.free_run` allows,
-    filled by one cumulative sum (the loop's additions).  After a projected
+    with no gather.  A pedestrian chain goes to `_chain_steps`, one loop on
+    Python floats over `_chain_step`, the pool-adjacent-violators step, with
+    its own run fill; the loop below serves robots.  A robot whose heading
+    switches at the first contact starts a run at its contact node and takes
+    the increments from there on again.  Two free steps in a row fix the
+    step map while the drive stays: the node keeps the increment for as
+    many steps as `scn.free_run` allows, filled by one cumulative sum (the
+    loop's additions).  After a projected
     step of two robots with no contact switch pending, the contact arc goes
     on in one call of `_pair_arc`, a loop on four Python floats that forms
     each interval's pair row and its one-row projection in the float
@@ -266,9 +273,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     projects nothing (its node is kept) or the horizon; it reads the
     increments from one list of each run's row repeated, built at the first
     arc, through an offset, and the arc's nodes go into the array in one
-    slice.  A fixed set is read once per call, and its NNLS block, formed
-    with the scenario (`scn.nnls_block`), copied then, since each step
-    writes the block's last row; a moving set comes with its block from
+    slice.  Any other robot step comes with its NNLS block from
     `scn.catchup_rows`, and a step with a block projects through
     `project_raw`'s branch on it, a step without one through `project_raw`.
     """
@@ -290,21 +295,16 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
         drives = [h * scn.drive(values[0], times[0])]
     else:
         drives = h * scn.drive(values.take(starts, 0), times[starts])
+    if isinstance(scn, PedestrianScenario):  # the fixed chain: one loop on Python floats
+        return _trajectory(mesh, _chain_steps(scn, zip(ends, drives), K))
     runs = zip(ends, drives)
     end = 0  # where interval k's run ends; `step` is its increment
     track = scn.switches_at_contact
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
     x = nodes[0] = scn.x0
-    fixed = catchup_rows = None
-    if scn.fixed_constraints:  # one K for every step: a copy of its NNLS block, as a step writes its last row
-        A, c = scn.constraint_rows(x)
-        E = scn.nnls_block
-        fixed = A, c, None if E is None else E.copy()
-    else:
-        catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
+    catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
-    one_moving_row = not scn.fixed_constraints and scn.n == 2  # K(x) is one row that turns with x
     increments = None  # each run's row repeated, as lists, once a contact arc needs them
     k = 0
     while k < K:
@@ -317,14 +317,14 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             runs, end = zip(ends, drives), k
         if k == end:
             end, step = next(runs)
-        A, c, E = fixed or catchup_rows(x)
+        A, c, E = catchup_rows(x)
         if E is None:
             xn, W = project_raw(A, c, x + step, tol=STEP_TOL)
         else:  # the same branch of `project_raw`, on the block the step already holds
             xn, W = _project_rows(A, c, x + step, STEP_TOL, E)
         k += 1
         nodes[k], W = xn, W.tolist()
-        if W and one_moving_row and k < K and (not track or contact is not None):
+        if W and scn.n == 2 and k < K and (not track or contact is not None):
             # A contact arc: the steps, no longer changed by a switch, go on as one-row
             # projections on Python floats, in the float operations `project_raw` makes,
             # up to the first no-op step (kept) or the horizon.
@@ -339,19 +339,110 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
                 end, step = next(runs)
             prev, x = [], nodes[k]  # the no-op step's support: the next one may start a run
             continue
-        if k < end and W == prev and (not W or scn.fixed_constraints):
-            d = xn - x if W else step
-            run = scn.free_run(xn, d, W, end - k)
-            fill = nodes[k : k + run + 1]
-            fill[1:] = d
-            fill.cumsum(axis=0, out=fill)  # the method: `np.cumsum` is a Python wrapper around it
-            k += run
+        if k < end and W == prev == []:  # free flight twice: the steps repeat while the drive holds
+            k += _fill(nodes, k, step, scn.free_run(xn, step, W, end - k))
             W = None  # the next fill needs two fresh steps
         prev, x = W, nodes[k]
-    # The shape is the one `Trajectory.__post_init__` checks: set the fields without running it.
+    return _trajectory(mesh, nodes)
+
+
+def _trajectory(mesh: Mesh, nodes: np.ndarray) -> Trajectory:
+    """The trajectory through `simulate`'s nodes, whose shape is the one `Trajectory.__post_init__`
+    checks: the fields are set without running it."""
     traj = object.__new__(Trajectory)
     traj.__dict__.update(mesh=mesh, nodes=nodes)
     return traj
+
+
+def _fill(nodes: np.ndarray, k: int, d, run: int) -> int:
+    """Nodes k + 1 .. k + run as node k plus 1 .. run times the increment d, by one cumulative sum
+    (the additions of the per-step loop); returns run."""
+    fill = nodes[k : k + run + 1]
+    fill[1:] = d
+    fill.cumsum(axis=0, out=fill)  # the method: `np.cumsum` is a Python wrapper around it
+    return run
+
+
+def _chain_steps(scn: PedestrianScenario, runs, K: int) -> np.ndarray:
+    """The K + 1 nodes of a pedestrian chain from scn.x0, one `_chain_step` per interval, each
+    run of equal drives given as (end, increment), with the state a list of floats.
+
+    Two steps in a row that pool the same rows (none, in free flight) fix the step map while the
+    drive holds: the nodes keep the last displacement for as many steps as `scn.free_run` allows,
+    filled by one cumulative sum.  The stepped nodes since the last fill go into the array in one
+    slice, from a C array of doubles: a list would hold a float object per coordinate and step,
+    whose memory the process keeps.  An increment becomes a list when its run starts, for the
+    same reason.
+    """
+    n, gap = scn.n, 2.0 * scn.R
+    nodes = np.empty((K + 1, n))
+    nodes[0] = scn.x0
+    flat = nodes.reshape(-1)  # a view of the C-ordered rows
+    x, stepped, done = nodes[0].tolist(), array("d"), 0  # the nodes after node `done`, not yet written
+    k, prev = 0, None  # the support of the step before, when it may start a run
+    for end, g in runs:
+        g = g.tolist()
+        while k < end:
+            xn, W = _chain_step(x, g, gap)
+            k += 1
+            stepped.extend(xn)
+            if k < end and W == prev:
+                d = list(map(sub, xn, x)) if W else g
+                run = scn.free_run(xn, d, W, end - k)
+                if run:
+                    flat[n * (done + 1) : n * (k + 1)] = stepped
+                    k += _fill(nodes, k, d, run)
+                    xn, stepped, done = nodes[k].tolist(), array("d"), k
+                W = None  # the next fill needs two fresh steps
+            prev, x = W, xn
+    flat[n * (done + 1) :] = stepped
+    return nodes
+
+
+def _chain_step(x: list, g: list, gap: float) -> tuple[list, list]:
+    """One catch-up step of a pedestrian chain on Python floats: y = x + g projected onto the
+    chain {x : x_j - x_{j+1} <= -gap}, and the support, the rows j whose agents j, j + 1 pooled.
+
+    y violating no row by more than STEP_TOL is kept, the rule of `project_raw`.  Otherwise, with
+    z_j = y_j - gap j, the projection is the nondecreasing least-squares fit of z, shifted back,
+    which pool-adjacent-violators computes in one pass (Best & Chakravarti, 1990): a block whose
+    mean of z exceeds the next one's pools with it, at the mean of both.  A block is kept as the
+    position of its first agent, so an agent left alone keeps its y_j.  A non-finite y raises,
+    and so does a finite one whose violation overflows to +inf, or to -inf while another exceeds
+    STEP_TOL: the outcomes of `project_raw`.
+    """
+    y = list(map(add, x, g))
+    diffs = list(map(sub, y, y[1:]))
+    if not all(map(math.isfinite, diffs)):  # so also where y is not finite
+        if not all(map(math.isfinite, y)) or max(diffs) + gap > STEP_TOL:
+            raise ValueError("projection input must not contain infs or NaNs")
+        return y, []
+    if max(diffs) + gap <= STEP_TOL:  # the largest violation: rounding is monotone
+        return y, []
+    blocks = []  # the (first position, size) of each block left of the last
+    last, size = y[0], 1
+    for b in y[1:]:
+        if last + gap * size > b:  # b sits left of where the block would put it: pool
+            c = size + 1
+            b = last + (b - gap * size - last) / c
+            while blocks and blocks[-1][0] + gap * blocks[-1][1] > b:
+                first, size = blocks.pop()
+                b = first + (b - gap * size - first) * c / (size + c)
+                c += size
+            last, size = b, c
+        else:
+            blocks.append((last, size))
+            last, size = b, 1
+    blocks.append((last, size))
+    support, j = [], 0
+    for b, c in blocks:
+        if c > 1:
+            support += range(j, j + c - 1)
+            for i in range(j, j + c):
+                y[i] = b
+                b += gap
+        j += c
+    return y, support
 
 
 class _Tail:

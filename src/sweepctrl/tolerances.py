@@ -14,6 +14,9 @@ STEP_TOL = 1e-12  # a free catch-up step violating K(x) by no more than this is 
 LICQ_RTOL = 1e-10  # active normals are independent when the least singular value exceeds this times the largest
 EMPTY_RTOL = 1e-10  # margin the least-distance normalizer d must keep over its rounding, or the set is empty
 
+# Scale
+SCALE_MAX = 1e100  # bound on a scenario's controls, reach |x0| + 2R n + T s |u| and horizon, and on reach / horizon
+
 # Times
 TIME_TOL = 1e-12  # two times this close are one (absolute; times max(1, T) when comparing two horizons)
 GRID_MERGE_RTOL = 1e-11  # verification breakpoints closer than this times max(1, T) merge into one

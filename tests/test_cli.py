@@ -583,6 +583,37 @@ print(*codes, nnls_built, "scipy.optimize" in sys.modules)
         assert (tmp_path / name / "trajectory.csv").is_file()
 
 
+@pytest.mark.skipif(not Path("/proc/self/maps").is_file(), reason="reads the process's mapped files")
+def test_pedestrian_simulate_and_solve_discrete_never_load_the_nnls_kernel(tmp_path):
+    # Every pedestrian step pools adjacent violators on Python floats: a fresh process that simulates
+    # and searches three pedestrians maps no `scipy/optimize/_slsqplib*` file.  A robot chain of three
+    # then maps it, which shows that the probe sees the kernel.
+    import sweepctrl
+
+    chain = tmp_path / "robot3.scn"
+    chain.write_text(ROBOT3_CHAIN)
+    out = {name: str(tmp_path / name) for name in ("sim", "search", "chain")}
+    script = f"""
+import sys
+import sweepctrl.cli
+from sweepctrl import polyhedra
+def kernel_mapped():
+    with open("/proc/self/maps") as maps:
+        return "_slsqplib" in maps.read()
+codes = [
+    sweepctrl.cli.main(["simulate", {PED3!r}, "--control=2,2,0.5", "--mesh-exp", "8", "--out", {out["sim"]!r}]),
+    sweepctrl.cli.main(["solve-discrete", {PED3!r}, "--mesh-exp", "6", "--budget", "20", "--out", {out["search"]!r}]),
+]
+pedestrians = kernel_mapped(), polyhedra._nnls.cache_info().currsize
+codes.append(sweepctrl.cli.main(["simulate", {str(chain)!r}, "--control=-3,-1,1", "--mesh-exp", "8", "--out", {out["chain"]!r}]))
+print(*codes, *pedestrians, kernel_mapped())
+"""
+    src = str(Path(sweepctrl.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert run.stdout.split()[-6:] == ["0", "0", "0", "False", "0", "True"]
+
+
 class TestSolveDiscrete:
     def test_finds_reduced_optimum(self, tmp_path, capsys):
         code = main(
@@ -698,6 +729,45 @@ class TestCertificateFuzz:
                          str(out / "trajectory.csv"), "--out", str(out / "verify")])
         assert code in (0, 1, 2, 3)
         assert "Traceback" not in err.getvalue()
+
+
+# Values a scenario key may be mutated to: non-finite, extreme, empty, words and lists of a wrong length.
+SCENARIO_VALUES = ("nan", "inf", "-inf", "1e308", "-1e308", "5e-324", "-5e-324", "", "fast", "0", "-1", "1 2", "1 2 3 4")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("scenario-fuzz")
+
+
+class TestScenarioFuzz:
+    @settings(max_examples=300, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_mutated_pedestrian_file_exits_with_a_documented_code(self, fuzz_dir, data):
+        # A bundled pedestrian file with 1-3 numeric values mutated, the whole value or one of its
+        # entries, through `simulate` and `solve-discrete` on a coarse mesh.
+        path, control = data.draw(st.sampled_from([(PED2, "1.8,1.8"), (PED3, "2,2,0.5")]))
+        entries = [line.split("=", 1) for line in Path(path).read_text().splitlines() if "=" in line]
+        keys = [key.strip() for key, _ in entries]
+        values = [value.split() for _, value in entries]
+        numeric = [i for i, key in enumerate(keys) if key not in ("model", "control.kind")]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.sampled_from(numeric))
+            value = data.draw(st.sampled_from(SCENARIO_VALUES))
+            if len(values[i]) > 1 and data.draw(st.booleans()):
+                values[i][data.draw(st.integers(0, len(values[i]) - 1))] = value
+            else:
+                values[i] = [value]
+        scenario = fuzz_dir / "fuzz.scn"
+        scenario.write_text("".join(f"{key} = {' '.join(value)}\n" for key, value in zip(keys, values)))
+        m = str(data.draw(st.integers(3, 5)))  # the CLI takes m >= 3
+        for argv in (["simulate", str(scenario), "--control", control, "--mesh-exp", m],
+                     ["solve-discrete", str(scenario), "--mesh-exp", m, "--budget", "20"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main([*argv, "--out", str(fuzz_dir / "out")])
+            assert code in (0, 1, 2, 3), (argv, scenario.read_text())
+            assert "Traceback" not in err.getvalue()
 
 
 class TestOptionsPerSubcommand:

@@ -904,6 +904,24 @@ class TestRejectionsNamed:
         with pytest.raises(ScenarioFormatError, match=message):
             parse_scenario_text(text)
 
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"control.hi": "1e308 1"}, "keys 'control.lo', 'control.hi': controls up to 1e\\+308, beyond 1e\\+100"),
+            ({"speeds": "1e308 2"}, r"keys 'x0', 'R', 'T', 'speeds': \|x0\| \+ 2R n \+ T s \|u\| = inf, beyond 1e\+100"),
+            ({"x0": "-1e101 -48"}, "keys 'x0', 'R', 'T', 'speeds'"),
+            ({"T": "1e101", "speeds": "0 0"}, r"key 'T': need a horizon in \[7\.2e-99, 1e\+100\], got 1e\+101"),
+            ({"T": "5e-324"}, r"key 'T': need a horizon in \[7\.2e-99, 1e\+100\], got 4\.94066e-324"),
+            ({"control.kind": "segment", "control.link": "1e308 1", "control.bounds": "-1 1"},
+             r"key 'control.link': segment link norm 1e\+308 outside \[1e-100, 1e\+100\]"),
+        ],
+        ids=["control-bound", "speed", "start", "long-horizon", "short-horizon", "link"],
+    )
+    def test_a_scenario_beyond_the_scale_names_its_keys(self, changes, message):
+        # Squares of states, times and velocities must stay finite: magnitudes up to SCALE_MAX.
+        with pytest.raises(ScenarioFormatError, match=message):
+            parse_scenario_text(scenario_text(PEDESTRIAN_TEXT, **changes))
+
     def test_unknown_bundled_name(self):
         with pytest.raises(FileNotFoundError, match="no bundled scenario named 'nowhere.scn'"):
             bundled_scenario_path("nowhere.scn")

@@ -733,6 +733,13 @@ class TestOneInputContract:
         with pytest.raises(TypeError, match=f"^parameter {message}$"):
             call(sol.scenario, sol.path, sol.control, sol.certificate)
 
+    def test_a_scenario_of_another_type_is_named(self):
+        # A scenario's name where the scenario belongs: the path and the certificate pass their
+        # checks, and the door names 'scn'.
+        sol = solve_reduced(ped2())
+        with pytest.raises(TypeError, match="^parameter 'scn' needs a Scenario, got str$"):
+            verify_certificate("pedestrian2", sol.path, sol.control, sol.certificate)
+
     def test_a_simulated_trajectory_goes_through_the_door(self):
         scn = ped2()
         mesh = Mesh(scn.T, 6)

@@ -516,6 +516,13 @@ class TestUnsupportedTemplates:
         with pytest.raises(UnsupportedScenarioError, match="solve_discrete|rear pair"):
             solve_reduced(scn)
 
+    def test_a_pair_with_a_vanishing_speed_is_rejected(self):
+        # The certificate divides psi by each speed: 5e-324 would overflow it.
+        text = bundled_scenario_path("pedestrian2.scn").read_text()
+        assert "speeds = 8 2" in text
+        with pytest.raises(UnsupportedScenarioError, match="^analytic pair template needs every speed at least 1e-100$"):
+            solve_reduced(parse_scenario_text(text.replace("speeds = 8 2", "speeds = 8 5e-324")))
+
     def test_robot_triple_rejected(self):
         scn = RobotScenario(
             n=3,
@@ -821,7 +828,7 @@ class TestBundledSearchPaths:
         [
             ("pedestrian2.scn", 3, 2000, "0x1.2000000000000p+3", 109, 80, True, "061b1ae0430995b5d38035d84f4553ef"),
             ("robot2.scn", 5, 2000, "0x1.2000000763983p+5", 642, 340, True, "22bd7d84f0000aa0346e247613d57cf5"),
-            ("pedestrian3.scn", 3, 2000, "0x1.2000000000000p+5", 821, 408, True, "429b31aa3ab97984ef49b2c26c63ab80"),
+            ("pedestrian3.scn", 3, 2000, "0x1.2000000000000p+5", 817, 410, True, "429b31aa3ab97984ef49b2c26c63ab80"),
             ("robot2.scn", 3, 84, "0x1.20000759986e2p+5", 84, 35, False, "f1e81b512fe6e06080499e194b77e360"),
         ],
     )

@@ -20,6 +20,7 @@ from sweepctrl.models import (
     in_contact,
     linearized_noncollision,
     parse_scenario_text,
+    pedestrian_sweeping_set,
     run_starts,
 )
 from sweepctrl.optimality import DualCertificate, PiecewisePath, StepFunction, check_nonatomicity, check_transversality
@@ -121,15 +122,19 @@ class TestCatchupStep:
         assert np.allclose(catchup_step(P, np.zeros(2), x, 0.5), x)
 
     def test_takes_the_step_simulate_takes(self):
-        # A free step 5e-10 outside K(x0): inside MEMBERSHIP_TOL, outside STEP_TOL.
+        # A free step 5e-10 outside K(x0): inside MEMBERSHIP_TOL, outside STEP_TOL.  simulate takes
+        # the pedestrians' pool-adjacent-violators step bit for bit, and catchup_step, through
+        # `project_raw`, projects it to the same node within rounding.
         scn = PedestrianScenario(n=2, R=1.0, T=1.0, x0=np.array([0.0, 2.0]), speeds=np.ones(2),
                                  control_set=ControlSet.box([-1.0, -1.0], [1.0, 1.0]))
         u = np.array([1e-9, 0.0])
         mesh = Mesh(1.0, 1)
         got = catchup_step(scn.sweeping_set(), scn.g(scn.x0, u), scn.x0, mesh.h)
         first = simulate(scn, ControlSignal.constant(mesh, u)).nodes[1]
-        assert got.tobytes() == first.tobytes()
-        assert scn.pair_gaps(got)[0] >= 0.0
+        pooled, support = sweeping._chain_step(scn.x0.tolist(), (mesh.h * scn.g(scn.x0, u)).tolist(), 2.0 * scn.R)
+        assert np.array(pooled).tobytes() == first.tobytes() and support == [0]
+        assert np.max(np.abs(got - first)) <= 1e-12 * max(1.0, np.max(np.abs(got)))
+        assert scn.pair_gaps(got)[0] >= 0.0 and scn.pair_gaps(first)[0] >= 0.0
 
 
 class TestSimulate:
@@ -914,14 +919,20 @@ class TestCatchupInvariants:
         assert np.min(gaps) >= 2.0 * scn.R - 1e-9
 
 
-def stepwise(scn, u):
-    """The catch-up loop with one projection per interval: the reference for filled runs."""
+def stepwise(scn, u, pooled=False):
+    """The catch-up loop with one projection per interval: the reference for filled runs.  With
+    `pooled`, a pedestrian step is `sweeping._chain_step`, the pool-adjacent-violators step that
+    `simulate` takes, in place of `project_raw`."""
     h, contact, x = u.mesh.h, None, scn.x0
     nodes = [x]
     for uk, tk in zip(u.values, u.mesh.nodes):
         if scn.switches_at_contact and contact is None and scn.contact_rows(x).size:
             contact = tk
-        x, _ = project_raw(*scn.constraint_rows(x), x + h * scn.drive(uk, tk, contact), tol=STEP_TOL)
+        g = h * scn.drive(uk, tk, contact)
+        if pooled and isinstance(scn, PedestrianScenario):
+            x = np.array(sweeping._chain_step(x.tolist(), g.tolist(), 2.0 * scn.R)[0])
+        else:
+            x, _ = project_raw(*scn.constraint_rows(x), x + g, tol=STEP_TOL)
         nodes.append(x)
     return np.array(nodes)
 
@@ -985,15 +996,16 @@ class TestRunFilling:
             # Mostly forward draws, so the chain stays in contact much of the time.
             u = ControlSignal(mesh, rng.uniform(-1.0, 2.0, (mesh.intervals, scn.n)))
             assert np.all(np.any(np.diff(u.values, axis=0) != 0.0, axis=1))
-            assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u))
+            assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u, pooled=True))
 
     @pytest.mark.parametrize("chain", [1, 2], ids=["pedestrians8", "robots3"])
     def test_jostling_chains_are_bit_identical_to_the_stepwise_loop(self, chain):
-        # A fixed set's NNLS block formed once per call, and a robot chain's formed with K(x).
+        # A pedestrian chain pools adjacent violators on floats, and a robot chain's NNLS block is
+        # formed with K(x).
         scn, u = jostling_chains()[chain]
         assert u.mesh.m == 9 and np.all(np.any(np.diff(u.values, axis=0) != 0.0, axis=1))
         nodes = simulate(scn, u).nodes
-        assert nodes.tobytes() == stepwise(scn, u).tobytes()
+        assert nodes.tobytes() == stepwise(scn, u, pooled=True).tobytes()
         assert np.sum(np.any(in_contact(scn.pair_gaps(nodes)), axis=1)) > u.mesh.intervals // 4
 
     @pytest.mark.parametrize("switch", ["1.3", "2.0", "5.99"])
@@ -1327,6 +1339,124 @@ class TestPairArcReference:
             assert g == (mesh.h * scn.drive(u.values[k])).tolist()
 
 
+def reference_chain_steps(scn, u):
+    """The pedestrians' catch-up loop as `simulate` ran it on arrays through the NNLS step, with
+    `_chain_step` as the step: y = x + h g per interval, and after two steps in a row with one
+    support, `free_run` steps of the last displacement, added one at a time."""
+    h, K = u.mesh.h, u.mesh.intervals
+    nodes = np.empty((K + 1, scn.n))
+    nodes[0] = scn.x0
+    k, prev = 0, None
+    for end in run_starts(u.values)[1:].tolist() + [K]:
+        g = h * scn.drive(u.values[k])
+        while k < end:
+            x = nodes[k]
+            xn, W = sweeping._chain_step(x.tolist(), g.tolist(), 2.0 * scn.R)
+            k += 1
+            nodes[k] = xn
+            if k < end and W == prev:
+                d = nodes[k] - x if W else g
+                for _ in range(scn.free_run(nodes[k], d, W, end - k)):
+                    nodes[k + 1] = nodes[k] + d
+                    k += 1
+                W = None
+            prev = W
+    return nodes
+
+
+def step_outcome(step):
+    """A step's node as bytes, or the type and text of the error it raises."""
+    try:
+        return np.asarray(step(), dtype=float).tobytes()
+    except (ValueError, polyhedra.ProjectionError) as exc:
+        return type(exc), str(exc)
+
+
+CHAIN_CONTROLS = ("constant", "piecewise", "every interval")
+
+
+@st.composite
+def pedestrian_chain_runs(draw):
+    """A chain of 2-8 pedestrians, about 40 % of its start gaps closed, under a constant control,
+    one of 2-8 pieces or one drawn anew every interval (mostly forward, so the chain jostles), m = 3-8."""
+    n = draw(st.integers(2, 8))
+    kind = draw(st.sampled_from(CHAIN_CONTROLS))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    R = float(rng.uniform(0.5, 2.0))
+    spare = np.where(rng.random(n - 1) < 0.4, 0.0, rng.uniform(0.0, 2.0, n - 1))
+    x0 = -20.0 + np.concatenate([[0.0], np.cumsum(2.0 * R + spare)])
+    scn = PedestrianScenario(n=n, R=R, T=6.0, x0=x0, speeds=rng.uniform(0.0, 3.0, n),
+                             control_set=ControlSet.box([-2.0] * n, [2.0] * n))
+    mesh = Mesh(6.0, draw(st.integers(3, 8)))
+    pieces = {"constant": 1, "piecewise": int(rng.integers(2, 9)), "every interval": mesh.intervals}[kind]
+    cuts = np.sort(rng.choice(np.arange(1, mesh.intervals), pieces - 1, replace=False))
+    values = rng.uniform(-1.0, 2.0, (pieces, n))[np.searchsorted(cuts, np.arange(mesh.intervals), side="right")]
+    return kind, scn, ControlSignal(mesh, values)
+
+
+class TestChainStepReference:
+    """`simulate` steps a pedestrian chain in one loop on Python floats, each step one
+    pool-adjacent-violators `_chain_step`: its nodes must be those of the per-step loop over that
+    kernel bit for bit, each one the `project_raw` step from the node before within 1e-12
+    relative, feasible to STEP_TOL, and its errors those of `project_raw`."""
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(pedestrian_chain_runs())
+    def test_nodes_equal_the_per_step_loop_and_the_projection(self, case):
+        kind, scn, u = case
+        nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == reference_chain_steps(scn, u).tobytes()
+        A, c = scn.sweeping_set().normals, scn.sweeping_set().offsets
+        g = u.mesh.h * scn.drive(u.values)
+        for x, g_k, node in zip(nodes[:-1], g, nodes[1:]):
+            ref, _ = project_raw(A, c, x + g_k, tol=STEP_TOL)
+            assert np.max(np.abs(node - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+        assert np.max(nodes[:, :-1] - nodes[:, 1:] + 2.0 * scn.R) <= STEP_TOL
+        if kind == "every interval":
+            assert np.array_equal(nodes, stepwise(scn, u, pooled=True))
+
+    @pytest.mark.parametrize(
+        "x, g, want",
+        [
+            ([0.0, 3.0, 6.0], [0.0, math.inf, 0.0], "projection input must not contain infs or NaNs"),
+            ([0.0, 3.0, 6.0], [0.0, 0.0, -math.inf], "projection input must not contain infs or NaNs"),
+            ([0.0, 3.0, 6.0], [math.nan, 0.0, 0.0], "projection input must not contain infs or NaNs"),
+            ([0.0, 3.0], [math.inf, math.inf], "projection input must not contain infs or NaNs"),
+            ([1e308, 1.5e308, 1.7e308], [1e308, 0.0, 0.0], "projection input must not contain infs or NaNs"),
+            ([-1e308, 1e308], [-0.7e308, 0.7e308], None),  # the violation overflows to -inf: y is kept
+            ([-1e308, 1e308, 1e308 + 1e300], [-0.7e308, 0.7e308, -1e300], "projection input must not contain infs or NaNs"),
+            ([-1.5e308, 0.0, 3.0], [-0.2e308, 0.0, 0.0], None),  # far inside: kept
+            ([1e308, 1.2e308, 1.4e308], [0.5e308, 0.0, -0.5e308], "pooled"),  # its z sums overflow: projected
+        ],
+        ids=["inf", "minus-inf", "nan", "two-infs", "y-overflows", "violation-minus-inf",
+             "minus-inf-and-a-violation", "far-inside", "large-finite"],
+    )
+    def test_edge_steps_keep_the_outcome_of_project_raw(self, x, g, want):
+        chain = pedestrian_sweeping_set(len(x), 1.0)
+        y = np.array([a + b for a, b in zip(x, g)])  # on floats: an overflow is inf, with no warning
+        got = step_outcome(lambda: sweeping._chain_step(x, g, 2.0)[0])
+        with np.errstate(over="ignore", invalid="ignore"):  # the NNLS branch warns before it raises
+            ref = step_outcome(lambda: project_raw(chain.normals, chain.offsets, y, tol=STEP_TOL)[0])
+        if want == "pooled":
+            a, b = np.frombuffer(got), np.frombuffer(ref)
+            assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)) and not np.array_equal(a, y)
+        else:
+            assert got == ref
+            assert got == (y.tobytes() if want is None else (ValueError, want))
+
+    def test_a_drive_beyond_the_scale_exits_2_naming_its_keys(self, tmp_path, capsys):
+        # A speed of 1e308 would overflow the drive: the scenario is refused where it is read.
+        text = bundled_scenario_path("pedestrian3.scn").read_text()
+        assert "speeds = 8 4 2" in text
+        scenario = tmp_path / "fast.scn"
+        scenario.write_text(text.replace("speeds = 8 4 2", "speeds = 1e308 1 1"))
+        code = cli.main(["simulate", str(scenario), "--control", "2,2,2", "--mesh-exp", "6", "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == (
+            "error: keys 'x0', 'R', 'T', 'speeds': |x0| + 2R n + T s |u| = inf, beyond 1e+100"
+        )
+
+
 class TestProjectionPath:
     def test_two_agent_steps_make_no_nnls_call(self, monkeypatch):
         import sweepctrl.polyhedra as polyhedra
@@ -1342,52 +1472,45 @@ class TestProjectionPath:
         scn = robot2()
         traj = simulate(scn, ControlSignal.constant(Mesh(6.0, 10), [2.0 * ROBOT_R, ROBOT_R]))
         assert np.min(scn.pair_gaps(traj.nodes)) <= 1e-9  # the run has its contact arc
+        # No pedestrian step calls NNLS either: each pools adjacent violators on floats.
+        simulate(ped3(), ControlSignal.constant(Mesh(6.0, 10), PED3_U))
+        for scn, u in jostling_chains()[:2]:
+            simulate(scn, u)
         assert not calls
-        simulate(ped3(), ControlSignal.constant(Mesh(6.0, 10), PED3_U))  # two rows: the spy sees NNLS
+        simulate(*jostling_chains()[2])  # three robots: the spy sees NNLS
         assert calls
 
     def test_a_fixed_set_is_read_once_per_simulation(self, monkeypatch):
+        # The pedestrians' set is never read, and no step projects through `polyhedra`: each
+        # interval is one `_chain_step`, or a filled one.
         import sweepctrl.sweeping as sweeping
 
-        rows, projections = [], []
-        hook, project_rows = PedestrianScenario.constraint_rows, sweeping._project_rows
+        rows, projections, steps = [], [], []
+        hook, project_rows, project, chain_step = (PedestrianScenario.constraint_rows, sweeping._project_rows,
+                                                   sweeping.project_raw, sweeping._chain_step)
 
         def counted_rows(self, x):
             rows.append(1)
             return hook(self, x)
 
-        def counted_projection(*args):
-            projections.append(1)
-            return project_rows(*args)
+        def counted(call, log):
+            def spy(*args, **kwargs):
+                log.append(1)
+                return call(*args, **kwargs)
+            return spy
 
         monkeypatch.setattr(PedestrianScenario, "constraint_rows", counted_rows)
-        monkeypatch.setattr(sweeping, "_project_rows", counted_projection)
+        monkeypatch.setattr(sweeping, "_project_rows", counted(project_rows, projections))
+        monkeypatch.setattr(sweeping, "project_raw", counted(project, projections))
+        monkeypatch.setattr(sweeping, "_chain_step", counted(chain_step, steps))
         for scn, u in ((ped3(), ControlSignal.constant(Mesh(6.0, 14), PED3_U)), jostling_chains()[1]):
-            rows.clear(), projections.clear()
+            rows.clear(), projections.clear(), steps.clear()
             simulate(scn, u)
-            assert len(rows) <= 1
-            if u.mesh.m == 14:  # constant runs are filled: a few projections on the block
-                assert 0 < len(projections) <= 16
-            else:  # the control changes every interval: every step projects on the block
-                assert len(projections) == u.mesh.intervals
-
-    def test_a_fixed_sets_block_is_formed_once_per_scenario(self, monkeypatch):
-        import sweepctrl.models as models
-
-        blocks, form = [], models._nnls_block
-
-        def counted(A):
-            blocks.append(1)
-            return form(A)
-
-        scn, u = jostling_chains()[0]
-        monkeypatch.setattr(models, "_nnls_block", counted)
-        scn = PedestrianScenario(n=scn.n, R=scn.R, T=scn.T, x0=scn.x0, speeds=scn.speeds, control_set=scn.control_set)
-        template = scn.nnls_block.tobytes()
-        runs = [simulate(scn, u).nodes.tobytes() for _ in range(3)]
-        assert len(blocks) == 1 and runs == [runs[0]] * 3
-        assert not scn.nnls_block.flags.writeable and scn.nnls_block.tobytes() == template
-        assert ped2().nnls_block is None  # one row: `project_raw`'s closed form, no block
+            assert not rows and not projections
+            if u.mesh.m == 14:  # constant runs are filled: a few steps
+                assert 0 < len(steps) <= 16
+            else:  # the control changes every interval: every interval is stepped
+                assert len(steps) == u.mesh.intervals
 
 
 class TestOneDriveCall:
@@ -1659,6 +1782,10 @@ class TestMeshInput:
     def test_exponent_must_be_an_integer(self, m):
         with pytest.raises(ValueError, match="exponent"):
             Mesh(6.0, m)
+
+    def test_a_step_that_underflows_is_rejected(self):
+        with pytest.raises(ValueError, match="^horizon 5e-324 leaves a zero step on 8 intervals$"):
+            Mesh(5e-324, 3)
 
     def test_numpy_integer_exponent_is_accepted(self):
         assert Mesh(6.0, np.int64(3)).intervals == 8
