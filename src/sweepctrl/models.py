@@ -234,11 +234,11 @@ class Scenario:
                                   set's units, and their linearized gaps at the matching nodes of Y
 
     and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
-    its offset at a state given as a list, the formula `simulate`'s contact arcs write out.  The
-    robots' K(x), which turns with x, also comes from `catchup_rows(x)`: (A, c, E) with E the
-    NNLS block of `polyhedra._project_rows` formed in the same pass, or None to let
-    `project_raw` form it.  The pedestrians' set is fixed, and `simulate` steps it by
-    pool-adjacent-violators on Python floats, with no block.
+    its offset at a state given as a list, the formula `simulate` writes out for every step of
+    a pair.  A robot chain's K(x), which turns with x, also comes from `catchup_rows(x)`:
+    (A, c, E) with E the NNLS block of `polyhedra._project_rows` formed in the same pass, or
+    None to let `project_raw` form it.  The pedestrians' set is fixed, and `simulate` steps it
+    by pool-adjacent-violators on Python floats, with no block.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -401,7 +401,7 @@ class RobotScenario(Scenario):
 
     def catchup_rows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """`constraint_rows(x)` and, for three robots or more, the NNLS block of K(x) formed with
-        it (`_noncollision_system`); two robots' one row takes `project_raw`'s closed form, no block."""
+        it (`_noncollision_system`); two robots' one row needs none (`project_raw`'s closed form)."""
         A, E = _noncollision_system(x)
         return A, self._offsets, E if self.n > 2 else None
 

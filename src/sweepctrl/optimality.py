@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .models import Scenario, in_contact
-from .polyhedra import _same_fields
+from .polyhedra import _check_tol, _same_fields
 from .sweeping import ControlSignal, Trajectory, contact_switch_time
 from .tolerances import (
     ETA_SIGN_TOL,
@@ -433,8 +433,10 @@ _CONDITIONS = ("1-primal", "2-complementarity", "3-dual-surface", "4-adjoint", "
 
 
 def verify_certificate(scn: Scenario, traj, u, cert: DualCertificate, tol: float = VERIFY_TOL) -> ResidualReport:
-    """Run all conditions; the report passes iff every entry passes at `tol`.  Inputs that
-    `_Evaluation` refuses raise a ValueError before any residual."""
+    """Run all conditions; the report passes iff every entry passes at `tol`, a finite number
+    >= 0.  Inputs that `_Evaluation` refuses, and any other tol, raise a ValueError before any
+    residual."""
+    _check_tol(tol)
     checks = _Evaluation(scn, traj, cert, u)
     residuals = (checks.primal(), *checks.complementarity(), check_adjoint(scn, cert), check_measure_link(cert),
                  checks.maximization(), *checks.transversality())

@@ -265,9 +265,12 @@ def project(
 def project_with_working_set(
     poly: Polyhedron, y: np.ndarray, tol: float = MEMBERSHIP_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Projection plus the rows that carry a positive multiplier."""
+    """Projection plus the rows that carry a positive multiplier.  `_check_point` has checked y's
+    shape, so only `project_raw`'s finiteness test of y is left to apply."""
     _check_tol(tol)
-    return project_raw(poly.normals, poly.offsets, poly._check_point(y), None, tol)
+    y = poly._check_point(y)
+    _check_finite(y, "projection input")
+    return _project_rows(poly.normals, poly.offsets, y, tol, None)
 
 
 def project_raw(
@@ -298,8 +301,10 @@ def project_raw(
     branch runs on Python floats, since numpy's per-call overhead is most
     of the cost of a 1 x 4 row.  A non-finite input raises ValueError on
     both paths, also when no row is violated (the NNLS kernel no longer
-    checks it), and so does a single row whose |a|^2 overflows.  A finite
-    y so far inside that a violation overflows to -inf is returned as is.
+    checks it), and so does a single row whose |a|^2 overflows; y is tested
+    first, by one sum on Python floats, so that numpy cannot warn about an
+    inf * 0 in A y before the error.  A finite y so far inside that a
+    violation overflows to -inf is returned as is.
 
     With several rows, the violations are read once as Python floats.  When
     their sum is finite, so is each of them, and `top`, the no-op test and
@@ -310,15 +315,19 @@ def project_raw(
     order below 8 terms; from 8 terms on, numpy sums them pairwise.  So x
     and the support are those of the array formulas, bit for bit.
     """
+    if y.shape != (A.shape[1],):
+        raise ValueError(f"y has shape {y.shape}, expected ({A.shape[1]},)")
     if start is not None and np.shape(start) != y.shape:
         raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
+    _check_finite(y, "projection input")  # before A.dot(y) can form inf * 0 and warn
     return _project_rows(A, c, y, tol, None)
 
 
 def _project_rows(
     A: np.ndarray, c: np.ndarray, y: np.ndarray, tol: float, E: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`project_raw` without its `start`, for a caller that may hold E's top block already.
+    """`project_raw` without its checks of y and `start`, for a caller that may hold E's top
+    block already and passes a y of A's width.
 
     E, when not None, is a C-contiguous (dim + 1, s) float array whose first
     dim rows hold -A^T, finite (`models` forms it with a robot chain's
@@ -326,8 +335,6 @@ def _project_rows(
     formed and checked here, once the step is known to project.
     """
     if A.shape[0] == 1:
-        if y.shape != (A.shape[1],):
-            raise ValueError(f"y has shape {y.shape}, expected ({A.shape[1]},)")
         x = _project_one_row(A[0].tolist(), c.item(), y.tolist(), tol)
         if x is None:
             return y.copy(), np.empty(0, dtype=int)

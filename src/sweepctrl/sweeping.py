@@ -12,17 +12,15 @@ and a one-run control's on its one row), and `free_run` says how far a
 repeating step may be filled.  A pedestrian chain is stepped in one loop on
 Python floats (`_chain_steps`): its set is the chain x_{j+1} - x_j >= 2R, so
 each step is `_chain_step`, the projection by pool-adjacent-violators, with
-no NNLS call and no array per step.  The robots' loop takes K(x) from the
-`catchup_rows` hook and `pair_gaps` finds their contacts.
-Where K(x) is the one row of two robots, which turns with x, a contact arc
-is stepped on Python floats, in one loop (`_pair_arc`) that forms the row
-as `RobotScenario.pair_row` does and projects onto it as
-`polyhedra._project_one_row`, the one-row branch of `project_raw`, does,
-so the nodes are those of the array step bit for bit at a fraction of
-numpy's per-call cost.
-A robot chain's multi-row step hands `polyhedra._project_rows`,
-`project_raw`'s own branch, the NNLS block -A^T that comes with K(x), so
-each step writes only the block's last row.
+no NNLS call and no array per step.  Two robots, whose K(x) is one row that
+turns with x, are stepped on Python floats too (`_pair_arc`): it forms the
+row as `RobotScenario.pair_row` does and projects onto it as
+`polyhedra._project_one_row`, the one-row branch of `project_raw`, does, so
+the nodes are those of the array step bit for bit at a fraction of numpy's
+per-call cost.  A robot chain's loop takes K(x) from the `catchup_rows` hook,
+with the NNLS block -A^T that comes with it, and projects through
+`polyhedra._project_rows`, `project_raw`'s own branch, so each step writes
+only the block's last row; `pair_gaps` finds the robots' contacts.
 `recover_eta` expresses the
 normal-cone multiplier eta_k of interval k on the rows of the step's own
 set: the adjacent-pair rows of K(x_k) (`step_rows`), which are the fixed
@@ -263,19 +261,16 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     its own run fill; the loop below serves robots.  A robot whose heading
     switches at the first contact starts a run at its contact node and takes
     the increments from there on again.  Two free steps in a row fix the
-    step map while the drive stays: the node keeps the increment for as
+    step map while the drive holds: the node keeps the increment for as
     many steps as `scn.free_run` allows, filled by one cumulative sum (the
-    loop's additions).  After a projected
-    step of two robots with no contact switch pending, the contact arc goes
-    on in one call of `_pair_arc`, a loop on four Python floats that forms
-    each interval's pair row and its one-row projection in the float
-    operations of `project_raw(*constraint_rows(x), x + h g)`, until a step
-    projects nothing (its node is kept) or the horizon; it reads the
-    increments from one list of each run's row repeated, built at the first
-    arc, through an offset, and the arc's nodes go into the array in one
-    slice.  Any other robot step comes with its NNLS block from
-    `scn.catchup_rows`, and a step with a block projects through
-    `project_raw`'s branch on it, a step without one through `project_raw`.
+    loop's additions).  Two robots take every step in `_pair_arc`, a loop on
+    four Python floats in the float operations of
+    `project_raw(*constraint_rows(x), x + h g)`: one step while a contact
+    switch is pending, else the rest of the run, up to and including the
+    first step that projects nothing; an arc that reaches the run's end goes
+    on in the next run's call.  A robot chain's step comes with its NNLS
+    block from `scn.catchup_rows` and projects through `project_raw`'s
+    branch on it, which forms the block itself when K(x) is not finite.
     """
     mesh = u.mesh
     if not mesh.spans(scn.horizon):
@@ -303,9 +298,10 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     contact: float | None = None
     nodes = np.empty((K + 1, scn.state_dim))
     x = nodes[0] = scn.x0
+    flat = nodes.reshape(-1)  # a view of the C-ordered rows
+    pair, offset = scn.n == 2, -2.0 * scn.R
     catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
     prev = None  # support of the step before, when it may start a run
-    increments = None  # each run's row repeated, as lists, once a contact arc needs them
     k = 0
     while k < K:
         if track and contact is None and scn.contact_rows(x).size:
@@ -317,30 +313,21 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             runs, end = zip(ends, drives), k
         if k == end:
             end, step = next(runs)
-        A, c, E = catchup_rows(x)
-        if E is None:
-            xn, W = project_raw(A, c, x + step, tol=STEP_TOL)
-        else:  # the same branch of `project_raw`, on the block the step already holds
-            xn, W = _project_rows(A, c, x + step, STEP_TOL, E)
-        k += 1
-        nodes[k], W = xn, W.tolist()
-        if W and scn.n == 2 and k < K and (not track or contact is not None):
-            # A contact arc: the steps, no longer changed by a switch, go on as one-row
-            # projections on Python floats, in the float operations `project_raw` makes,
-            # up to the first no-op step (kept) or the horizon.
-            if increments is None:
-                increments = []
-                for first, after, row in zip(starts.tolist(), ends, np.asarray(drives).tolist()):
-                    increments += [row] * (after - first)
-            arc = _pair_arc(xn.tolist(), _Tail(increments, k - int(starts[0])), -2.0 * scn.R)
-            nodes.reshape(-1)[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc  # a view of the C-ordered rows
+        if pair:  # one step while a contact switch is pending, else up to the run's end
+            count = 1 if track and contact is None else end - k
+            arc, projected = _pair_arc(x.tolist(), step.tolist(), count, offset)
+            flat[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc
             k += len(arc) // 4
-            while end < k:  # the run of interval k - 1, where the per-step `if k == end` would have left it
-                end, step = next(runs)
-            prev, x = [], nodes[k]  # the no-op step's support: the next one may start a run
-            continue
+            if len(arc) > 4:  # the step before the last projected
+                prev = [0]
+            W = [0] if projected else []
+        else:
+            A, c, E = catchup_rows(x)
+            k += 1
+            nodes[k], W = _project_rows(A, c, x + step, STEP_TOL, E)
+            W = W.tolist()
         if k < end and W == prev == []:  # free flight twice: the steps repeat while the drive holds
-            k += _fill(nodes, k, step, scn.free_run(xn, step, W, end - k))
+            k += _fill(nodes, k, step, scn.free_run(nodes[k], step, W, end - k))
             W = None  # the next fill needs two fresh steps
         prev, x = W, nodes[k]
     return _trajectory(mesh, nodes)
@@ -445,28 +432,10 @@ def _chain_step(x: list, g: list, gap: float) -> tuple[list, list]:
     return y, support
 
 
-class _Tail:
-    """`rows[start:]` without the copy: the increments a contact arc reads from the interval it
-    starts at, out of one list that serves every arc of a simulation."""
-
-    __slots__ = ("rows", "start")
-
-    def __init__(self, rows: list, start: int):
-        self.rows, self.start = rows, start
-
-    def __len__(self) -> int:
-        return len(self.rows) - self.start
-
-    def __iter__(self):
-        it = iter(self.rows)
-        it.__setstate__(self.start)  # the list iterator's own position: O(1), where `islice` walks to it
-        return it
-
-
-def _pair_arc(x: list, drive, c: float) -> list:
-    """The nodes of a two-robot contact arc after the node x (four floats), one after the other
-    in one flat list: one step per increment g in `drive` (an iterable of lists of four floats),
-    up to and including the first step that projects nothing, or to the last increment.
+def _pair_arc(x: list, g: list, count: int, c: float) -> tuple[list, bool]:
+    """Up to `count` catch-up steps of two robots from the node x (four floats) under the one
+    increment g: their nodes one after the other in one flat list, up to and including the first
+    step that projects nothing, and whether the last step projected.
 
     A step is `project_raw(*scn.constraint_rows(x), x + g, tol=STEP_TOL)` in its float
     operations, in their order: the pair's row (-n, n) with offset c as
@@ -478,8 +447,9 @@ def _pair_arc(x: list, drive, c: float) -> list:
     """
     hypot, inf, tol = math.hypot, math.inf, STEP_TOL
     x0, x1, x2, x3 = x
+    g0, g1, g2, g3 = g
     arc = []
-    for g0, g1, g2, g3 in drive:
+    for _ in range(count):
         dx, dy = x0 - x2, x1 - x3
         dist = hypot(dx, dy)
         if dist == 0.0:
@@ -491,12 +461,12 @@ def _pair_arc(x: list, drive, c: float) -> list:
         if not (tol < top < inf and aa > EMPTY_RTOL * (2.0 + aa)):
             _project_one_row([-nx, -ny, nx, ny], c, [y0, y1, y2, y3], tol)  # None: y is kept
             arc += y0, y1, y2, y3
-            break
+            return arc, False
         lam = top / aa
         px, py = lam * nx, lam * ny
         x0, x1, x2, x3 = y0 + px, y1 + py, y2 - px, y3 - py
         arc += x0, x1, x2, x3
-    return arc
+    return arc, True
 
 
 def cost(traj) -> float:

@@ -770,6 +770,72 @@ class TestScenarioFuzz:
             assert "Traceback" not in err.getvalue()
 
 
+# Cells a trajectory CSV or control file may be mutated to: non-finite, extreme, empty, words, several values.
+CELL_VALUES = ("nan", "inf", "-inf", "1e400", "-1e308", "5e-324", "", " ", "x", "0", "-1", "0.5", "3", "1 2", "1,2", "#")
+
+
+def mutated_rows(data, text: str) -> str:
+    """`text` with 1-3 mutations: a cell replaced, a row dropped, duplicated or cut short, or the
+    file truncated at any character."""
+    lines, cut = text.splitlines(), None
+    for _ in range(data.draw(st.integers(1, 3))):
+        how = data.draw(st.sampled_from(["cell", "drop", "duplicate", "cut short", "truncate"]))
+        i = data.draw(st.integers(0, max(len(lines) - 1, 0)))
+        if how == "truncate" or not lines:
+            cut = data.draw(st.integers(0, len(text)))
+            continue
+        cells = lines[i].split(",")
+        if how == "cell":
+            cells[data.draw(st.integers(0, len(cells) - 1))] = data.draw(st.sampled_from(CELL_VALUES))
+            lines[i] = ",".join(cells)
+        elif how == "drop":
+            del lines[i]
+        elif how == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            lines[i] = ",".join(cells[: data.draw(st.integers(0, len(cells) - 1))])
+    text = "".join(line + "\n" for line in lines)
+    return text if cut is None else text[:cut]
+
+
+@pytest.fixture(scope="module")
+def robot_reduced_artifacts(tmp_path_factory):
+    out = tmp_path_factory.mktemp("reduced-robot")
+    assert main(["solve-reduced", ROBOT, "--mesh-exp", "5", "--out", str(out)]) == 0
+    return out
+
+
+class TestTrajectoryAndControlFileFuzz:
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_mutated_trajectory_csv_exits_with_a_documented_code(self, reduced_artifacts, robot_reduced_artifacts, data):
+        # A `solve-reduced` CSV with 1-3 mutations, verified against its own certificate.
+        scenario, out = data.draw(st.sampled_from([(PED2, reduced_artifacts[0]), (ROBOT, robot_reduced_artifacts)]))
+        csv = out / "fuzz.csv"
+        csv.write_text(mutated_rows(data, (out / "trajectory.csv").read_text()))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["verify", scenario, "--certificate", str(out / "certificate.json"), "--trajectory",
+                         str(csv), "--out", str(out / "verify")])
+        assert code in (0, 1, 2, 3), csv.read_text()
+        assert "Traceback" not in err.getvalue()
+
+    @settings(max_examples=150, derandomize=True, deadline=None, database=None)
+    @given(st.data())
+    def test_mutated_control_file_exits_with_a_documented_code(self, fuzz_dir, data):
+        # 2^m rows of a control in U with 1-3 mutations, simulated at m = 3-5.
+        scenario, row = data.draw(st.sampled_from([(PED2, "1.8,1.8"), (PED3, "2,-1,0.5"), (ROBOT, "-3.37,-1.685")]))
+        m = data.draw(st.integers(3, 5))
+        controls = fuzz_dir / "controls.txt"
+        controls.write_text(mutated_rows(data, f"{row}\n" * 2**m))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["simulate", scenario, "--control-file", str(controls), "--mesh-exp", str(m),
+                         "--out", str(fuzz_dir / "out")])
+        assert code in (0, 1, 2, 3), controls.read_text()
+        assert "Traceback" not in err.getvalue()
+
+
 class TestOptionsPerSubcommand:
     """Each subcommand accepts only the options its handler reads: another one exits 2 naming it."""
 

@@ -360,6 +360,13 @@ class TestVerifyCertificate:
         for cert in variants:
             assert worst(cert) > 0.01
 
+    @pytest.mark.parametrize("tol", [float("nan"), -1e-9, float("inf"), -float("inf")])
+    def test_a_tolerance_that_is_not_a_finite_number_at_least_0_is_named(self, tol):
+        # NaN or a negative tol would fail every entry silently, and inf would pass every one.
+        with pytest.raises(ValueError, match=r"^tol must be a finite number >= 0, got "):
+            verify_certificate(ped2(), ped2_path(), np.array([1.8, 1.8]), ped2_certificate(), tol=tol)
+        assert verify_certificate(ped2(), ped2_path(), np.array([1.8, 1.8]), ped2_certificate(), tol=0.0).entries
+
     def test_report_text_format(self):
         rep = verify_certificate(ped2(), ped2_path(), np.array([1.8, 1.8]), ped2_certificate())
         text = rep.to_text()

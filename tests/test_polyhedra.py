@@ -617,6 +617,18 @@ class TestNonFiniteInputOnTheNnlsPath:
         with np.errstate(all="ignore"), pytest.raises(ValueError):
             project_raw(np.array(A), np.array(c), np.array(y))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan], ids=["inf", "minus-inf", "nan"])
+    def test_a_non_finite_y_raises_before_numpy_warns(self, bad):
+        # K(x) of three robots has zeros facing every robot outside a pair, so A.dot(y) would
+        # form inf * 0.  No errstate: under warnings-as-errors a numpy warning fails the test.
+        from sweepctrl.models import linearized_noncollision
+
+        A, c = linearized_noncollision(np.array([0.0, 0.0, 3.0, 3.0, 6.0, 7.0]), 1.0)
+        y = np.array([0.0, 0.0, bad, 3.0, 6.0, 7.0])
+        for call in (lambda: project_raw(A, c, y), lambda: project(Polyhedron(A, c), y)):
+            with pytest.raises(ValueError, match="^projection input must not contain infs or NaNs$"):
+                call()
+
     def test_decompose_on_rows_rejects_a_nan_vector(self):
         with pytest.raises(ValueError):
             decompose_on_rows(pedestrian_set(3), np.array([0, 1]), np.array([np.nan, 0.0, 0.0]))

@@ -1063,19 +1063,28 @@ class TestRunFilling:
         assert supports and not any(supports)
 
     def test_constant_runs_cost_a_few_projections(self, monkeypatch):
+        # The steps each family takes: a pedestrian step is one `_chain_step` call, and a pair's
+        # `_pair_arc` call takes as many steps as it returns nodes; the fill adds the rest.
         import sweepctrl.sweeping as sweeping
 
-        calls = []
+        steps = []
+        chain_step, pair_arc = sweeping._chain_step, sweeping._pair_arc
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return project_raw(*args, **kwargs)
+        def counted_chain_step(*args):
+            steps.append(1)
+            return chain_step(*args)
 
-        monkeypatch.setattr(sweeping, "project_raw", counted)
+        def counted_pair_arc(*args):
+            arc, projected = pair_arc(*args)
+            steps.append(len(arc) // 4)
+            return arc, projected
+
+        monkeypatch.setattr(sweeping, "_chain_step", counted_chain_step)
+        monkeypatch.setattr(sweeping, "_pair_arc", counted_pair_arc)
         for scn, u in ((ped2(), PED2_U), (ped3(), PED3_U), (robot2(), [0.1, 0.05])):
-            calls.clear()
+            steps.clear()
             simulate(scn, ControlSignal.constant(Mesh(6.0, 14), u))
-            assert len(calls) <= 16
+            assert 0 < sum(steps) <= 16
 
     @pytest.mark.parametrize(
         "scn,m,u",
@@ -1091,28 +1100,30 @@ class TestRunFilling:
         import sweepctrl.sweeping as sweeping
 
         u = ControlSignal.constant(Mesh(6.0, m), u)
-        # The stepwise loop's step inputs, and the steps on a contact arc: those right after a
-        # projected step taken with no contact switch pending.
+        # The steps of the stepwise loop on a contact arc: those right after a projected step
+        # taken with no contact switch pending.
         h, contact, x, after = u.mesh.h, None, scn.x0, False
-        inputs, on_arc = [], []
+        on_arc = []
         for uk, tk in zip(u.values, u.mesh.nodes):
             if scn.switches_at_contact and contact is None and scn.contact_rows(x).size:
                 contact = tk
-            y = x + h * scn.drive(uk, tk, contact)
-            x, W = project_raw(*scn.constraint_rows(x), y, tol=STEP_TOL)
-            inputs.append(y.tobytes())
+            x, W = project_raw(*scn.constraint_rows(x), x + h * scn.drive(uk, tk, contact), tol=STEP_TOL)
             on_arc.append(after)
             after = bool(W.size) and not (scn.switches_at_contact and contact is None)
         calls = []
 
-        def counted(A, c, y, *args, **kwargs):
-            calls.append(y.tobytes())
-            return project_raw(A, c, y, *args, **kwargs)
+        def counted(name, project):
+            def spy(*args, **kwargs):
+                calls.append(name)
+                return project(*args, **kwargs)
 
-        monkeypatch.setattr(sweeping, "project_raw", counted)
+            return spy
+
+        # Every step of a pair, on an arc or off it, is a `_pair_arc` step: no array projection.
+        monkeypatch.setattr(sweeping, "project_raw", counted("project_raw", project_raw))
+        monkeypatch.setattr(sweeping, "_project_rows", counted("_project_rows", sweeping._project_rows))
         assert np.array_equal(simulate(scn, u).nodes, stepwise(scn, u))
-        off_arc = {y for y, arc in zip(inputs, on_arc) if not arc}
-        assert calls and set(calls) <= off_arc
+        assert not calls
         if m > 1:
             assert sum(on_arc) > 150
         if scn.switch_time is not None:
@@ -1149,6 +1160,20 @@ def reference_pair_arc(scn, x, drive):
             arc.append(y)
             break
         arc.append(xs)
+    return arc
+
+
+def chained_pair_arc(x, drive, c):
+    """`_pair_arc` fed a list of increments run by run, as `simulate` feeds it: one call per run of
+    equal increments, from the last node, while the last step projected; the flat nodes."""
+    xs, arc, k = list(x), [], 0
+    while k < len(drive):
+        count = next((j for j in range(k + 1, len(drive)) if drive[j] != drive[k]), len(drive)) - k
+        nodes, projected = sweeping._pair_arc(xs, drive[k], count, c)
+        arc += nodes
+        if not projected:
+            break
+        xs, k = nodes[-4:], k + count
     return arc
 
 
@@ -1241,7 +1266,7 @@ class TestPairArcReference:
     @given(pair_arcs())
     def test_nodes_and_errors_equal_the_per_step_loop(self, case):
         kind, scn, x, drive = case
-        got = arc_outcome(lambda: sweeping._pair_arc(x, drive, -2.0 * scn.R))
+        got = arc_outcome(lambda: chained_pair_arc(x, drive, -2.0 * scn.R))
         assert got == arc_outcome(lambda: reference_pair_arc(scn, x, drive))
         if kind == "stop-first":
             assert isinstance(got, bytes) and len(got) == 4 * 8  # the first step's node, kept
@@ -1265,7 +1290,7 @@ class TestPairArcReference:
     )
     def test_edge_steps_keep_the_one_row_outcome(self, x, g, want):
         scn = robot2()
-        got = arc_outcome(lambda: sweeping._pair_arc(x, [g, g], -2.0 * scn.R))
+        got = arc_outcome(lambda: sweeping._pair_arc(x, g, 2, -2.0 * scn.R)[0])
         assert got == arc_outcome(lambda: reference_pair_arc(scn, x, [g, g]))
         if want is None:
             assert got == np.array([a + b for a, b in zip(x, g)]).tobytes()
@@ -1278,15 +1303,19 @@ class TestPairArcReference:
         scn, u = run
         arcs = []
 
-        def counted(x, drive, c):
-            arcs.append(len(drive))
-            return pair_arc(x, drive, c)
+        def counted(x, g, count, c):
+            arcs.append((count, g))
+            return pair_arc(x, g, count, c)
 
         pair_arc = sweeping._pair_arc
         with mock.patch.object(sweeping, "_pair_arc", counted):
             nodes = simulate(scn, u).nodes
         assert nodes.tobytes() == stepwise(scn, u).tobytes()
-        assert arcs and arcs[0] == u.mesh.intervals - 1  # the first arc starts at the second step
+        # The first call takes the first run, to where the control or the heading first changes.
+        times, K = u.mesh.nodes, u.mesh.intervals
+        first = next((k for k in range(1, K) if (u.values[k] != u.values[0]).any()
+                      or scn.switch_time is not None and times[k] >= scn.switch_time), K)
+        assert arcs and arcs[0] == (first, (u.mesh.h * scn.drive(u.values[0], 0.0)).tolist())
 
     def test_a_run_after_an_arc_is_filled_to_the_run_end(self, monkeypatch):
         # Robot 1 pushes robot 2 up the diagonal for 256 intervals, then both part and drift:
@@ -1317,7 +1346,7 @@ class TestPairArcReference:
 
     def test_arcs_that_stop_and_start_again_match_stepwise(self):
         # A control drawn anew every interval ends and restarts the pair's contact arc hundreds
-        # of times: each arc reads the one list of increments from its own offset, in place.
+        # of times: each interval is one `_pair_arc` call of one step under its own increment.
         scn = parse_scenario_text(
             "model = robot\nn = 2\nR = 1.5\nT = 6\nx0 = -20 -20 -17 -17\nspeeds = 1 3\nangles_deg = 225 225\n"
             "control.kind = box\ncontrol.lo = -2 -2\ncontrol.hi = 2 2\n"
@@ -1326,17 +1355,20 @@ class TestPairArcReference:
         u = ControlSignal(mesh, np.random.default_rng(1).uniform(-1.0, 2.0, (mesh.intervals, 2)))
         arcs = []
 
-        def counted(x, drive, c):
-            arcs.append((mesh.intervals - len(drive), next(iter(drive))))  # the arc's first interval
-            return pair_arc(x, drive, c)
+        def counted(x, g, count, c):
+            arc, projected = pair_arc(x, g, count, c)
+            arcs.append((count, g, projected))
+            return arc, projected
 
         pair_arc = sweeping._pair_arc
         with mock.patch.object(sweeping, "_pair_arc", counted):
             nodes = simulate(scn, u).nodes
         assert nodes.tobytes() == stepwise(scn, u).tobytes()
-        assert len(arcs) > 500
-        for k, g in arcs:  # each offset reads its own interval's increment
-            assert g == (mesh.h * scn.drive(u.values[k])).tolist()
+        assert len(arcs) == mesh.intervals  # every run is one interval: one call, one step each
+        for k, (count, g, _) in enumerate(arcs):  # each call steps its own interval's increment
+            assert count == 1 and g == (mesh.h * scn.drive(u.values[k])).tolist()
+        projected = [p for _, _, p in arcs]
+        assert sum(b and not a for a, b in zip(projected, projected[1:])) > 500  # arcs that start again
 
 
 def reference_chain_steps(scn, u):
