@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .polyhedra import Polyhedron, _same_fields
+from .polyhedra import Polyhedron, _check_tol, _same_fields
 from .tolerances import CONTACT_TOL, CONTROL_TOL, SCALE_MAX
 
 
@@ -219,12 +219,11 @@ def in_contact(gaps) -> np.ndarray:
 
 
 class Scenario:
-    """The drive, checks and contact test both families share, over five model hooks:
+    """The drive, checks and contact test both families share, over four model hooks:
 
     headings(t, contact_time)     unit drive direction per agent: one (n, coords) table, which
                                   broadcasts over N times when no heading switches, else
                                   (N, n, coords) at N times
-    constraint_rows(x)            the step set K(x) = {y : A y <= c} as (A, c)
     pair_gaps(x)                  separation margin of each adjacent pair (row-wise), 0 at contact
     free_run(x, d, support, cap)  how many further catch-up steps from x keep the increment d,
                                   decided on Python floats, bit for bit the array formulas (a
@@ -233,12 +232,13 @@ class Scenario:
     step_rows(X, Y)               the adjacent-pair rows of K(x) at each node of X, in the sweeping
                                   set's units, and their linearized gaps at the matching nodes of Y
 
-    and, for two robots, whose K(x) is one row that turns with x, `pair_row(xs)`: that row and
-    its offset at a state given as a list, the formula `simulate` writes out for every step of
-    a pair.  A robot chain's K(x), which turns with x, also comes from `catchup_rows(x)`:
-    (A, c, E) with E the NNLS block of `polyhedra._project_rows` formed in the same pass, or
-    None to let `project_raw` form it.  The pedestrians' set is fixed, and `simulate` steps it
-    by pool-adjacent-violators on Python floats, with no block.
+    and `constraint_rows(x)`, the step set K(x) = {y : A y <= c} as (A, c), whose projection
+    `simulate`'s kernels write out (only a per-step reference loop reads it); for two robots,
+    `pair_row(xs)`, K(x)'s one row and offset on Python floats.  A robot chain's K(x) comes to
+    `simulate` from `catchup_rows(x)`: (A, c, E) with E the NNLS block of
+    `polyhedra._project_rows` formed in the same pass, or None to let `_project_rows` form it.
+    The pedestrians' set is fixed, and `simulate` steps it by pool-adjacent-violators on Python
+    floats, with no block.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -400,10 +400,10 @@ class RobotScenario(Scenario):
         return _noncollision_system(x)[0], self._offsets
 
     def catchup_rows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """`constraint_rows(x)` and, for three robots or more, the NNLS block of K(x) formed with
-        it (`_noncollision_system`); two robots' one row needs none (`project_raw`'s closed form)."""
+        """`constraint_rows(x)` of a robot chain and the NNLS block of K(x) formed with it
+        (`_noncollision_system`)."""
         A, E = _noncollision_system(x)
-        return A, self._offsets, E if self.n > 2 else None
+        return A, self._offsets, E
 
     def pair_gaps(self, x) -> np.ndarray:
         P = np.reshape(x, (*np.shape(x)[:-1], self.n, 2))
@@ -589,6 +589,7 @@ def admissible_velocities_contains(
     Euclidean disk distances; coincident centers make the gradient
     undefined and raise.
     """
+    _check_tol(tol)
     if h <= 0:
         raise ValueError("h must be positive")
     x = np.asarray(x, dtype=float)

@@ -11,8 +11,7 @@ file alone is loaded on the first NNLS call, and `scipy.optimize` is
 imported only where that file is missing or fails its probe, for the
 public `nnls`.  A run that never needs one
 (parsing, `verify`, a two-agent simulation and its multipliers) loads no
-part of scipy.  The public entry points take a finite `tol >= 0`;
-`project_raw`, the catch-up loop's kernel, trusts its caller's.
+part of scipy.  Every public entry point takes a finite `tol >= 0`.
 
 The arrays met here hold 1 to 8 entries, so numpy's fixed cost per call,
 not arithmetic, is most of each operation's time.  So every call makes one
@@ -277,7 +276,6 @@ def project_raw(
     A: np.ndarray,
     c: np.ndarray,
     y: np.ndarray,
-    start: np.ndarray | None = None,
     tol: float = MEMBERSHIP_TOL,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Projection of y onto {x : A x <= c} on raw arrays, plus its support rows.
@@ -293,8 +291,8 @@ def project_raw(
     with the squared distance to the set; where a row is satisfied by so
     much more than that violation that v_j / top overflows, the divisor is
     max_j |v_j| instead, so that a finite input is projected, not refused.
-    A y violating no row by more than `tol` is returned as is.  `start` (a
-    feasible point, if the caller has one) is checked for shape only.
+    A y violating no row by more than `tol`, a finite number >= 0, is
+    returned as is.
 
     With one row, u = 1/(1 + |a|^2) and d = |a|^2/(1 + |a|^2), so
     lam = top/|a|^2 in closed form, under the same emptiness rule; that
@@ -315,10 +313,9 @@ def project_raw(
     order below 8 terms; from 8 terms on, numpy sums them pairwise.  So x
     and the support are those of the array formulas, bit for bit.
     """
+    _check_tol(tol)
     if y.shape != (A.shape[1],):
         raise ValueError(f"y has shape {y.shape}, expected ({A.shape[1]},)")
-    if start is not None and np.shape(start) != y.shape:
-        raise ValueError(f"start has shape {np.shape(start)}, expected {y.shape}")
     _check_finite(y, "projection input")  # before A.dot(y) can form inf * 0 and warn
     return _project_rows(A, c, y, tol, None)
 
@@ -326,8 +323,8 @@ def project_raw(
 def _project_rows(
     A: np.ndarray, c: np.ndarray, y: np.ndarray, tol: float, E: np.ndarray | None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """`project_raw` without its checks of y and `start`, for a caller that may hold E's top
-    block already and passes a y of A's width.
+    """`project_raw` without its checks of tol and y, for a caller that may hold E's top block
+    already and passes a y of A's width.
 
     E, when not None, is a C-contiguous (dim + 1, s) float array whose first
     dim rows hold -A^T, finite (`models` forms it with a robot chain's

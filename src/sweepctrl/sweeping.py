@@ -44,6 +44,7 @@ import numpy as np
 from .models import ControlSet, PedestrianScenario, Scenario, in_contact, run_starts
 from .polyhedra import (
     Polyhedron,
+    _check_tol,
     _project_one_row,
     _project_rows,
     _same_fields,
@@ -234,10 +235,8 @@ class EtaProfile:
 
 
 def catchup_step(P: Polyhedron, g_val: np.ndarray, x: np.ndarray, h: float) -> np.ndarray:
-    """One explicit catch-up step: project x + h*g onto P (x must lie in P).
-
-    This is the step `simulate` takes, at its tolerance STEP_TOL.
-    """
+    """One explicit catch-up step: project x + h*g onto P (x must lie in P) at STEP_TOL, the step
+    `simulate` takes, up to rounding, through its own kernels; the module's one `project_raw` call."""
     if h <= 0:
         raise ValueError("step must be positive")
     x = np.asarray(x, dtype=float)
@@ -260,11 +259,11 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     Python floats over `_chain_step`, the pool-adjacent-violators step, with
     its own run fill; the loop below serves robots.  A robot whose heading
     switches at the first contact starts a run at its contact node and takes
-    the increments from there on again.  Two free steps in a row fix the
-    step map while the drive holds: the node keeps the increment for as
-    many steps as `scn.free_run` allows, filled by one cumulative sum (the
-    loop's additions).  Two robots take every step in `_pair_arc`, a loop on
-    four Python floats in the float operations of
+    the increments from there on again.  A free step (one that projects
+    nothing) starts a fill while the drive holds: the node keeps the
+    increment for as many steps as `scn.free_run` allows, filled by one
+    cumulative sum (the free steps' own additions).  Two robots take every
+    step in `_pair_arc`, a loop on four Python floats in the operations of
     `project_raw(*constraint_rows(x), x + h g)`: one step while a contact
     switch is pending, else the rest of the run, up to and including the
     first step that projects nothing; an arc that reaches the run's end goes
@@ -301,7 +300,6 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     flat = nodes.reshape(-1)  # a view of the C-ordered rows
     pair, offset = scn.n == 2, -2.0 * scn.R
     catchup_rows = scn.catchup_rows  # bound once: a step takes microseconds
-    prev = None  # support of the step before, when it may start a run
     k = 0
     while k < K:
         if track and contact is None and scn.contact_rows(x).size:
@@ -318,18 +316,14 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
             arc, projected = _pair_arc(x.tolist(), step.tolist(), count, offset)
             flat[4 * (k + 1) : 4 * (k + 1) + len(arc)] = arc
             k += len(arc) // 4
-            if len(arc) > 4:  # the step before the last projected
-                prev = [0]
-            W = [0] if projected else []
         else:
             A, c, E = catchup_rows(x)
             k += 1
             nodes[k], W = _project_rows(A, c, x + step, STEP_TOL, E)
-            W = W.tolist()
-        if k < end and W == prev == []:  # free flight twice: the steps repeat while the drive holds
-            k += _fill(nodes, k, step, scn.free_run(nodes[k], step, W, end - k))
-            W = None  # the next fill needs two fresh steps
-        prev, x = W, nodes[k]
+            projected = W.size > 0
+        if k < end and not projected:  # a free step: the steps repeat while the drive holds
+            k += _fill(nodes, k, step, scn.free_run(nodes[k], step, [], end - k))
+        x = nodes[k]
     return _trajectory(mesh, nodes)
 
 
@@ -354,12 +348,12 @@ def _chain_steps(scn: PedestrianScenario, runs, K: int) -> np.ndarray:
     """The K + 1 nodes of a pedestrian chain from scn.x0, one `_chain_step` per interval, each
     run of equal drives given as (end, increment), with the state a list of floats.
 
-    Two steps in a row that pool the same rows (none, in free flight) fix the step map while the
-    drive holds: the nodes keep the last displacement for as many steps as `scn.free_run` allows,
-    filled by one cumulative sum.  The stepped nodes since the last fill go into the array in one
-    slice, from a C array of doubles: a list would hold a float object per coordinate and step,
-    whose memory the process keeps.  An increment becomes a list when its run starts, for the
-    same reason.
+    A free step (no row pooled), or two steps in a row that pool the same rows, fix the step map
+    while the drive holds: the nodes keep the last displacement for as many steps as
+    `scn.free_run` allows, filled by one cumulative sum.  The stepped nodes since the last fill go
+    into the array in one slice, from a C array of doubles: a list would hold a float object per
+    coordinate and step, whose memory the process keeps.  An increment becomes a list when its
+    run starts, for the same reason.
     """
     n, gap = scn.n, 2.0 * scn.R
     nodes = np.empty((K + 1, n))
@@ -373,14 +367,14 @@ def _chain_steps(scn: PedestrianScenario, runs, K: int) -> np.ndarray:
             xn, W = _chain_step(x, g, gap)
             k += 1
             stepped.extend(xn)
-            if k < end and W == prev:
+            if k < end and (not W or W == prev):
                 d = list(map(sub, xn, x)) if W else g
                 run = scn.free_run(xn, d, W, end - k)
                 if run:
                     flat[n * (done + 1) : n * (k + 1)] = stepped
                     k += _fill(nodes, k, d, run)
                     xn, stepped, done = nodes[k].tolist(), array("d"), k
-                W = None  # the next fill needs two fresh steps
+                W = None  # a pooled fill needs two fresh steps
             prev, x = W, xn
     flat[n * (done + 1) :] = stepped
     return nodes
@@ -483,6 +477,7 @@ def contact_times(traj: Trajectory, P: Polyhedron, tol: float) -> list[tuple[flo
     produced that node, so the reported time is the left node t_{k-1}
     (t_0 for rows active from the start).
     """
+    _check_tol(tol)
     out = []
     times = traj.times
     slacks = P.offsets[None, :] - traj.nodes @ P.normals.T  # (K+1, s)

@@ -327,8 +327,6 @@ class TestRobotConstraintRows:
         x[3] = np.nan
         A, _, E = scn.catchup_rows(x)
         assert E is None and np.isnan(A).any()
-        pair = self.chain(2)
-        assert pair.catchup_rows(pair.x0)[2] is None  # one row: the closed form
 
 
 class TestSetRepresentation:

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from sweepctrl import polyhedra
+from sweepctrl.models import ControlSet, RobotScenario, admissible_velocities_contains
 from sweepctrl.polyhedra import (
     ConeDecomposition,
     Polyhedron,
@@ -28,6 +29,7 @@ from sweepctrl.polyhedra import (
     project_with_working_set,
     row_multipliers,
 )
+from sweepctrl.sweeping import Mesh, Trajectory, contact_times
 
 
 def halfspace_projection_oracle(a, c, y):
@@ -258,12 +260,6 @@ class TestPolyhedronGuards:
     def test_shapes_rejected(self, normals, offsets, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             Polyhedron(normals, offsets)
-
-    @pytest.mark.parametrize("rows", [1, 2], ids=["one-row", "two-rows"])
-    def test_project_raw_rejects_a_start_of_another_shape(self, rows):
-        A = np.eye(2)[:rows]
-        with pytest.raises(ValueError, match=r"start has shape \(3,\), expected \(2,\)"):
-            project_raw(A, np.zeros(rows), np.ones(2), start=np.zeros(3))
 
     def test_one_row_project_raw_rejects_a_point_of_another_shape(self):
         with pytest.raises(ValueError, match=r"y has shape \(3,\), expected \(2,\)"):
@@ -571,6 +567,13 @@ class TestToleranceArgument:
         "project_with_working_set": lambda P, tol: project_with_working_set(P, np.array([5.0, 5.0]), tol=tol),
         "decompose_normal": lambda P, tol: decompose_normal(P, np.array([1.0, 0.5]), np.ones(2), tol=tol),
         "check_licq": lambda P, tol: check_licq(P, np.array([1.0, 0.5]), tol=tol),
+        "project_raw": lambda P, tol: project_raw(P.normals, P.offsets, np.array([5.0, 5.0]), tol=tol),
+        "contact_times": lambda P, tol: contact_times(Trajectory(Mesh(1.0, 1), [[0.0, 0.0], [1.0, 0.5], [1.0, 1.0]]),
+                                                      P, tol),
+        "admissible_velocities_contains": lambda P, tol: admissible_velocities_contains(
+            RobotScenario(n=2, R=1.0, T=6.0, x0=[0.0, 0.0, 3.0, 3.0], speeds=[1.0, 1.0], angles=[0.0, 0.0],
+                          control_set=ControlSet.box([-1.0, -1.0], [1.0, 1.0])),
+            np.array([0.0, 0.0, 3.0, 3.0]), np.array([1.0, 1.0, 0.0, 0.0]), 0.5, tol=tol),
     }
 
     @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0], ids=["inf", "nan", "negative"])
@@ -582,6 +585,13 @@ class TestToleranceArgument:
     @pytest.mark.parametrize("name", list(CALLS))
     def test_zero_tol_is_accepted(self, name):
         self.CALLS[name](self.P, 0.0)
+
+    @pytest.mark.parametrize("tol, y", [(np.nan, [0.0, 0.0]), (np.inf, [2.0, 3.0])], ids=["nan", "inf"])
+    def test_project_raw_neither_moves_a_point_inside_nor_keeps_one_outside(self, tol, y):
+        # No violation is within a NaN tol, so (0, 0), inside x <= (1, 1), would go to (1, 1) on
+        # both rows; every violation is within an infinite one, so (2, 3) would stay unprojected.
+        with pytest.raises(ValueError, match="tol"):
+            project_raw(np.eye(2), np.ones(2), np.array(y), tol=tol)
 
 
 class TestNonFiniteInputOnTheNnlsPath:

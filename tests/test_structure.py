@@ -54,6 +54,13 @@ def test_the_grid_checks_have_one_door():
     assert in_optimality == {"check_rows": ["__init__"], "_check_fit": ["__init__"], "as_step_series": ["__init__"]}
 
 
+def test_only_catchup_step_projects_through_project_raw_in_sweeping():
+    # The catch-up loops step through their own kernels, so `project_raw` serves callers from
+    # outside the loop only, and checks its tol as every public entry point does.
+    in_sweeping = sorted({where for module, where in _constructions("project_raw") if module == "sweeping.py"})
+    assert in_sweeping == ["catchup_step"]
+
+
 def _builtin_sums():
     """(module file, enclosing function, whether it is the one argument of `math.isfinite`) of
     every call of the builtin `sum` in the package source."""

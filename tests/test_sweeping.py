@@ -454,7 +454,7 @@ def exact_pedestrian_endpoint(scn, u_const):
         gaps = np.diff(x) - 2.0 * scn.R
         active = np.flatnonzero(gaps <= 1e-9)
         if active.size:
-            v, _ = project_raw(C.normals[active], np.zeros(active.size), drive, np.zeros(scn.n))
+            v, _ = project_raw(C.normals[active], np.zeros(active.size), drive)
         else:
             v = drive
         rates = np.diff(v)
@@ -1061,6 +1061,51 @@ class TestRunFilling:
         for scn, u in ((robot2(), [2.0 * ROBOT_R, ROBOT_R]), (parse_scenario_text(JOSTLE_ROBOTS), [-2.0] * 4)):
             simulate(scn, ControlSignal.constant(Mesh(6.0, 10), u))
         assert supports and not any(supports)
+
+    @pytest.mark.parametrize("family", ["robot2", "robots3", "pedestrian2"])
+    def test_a_free_step_from_x0_starts_the_fill_at_node_1(self, monkeypatch, family):
+        # One free step fixes the step map: `free_run` is a sufficient condition from any node,
+        # and the fill's cumulative sum repeats the free step's own addition x + h g.
+        scn, u = {
+            "robot2": (robot2(), [0.1, 0.05]),
+            "robots3": (parse_scenario_text(
+                "model = robot\nn = 3\nR = 1\nT = 6\nx0 = 0 0 4 4 9 9\nspeeds = 1 1 1\nangles_deg = 225 45 45\n"
+                "control.kind = box\ncontrol.lo = -1 -1 -1\ncontrol.hi = 1 1 1\n"), [1.0, 0.5, 0.25]),
+            "pedestrian2": (ped2(), [0.1, 0.1]),
+        }[family]
+        starts = []
+        hook = type(scn).free_run
+
+        def spy(self, x, d, support, cap):
+            starts.append(np.asarray(x).tolist())
+            return hook(self, x, d, support, cap)
+
+        monkeypatch.setattr(type(scn), "free_run", spy)
+        u = ControlSignal.constant(Mesh(6.0, 8), u)
+        nodes = simulate(scn, u).nodes
+        assert nodes.tobytes() == stepwise(scn, u, pooled=True).tobytes()
+        assert not np.any(in_contact(scn.pair_gaps(nodes)))  # free flight throughout
+        assert starts == [nodes[1].tolist()]  # one fill, from node 1, to the horizon
+
+    def test_a_free_stretch_costs_one_pair_arc_call(self, monkeypatch):
+        # robot2 at the reduced optimum: a free step filled as far as `free_run` allows, one more
+        # free step that it allows no fill from, then the contact arc to the horizon.
+        import sweepctrl.sweeping as sweeping
+
+        calls, pair_arc = [], sweeping._pair_arc
+
+        def counted(x, g, count, c):
+            arc, projected = pair_arc(x, g, count, c)
+            calls.append((count, len(arc) // 4, projected))
+            return arc, projected
+
+        monkeypatch.setattr(sweeping, "_pair_arc", counted)
+        u = ControlSignal.constant(Mesh(6.0, 10), [2.0 * ROBOT_R, ROBOT_R])
+        assert np.array_equal(simulate(robot2(), u).nodes, stepwise(robot2(), u))
+        assert calls == [(1024, 1, False), (982, 1, False), (981, 981, True)]
+        calls.clear()
+        simulate(robot2(), ControlSignal.constant(Mesh(6.0, 10), [0.1, 0.05]))
+        assert calls == [(1024, 1, False)]
 
     def test_constant_runs_cost_a_few_projections(self, monkeypatch):
         # The steps each family takes: a pedestrian step is one `_chain_step` call, and a pair's
