@@ -234,11 +234,10 @@ class Scenario:
 
     and `constraint_rows(x)`, the step set K(x) = {y : A y <= c} as (A, c), whose projection
     `simulate`'s kernels write out (only a per-step reference loop reads it); for two robots,
-    `pair_row(xs)`, K(x)'s one row and offset on Python floats.  A robot chain's K(x) comes to
-    `simulate` from `catchup_rows(x)`: (A, c, E) with E the NNLS block of
-    `polyhedra._project_rows` formed in the same pass, or None to let `_project_rows` form it.
-    The pedestrians' set is fixed, and `simulate` steps it by pool-adjacent-violators on Python
-    floats, with no block.
+    `pair_row(xs)`, K(x)'s one row and offset read back as Python floats.  A robot chain's K(x)
+    comes to `simulate` from `catchup_rows(x)`: (A, c, E) with E the NNLS block of
+    `polyhedra._project_rows` formed in the same pass.  The pedestrians' set is fixed, and
+    `simulate` steps it by pool-adjacent-violators on Python floats, with no block.
 
     Agent i moves at s_i u^i along its heading: `drive` (g, linear in u and
     independent of x) and `drive_adjoint` are that one formula and its
@@ -254,7 +253,7 @@ class Scenario:
     switch_time: float | None = None
     __eq__ = _same_fields
 
-    def _validate(self, make_sweeping_set, coords: int) -> None:
+    def _validate(self, coords: int) -> None:
         """Shared input checks (`coords` state coordinates per agent); errors name the file key."""
         object.__setattr__(self, "x0", np.asarray(self.x0, dtype=float))
         object.__setattr__(self, "speeds", np.asarray(self.speeds, dtype=float))
@@ -285,7 +284,7 @@ class Scenario:
             raise ValueError(f"keys 'x0', 'R', 'T', 'speeds': |x0| + 2R n + T s |u| = {reach:g}, beyond {SCALE_MAX:g}")
         if not reach / SCALE_MAX <= self.T <= SCALE_MAX:
             raise ValueError(f"key 'T': need a horizon in [{reach / SCALE_MAX:g}, {SCALE_MAX:g}], got {self.T:g}")
-        object.__setattr__(self, "_sweeping_set", make_sweeping_set(self.n, self.R))
+        object.__setattr__(self, "_sweeping_set", _chain_set(self.n, self.R, coords))
 
     @property
     def state_dim(self) -> int:
@@ -344,7 +343,7 @@ class RobotScenario(Scenario):
     switch_at: float | str | None = None
 
     def __post_init__(self):
-        self._validate(robot_sweeping_set, coords=2)
+        self._validate(coords=2)
         object.__setattr__(self, "angles", np.asarray(self.angles, dtype=float))
         if self.angles_post is not None:
             object.__setattr__(self, "angles_post", np.asarray(self.angles_post, dtype=float))
@@ -399,9 +398,10 @@ class RobotScenario(Scenario):
         """`linearized_noncollision(x, R)`, with its offsets one read-only array for every x."""
         return _noncollision_system(x)[0], self._offsets
 
-    def catchup_rows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    def catchup_rows(self, x) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """`constraint_rows(x)` of a robot chain and the NNLS block of K(x) formed with it
-        (`_noncollision_system`)."""
+        (`_noncollision_system`); a non-finite x gives a non-finite block, which
+        `polyhedra._project_rows` refuses."""
         A, E = _noncollision_system(x)
         return A, self._offsets, E
 
@@ -454,14 +454,10 @@ class RobotScenario(Scenario):
         return int(min(cap, least))
 
     def pair_row(self, xs: list) -> tuple[list, float]:
-        """K(x) of two robots on Python floats: its one row (a, c) at the state xs, a list, as
-        `constraint_rows` forms it (hypot, then two divisions)."""
-        dx, dy = xs[0] - xs[2], xs[1] - xs[3]
-        dist = math.hypot(dx, dy)
-        if dist == 0.0:
-            raise ValueError("coincident centers 1, 2: gradient undefined")
-        nx, ny = dx / dist, dy / dist
-        return [-nx, -ny, nx, ny], -2.0 * self.R
+        """K(x) of two robots at the state xs, a list: `constraint_rows`' one row and offset
+        (a, c), read back as Python floats."""
+        A, c = self.constraint_rows(xs)
+        return A[0].tolist(), c.item()
 
     def pair_gap_euclid(self, x, i: int, j: int) -> float:
         """Euclidean disk separation ||x^i - x^j|| - 2R (the collision geometry)."""
@@ -480,7 +476,7 @@ class PedestrianScenario(Scenario):
     control_set: ControlSet
 
     def __post_init__(self):
-        self._validate(pedestrian_sweeping_set, coords=1)
+        self._validate(coords=1)
         gaps = self.pair_gaps(self.x0)
         if np.min(gaps) < -CONTROL_TOL:
             j = int(np.argmin(gaps))
@@ -529,26 +525,28 @@ class PedestrianScenario(Scenario):
 # ---------------------------------------------------------------------------
 
 
-def robot_sweeping_set(n: int, R: float) -> Polyhedron:
-    """Rows e_{j,1}+e_{j,2}-e_{j+1,1}-e_{j+1,2} with offsets -2R, j = 1..n-1."""
+def _chain_set(n: int, R: float, coords: int) -> Polyhedron:
+    """C = {x : s_j(x) - s_{j+1}(x) <= -2R, j = 1..n-1}, with s_j the sum of agent j's `coords`
+    coordinates: the sweeping set of both models.  Row j's +1 on agent j's coordinate k lies at
+    j coords (n + 1) + k in the flat rows, and its -1 on agent j+1's `coords` further on."""
     if n < 2:
         raise ValueError("need n >= 2")
-    rows = np.zeros((n - 1, 2 * n))
-    for j in range(n - 1):
-        rows[j, 2 * j : 2 * j + 2] = 1.0
-        rows[j, 2 * j + 2 : 2 * j + 4] = -1.0
+    rows = np.zeros((n - 1, coords * n))
+    flat, step = rows.reshape(-1), coords * (n + 1)
+    for k in range(coords):
+        flat[k::step] = 1.0
+        flat[coords + k :: step] = -1.0
     return Polyhedron(rows, np.full(n - 1, -2.0 * R))
+
+
+def robot_sweeping_set(n: int, R: float) -> Polyhedron:
+    """Rows e_{j,1}+e_{j,2}-e_{j+1,1}-e_{j+1,2} with offsets -2R, j = 1..n-1."""
+    return _chain_set(n, R, 2)
 
 
 def pedestrian_sweeping_set(n: int, R: float) -> Polyhedron:
     """Rows e_j - e_{j+1} with offsets -2R, j = 1..n-1."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    rows = np.zeros((n - 1, n))
-    for j in range(n - 1):
-        rows[j, j] = 1.0
-        rows[j, j + 1] = -1.0
-    return Polyhedron(rows, np.full(n - 1, -2.0 * R))
+    return _chain_set(n, R, 1)
 
 
 def robot_g(
@@ -611,34 +609,31 @@ def linearized_noncollision(x, R: float) -> tuple[np.ndarray, np.ndarray]:
     return A, np.full(len(A), -2.0 * R)
 
 
-def _noncollision_system(x) -> tuple[np.ndarray, np.ndarray | None]:
+def _noncollision_system(x) -> tuple[np.ndarray, np.ndarray]:
     """The rows A of `linearized_noncollision` at x, one per pair i < j, as a new array, and in
     the same buffer the NNLS matrix E that `polyhedra._project_rows` takes: (2n + 1, s), -A^T
-    in its first 2n rows and its last row left for the step to write; E is None when a row is
-    not finite (`project_raw` then forms and checks E itself).
+    in its first 2n rows and its last row left for the step to write.  K(x) is written here
+    only: `pair_row` reads it back as floats.
 
-    Each pair's floats come from the float operations of `RobotScenario.pair_row` (hypot, two
-    divisions), inlined, since a call per pair costs more than the arithmetic.  They go into a copy of the
-    layout's template in one fancy store, so A and E have the bits of `np.array` of the pair
-    rows and of -A^T.
+    Each pair's floats are a hypot, then two divisions, inlined, since a call per pair costs
+    more than the arithmetic.  A non-finite x gives NaN entries, in A and in E alike.  They go
+    into a copy of the layout's template in one fancy store, so A and E have the bits of
+    `np.array` of the pair rows and of -A^T.
     """
     xs = np.asarray(x, dtype=float).tolist()
     index, pairs, template = _system_layout(len(xs) // 2)
     vals = []
-    finite = True
     for i, j in pairs:
         dx, dy = xs[i] - xs[j], xs[i + 1] - xs[j + 1]
         dist = math.hypot(dx, dy)
-        if not 0.0 < dist < math.inf:
-            if dist == 0.0:
-                raise ValueError(f"coincident centers {i // 2 + 1}, {j // 2 + 1}: gradient undefined")
-            finite = False  # a NaN, or an inf that a row may not survive: let project_raw decide
+        if dist == 0.0:
+            raise ValueError(f"coincident centers {i // 2 + 1}, {j // 2 + 1}: gradient undefined")
         nx, ny = dx / dist, dy / dist
         vals += (-nx, -ny, nx, ny, nx, ny, -nx, -ny)
     buf = template.copy()
     buf[index] = vals
     s, d = len(pairs), 2 * (len(xs) // 2)
-    return buf[: s * d].reshape(s, d), buf[s * d :].reshape(d + 1, s) if finite else None
+    return buf[: s * d].reshape(s, d), buf[s * d :].reshape(d + 1, s)
 
 
 @functools.cache
@@ -672,30 +667,21 @@ class SetAgreementReport:
     flagged_out_of_region: int
 
 
-def verify_set_representation(
-    scn: RobotScenario, samples: int, seed: int, x_ref: np.ndarray | None = None
-) -> SetAgreementReport:
+def verify_set_representation(scn: RobotScenario, samples: int, seed: int) -> SetAgreementReport:
     """Sample ordered configurations and compare membership in the three set descriptions.
 
     The three sets: the fixed polyhedron C, the admissible-configuration
-    set (all-pairs sum-norm separation), and the linearization K(x_ref) of
-    the sum-norm separation constraints at an ordered reference point.
-    Under the ordering hypotheses they coincide, so the expected
+    set (all-pairs sum-norm separation), and the linearization K of the
+    sum-norm separation constraints, which is the same at every ordered
+    point.  Under the ordering hypotheses they coincide, so the expected
     disagreement count is zero.  Sampled points that violate the ordering
-    hypothesis are flagged and excluded rather than tested.  An x_ref that
-    is not 2n finite numbers in the ordered region raises ValueError.
+    hypothesis are flagged and excluded rather than tested.
     """
-    if x_ref is not None:
-        x_ref = np.asarray(x_ref, dtype=float)
-        if x_ref.shape != scn.x0.shape or not np.isfinite(x_ref).all():
-            raise ValueError(f"x_ref must be {scn.x0.size} finite numbers, got {x_ref.tolist()}")
-        if not ordering_holds(scn.n, x_ref):
-            raise ValueError(f"x_ref = {x_ref.tolist()} breaks the ordering hypothesis")
     rng = np.random.default_rng(seed)
     C = scn.sweeping_set()
 
-    # K(x_ref) rows: sum-norm D_ij is affine on the ordered region, so the
-    # linearization at an ordered x_ref is the all-pairs sum constraint.
+    # K's rows: sum-norm D_ij is affine on the ordered region, so its
+    # linearization at any ordered point is the all-pairs sum constraint.
     def in_K(x):
         for i in range(scn.n):
             for j in range(i + 1, scn.n):

@@ -22,9 +22,8 @@ around its NNLS kernel call it makes only the array operations the kernel's
 input and the result need (A.dot(y), building E, u.dot(A)), and decides the
 rest on Python floats, in the order numpy would sum them, so that its bits
 are those of the array formulas.  A caller that already holds E's block
--A^T, checked finite (`simulate`, with K(x) for a robot chain), hands it
-to `_project_rows`, the branch `project_raw` runs, which then writes only
-E's last row.
+-A^T (`simulate`, with K(x) for a robot chain) hands it to `_project_rows`,
+the branch `project_raw` runs, which then writes only E's last row.
 A non-finite point, vector to decompose or projection input raises
 ValueError where it enters, naming it.
 """
@@ -327,9 +326,10 @@ def _project_rows(
     already and passes a y of A's width.
 
     E, when not None, is a C-contiguous (dim + 1, s) float array whose first
-    dim rows hold -A^T, finite (`models` forms it with a robot chain's
-    K(x)): only its last row h is written here.  With None, the block is
-    formed and checked here, once the step is known to project.
+    dim rows hold -A^T (`models` forms it with a robot chain's K(x)): only
+    its last row h is written here.  A NaN in that block is a NaN of A, so
+    of A y and of h, and raises with them.  With None, the block is formed
+    here, once the step is known to project, and checked with h in one sum.
     """
     if A.shape[0] == 1:
         x = _project_one_row(A[0].tolist(), c.item(), y.tolist(), tol)

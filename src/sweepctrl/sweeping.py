@@ -269,7 +269,7 @@ def simulate(scn: Scenario, u: ControlSignal) -> Trajectory:
     first step that projects nothing; an arc that reaches the run's end goes
     on in the next run's call.  A robot chain's step comes with its NNLS
     block from `scn.catchup_rows` and projects through `project_raw`'s
-    branch on it, which forms the block itself when K(x) is not finite.
+    branch on it, which refuses a block that is not finite.
     """
     mesh = u.mesh
     if not mesh.spans(scn.horizon):
@@ -433,7 +433,7 @@ def _pair_arc(x: list, g: list, count: int, c: float) -> tuple[list, bool]:
 
     A step is `project_raw(*scn.constraint_rows(x), x + g, tol=STEP_TOL)` in its float
     operations, in their order: the pair's row (-n, n) with offset c as
-    `RobotScenario.pair_row` forms it (hypot, then two divisions), y = x + g, and the one-row
+    `constraint_rows` forms it (hypot, then two divisions), y = x + g, and the one-row
     projection of `polyhedra._project_one_row` with its sums written out.  `a * -b` is
     `-(a * b)` and `a + -b` is `a - b` exactly, so the signs fold into the operators.  A step
     that projects nothing, or whose input is not finite, or whose row fails the emptiness

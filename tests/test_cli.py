@@ -8,13 +8,14 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sweepctrl import cli
+from sweepctrl import cli, models
 from sweepctrl.cli import main
 from sweepctrl.models import bundled_scenario_path
 from sweepctrl.polyhedra import ProjectionError
@@ -768,6 +769,58 @@ class TestScenarioFuzz:
                 code = main([*argv, "--out", str(fuzz_dir / "out")])
             assert code in (0, 1, 2, 3), (argv, scenario.read_text())
             assert "Traceback" not in err.getvalue()
+
+
+    def test_mutated_robot_file_exits_with_a_documented_code(self, fuzz_dir):
+        # robot2 as bundled, with a heading switch at the first contact or at a time, and a chain of
+        # three robots, with 1-3 values mutated: half of them to a value of SCENARIO_VALUES, half
+        # to a milder one (one entry times a factor, or another switch), so that about a quarter of
+        # the draws parse and run, building the chain set and, for the chain, K(x) at each step.
+        robot2 = Path(ROBOT).read_text()
+        templates = [(robot2, "-3.37,-1.685"),
+                     (robot2 + "angles_deg_post = 45 45\nswitch_at = contact\n", "-3.37,-1.685"),
+                     (robot2 + "angles_deg_post = 90 180\nswitch_at = 2.5\n", "-3.37,-1.685"),
+                     (ROBOT3_CHAIN, "-3,-1,0.5")]
+        rng = np.random.default_rng(39)
+        runs = {"draws": 0, "exit 0": 0, "chain exit 0": 0}
+        with mock.patch.object(models, "_chain_set", wraps=models._chain_set) as chain_set, \
+                mock.patch.object(models, "_noncollision_system", wraps=models._noncollision_system) as k_of_x:
+            for _ in range(400):
+                k = int(rng.integers(len(templates)))
+                text, control = templates[k]
+                entries = [line.split("=", 1) for line in text.splitlines() if "=" in line and not line.startswith("#")]
+                keys = [key.strip() for key, _ in entries]
+                values = [value.split() for _, value in entries]
+                numeric = [i for i, key in enumerate(keys) if key not in ("model", "control.kind")]
+                for _ in range(int(rng.integers(1, 4))):
+                    i = int(rng.choice(numeric))
+                    j = int(rng.integers(len(values[i])))
+                    if rng.random() < 0.5:
+                        if len(values[i]) == 1 or rng.random() < 0.5:
+                            values[i] = [str(rng.choice(SCENARIO_VALUES))]
+                        else:
+                            values[i][j] = str(rng.choice(SCENARIO_VALUES))
+                    elif keys[i] == "switch_at":
+                        values[i] = [str(rng.choice(["contact", "0", "1.5", "6"]))]
+                    elif keys[i] not in ("n", "control.bound_on"):
+                        with contextlib.suppress(ValueError):  # an entry an earlier mutation made a word
+                            values[i][j] = repr(float(values[i][j]) * float(rng.choice([0.5, 0.9, 1.1, 2.0])))
+                scenario = fuzz_dir / "fuzz-robot.scn"
+                scenario.write_text("".join(f"{key} = {' '.join(value)}\n" for key, value in zip(keys, values)))
+                m = str(int(rng.integers(3, 6)))
+                codes = []
+                for argv in (["simulate", str(scenario), "--control", control, "--mesh-exp", m],
+                             ["solve-discrete", str(scenario), "--mesh-exp", m, "--budget", "20"]):
+                    err = io.StringIO()
+                    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                        codes.append(main([*argv, "--out", str(fuzz_dir / "out-robot")]))
+                    assert codes[-1] in (0, 1, 2, 3), (argv, scenario.read_text())
+                    assert "Traceback" not in err.getvalue()
+                runs["draws"] += 1
+                runs["exit 0"] += codes == [0, 0]
+                runs["chain exit 0"] += codes == [0, 0] and k == 3
+        assert runs["exit 0"] >= 0.2 * runs["draws"] and runs["chain exit 0"] >= 0.04 * runs["draws"], runs
+        assert chain_set.call_count >= 2 * runs["exit 0"] and k_of_x.call_count >= 8 * runs["chain exit 0"]
 
 
 # Cells a trajectory CSV or control file may be mutated to: non-finite, extreme, empty, words, several values.

@@ -1,6 +1,8 @@
 """Scenario construction, control sets, separation gaps, set-representation checks."""
 
 import math
+import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +27,8 @@ from sweepctrl.models import (
     robot_sweeping_set,
     verify_set_representation,
 )
-from sweepctrl.tolerances import CONTACT_TOL, CONTROL_TOL
+from sweepctrl.polyhedra import _project_rows
+from sweepctrl.tolerances import CONTACT_TOL, CONTROL_TOL, STEP_TOL
 
 
 def robot_example():
@@ -321,12 +324,70 @@ class TestRobotConstraintRows:
             with pytest.raises(ValueError, match=f"coincident centers {i + 1}, {j + 1}: gradient undefined"):
                 call(x)
 
-    def test_a_non_finite_state_leaves_the_block_to_the_projection(self):
+    def test_a_non_finite_state_gives_a_non_finite_block_the_projection_refuses(self):
         scn = self.chain(3)
         x = scn.x0.copy()
         x[3] = np.nan
-        A, _, E = scn.catchup_rows(x)
-        assert E is None and np.isnan(A).any()
+        A, c, E = scn.catchup_rows(x)
+        assert np.isnan(A).any() and E.shape == (7, 3)
+        assert E[:6].tobytes() == (-A.T).tobytes()  # NaN included
+        g = scn.drive(np.array([-3.0, -1.0, 1.0])) * (6.0 / 2**8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the ValueError comes before any numpy warning
+            with pytest.raises(ValueError, match="^projection input must not contain infs or NaNs$"):
+                _project_rows(A, c, x + g, STEP_TOL, E)
+
+
+def parent_pair_row(xs, R):
+    """K(x)'s one row of two robots in the float formula `pair_row` wrote out before it read
+    `constraint_rows` back: hypot, then two divisions."""
+    dx, dy = xs[0] - xs[2], xs[1] - xs[3]
+    dist = math.hypot(dx, dy)
+    if dist == 0.0:
+        raise ValueError("coincident centers 1, 2: gradient undefined")
+    nx, ny = dx / dist, dy / dist
+    return [-nx, -ny, nx, ny], -2.0 * R
+
+
+class TestPairRowReference:
+    """`pair_row` is `constraint_rows` read back as floats, with the bits of the formula it had."""
+
+    @staticmethod
+    def states(count=1200):
+        """Derandomized two-robot states over many scales, with NaN, inf, signed zeros and coincident
+        centres mixed in."""
+        rng = np.random.default_rng(20181105)
+        special = [math.nan, math.inf, -math.inf, 0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308]
+        for k in range(count):
+            scale = 10.0 ** rng.uniform(-300, 300) if k % 3 == 0 else 30.0
+            x = (rng.uniform(-1.0, 1.0, 4) * scale).tolist()
+            how = k % 8
+            if how == 1:
+                x[2:4] = x[0:2]  # coincident centres
+            elif how == 2:
+                x[int(rng.integers(4))] = special[int(rng.integers(len(special)))]
+            elif how == 3:
+                x[2], x[3] = x[0] + special[int(rng.integers(7))], x[1]  # one axis apart by at most 5e-324
+            yield x
+
+    @pytest.mark.parametrize("R", [6.0, 0.0, 1.5])
+    def test_pair_row_has_the_bits_of_the_float_formula(self, R):
+        scn = parse_scenario_text(bundled_scenario_path("robot2.scn").read_text().replace("R = 6", f"R = {R}"))
+        bits = lambda values: struct.pack(f"{len(values)}d", *values)
+        seen = {"nan": 0, "coincident": 0}
+        for xs in self.states():
+            try:
+                a_ref, c_ref = parent_pair_row(xs, R)
+            except ValueError as exc:
+                seen["coincident"] += 1
+                with pytest.raises(ValueError, match=f"^{exc}$"):
+                    scn.pair_row(xs)
+                continue
+            a, c = scn.pair_row(xs)
+            assert type(c) is float and all(type(v) is float for v in a)
+            assert bits([*a, c]) == bits([*a_ref, c_ref]), xs
+            seen["nan"] += math.isnan(a_ref[0])
+        assert seen["nan"] >= 50 and seen["coincident"] >= 150
 
 
 class TestSetRepresentation:
@@ -339,7 +400,7 @@ class TestSetRepresentation:
 
     def test_reference_at_example_start(self):
         scn = robot_example()
-        report = verify_set_representation(scn, samples=500, seed=11, x_ref=scn.x0)
+        report = verify_set_representation(scn, samples=500, seed=11)
         assert report.disagreements == 0
 
     def test_far_from_the_origin_the_descriptions_round_apart(self):
@@ -354,16 +415,6 @@ class TestSetRepresentation:
         report = verify_set_representation(scn, samples=2000, seed=1)
         assert report.disagreements > 0
         assert verify_set_representation(robot_example(), samples=2000, seed=1).disagreements == 0
-
-    @pytest.mark.parametrize(
-        "x_ref, what",
-        [([5.0, 5.0, -20.0, -20.0], "ordering"), ([-30.0, -30.0, -20.0, -40.0], "ordering"),
-         ([1.0], "finite numbers"), ([np.nan, -30.0, -20.0, -20.0], "finite numbers")],
-        ids=["unordered", "one-coordinate-unordered", "wrong-shape", "not-finite"],
-    )
-    def test_bad_reference_point_raises_naming_it(self, x_ref, what):
-        with pytest.raises(ValueError, match=f"x_ref.*{what}"):
-            verify_set_representation(robot_example(), samples=10, seed=1, x_ref=np.array(x_ref))
 
 
 class TestControlSets:

@@ -90,3 +90,77 @@ def test_a_builtin_sum_only_decides_whether_a_sum_is_finite():
     assert not stray, "builtin sum() whose value is used:\n" + "\n".join(stray)
     assert {(module, where) for module, where, _ in found} == {("polyhedra.py", "_check_finite"),
                                                               ("polyhedra.py", "_project_rows")}
+
+
+def test_models_constructs_a_polyhedron_only_in_the_chain_builder():
+    # Both sweeping sets are one chain of coordinate sums; a robot's K(x) is raw (A, c) arrays.
+    in_models = sorted({where for module, where in _constructions("Polyhedron") if module == "models.py"})
+    assert in_models == ["_chain_set"]
+
+
+def _defaults():
+    """(module file, qualified function, parameter) of every parameter with a default in the
+    package source, methods qualified by their class and nested functions by their parent."""
+    found = []
+
+    def visit(node, module, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}" if scope else node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = args.posonlyargs + args.args
+            named = positional[len(positional) - len(args.defaults):]
+            named += [arg for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None]
+            found.extend((module, scope, arg.arg) for arg in named)
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "")
+    return found
+
+
+# Every parameter with a default (37), so that a new knob has to be added here.
+DEFAULTS = [
+    ("cli.py", "main", "argv"),
+    ("models.py", "ControlSet.segment", "bound_on"),
+    ("models.py", "PedestrianScenario.drive", "contact_time"),
+    ("models.py", "PedestrianScenario.drive", "t"),
+    ("models.py", "PedestrianScenario.headings", "contact_time"),
+    ("models.py", "RobotScenario.headings", "contact_time"),
+    ("models.py", "RobotScenario.theta", "contact_time"),
+    ("models.py", "Scenario.drive", "contact_time"),
+    ("models.py", "Scenario.drive", "t"),
+    ("models.py", "Scenario.drive_adjoint", "contact_time"),
+    ("models.py", "Scenario.drive_adjoint", "t"),
+    ("models.py", "Scenario.g", "contact_time"),
+    ("models.py", "Scenario.g", "t"),
+    ("models.py", "admissible_velocities_contains", "tol"),
+    ("models.py", "robot_g", "contact_time"),
+    ("models.py", "robot_g", "t"),
+    ("optimality.py", "certificate_from_dict.field", "convert"),
+    ("optimality.py", "verify_certificate", "tol"),
+    ("optimizer.py", "pedestrian_contact_time", "neighbor_eta"),
+    ("optimizer.py", "pedestrian_contact_time", "row"),
+    ("optimizer.py", "solve_discrete", "budget"),
+    ("optimizer.py", "solve_discrete", "extra_starts"),
+    ("optimizer.py", "solve_discrete", "localization_radius"),
+    ("optimizer.py", "solve_discrete", "piecewise"),
+    ("optimizer.py", "solve_discrete", "reference"),
+    ("optimizer.py", "solve_discrete", "seed"),
+    ("polyhedra.py", "active_set", "tol"),
+    ("polyhedra.py", "check_licq", "tol"),
+    ("polyhedra.py", "contains", "tol"),
+    ("polyhedra.py", "decompose_normal", "tol"),
+    ("polyhedra.py", "project", "feasible_start"),
+    ("polyhedra.py", "project", "tol"),
+    ("polyhedra.py", "project_raw", "tol"),
+    ("polyhedra.py", "project_with_working_set", "tol"),
+    ("sweeping.py", "trajectory_csv", "controls"),
+    ("sweeping.py", "trajectory_csv", "eta_terminal"),
+    ("sweeping.py", "trajectory_csv", "etas"),
+]
+
+
+def test_the_parameters_with_a_default_are_pinned():
+    assert sorted(_defaults()) == DEFAULTS
